@@ -184,13 +184,11 @@ fn main() {
     let srv = server_arm();
 
     // Provenance: which revision produced the row, which lint-pass rule
-    // set it was checked under (the `version` in lint-allow.toml), which
-    // TRIAL_SEMANTICS_VERSION the S1 fingerprint gate had locked, and
+    // set it was checked under (the `version` in lint-allow.toml), and
     // the per-rule violation/allow counts of the last lint report — so
     // regression rows stay attributable after the rules evolve.
     let git_sha = git_sha().unwrap_or_else(|| "unknown".to_string());
     let lint_pass_version = lint_pass_version().unwrap_or(0);
-    let semantics_lock_version = semantics_lock_version().unwrap_or(0);
     let lint_rule_counts = lint_rule_counts();
 
     // Hand-rolled nested objects for the per-tier table and the
@@ -212,7 +210,7 @@ fn main() {
         .join(", ");
 
     let json = format!(
-        "{{\n  \"benchmark\": \"trial_throughput\",\n  \"git_sha\": \"{git_sha}\",\n  \"lint_pass_version\": {lint_pass_version},\n  \"semantics_lock_version\": {semantics_lock_version},\n  \"lint_rule_counts\": {lint_rule_counts},\n  \"model\": \"{}\",\n  \"scheme\": \"{}\",\n  \"total_cells\": {cells},\n  \"expected_faults_per_trial\": {expected:.6},\n  \"before_trials_per_sec\": {before:.3},\n  \"after_trials_per_sec\": {after:.3},\n  \"speedup\": {speedup:.3},\n  \"trials_per_sec\": {trials_per_sec:.3},\n  \"prefix_skip_rate\": {prefix_skip_rate:.4},\n  \"simd_tier\": \"{simd_tier}\",\n  \"gemm_gflops\": {gemm_gflops:.2},\n  \"sparse_gemm_gflops\": {sparse_gemm_gflops:.2},\n  \"gemm_gflops_by_tier\": {{{gemm_by_tier}}},\n  \"sparse_gemm_gflops_by_tier\": {{{sparse_by_tier}}},\n  \"sparse_dense_cutover_density\": {:.2},\n  \"sparse_dense_crossover_density\": {crossover_density:.2},\n  \"sparse_dense_crossover_sweep\": {{{sweep_json}}},\n  \"vgg12_weights\": {},\n  \"vgg12_density\": {:.4},\n  \"vgg12_expected_faults_per_trial\": {:.3},\n  \"vgg12_dense_trials_per_sec\": {:.3},\n  \"vgg12_sparse_trials_per_sec\": {:.3},\n  \"vgg12_sparse_speedup\": {:.3},\n  \"dse_fixed_trials\": {},\n  \"dse_early_stop_trials\": {},\n  \"dse_trial_savings\": {:.3},\n  \"dse_same_optimal\": {},\n  \"dse_shard_speedup_2\": {:.3},\n  \"dse_shard_speedup_4\": {:.3},\n  \"dse_shard_same_optimal\": {},\n  \"encode_cache_hit_rate\": {:.3},\n  \"server_streams\": {},\n  \"server_p99_ms\": {:.3},\n  \"server_trials_per_sec\": {:.3}\n}}\n",
+        "{{\n  \"benchmark\": \"trial_throughput\",\n  \"git_sha\": \"{git_sha}\",\n  \"lint_pass_version\": {lint_pass_version},\n  \"lint_rule_counts\": {lint_rule_counts},\n  \"model\": \"{}\",\n  \"scheme\": \"{}\",\n  \"total_cells\": {cells},\n  \"expected_faults_per_trial\": {expected:.6},\n  \"before_trials_per_sec\": {before:.3},\n  \"after_trials_per_sec\": {after:.3},\n  \"speedup\": {speedup:.3},\n  \"trials_per_sec\": {trials_per_sec:.3},\n  \"prefix_skip_rate\": {prefix_skip_rate:.4},\n  \"simd_tier\": \"{simd_tier}\",\n  \"gemm_gflops\": {gemm_gflops:.2},\n  \"sparse_gemm_gflops\": {sparse_gemm_gflops:.2},\n  \"gemm_gflops_by_tier\": {{{gemm_by_tier}}},\n  \"sparse_gemm_gflops_by_tier\": {{{sparse_by_tier}}},\n  \"sparse_dense_cutover_density\": {:.2},\n  \"sparse_dense_crossover_density\": {crossover_density:.2},\n  \"sparse_dense_crossover_sweep\": {{{sweep_json}}},\n  \"vgg12_weights\": {},\n  \"vgg12_density\": {:.4},\n  \"vgg12_expected_faults_per_trial\": {:.3},\n  \"vgg12_dense_trials_per_sec\": {:.3},\n  \"vgg12_sparse_trials_per_sec\": {:.3},\n  \"vgg12_sparse_speedup\": {:.3},\n  \"dse_fixed_trials\": {},\n  \"dse_early_stop_trials\": {},\n  \"dse_trial_savings\": {:.3},\n  \"dse_same_optimal\": {},\n  \"dse_shard_speedup_2\": {:.3},\n  \"dse_shard_speedup_4\": {:.3},\n  \"dse_shard_same_optimal\": {},\n  \"encode_cache_hit_rate\": {:.3},\n  \"server_streams\": {},\n  \"server_p99_ms\": {:.3},\n  \"server_trials_per_sec\": {:.3}\n}}\n",
         spec.name,
         scheme.label(),
         gemm::SPARSE_DENSE_CUTOVER,
@@ -463,21 +461,6 @@ fn lint_pass_version() -> Option<u64> {
     let text = std::fs::read_to_string(path).ok()?;
     text.lines().find_map(|line| {
         let rest = line.trim().strip_prefix("version")?.trim_start();
-        rest.strip_prefix('=')?.trim().parse().ok()
-    })
-}
-
-/// The `trial_semantics_version = N` line of the workspace's
-/// `semantics.lock` — the S1 fingerprint-gate version the
-/// semantics-critical modules were locked at (DESIGN.md §16).
-fn semantics_lock_version() -> Option<u64> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../semantics.lock");
-    let text = std::fs::read_to_string(path).ok()?;
-    text.lines().find_map(|line| {
-        let rest = line
-            .trim()
-            .strip_prefix("trial_semantics_version")?
-            .trim_start();
         rest.strip_prefix('=')?.trim().parse().ok()
     })
 }

@@ -5,79 +5,34 @@
 //!
 //! The stand-in is a *real trained network* on the synthetic-digit task;
 //! errors are measured end-to-end through encode → store → inject →
-//! decode → inference (the `VulnerabilityStudy` API).
+//! decode → inference (the `VulnerabilityStudy` API). A training run that
+//! diverges is reported as a typed error with a non-zero exit, never as
+//! a chance-level figure.
 
-use maxnvm_dnn::data::SyntheticDigits;
-use maxnvm_dnn::train::{sgd_train, TrainConfig};
-use maxnvm_dnn::zoo::{lenet_mini, prune_to_sparsity};
-use maxnvm_encoding::cluster::ClusteredLayer;
-use maxnvm_envm::{CellTechnology, SenseAmp};
-use maxnvm_faultsim::campaign::Campaign;
-use maxnvm_faultsim::evaluate::{AccuracyEval, NetworkEval};
-use maxnvm_faultsim::vulnerability::VulnerabilityStudy;
+use std::error::Error;
+use std::process::ExitCode;
 
-fn main() {
-    // Train the LeNet5 stand-in end-to-end; prune with retraining (§3.1.2).
+use maxnvm_bench::{fig5_stand_in, fig5_study};
+use maxnvm_faultsim::evaluate::AccuracyEval;
+
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("fig5: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<(), Box<dyn Error>> {
     println!("Training the LeNet5 stand-in on synthetic digits...");
-    let data = SyntheticDigits::generate(1500, 42);
-    let mut net = lenet_mini(7);
-    sgd_train(
-        &mut net,
-        &data.train,
-        &TrainConfig {
-            epochs: 6,
-            lr: 0.005,
-            momentum: 0.9,
-            seed: 1,
-        },
-    )
-    .expect("trainable");
-    let mut mats = net.weight_matrices();
-    for m in &mut mats {
-        prune_to_sparsity(&mut m.data, 0.6);
-    }
-    net.set_weight_matrices(&mats);
-    sgd_train(
-        &mut net,
-        &data.train,
-        &TrainConfig {
-            epochs: 2,
-            lr: 0.002,
-            momentum: 0.9,
-            seed: 2,
-        },
-    )
-    .expect("trainable");
-    let mut mats = net.weight_matrices();
-    for m in &mut mats {
-        prune_to_sparsity(&mut m.data, 0.6);
-    }
-    net.set_weight_matrices(&mats);
-    let eval = NetworkEval::new(net, data.test);
+    let (eval, clustered) = fig5_stand_in()?;
     println!(
         "Pruned+retrained baseline error: {:.2}%",
         eval.baseline_error() * 100.0
     );
-    let clustered: Vec<ClusteredLayer> = mats
-        .iter()
-        .map(|m| ClusteredLayer::from_matrix(m, 4, 5))
-        .collect();
-
-    // The faults of interest are rare at the stand-in's small scale; the
-    // paper's models have 100-1000x more cells. Scale the per-cell rates
-    // so the *expected fault counts per structure* match an LeNet5-sized
-    // deployment; scale the IdxSync block likewise (see EXPERIMENTS.md).
-    let study = VulnerabilityStudy {
-        campaign: Campaign {
-            trials: 30,
-            seed: 9,
-            rate_scale: 150.0,
-        },
-        tech: CellTechnology::MlcCtt,
-        sense_amp: SenseAmp::paper_default(),
-        sync_block_bits: 64,
-    };
-
+    let study = fig5_study(30);
     println!(
         "\nFig. 5: isolated-structure classification error (%), CTT, {} trials",
         study.campaign.trials
@@ -86,7 +41,7 @@ fn main() {
         "{:<28} {:>8} {:>8} {:>8}",
         "structure [+protection]", "SLC", "MLC2", "MLC3"
     );
-    for row in study.run_fig5(&clustered, &eval).expect("study") {
+    for row in study.run_fig5(&clustered, &eval)? {
         println!(
             "{:<28} {:>7.2}% {:>7.2}% {:>7.2}%",
             row.label(),
@@ -98,4 +53,5 @@ fn main() {
     println!();
     println!("Expected shape (paper): sparse metadata is far more vulnerable than");
     println!("values; the bitmask is worst; ECC and IdxSync both rescue MLC3.");
+    Ok(())
 }

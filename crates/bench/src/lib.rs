@@ -1,1 +1,71 @@
 //! MaxNVM reproduction: benchmark harness binaries (one per paper table/figure).
+//!
+//! The library half holds what a binary shares with the test suite: the
+//! Fig. 5 stand-in recipe, which `fig5` prints and `tests/golden.rs` at
+//! the workspace root locks by digest.
+
+use maxnvm_dnn::data::SyntheticDigits;
+use maxnvm_dnn::train::{sgd_train, TrainConfig, TrainError};
+use maxnvm_dnn::zoo::{lenet_mini, prune_to_sparsity};
+use maxnvm_encoding::cluster::ClusteredLayer;
+use maxnvm_envm::{CellTechnology, SenseAmp};
+use maxnvm_faultsim::campaign::Campaign;
+use maxnvm_faultsim::evaluate::NetworkEval;
+use maxnvm_faultsim::vulnerability::VulnerabilityStudy;
+
+/// The Fig. 5 stand-in: a LeNet-style CNN trained on synthetic digits,
+/// pruned to 60% with retraining (§3.1.2) and clustered to 4-bit indices.
+/// Returns the evaluator over the held-out digits and the clustered
+/// layers.
+///
+/// # Errors
+///
+/// Returns [`TrainError::Diverged`] if either training pass ends no
+/// better than chance.
+pub fn fig5_stand_in() -> Result<(NetworkEval, Vec<ClusteredLayer>), TrainError> {
+    let data = SyntheticDigits::generate(1500, 42);
+    let mut net = lenet_mini(7);
+    // 0.005 diverges to chance under the fused-multiply-add kernels
+    // (DESIGN.md §14); 0.004 trains with margin.
+    let passes = [(6, 0.004, 1), (2, 0.002, 2)];
+    let mut mats = Vec::new();
+    for (epochs, lr, seed) in passes {
+        let cfg = TrainConfig {
+            epochs,
+            lr,
+            momentum: 0.9,
+            seed,
+        };
+        sgd_train(&mut net, &data.train, &cfg)?;
+        mats = net.weight_matrices();
+        for m in &mut mats {
+            prune_to_sparsity(&mut m.data, 0.6);
+        }
+        net.set_weight_matrices(&mats);
+    }
+    let clustered = mats
+        .iter()
+        .map(|m| ClusteredLayer::from_matrix(m, 4, 5))
+        .collect();
+    Ok((NetworkEval::new(net, data.test), clustered))
+}
+
+/// Fig. 5's study on CTT with `trials` trials per campaign.
+///
+/// The faults of interest are rare at the stand-in's small scale; the
+/// paper's models have 100-1000x more cells. The per-cell rates are
+/// scaled so the *expected fault counts per structure* match an
+/// LeNet5-sized deployment, and the IdxSync block likewise (see
+/// EXPERIMENTS.md).
+pub fn fig5_study(trials: usize) -> VulnerabilityStudy {
+    VulnerabilityStudy {
+        campaign: Campaign {
+            trials,
+            seed: 9,
+            rate_scale: 150.0,
+        },
+        tech: CellTechnology::MlcCtt,
+        sense_amp: SenseAmp::paper_default(),
+        sync_block_bits: 64,
+    }
+}

@@ -48,21 +48,43 @@ pub struct TrainReport {
     pub train_error: f64,
 }
 
-/// Error returned when a network contains layers without backprop support.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnsupportedBackprop(pub String);
+/// Why a training run produced no usable network.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TrainError {
+    /// The network contains layers without backprop support.
+    UnsupportedBackprop(String),
+    /// SGD diverged: the final epoch's loss is not finite, or the trained
+    /// network classifies its own training set no better than chance
+    /// (`1 - 1/classes`).
+    Diverged {
+        /// Mean cross-entropy loss over the final epoch.
+        final_loss: f32,
+        /// Training-set error rate after the final epoch.
+        train_error: f64,
+    },
+}
 
-impl fmt::Display for UnsupportedBackprop {
+impl fmt::Display for TrainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "network '{}' contains layers without backprop support",
-            self.0
-        )
+        match self {
+            Self::UnsupportedBackprop(name) => write!(
+                f,
+                "network '{name}' contains layers without backprop support"
+            ),
+            Self::Diverged {
+                final_loss,
+                train_error,
+            } => write!(
+                f,
+                "training diverged: final loss {final_loss}, train error {:.2}% \
+                 (no better than chance)",
+                train_error * 100.0
+            ),
+        }
     }
 }
 
-impl std::error::Error for UnsupportedBackprop {}
+impl std::error::Error for TrainError {}
 
 /// Per-layer parameter gradients (only weight-bearing layers have entries).
 struct ParamGrad {
@@ -118,13 +140,13 @@ fn softmax_ce(logits: &Tensor, label: usize) -> (f32, Tensor) {
 
 /// Forward + backward for one sample. Returns the loss and per-layer
 /// parameter gradients (None for parameter-free layers), or
-/// [`UnsupportedBackprop`] when a layer has no backward pass.
+/// [`TrainError::UnsupportedBackprop`] when a layer has no backward pass.
 // maxnvm-lint: allow(R1/index-arith): mirrors the forward pass's indexing: all products are over dims destructured from the validated layer shapes, and the maxpool argmax re-reads taps it just probed.
 fn forward_backward(
     net: &Network,
     x: &Tensor,
     label: usize,
-) -> Result<(f32, Vec<Option<ParamGrad>>), UnsupportedBackprop> {
+) -> Result<(f32, Vec<Option<ParamGrad>>), TrainError> {
     // Forward, caching each layer's input.
     let mut inputs: Vec<Tensor> = Vec::with_capacity(net.layers().len());
     let mut cur = x.clone();
@@ -254,7 +276,7 @@ fn forward_backward(
                 grad = grad.clone().reshape(input.shape());
             }
             other => {
-                return Err(UnsupportedBackprop(format!(
+                return Err(TrainError::UnsupportedBackprop(format!(
                     "{} (layer {other:?})",
                     net.name
                 )));
@@ -268,15 +290,20 @@ fn forward_backward(
 ///
 /// # Errors
 ///
-/// Returns [`UnsupportedBackprop`] if the network contains layers without
-/// backprop support (residual blocks, batch norm, global average pooling).
+/// Returns [`TrainError::UnsupportedBackprop`] if the network contains
+/// layers without backprop support (residual blocks, batch norm, global
+/// average pooling), and [`TrainError::Diverged`] if at least one epoch
+/// ran and the final loss is not finite or the training-set error is no
+/// better than chance. A collapsed run's loss stays finite (near
+/// `ln(classes)`, or at the per-sample cap `-ln(1e-12)`), so the error
+/// check is the one that catches it.
 pub fn sgd_train(
     net: &mut Network,
     samples: &[(Tensor, usize)],
     cfg: &TrainConfig,
-) -> Result<TrainReport, UnsupportedBackprop> {
+) -> Result<TrainReport, TrainError> {
     if !net.supports_backprop() {
-        return Err(UnsupportedBackprop(net.name.clone()));
+        return Err(TrainError::UnsupportedBackprop(net.name.clone()));
     }
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
     let mut order: Vec<usize> = (0..samples.len()).collect();
@@ -328,9 +355,27 @@ pub fn sgd_train(
         }
         final_loss = epoch_loss / samples.len().max(1) as f32;
     }
+    let train_error = net.error_rate(samples);
+    // Chance is `1 - 1/classes`; compare in whole samples so float
+    // rounding of either fraction cannot decide (2/3 vs 1 - 1/3).
+    let diverged = match samples.first() {
+        Some((x, _)) if cfg.epochs > 0 => {
+            let classes = net.forward(x).data().len();
+            let n = samples.len();
+            let wrong = (train_error * n as f64).round() as usize;
+            !final_loss.is_finite() || wrong * classes >= classes.saturating_sub(1) * n
+        }
+        _ => false,
+    };
+    if diverged {
+        return Err(TrainError::Diverged {
+            final_loss,
+            train_error,
+        });
+    }
     Ok(TrainReport {
         final_loss,
-        train_error: net.error_rate(samples),
+        train_error,
     })
 }
 
@@ -341,14 +386,15 @@ pub fn sgd_train(
 ///
 /// # Errors
 ///
-/// Returns [`UnsupportedBackprop`] if the topology cannot be trained.
+/// Returns the [`TrainError`] of the first run that cannot be trained or
+/// diverges.
 pub fn itn_bound<F>(
     make_net: F,
     train: &[(Tensor, usize)],
     test: &[(Tensor, usize)],
     cfg: &TrainConfig,
     runs: usize,
-) -> Result<(f64, f64), UnsupportedBackprop>
+) -> Result<(f64, f64), TrainError>
 where
     F: Fn(u64) -> Network,
 {
@@ -502,6 +548,59 @@ mod tests {
         let err = sgd_train(&mut net, &[], &TrainConfig::default());
         assert!(err.is_err());
         assert!(err.unwrap_err().to_string().contains("res"));
+    }
+
+    #[test]
+    fn runaway_learning_rate_is_a_typed_divergence() {
+        // The run collapses to one class: error exactly 2/3 on balanced
+        // 3-class data, which float rounding puts a hair below 1 - 1/3.
+        let data = gaussian_clusters(8, 3, 300, 1.8, 99);
+        let mut net = mlp(1);
+        let cfg = TrainConfig {
+            epochs: 2,
+            lr: 1e4,
+            momentum: 0.9,
+            seed: 6,
+        };
+        match sgd_train(&mut net, &data, &cfg) {
+            Err(TrainError::Diverged { .. }) => {}
+            other => panic!("expected Diverged, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn chance_level_training_is_a_typed_divergence() {
+        // Zero weights and lr 0: the loss stays a finite ln(3), but every
+        // prediction is the last class, so the error is 100% on labels 0.
+        let mut net = mlp(1);
+        for l in net.layers_mut() {
+            if let Layer::Linear { weight, .. } = l {
+                weight.data_mut().fill(0.0);
+            }
+        }
+        let data: Vec<(Tensor, usize)> = (0..12)
+            .map(|i| (Tensor::from_vec(&[8], vec![i as f32; 8]), 0))
+            .collect();
+        let cfg = TrainConfig {
+            epochs: 1,
+            lr: 0.0,
+            momentum: 0.9,
+            seed: 0,
+        };
+        let err = sgd_train(&mut net, &data, &cfg).expect_err("chance-level run");
+        match err {
+            TrainError::Diverged {
+                final_loss,
+                train_error,
+            } => {
+                assert!(final_loss.is_finite(), "{final_loss}");
+                assert_eq!(train_error, 1.0);
+            }
+            other => panic!("expected Diverged, got {other:?}"),
+        }
+        // Zero epochs train nothing, so nothing can have diverged.
+        let cfg = TrainConfig { epochs: 0, ..cfg };
+        sgd_train(&mut net, &data, &cfg).expect("no epochs, no divergence");
     }
 
     #[test]

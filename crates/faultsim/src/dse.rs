@@ -255,55 +255,36 @@ pub fn minimal_cells(points: &[DsePoint]) -> Option<&DsePoint> {
 
 /// Per-layer mixed-encoding exploration: the paper applies CSR "on a
 /// per-layer basis where worthwhile" (§3.2.1). For each layer, pick the
-/// minimal-cell scheme whose *layer-local* error contribution keeps the
-/// model within the ITN bound (conservatively: each layer gets an equal
-/// share of the damage budget). Returns the per-layer winning schemes and
-/// the total cells, or [`EngineError::NoPassingScheme`] if some layer has
-/// no scheme within budget (cannot happen for supported technologies:
-/// SLC always passes).
+/// minimal-cell scheme whose *layer-local* relative MSE fits the whole
+/// model's damage budget — conservative, since the model-level error
+/// weights each layer by its share of the non-zeros. Returns the
+/// per-layer winning schemes and the total cells, or
+/// [`EngineError::NoPassingScheme`] if some layer has no scheme within
+/// budget (cannot happen for supported technologies: SLC always passes).
 pub fn explore_spec_per_layer(
     spec: &ModelSpec,
     tech: CellTechnology,
     sa: &SenseAmp,
     itn_bound: f64,
 ) -> Result<(Vec<StorageScheme>, u64), EngineError> {
-    let baseline = spec.paper.classification_error;
-    let proxy = ProxyEval::new(Vec::new(), baseline, 0.999);
-    // Invert the sensitivity curve for the model-level m_rel budget, then
-    // split it equally across layers (weighted aggregation means a layer
-    // may use budget/weight_share, but equal split is conservative).
-    let headroom = itn_bound / (0.999 - baseline);
+    // Invert the sensitivity curve for the model-level m_rel budget.
+    let headroom = itn_bound / (0.999 - spec.paper.classification_error);
     let m_budget = -crate::evaluate::PROXY_M0 * (1.0 - headroom).ln();
+    let bits = spec.paper.cluster_index_bits;
     let schemes = candidate_schemes(tech);
     let mut chosen = Vec::with_capacity(spec.layers.len());
     let mut total_cells = 0u64;
-    let total_nnz: f64 = spec
-        .layers
-        .iter()
-        .map(|l| (l.rows * l.cols) as f64 * (1.0 - spec.paper.sparsity))
-        .sum();
     for l in &spec.layers {
         let geom = LayerGeometry::from_sparsity(l.rows as u64, l.cols as u64, spec.paper.sparsity);
-        // This layer's share of the model damage budget.
-        let share = geom.nnz as f64 / total_nnz;
-        let layer_budget = if share > 0.0 { m_budget } else { f64::INFINITY };
-        let best = schemes
+        let (cells, best) = schemes
             .iter()
-            .filter(|s| {
-                layer_damage(geom, spec.paper.cluster_index_bits, s, tech, sa).relative_mse
-                    * share
-                    <= layer_budget * share // per-layer m_rel within budget
-                    && layer_damage(geom, spec.paper.cluster_index_bits, s, tech, sa)
-                        .relative_mse
-                        <= m_budget
-            })
-            .min_by_key(|s| estimate_cells(geom, spec.paper.cluster_index_bits, s))
-            .ok_or(EngineError::NoPassingScheme)?
-            .clone();
-        total_cells += estimate_cells(geom, spec.paper.cluster_index_bits, &best);
-        chosen.push(best);
+            .filter(|s| layer_damage(geom, bits, s, tech, sa).relative_mse <= m_budget)
+            .map(|s| (estimate_cells(geom, bits, s), s))
+            .min_by_key(|&(cells, _)| cells)
+            .ok_or(EngineError::NoPassingScheme)?;
+        total_cells += cells;
+        chosen.push(best.clone());
     }
-    let _ = proxy;
     Ok((chosen, total_cells))
 }
 
@@ -444,6 +425,31 @@ mod tests {
                 spec.name
             );
         }
+    }
+
+    #[test]
+    fn per_layer_mixing_places_a_layer_with_no_estimated_nonzeros() {
+        // 2 weights at LeNet5's 89.9% sparsity estimate 0.2 -> 0 non-zeros.
+        // Such a layer takes no share of the damage budget, yet SLC must
+        // still pass for it.
+        let mut spec = zoo::lenet5();
+        let mut tiny = spec.layers[3].clone();
+        tiny.rows = 1;
+        tiny.cols = 2;
+        assert_eq!(
+            LayerGeometry::from_sparsity(1, 2, spec.paper.sparsity).nnz,
+            0
+        );
+        spec.layers.push(tiny);
+        let (schemes, cells) = explore_spec_per_layer(
+            &spec,
+            CellTechnology::MlcCtt,
+            &SenseAmp::default(),
+            spec.paper.itn_bound,
+        )
+        .expect("SLC always passes");
+        assert_eq!(schemes.len(), spec.layers.len());
+        assert!(cells > 0);
     }
 
     #[test]

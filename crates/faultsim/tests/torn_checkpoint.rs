@@ -16,6 +16,7 @@ use maxnvm_faultsim::{
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 const TECH: CellTechnology = CellTechnology::MlcCtt;
 
@@ -46,26 +47,33 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 /// A complete, verified snapshot of the fixture campaign, as text.
-fn complete_snapshot_text() -> String {
-    let (stored, eval) = fixture();
-    let ckpt = temp_path("source");
-    let _ = std::fs::remove_file(&ckpt);
-    let control = RunControl {
-        checkpoint: Some(CheckpointConfig::new(&ckpt).every(1).keep_on_success()),
-        ..RunControl::default()
-    };
-    campaign()
-        .run_controlled(
-            std::slice::from_ref(&stored),
-            TECH,
-            &SenseAmp::paper_default(),
-            &eval,
-            &control,
-        )
-        .expect("checkpointed run");
-    let text = std::fs::read_to_string(&ckpt).expect("read snapshot");
-    let _ = std::fs::remove_file(&ckpt);
-    text
+///
+/// Built once per process: the tests run in parallel, and each building
+/// its own snapshot at the shared `source-<pid>` path let one test's
+/// cleanup delete another's file mid-read.
+fn complete_snapshot_text() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let (stored, eval) = fixture();
+        let ckpt = temp_path("source");
+        let _ = std::fs::remove_file(&ckpt);
+        let control = RunControl {
+            checkpoint: Some(CheckpointConfig::new(&ckpt).every(1).keep_on_success()),
+            ..RunControl::default()
+        };
+        campaign()
+            .run_controlled(
+                std::slice::from_ref(&stored),
+                TECH,
+                &SenseAmp::paper_default(),
+                &eval,
+                &control,
+            )
+            .expect("checkpointed run");
+        let text = std::fs::read_to_string(&ckpt).expect("read snapshot");
+        let _ = std::fs::remove_file(&ckpt);
+        text
+    })
 }
 
 #[test]
@@ -73,7 +81,7 @@ fn every_byte_boundary_truncation_parses_typed_or_whole() {
     let text = complete_snapshot_text();
     assert!(text.is_ascii(), "byte boundaries must be char boundaries");
     assert!(text.len() > 100, "fixture snapshot suspiciously small");
-    let full = CampaignCheckpoint::from_text(&text).expect("the whole snapshot parses");
+    let full = CampaignCheckpoint::from_text(text).expect("the whole snapshot parses");
     let recorded = full.entries.len();
     assert_eq!(recorded, campaign().trials, "fixture records every trial");
     for cut in 0..=text.len() {

@@ -1,6 +1,6 @@
 //! `maxnvm-lint`: the repo-specific static analysis pass.
 //!
-//! Six rule families enforce the contracts the evaluation results rest
+//! Five rule families enforce the contracts the evaluation results rest
 //! on (see DESIGN.md §11 and §16):
 //!
 //! - **D1 determinism** — result-affecting crates (`envm`, `encoding`,
@@ -18,10 +18,6 @@
 //!   `// SAFETY:` comment, and every lint escape hatch (inline allow or
 //!   allow-list entry) must carry a justification, which the report
 //!   prints.
-//! - **S1 semantics drift** — the fingerprints of the semantics-critical
-//!   modules (see [`crate::semantics`]) must match the committed
-//!   `semantics.lock`; a fingerprint change without a
-//!   `TRIAL_SEMANTICS_VERSION` bump (or a bump without a change) fails.
 //! - **R1 panic reachability** — a crate-level call graph (see
 //!   [`crate::graph`]) turns the A1 advisory into an enforced rule for
 //!   the dangerous subset: fns of result-affecting crates containing
@@ -48,7 +44,6 @@ use std::path::{Path, PathBuf};
 
 use crate::graph::{analyze_file, CrateGraph, FileAnalysis, SiteKind};
 use crate::scan::{find_word, scan, FileScan};
-use crate::semantics;
 
 /// Crates whose library code feeds Monte-Carlo results (rule D1).
 const RESULT_AFFECTING: &[&str] = &["envm", "encoding", "ecc", "dnn", "faultsim"];
@@ -126,14 +121,6 @@ pub struct AllowList {
     pub entries: Vec<AllowEntry>,
 }
 
-/// S1 summary: the lock/tree state the gate compared.
-pub struct SemanticsInfo {
-    pub lock_format: u64,
-    pub lock_tsv: u32,
-    pub current_tsv: u32,
-    pub modules: usize,
-}
-
 /// Per-crate R1 reachability statistics (advisory context for the
 /// enforced findings).
 pub struct ReachStat {
@@ -165,8 +152,6 @@ pub struct Report {
     /// Advisory: direct index expressions per crate (not enforced).
     pub slice_index_counts: BTreeMap<String, usize>,
     pub errors: Vec<String>,
-    /// S1 state; `None` when the gate could not run (config errors).
-    pub semantics: Option<SemanticsInfo>,
     /// R1 per-crate reachability statistics.
     pub reachability: Vec<ReachStat>,
     /// Call paths from pub APIs to allowed dangerous sites.
@@ -181,7 +166,6 @@ fn empty_report() -> Report {
         allowed: Vec::new(),
         slice_index_counts: BTreeMap::new(),
         errors: Vec::new(),
-        semantics: None,
         reachability: Vec::new(),
         allowed_paths: Vec::new(),
     }
@@ -248,7 +232,6 @@ pub fn run(root: &Path) -> Report {
         }
     }
 
-    semantics_gate(root, &mut report);
     graph_rules(&crate_files, &allow, &mut report);
 
     for e in &allow.entries {
@@ -260,57 +243,6 @@ pub fn run(root: &Path) -> Report {
         }
     }
     report
-}
-
-/// S1: compare the tree's semantics-critical fingerprints against
-/// `semantics.lock`, keyed by `TRIAL_SEMANTICS_VERSION`.
-fn semantics_gate(root: &Path, report: &mut Report) {
-    let lock_path = root.join(semantics::LOCK_FILE);
-    if !lock_path.exists() {
-        report.errors.push(format!(
-            "{} is missing — bootstrap it with `cargo xtask lint --update-semantics-lock`",
-            semantics::LOCK_FILE
-        ));
-        return;
-    }
-    let lock = match semantics::load_lock(&lock_path) {
-        Ok(l) => l,
-        Err(e) => {
-            report.errors.push(e);
-            return;
-        }
-    };
-    let current = match semantics::current_modules(root) {
-        Ok(c) => c,
-        Err(e) => {
-            report.errors.push(e);
-            return;
-        }
-    };
-    let cur_tsv = match semantics::trial_semantics_version(root) {
-        Ok(v) => v,
-        Err(e) => {
-            report.errors.push(e);
-            return;
-        }
-    };
-    // Drift is never allow-listable: findings go straight to
-    // violations, bypassing the escape hatches.
-    for (rule, path, message) in semantics::verify(&lock, &current, cur_tsv) {
-        report.violations.push(Violation {
-            path,
-            line: 0,
-            rule,
-            message,
-            snippet: String::new(),
-        });
-    }
-    report.semantics = Some(SemanticsInfo {
-        lock_format: lock.format,
-        lock_tsv: lock.trial_semantics_version,
-        current_tsv: cur_tsv,
-        modules: current.len(),
-    });
 }
 
 /// R1 + C1: the call-graph rules over the cached per-crate analyses.
@@ -881,7 +813,7 @@ impl Report {
         let _ = writeln!(
             out,
             "maxnvm-lint v{} — D1 determinism, D2 no-panic, D3 unsafe hygiene, \
-             S1 semantics drift, R1 panic reachability, C1 event-loop hygiene",
+             R1 panic reachability, C1 event-loop hygiene",
             self.version
         );
         for v in &self.violations {
@@ -907,13 +839,6 @@ impl Report {
                     a.path, a.line, a.rule, a.source, a.justification
                 );
             }
-        }
-        if let Some(s) = &self.semantics {
-            let _ = writeln!(
-                out,
-                "semantics: lock v{} @ TRIAL_SEMANTICS_VERSION {} — {} module(s), tree at version {}",
-                s.lock_format, s.lock_tsv, s.modules, s.current_tsv
-            );
         }
         for r in &self.reachability {
             let _ = writeln!(
@@ -957,26 +882,15 @@ impl Report {
         counts
     }
 
-    /// Machine-readable JSON report (schema v2: adds `rule_counts`,
-    /// `semantics`, `reachability`, and `allowed_paths`).
+    /// Machine-readable JSON report (schema v3: v2 without the
+    /// `semantics` block; v2 added `rule_counts`, `reachability`, and
+    /// `allowed_paths`).
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": \"maxnvm-lint-report/v2\",");
+        let _ = writeln!(out, "  \"schema\": \"maxnvm-lint-report/v3\",");
         let _ = writeln!(out, "  \"lint_pass_version\": {},", self.version);
         let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
         let _ = writeln!(out, "  \"clean\": {},", self.is_clean());
-        match &self.semantics {
-            Some(s) => {
-                let _ = writeln!(
-                    out,
-                    "  \"semantics\": {{\"lock_format\": {}, \"lock_trial_semantics_version\": {}, \"current_trial_semantics_version\": {}, \"modules\": {}}},",
-                    s.lock_format, s.lock_tsv, s.current_tsv, s.modules
-                );
-            }
-            None => {
-                let _ = writeln!(out, "  \"semantics\": null,");
-            }
-        }
         out.push_str("  \"rule_counts\": {\n");
         let counts = self.rule_counts();
         for (i, (rule, (viols, allowed))) in counts.iter().enumerate() {
@@ -1323,7 +1237,8 @@ mod tests {
             "fn f(x: Option<u8>) { x.unwrap(); }\n",
         );
         let j = r.render_json();
-        assert!(j.contains("\"schema\": \"maxnvm-lint-report/v2\""));
+        assert!(j.contains("\"schema\": \"maxnvm-lint-report/v3\""));
+        assert!(!j.contains("\"semantics\""));
         assert!(j.contains("\"rule\": \"D2/unwrap\""));
         assert!(j.contains("\"clean\": false"));
         assert!(j.contains("\"rule_counts\""));

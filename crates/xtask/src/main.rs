@@ -1,15 +1,10 @@
 //! Workspace automation entry point (`cargo xtask <command>`).
 //!
 //! Commands:
-//! - `lint [--json [PATH]] [--update-semantics-lock [--same-version]]`
-//!   — run the `maxnvm-lint` static analysis pass (DESIGN.md §11, §16).
-//!   Exits non-zero on any non-allow-listed violation. `--json`
-//!   additionally writes a machine-readable report (default
-//!   `maxnvm-lint-report.json` at the workspace root).
-//!   `--update-semantics-lock` regenerates `semantics.lock` before
-//!   linting; it refuses to re-fingerprint changed modules at an
-//!   unchanged `TRIAL_SEMANTICS_VERSION` unless `--same-version`
-//!   records that the change was reviewed as value-preserving.
+//! - `lint [--json [PATH]]` — run the `maxnvm-lint` static analysis pass
+//!   (DESIGN.md §11, §16). Exits non-zero on any non-allow-listed
+//!   violation. `--json` additionally writes a machine-readable report
+//!   (default `maxnvm-lint-report.json` at the workspace root).
 //! - `miri [--strict]` — run the sanctioned Miri suite (`bits`, `ecc`,
 //!   `envm` unit tests plus the pool transmute test). Skips with a
 //!   warning when the Miri component is not installed, unless
@@ -22,7 +17,6 @@
 mod graph;
 mod lint;
 mod scan;
-mod semantics;
 
 use std::env;
 use std::path::{Path, PathBuf};
@@ -38,11 +32,11 @@ fn main() -> ExitCode {
         Some("deny") => cmd_deny(&root, args.iter().any(|a| a == "--strict")),
         Some(other) => {
             eprintln!("unknown xtask command {other:?}");
-            eprintln!("usage: cargo xtask <lint [--json [PATH]] [--update-semantics-lock [--same-version]] | miri [--strict] | loom | deny [--strict]>");
+            eprintln!("usage: cargo xtask <lint [--json [PATH]] | miri [--strict] | loom | deny [--strict]>");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("usage: cargo xtask <lint [--json [PATH]] [--update-semantics-lock [--same-version]] | miri [--strict] | loom | deny [--strict]>");
+            eprintln!("usage: cargo xtask <lint [--json [PATH]] | miri [--strict] | loom | deny [--strict]>");
             ExitCode::FAILURE
         }
     }
@@ -59,16 +53,6 @@ fn workspace_root() -> PathBuf {
 }
 
 fn cmd_lint(root: &Path, args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--update-semantics-lock") {
-        let same_version = args.iter().any(|a| a == "--same-version");
-        match semantics::update(root, same_version) {
-            Ok(msg) => println!("{msg}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     let report = lint::run(root);
     print!("{}", report.render_text());
     if let Some(pos) = args.iter().position(|a| a == "--json") {

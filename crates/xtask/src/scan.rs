@@ -207,131 +207,6 @@ pub fn scan(src: &str) -> FileScan {
     }
 }
 
-/// Lexes `src` into a normalized token stream: comments and whitespace
-/// are dropped, identifier/number runs are single tokens, string and
-/// char literals are single tokens kept in their exact written form
-/// (prefix, hashes, and escapes included), and every other character
-/// stands alone. Two sources produce the same stream iff they differ
-/// only in comments and formatting — the equivalence class the S1
-/// semantics-drift fingerprint is defined over (DESIGN.md §16). Note
-/// the comparison of literals is spelling-based, so `r"a"` and `"a"`
-/// are *different* tokens: conservative in the right direction for a
-/// drift gate.
-pub fn token_stream(src: &str) -> Vec<String> {
-    let chars: Vec<char> = src.chars().collect();
-    let mut tokens: Vec<String> = Vec::new();
-    let mut i = 0usize;
-    while i < chars.len() {
-        let c = chars[i];
-        let next = chars.get(i + 1).copied();
-        if c.is_whitespace() {
-            i += 1;
-            continue;
-        }
-        // Comments: dropped entirely.
-        if c == '/' && next == Some('/') {
-            while i < chars.len() && chars[i] != '\n' {
-                i += 1;
-            }
-            continue;
-        }
-        if c == '/' && next == Some('*') {
-            let mut depth = 1u32;
-            i += 2;
-            while i < chars.len() && depth > 0 {
-                if chars[i] == '*' && chars.get(i + 1) == Some(&'/') {
-                    depth -= 1;
-                    i += 2;
-                } else if chars[i] == '/' && chars.get(i + 1) == Some(&'*') {
-                    depth += 1;
-                    i += 2;
-                } else {
-                    i += 1;
-                }
-            }
-            continue;
-        }
-        // String literals (plain, byte, C, and the raw forms of each).
-        let is_raw = matches!(c, 'r' | 'b' | 'c') && is_raw_string_start(&chars, i);
-        let is_prefixed = matches!(c, 'b' | 'c') && next == Some('"');
-        if c == '"' || is_raw || is_prefixed {
-            let start = i;
-            let mut j = i;
-            while matches!(chars.get(j), Some(&'r') | Some(&'b') | Some(&'c')) {
-                j += 1;
-            }
-            let mut hashes = 0usize;
-            while chars.get(j) == Some(&'#') {
-                hashes += 1;
-                j += 1;
-            }
-            j += 1; // the opening quote
-            if is_raw {
-                while j < chars.len() {
-                    if chars[j] == '"' && closes_raw_string(&chars, j, hashes) {
-                        j += 1 + hashes;
-                        break;
-                    }
-                    j += 1;
-                }
-            } else {
-                while j < chars.len() {
-                    match chars[j] {
-                        '\\' => j += 2,
-                        '"' => {
-                            j += 1;
-                            break;
-                        }
-                        _ => j += 1,
-                    }
-                }
-            }
-            let j = j.min(chars.len());
-            tokens.push(chars[start..j].iter().collect());
-            i = j;
-            continue;
-        }
-        // Char literals vs. lifetimes.
-        if c == '\'' {
-            if is_char_literal(&chars, i) {
-                let start = i;
-                let mut j = i + 1;
-                while j < chars.len() {
-                    match chars[j] {
-                        '\\' => j += 2,
-                        '\'' => {
-                            j += 1;
-                            break;
-                        }
-                        _ => j += 1,
-                    }
-                }
-                let j = j.min(chars.len());
-                tokens.push(chars[start..j].iter().collect());
-                i = j;
-                continue;
-            }
-            tokens.push("'".to_string());
-            i += 1;
-            continue;
-        }
-        // Identifier / number runs.
-        if is_ident_char(c) {
-            let mut j = i;
-            while j < chars.len() && is_ident_char(chars[j]) {
-                j += 1;
-            }
-            tokens.push(chars[i..j].iter().collect());
-            i = j;
-            continue;
-        }
-        // Any other character is a token of its own.
-        tokens.push(c.to_string());
-        i += 1;
-    }
-    tokens
-}
-
 /// `r"` / `r#"` / `br"` / `br#"` / `cr"` / `cr#"` at position `i`?
 fn is_raw_string_start(chars: &[char], i: usize) -> bool {
     // Must not be the tail of a longer identifier (e.g. `for r` vs `var`).
@@ -587,42 +462,5 @@ mod tests {
         let s = scan("let x = r##\"tail\"# unwrap()\"##; let y = 3;\n");
         assert!(!s.code[0].contains("unwrap"));
         assert!(s.code[0].contains("let y = 3;"));
-    }
-
-    #[test]
-    fn token_stream_ignores_comments_and_formatting() {
-        let a = token_stream("fn f(x: u32) -> u32 { x + 1 }\n");
-        let b = token_stream(
-            "// leading comment\nfn f(\n    x: u32 /* inner */\n) -> u32 {\n    x + 1\n}\n",
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn token_stream_sees_any_token_change() {
-        let a = token_stream("fn f(x: u32) -> u32 { x + 1 }\n");
-        let b = token_stream("fn f(x: u32) -> u32 { x + 2 }\n");
-        let c = token_stream("fn f(x: u32) -> u32 { x - 1 }\n");
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn token_stream_keeps_literal_contents() {
-        // String contents are semantics (e.g. a spool file extension):
-        // unlike the rule channels, the fingerprint must see them.
-        let a = token_stream("let e = \"ckpt\";\n");
-        let b = token_stream("let e = \"tmp\";\n");
-        assert_ne!(a, b);
-        assert_eq!(a[3], "\"ckpt\"");
-    }
-
-    #[test]
-    fn token_stream_handles_raw_strings_and_lifetimes() {
-        let t = token_stream("fn f<'a>(s: &'a str) -> String { r#\"x\"#.to_string() }\n");
-        assert!(t.contains(&"r#\"x\"#".to_string()));
-        assert!(t.contains(&"'".to_string()));
-        let t = token_stream("let c = 'q'; let lf: &'static str = \"\";\n");
-        assert!(t.contains(&"'q'".to_string()));
     }
 }
