@@ -83,6 +83,7 @@ use maxnvm_encoding::storage::{DecodeStats, EncodeCache, PreparedLayer, StoredLa
 use maxnvm_encoding::StructureKind;
 use maxnvm_envm::{CellModel, CellTechnology, FaultMap, MlcConfig, SenseAmp};
 use parking_lot::Mutex;
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -93,7 +94,8 @@ use std::sync::{Arc, Once, OnceLock};
 /// A checkout pool of reusable [`EvalScratch`] values: each in-flight
 /// evaluation pops one (or starts fresh) and pushes it back, so at most
 /// `workers + 1` scratch networks ever exist per run, independent of the
-/// trial count.
+/// trial count — trials run one per pool thread, and a thread waiting on
+/// a nested scope runs only that scope's jobs, never another trial.
 ///
 /// Every scratch handed out carries the run's [`pool::PoolParallel`]
 /// handle, so a single large GEMM inside one trial can fan out over the
@@ -114,10 +116,11 @@ impl ScratchPool {
     }
 
     /// [`AccuracyEval::eval_deltas_sparse`] on a pooled scratch: the
-    /// sparse trial path. `key` identifies which clean configuration the
-    /// deltas are against (campaigns use `0`; a DSE keys by candidate
-    /// scheme), so a scratch checked out by a different scheme's trial
-    /// rebuilds its caches deterministically instead of mixing state.
+    /// sparse trial path. `key` identifies which clean decode the deltas
+    /// are against ([`clean_keys`]), so a scratch checked out by a trial
+    /// of a differently-decoding group rebuilds its caches
+    /// deterministically instead of mixing state, and one of an equally
+    /// decoding group reuses them.
     fn eval_deltas_sparse(
         &self,
         eval: &(dyn AccuracyEval + Sync),
@@ -679,20 +682,20 @@ impl EvalContext {
     }
 
     /// Configuration fingerprint for a run on this context: covers the
-    /// run kind, technology, rate scale, trial budget, base seed,
-    /// injection target, every stored layer's scheme and cell count,
-    /// the evaluator's baseline error, and — because they change what a
-    /// resumed trial would produce or when a run stops — the early-stop
-    /// parameters and the panic-injection test hook. The trial-semantics
-    /// version is folded in by [`Fingerprint::new`].
+    /// run kind, technology, rate scale, trial budget, base seed, and per
+    /// group the injection target, the evaluator's baseline error and
+    /// every stored layer's scheme and cell count; and — because they
+    /// change what a resumed trial would produce or when a run stops —
+    /// the early-stop parameters and the panic-injection test hook. The
+    /// trial-semantics version is folded in by [`Fingerprint::new`]. A
+    /// one-group run hashes exactly what a single campaign always did.
     #[allow(clippy::too_many_arguments)]
     fn run_fingerprint(
         &self,
         kind: &str,
         trials: usize,
         seed: u64,
-        stored: &[StoredLayer],
-        target: Option<StructureKind>,
+        groups: &[TrialGroup<'_>],
         baseline: f64,
         control: &RunControl,
     ) -> u64 {
@@ -701,31 +704,17 @@ impl EvalContext {
             .push_str(self.tech.name())
             .push_f64(self.rate_scale)
             .push_u64(trials as u64)
-            .push_u64(seed)
-            .push_str(target.map_or("all", |k| k.name()))
-            .push_f64(baseline)
-            .push_u64(stored.len() as u64);
-        for layer in stored {
-            f.push_str(&layer.scheme.label());
-            f.push_u64(layer.total_cells());
-        }
-        match &control.early_stop {
-            Some(es) => {
-                f.push_str("early-stop")
-                    .push_f64(es.baseline)
-                    .push_f64(es.itn_bound)
-                    .push_f64(es.z)
-                    .push_u64(es.min_trials as u64)
-                    .push_u64(es.batch as u64);
-            }
-            None => {
-                f.push_str("fixed-budget");
+            .push_u64(seed);
+        for (stored, target) in groups {
+            f.push_str(target.map_or("all", |k| k.name()))
+                .push_f64(baseline)
+                .push_u64(stored.len() as u64);
+            for layer in stored.iter() {
+                f.push_str(&layer.scheme.label());
+                f.push_u64(layer.total_cells());
             }
         }
-        f.push_u64(control.panic_trials.len() as u64);
-        for &t in &control.panic_trials {
-            f.push_u64(t as u64);
-        }
+        push_control(&mut f, control);
         f.finish()
     }
 
@@ -746,7 +735,7 @@ impl EvalContext {
         stored: &[StoredLayer],
         eval: &(dyn AccuracyEval + Sync),
     ) -> Result<CampaignResult, EngineError> {
-        self.run_trials(trials, seed, stored, eval, None, &RunControl::default())
+        self.run_campaign_controlled(trials, seed, stored, eval, &RunControl::default())
     }
 
     /// [`Self::run_campaign`] under a [`RunControl`]: per-trial panic
@@ -760,7 +749,7 @@ impl EvalContext {
         eval: &(dyn AccuracyEval + Sync),
         control: &RunControl,
     ) -> Result<CampaignResult, EngineError> {
-        self.run_trials(trials, seed, stored, eval, None, control)
+        single(self.run_trials(trials, seed, &[(stored, None)], eval, control)?)
     }
 
     /// Runs a campaign injecting faults only into structures of
@@ -778,14 +767,7 @@ impl EvalContext {
         stored: &[StoredLayer],
         eval: &(dyn AccuracyEval + Sync),
     ) -> Result<CampaignResult, EngineError> {
-        self.run_trials(
-            trials,
-            seed,
-            stored,
-            eval,
-            Some(target),
-            &RunControl::default(),
-        )
+        self.run_isolated_controlled(trials, seed, target, stored, eval, &RunControl::default())
     }
 
     /// [`Self::run_isolated`] under a [`RunControl`].
@@ -798,101 +780,159 @@ impl EvalContext {
         eval: &(dyn AccuracyEval + Sync),
         control: &RunControl,
     ) -> Result<CampaignResult, EngineError> {
-        self.run_trials(trials, seed, stored, eval, Some(target), control)
+        single(self.run_trials(trials, seed, &[(stored, Some(target))], eval, control)?)
     }
 
-    fn run_trials(
+    /// Runs `trials` seeded trials of every group — a set of stored
+    /// layers and the structure kind its faults are injected into (`None`
+    /// injects every structure) — as one grid on the pool, returning one
+    /// result per group in group order. A campaign is the one-group
+    /// case; Fig. 5 runs its 24 configurations as one grid, so the pool
+    /// stays busy across configurations and a scratch keeps one clean
+    /// prefix for every group that decodes to the same weights.
+    pub(crate) fn run_trials(
         &self,
         trials: usize,
         seed: u64,
-        stored: &[StoredLayer],
+        groups: &[TrialGroup<'_>],
         eval: &(dyn AccuracyEval + Sync),
-        target: Option<StructureKind>,
         control: &RunControl,
-    ) -> Result<CampaignResult, EngineError> {
+    ) -> Result<Vec<CampaignResult>, EngineError> {
         let fault_for = self.fault_for();
         // Clean decodes and level partitions are trial-invariant: prepare
         // them once so every trial costs O(expected faults), not O(cells).
         // A control-supplied encode cache shares the clean decodes across
-        // runs (and, disk-backed, across shard processes).
-        let prepared: Vec<PreparedLayer> = match &control.encode_cache {
-            Some(cache) => self.pool.scope_map(stored.len(), |i| {
-                PreparedLayer::new(&stored[i], cache.clean_decode(i, &stored[i]))
-            }),
-            None => self
-                .pool
-                .scope_map(stored.len(), |i| PreparedLayer::prepare(&stored[i])),
-        };
-        let expected: f64 = prepared
+        // groups and runs (and, disk-backed, across shard processes).
+        let layers: Vec<(usize, &StoredLayer)> = groups
             .iter()
-            .map(|p| p.expected_faults(target, &fault_for))
-            .sum();
-        // Trials never materialize faulty matrices: each samples sparse
-        // deltas against these shared clean decodes and evaluates them
-        // through the evaluator's O(deltas) path, with the clean model
-        // also in the compute-side sparse format.
-        let clean: Vec<LayerMatrix> = prepared.iter().map(|p| p.clean().matrix.clone()).collect();
-        let sparse: Vec<Arc<SparseMatrix>> = prepared
-            .iter()
-            .map(|p| Arc::new(p.clean().sparse.clone()))
+            .flat_map(|(s, _)| s.iter().enumerate())
             .collect();
-        let model = SparseModel {
-            dense: &clean,
-            sparse: &sparse,
+        let mut flat = self
+            .pool
+            .scope_map(layers.len(), |j| {
+                let (i, layer) = layers[j];
+                match &control.encode_cache {
+                    Some(cache) => PreparedLayer::new(layer, cache.clean_decode(i, layer)),
+                    None => PreparedLayer::prepare(layer),
+                }
+            })
+            .into_iter();
+        let prepared: Vec<Vec<PreparedLayer>> = groups
+            .iter()
+            .map(|(s, _)| flat.by_ref().take(s.len()).collect())
+            .collect();
+        let kind = if groups.iter().any(|(_, target)| target.is_some()) {
+            "isolated"
+        } else {
+            "campaign"
         };
-        let scratch = ScratchPool::new(&self.pool);
-        let kind = match target {
-            Some(_) => "isolated",
-            None => "campaign",
-        };
-        let fingerprint = self.run_fingerprint(
-            kind,
+        let fingerprint =
+            self.run_fingerprint(kind, trials, seed, groups, eval.baseline_error(), control);
+        let results = self.drive_groups(
+            &prepared,
             trials,
             seed,
-            stored,
-            target,
-            eval.baseline_error(),
+            eval,
             control,
-        );
-        let label = stored
-            .first()
-            .map(|l| l.scheme.label())
-            .unwrap_or_else(|| "empty".to_string());
-        let mut driven = drive_trials(
+            fingerprint,
+            &first_label(groups.first().map_or(&[], |(s, _)| *s)),
+            |g, layer, rng| match groups[g].1 {
+                Some(kind) => layer.deltas_with_isolated_faults(kind, &fault_for, rng),
+                None => layer.deltas_with_faults(&fault_for, rng),
+            },
+        )?;
+        Ok(results
+            .into_iter()
+            .zip(groups.iter().zip(&prepared))
+            .map(|(result, ((_, target), ps))| {
+                let expected = ps.iter().map(|p| p.expected_faults(*target, &fault_for));
+                result.with_expected_faults(expected.sum())
+            })
+            .collect())
+    }
+
+    /// The one trial loop behind every entry point: `trials` seeded
+    /// trials of each group of prepared layers, driven by
+    /// [`drive_trials`]. Trial `t` of group `g` draws its deltas layer by
+    /// layer from `StdRng::seed_from_u64(seed + t)` through
+    /// `sample(g, layer, rng)` and evaluates them on a pooled scratch
+    /// under the group's clean-decode key ([`clean_keys`]). Results carry
+    /// how the run ended, the clean model's density and the control's
+    /// encode-cache counters; callers attach expected faults.
+    #[allow(clippy::too_many_arguments)]
+    fn drive_groups(
+        &self,
+        prepared: &[Vec<PreparedLayer<'_>>],
+        trials: usize,
+        seed: u64,
+        eval: &(dyn AccuracyEval + Sync),
+        control: &RunControl,
+        fingerprint: u64,
+        label: &str,
+        sample: impl Fn(usize, &PreparedLayer<'_>, &mut StdRng) -> (Vec<WeightDelta>, DecodeStats)
+            + Sync,
+    ) -> Result<Vec<CampaignResult>, EngineError> {
+        let views: Vec<Vec<&LayerMatrix>> = prepared
+            .iter()
+            .map(|ps| ps.iter().map(|p| &p.clean().matrix).collect())
+            .collect();
+        let keys = clean_keys(&views);
+        // Trials never materialize faulty matrices: each samples sparse
+        // deltas against the shared clean decodes and evaluates them
+        // through the evaluator's O(deltas) path, with the clean model
+        // also in the compute-side sparse format — one copy per key.
+        let models: Vec<(Vec<LayerMatrix>, Vec<Arc<SparseMatrix>>)> = prepared
+            .iter()
+            .enumerate()
+            .map(|(g, ps)| {
+                if keys[g] != g {
+                    return (Vec::new(), Vec::new());
+                }
+                let dense = ps.iter().map(|p| p.clean().matrix.clone()).collect();
+                let sparse = ps.iter().map(|p| Arc::new(p.clean().sparse.clone()));
+                (dense, sparse.collect())
+            })
+            .collect();
+        let model = |g: usize| {
+            let (dense, sparse) = &models[keys[g]];
+            SparseModel { dense, sparse }
+        };
+        let scratch = ScratchPool::new(&self.pool);
+        let driven = drive_trials(
             &self.pool,
-            1,
+            prepared.len(),
             trials,
             seed,
             control,
             fingerprint,
-            &label,
-            |_, trial| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(trial as u64));
+            label,
+            |g, trial| {
+                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(trial as u64));
                 let mut stats = DecodeStats::default();
-                let deltas: Vec<Vec<WeightDelta>> = prepared
+                let deltas: Vec<Vec<WeightDelta>> = prepared[g]
                     .iter()
                     .map(|layer| {
-                        let (d, s) = match target {
-                            Some(kind) => {
-                                layer.deltas_with_isolated_faults(kind, &fault_for, &mut rng)
-                            }
-                            None => layer.deltas_with_faults(&fault_for, &mut rng),
-                        };
+                        let (d, s) = sample(g, layer, &mut rng);
                         stats.absorb(s);
                         d
                     })
                     .collect();
-                (scratch.eval_deltas_sparse(eval, 0, &model, &deltas), stats)
+                let error = scratch.eval_deltas_sparse(eval, keys[g] as u64, &model(g), &deltas);
+                (error, stats)
             },
         )?;
-        let group = driven.pop().ok_or_else(|| EngineError::Internal {
-            detail: "drive_trials returned no trial group".into(),
-        })?;
-        Ok(CampaignResult::from_outcomes(trials, group.outcomes)
-            .with_termination(group.stopped_early, group.cancelled)
-            .with_expected_faults(expected)
-            .with_density(model.layer_nnz(), model.density())
-            .with_encode_cache(control.cache_stats()))
+        let cache_stats = control.cache_stats();
+        Ok(driven
+            .into_iter()
+            .enumerate()
+            .map(|(g, group)| {
+                let model = model(g);
+                CampaignResult::from_outcomes(trials, group.outcomes)
+                    .with_termination(group.stopped_early, group.cancelled)
+                    .with_density(model.layer_nnz(), model.density())
+                    .with_encode_cache(cache_stats)
+            })
+            .collect())
     }
 
     /// Runs a campaign with the paper's exact chip semantics: each
@@ -939,60 +979,28 @@ impl EvalContext {
         let prepared: Vec<PreparedLayer> = self
             .pool
             .scope_map(stored.len(), |i| PreparedLayer::prepare(&stored[i]));
-        let clean: Vec<LayerMatrix> = prepared.iter().map(|p| p.clean().matrix.clone()).collect();
-        let sparse: Vec<Arc<SparseMatrix>> = prepared
-            .iter()
-            .map(|p| Arc::new(p.clean().sparse.clone()))
-            .collect();
-        let model = SparseModel {
-            dense: &clean,
-            sparse: &sparse,
-        };
-        let scratch = ScratchPool::new(&self.pool);
         let fingerprint = self.run_fingerprint(
             "chips",
             trials,
             seed,
-            stored,
-            None,
+            &[(stored, None)],
             eval.baseline_error(),
             control,
         );
-        let label = stored
-            .first()
-            .map(|l| l.scheme.label())
-            .unwrap_or_else(|| "empty".to_string());
-        let mut driven = drive_trials(
-            &self.pool,
-            1,
+        let results = self.drive_groups(
+            &[prepared],
             trials,
             seed,
+            eval,
             control,
             fingerprint,
-            &label,
-            |_, trial| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(trial as u64));
-                let mut stats = DecodeStats::default();
-                let deltas: Vec<Vec<WeightDelta>> = prepared
-                    .iter()
-                    .map(|layer| {
-                        let flips = layer.stored().sample_chip_flips(&cell_for, &mut rng);
-                        let (d, s) = layer.deltas_flips(&flips);
-                        stats.absorb(s);
-                        d
-                    })
-                    .collect();
-                (scratch.eval_deltas_sparse(eval, 0, &model, &deltas), stats)
+            &first_label(stored),
+            |_, layer, rng| {
+                let flips = layer.stored().sample_chip_flips(&cell_for, rng);
+                layer.deltas_flips(&flips)
             },
         )?;
-        let group = driven.pop().ok_or_else(|| EngineError::Internal {
-            detail: "drive_trials returned no trial group".into(),
-        })?;
-        Ok(CampaignResult::from_outcomes(trials, group.outcomes)
-            .with_termination(group.stopped_early, group.cancelled)
-            .with_expected_faults(expected)
-            .with_density(model.layer_nnz(), model.density())
-            .with_encode_cache(control.cache_stats()))
+        Ok(single(results)?.with_expected_faults(expected))
     }
 
     /// Concrete design-space exploration on the engine: every candidate
@@ -1082,20 +1090,6 @@ impl EvalContext {
         // counters once so every point of the sweep reports the same
         // observation.
         let cache_stats = cache.stats();
-        // Per-scheme clean matrices for the sparse-delta trial path,
-        // plus their compute-side sparse twins.
-        let clean: Vec<Vec<LayerMatrix>> = prepared
-            .iter()
-            .map(|ps| ps.iter().map(|p| p.clean().matrix.clone()).collect())
-            .collect();
-        let sparse: Vec<Vec<Arc<SparseMatrix>>> = prepared
-            .iter()
-            .map(|ps| {
-                ps.iter()
-                    .map(|p| Arc::new(p.clean().sparse.clone()))
-                    .collect()
-            })
-            .collect();
         // Fingerprint the whole sweep: every scheme's identity and cell
         // count participates, so adding/removing candidates invalidates
         // old checkpoints.
@@ -1113,84 +1107,118 @@ impl EvalContext {
                 f.push_str(&scheme.label());
                 f.push_u64(stored[s].1);
             }
-            match &control.early_stop {
-                Some(es) => {
-                    f.push_str("early-stop")
-                        .push_f64(es.baseline)
-                        .push_f64(es.itn_bound)
-                        .push_f64(es.z)
-                        .push_u64(es.min_trials as u64)
-                        .push_u64(es.batch as u64);
-                }
-                None => {
-                    f.push_str("fixed-budget");
-                }
-            }
-            f.push_u64(control.panic_trials.len() as u64);
-            for &t in &control.panic_trials {
-                f.push_u64(t as u64);
-            }
+            push_control(&mut f, control);
             f.finish()
         };
-        let scratch = ScratchPool::new(&self.pool);
-        let driven = drive_trials(
-            &self.pool,
-            schemes.len(),
+        let results = self.drive_groups(
+            &prepared,
             trials,
             seed,
+            eval,
             control,
             fingerprint,
             "dse-sweep",
-            |s, trial| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(trial as u64));
-                let mut stats = DecodeStats::default();
-                let deltas: Vec<Vec<WeightDelta>> = prepared[s]
-                    .iter()
-                    .map(|layer| {
-                        let (d, st) = layer.deltas_with_faults(&fault_for, &mut rng);
-                        stats.absorb(st);
-                        d
-                    })
-                    .collect();
-                let model = SparseModel {
-                    dense: &clean[s],
-                    sparse: &sparse[s],
-                };
-                (
-                    scratch.eval_deltas_sparse(eval, s as u64, &model, &deltas),
-                    stats,
-                )
-            },
+            |_, layer, rng| layer.deltas_with_faults(&fault_for, rng),
         )?;
         Ok(schemes
             .into_iter()
-            .zip(driven)
-            .enumerate()
-            .map(|(s, (scheme, group))| {
-                let expected: f64 = prepared[s]
-                    .iter()
-                    .map(|p| p.expected_faults(None, &fault_for))
-                    .sum();
-                let result = CampaignResult::from_outcomes(trials, group.outcomes)
-                    .with_termination(group.stopped_early, group.cancelled)
-                    .with_expected_faults(expected);
-                let model = SparseModel {
-                    dense: &clean[s],
-                    sparse: &sparse[s],
-                };
-                DsePoint {
-                    scheme,
-                    cells: stored[s].1,
-                    mean_error: result.mean_error,
-                    passes: result.within_itn(baseline, cfg.itn_bound),
-                    trials_run: result.completed_trials,
-                    layer_nnz: model.layer_nnz(),
-                    density: model.density(),
-                    encode_cache: cache_stats,
-                }
+            .zip(results)
+            .zip(&stored)
+            .map(|((scheme, result), (_, cells))| DsePoint {
+                scheme,
+                cells: *cells,
+                mean_error: result.mean_error,
+                passes: result.within_itn(baseline, cfg.itn_bound),
+                trials_run: result.completed_trials,
+                layer_nnz: result.layer_nnz,
+                density: result.density,
+                encode_cache: cache_stats,
             })
             .collect())
     }
+}
+
+/// One group of a trial grid: stored layers and the structure kind its
+/// trials inject faults into (`None`: every structure).
+pub(crate) type TrialGroup<'a> = (&'a [StoredLayer], Option<StructureKind>);
+
+/// Folds what a [`RunControl`] changes about a run's trials into its
+/// fingerprint: the early-stop parameters (or `"fixed-budget"`) and the
+/// panic-injection test hook.
+fn push_control(f: &mut Fingerprint, control: &RunControl) {
+    match &control.early_stop {
+        Some(es) => {
+            f.push_str("early-stop")
+                .push_f64(es.baseline)
+                .push_f64(es.itn_bound)
+                .push_f64(es.z)
+                .push_u64(es.min_trials as u64)
+                .push_u64(es.batch as u64);
+        }
+        None => {
+            f.push_str("fixed-budget");
+        }
+    }
+    f.push_u64(control.panic_trials.len() as u64);
+    for &t in &control.panic_trials {
+        f.push_u64(t as u64);
+    }
+}
+
+/// The checkpoint label of a run: its first layer's scheme.
+fn first_label(stored: &[StoredLayer]) -> String {
+    stored
+        .first()
+        .map(|l| l.scheme.label())
+        .unwrap_or_else(|| "empty".to_string())
+}
+
+/// The result of a one-group run.
+fn single(results: Vec<CampaignResult>) -> Result<CampaignResult, EngineError> {
+    results
+        .into_iter()
+        .next()
+        .ok_or_else(|| EngineError::Internal {
+            detail: "drive_trials returned no trial group".into(),
+        })
+}
+
+/// The clean-decode key of every group of a trial grid: the index of the
+/// first group whose clean matrices are bitwise equal to its own
+/// (compared with `f32::to_bits`, so `+0.0` and `-0.0` differ, as they do
+/// for the evaluators' caches). It is the group's
+/// [`AccuracyEval::eval_deltas_sparse`] key, so a pooled scratch keeps
+/// one clean prefix across every configuration that decodes to the same
+/// weights — every protection and bits-per-cell variant of an encoding,
+/// and in practice every encoding of the same clustered layers.
+fn clean_keys(groups: &[Vec<&LayerMatrix>]) -> Vec<usize> {
+    let same_matrix = |a: &LayerMatrix, b: &LayerMatrix| {
+        std::ptr::eq(a, b)
+            || (a.rows == b.rows
+                && a.cols == b.cols
+                && a.data.len() == b.data.len()
+                && a.data
+                    .iter()
+                    .zip(&b.data)
+                    .all(|(x, y)| x.to_bits() == y.to_bits()))
+    };
+    let same = |a: &[&LayerMatrix], b: &[&LayerMatrix]| {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same_matrix(x, y))
+    };
+    let mut firsts: Vec<usize> = Vec::new();
+    groups
+        .iter()
+        .enumerate()
+        .map(
+            |(g, mats)| match firsts.iter().find(|&&f| same(&groups[f], mats)) {
+                Some(&f) => f,
+                None => {
+                    firsts.push(g);
+                    g
+                }
+            },
+        )
+        .collect()
 }
 
 #[cfg(test)]
@@ -1327,6 +1355,24 @@ mod tests {
         for workers in [2, 4] {
             assert_eq!(run(workers).errors, w1.errors, "workers={workers}");
         }
+    }
+
+    #[test]
+    fn clean_keys_compare_bits_not_values() {
+        // Configurations 0 and 2 decode to the same weights; 1 differs
+        // from 0 only by the sign of one zero. `-0.0 == 0.0`, so keying
+        // by `==` would hand 1 the prefix cached for 0, breaking the
+        // same-key-same-bits contract of `eval_deltas_sparse`.
+        let m = |v: f32| LayerMatrix::new("w", 2, 2, vec![1.5, 0.0, v, -2.0]);
+        let (pos, neg, other) = (m(0.0), m(-0.0), LayerMatrix::new("w", 1, 1, vec![1.0]));
+        assert_eq!(pos.data, neg.data, "the two differ only in the zero's sign");
+        let keys = clean_keys(&[
+            vec![&pos, &other],
+            vec![&neg, &other],
+            vec![&pos.clone(), &other],
+            vec![&neg],
+        ]);
+        assert_eq!(keys, vec![0, 1, 0, 3]);
     }
 
     #[test]

@@ -3,25 +3,28 @@
 //! Campaign trials and design-space sweeps are embarrassingly parallel
 //! but were previously run on ad-hoc scoped threads spawned per call,
 //! capped at eight. This pool spawns its workers once and serves every
-//! evaluation in the process: jobs go into a shared queue that idle
-//! workers steal from, which load-balances trials of very different
-//! cost (a 105-scheme sweep mixes SLC layers that decode instantly with
+//! evaluation in the process: each [`WorkerPool::scope_map`] call opens
+//! a scope in a shared FIFO queue, and idle workers claim its jobs one
+//! index at a time, which load-balances trials of very different cost
+//! (a 105-scheme sweep mixes SLC layers that decode instantly with
 //! ECC-protected MLC3 layers that dominate the wall-clock).
 //!
-//! The scheduling is cooperative: the thread that calls
-//! [`WorkerPool::scope_map`] helps drain the queue while it waits, so a
-//! pool works at any size (even zero workers degenerates to the caller
-//! running everything serially) and nested scopes cannot deadlock — a
-//! blocked scope always has at least its own caller making progress.
-//! While waiting, a caller parks on the pool's `work_ready` condvar; it
-//! is woken either by new work being queued (including nested work its
-//! own jobs pushed) or by the completion of its scope's last job, so
-//! there is no polling interval anywhere in the pool.
+//! The scheduling is cooperative but scope-local: the thread that calls
+//! [`WorkerPool::scope_map`] runs jobs of *its own* scope while it
+//! waits, never another scope's, while workers take whatever is oldest
+//! in the queue. So a pool works at any size (even zero workers
+//! degenerates to the caller running everything serially), nested
+//! scopes cannot deadlock — a blocked scope always has its own caller
+//! able to run every job nobody else claimed — and a job that opens a
+//! nested scope (a GEMM fan-out inside a trial) cannot start further
+//! outer jobs on its thread: at most `workers + 1` jobs of any one
+//! scope run at once. While waiting, a caller parks on the pool's
+//! `work_ready` condvar until its scope's last job completes.
 //!
 //! Scopes can be made cancellable ([`WorkerPool::scope_map_cancellable`]):
-//! each queued job checks a [`CancelToken`] just before running, so a
-//! cancelled scope drains its queue near-instantly and reports which
-//! indices actually ran.
+//! each job checks a [`CancelToken`] just before running, so a
+//! cancelled scope drains near-instantly and reports which indices
+//! actually ran.
 
 use crate::cancel::CancelToken;
 use std::any::Any;
@@ -43,24 +46,85 @@ use parking_lot::{Condvar, Mutex};
 #[cfg(not(loom))]
 use std::sync::atomic::{AtomicBool, Ordering};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// Runs job `i` of one scope; never unwinds (job panics are caught).
+type Run = dyn Fn(usize) + Sync;
+
+/// One open scope in the queue: its type-erased job runner, the next
+/// index to hand out, and how many claimed jobs have returned. The entry
+/// leaves the queue only when its caller sees every job returned.
+struct OpenScope {
+    id: u64,
+    run: &'static Run,
+    n: usize,
+    next: usize,
+    done: usize,
+}
+
+/// A claimed job: the scope it belongs to, its runner and its index.
+type Claim = (u64, &'static Run, usize);
+
+#[derive(Default)]
+struct Queue {
+    scopes: VecDeque<OpenScope>,
+    next_id: u64,
+}
+
+impl Queue {
+    /// The next unclaimed job of scope `only` — what that scope's waiting
+    /// caller runs — or, for `None`, of the oldest scope with unclaimed
+    /// jobs — what an idle worker runs.
+    fn claim(&mut self, only: Option<u64>) -> Option<Claim> {
+        let scope = self
+            .scopes
+            .iter_mut()
+            .find(|s| s.next < s.n && only.is_none_or(|id| s.id == id))?;
+        let i = scope.next;
+        scope.next += 1;
+        Some((scope.id, scope.run, i))
+    }
+
+    /// Records that a claimed job of scope `id` returned; true when it
+    /// was the scope's last.
+    fn complete(&mut self, id: u64) -> bool {
+        match self.scopes.iter_mut().find(|s| s.id == id) {
+            Some(s) => {
+                s.done += 1;
+                s.done == s.n
+            }
+            None => false,
+        }
+    }
+
+    /// Removes scope `id` if all its jobs have returned; true if so.
+    fn close_if_done(&mut self, id: u64) -> bool {
+        match self.scopes.iter().position(|s| s.id == id) {
+            Some(pos) if self.scopes[pos].done == self.scopes[pos].n => {
+                self.scopes.remove(pos);
+                true
+            }
+            Some(_) => false,
+            None => true,
+        }
+    }
+}
 
 struct Shared {
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Queue>,
     work_ready: Condvar,
     shutdown: AtomicBool,
 }
 
 impl Shared {
-    /// Wakes every parked thread — workers looking for jobs and scope
-    /// callers waiting on completion. Taking (and immediately releasing)
-    /// the queue lock first closes the race against a thread that has
-    /// checked its predicate but not yet parked: the notifier serializes
-    /// behind that thread's critical section, so the notify cannot land
-    /// in the gap.
-    fn wake_all(&self) {
-        drop(self.queue.lock());
-        self.work_ready.notify_all();
+    /// Records that a claimed job of scope `id` returned and, if it was
+    /// the scope's last, wakes the parked caller (the count changes under
+    /// the lock, so the notify cannot be lost). Callers run the job first
+    /// and pass only the id: no borrow of the scope's state may be live
+    /// here, since its caller may free it as soon as it sees the count.
+    fn complete(&self, id: u64) {
+        let last = self.queue.lock().complete(id);
+        if last {
+            self.work_ready.notify_all();
+        }
     }
 }
 
@@ -75,13 +139,13 @@ impl WorkerPool {
     /// Spawns a pool with `workers` persistent threads.
     pub fn new(workers: usize) -> Self {
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue::default()),
             work_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
         // If the OS refuses a thread, run with the workers that did
-        // spawn: `scope_map` has the caller help drain the queue, so the
-        // pool stays correct (just slower) even with zero workers.
+        // spawn: `scope_map` has the caller run its own scope's jobs, so
+        // the pool stays correct (just slower) even with zero workers.
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
             let shared = Arc::clone(&shared);
@@ -147,48 +211,50 @@ impl WorkerPool {
             return Vec::new();
         }
         let state = ScopeState::new(n);
-        {
-            let mut queue = self.shared.queue.lock();
-            for i in 0..n {
-                let state_ref = &state;
-                let f_ref = &f;
-                let cancel_ref = cancel;
-                let shared_ref: &Shared = &self.shared;
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let last = if cancel_ref.is_cancelled() {
-                        state_ref.skip_one()
-                    } else {
-                        state_ref.run_one(i, f_ref)
-                    };
-                    if last {
-                        // Wake the scope's caller (and any nested scope
-                        // callers) parked on `work_ready`.
-                        shared_ref.wake_all();
-                    }
-                });
-                // SAFETY: this call does not return until `state.remaining`
-                // reaches zero, i.e. every queued job has run to completion
-                // (panics are caught and still count), so the borrows of
-                // `state`, `f`, `cancel`, and `self.shared` smuggled past
-                // the 'static bound outlive every job that uses them.
-                let job: Job = unsafe { std::mem::transmute(job) };
-                queue.push_back(job);
+        let run = |i: usize| {
+            if !cancel.is_cancelled() {
+                state.run_one(i, &f);
             }
-        }
+        };
+        let run: &(dyn Fn(usize) + Sync + '_) = &run;
+        // SAFETY: the erased reference lives only in this scope's queue
+        // entry and in the claims taken from it, and a claim's holder
+        // calls it once and then reports completion by scope id alone
+        // (`Shared::complete`), so no call or argument holding it is
+        // live after the report. This call does not return (and so drop
+        // `run`, `state`, `f` or release `cancel`) until `close_if_done`
+        // has removed the entry, which requires all `n` claimed jobs to
+        // have reported under the queue lock; `run` never unwinds
+        // (`run_one` catches panics), so every claim is reported. No use
+        // of the reference can outlive the borrows it erases.
+        let run: &'static Run = unsafe { std::mem::transmute(run) };
+        let id = {
+            let mut queue = self.shared.queue.lock();
+            let id = queue.next_id;
+            queue.next_id += 1;
+            queue.scopes.push_back(OpenScope {
+                id,
+                run,
+                n,
+                next: 0,
+                done: 0,
+            });
+            id
+        };
         self.shared.work_ready.notify_all();
         loop {
             let mut queue = self.shared.queue.lock();
-            if let Some(job) = queue.pop_front() {
+            if let Some((_, run, i)) = queue.claim(Some(id)) {
                 drop(queue);
-                job();
+                run(i);
+                self.shared.complete(id);
                 continue;
             }
-            if *state.remaining.lock() == 0 {
+            if queue.close_if_done(id) {
                 break;
             }
-            // Parked until either new work arrives (a job of ours running
-            // on a worker may push nested work this caller should help
-            // with) or our scope's last job completes and wakes us.
+            // Parked until a job of this scope completes (the last one
+            // wakes us); other scopes' work is left to the workers.
             self.shared.work_ready.wait(&mut queue);
         }
         state.finish()
@@ -198,7 +264,13 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.wake_all();
+        // The flag is set outside the queue lock. Taking (and releasing)
+        // the lock before notifying closes the race against a worker
+        // that has checked the flag but not yet parked: the notify
+        // serializes behind that worker's critical section, so it cannot
+        // land in the gap.
+        drop(self.shared.queue.lock());
+        self.shared.work_ready.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -213,8 +285,9 @@ impl Drop for WorkerPool {
 /// so the pool's dynamic scheduling — which thread runs which job, in
 /// what order — cannot affect results; `scope_map` only decides *when*
 /// each band is computed. Nested fan-out (a GEMM inside a trial that is
-/// itself a pool job) is safe because scope callers help drain the
-/// queue.
+/// itself a pool job) is safe because a scope's caller can always run
+/// its own bands, and it runs only those: the trial's thread never
+/// starts another trial while it waits.
 pub struct PoolParallel(Arc<WorkerPool>);
 
 impl PoolParallel {
@@ -234,7 +307,7 @@ impl std::fmt::Debug for PoolParallel {
 
 impl maxnvm_dnn::GemmParallel for PoolParallel {
     fn max_jobs(&self) -> usize {
-        // The scope caller helps drain the queue, so it counts as a slot.
+        // The scope caller runs its own jobs, so it counts as a slot.
         self.0.workers() + 1
     }
 
@@ -246,9 +319,10 @@ impl maxnvm_dnn::GemmParallel for PoolParallel {
 fn worker_loop(shared: &Shared) {
     let mut queue = shared.queue.lock();
     loop {
-        if let Some(job) = queue.pop_front() {
+        if let Some((id, run, i)) = queue.claim(None) {
             drop(queue);
-            job();
+            run(i);
+            shared.complete(id);
             queue = shared.queue.lock();
             continue;
         }
@@ -261,11 +335,10 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Completion tracking for one `scope_map` call: per-index result slots,
-/// a countdown latch, and the first panic payload (if any).
+/// Results of one `scope_map` call: per-index result slots and the
+/// first panic payload (if any). Completion is counted in the queue.
 struct ScopeState<T> {
     results: Mutex<Vec<Option<T>>>,
-    remaining: Mutex<usize>,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
@@ -273,13 +346,12 @@ impl<T: Send> ScopeState<T> {
     fn new(n: usize) -> Self {
         Self {
             results: Mutex::new((0..n).map(|_| None).collect()),
-            remaining: Mutex::new(n),
             panic: Mutex::new(None),
         }
     }
 
-    /// Runs job `i`; returns whether it was the scope's last job.
-    fn run_one<F: Fn(usize) -> T + Sync>(&self, i: usize, f: &F) -> bool {
+    /// Runs job `i`, storing its result or its panic payload.
+    fn run_one<F: Fn(usize) -> T + Sync>(&self, i: usize, f: &F) {
         match panic::catch_unwind(AssertUnwindSafe(|| f(i))) {
             Ok(value) => self.results.lock()[i] = Some(value),
             Err(payload) => {
@@ -289,19 +361,6 @@ impl<T: Send> ScopeState<T> {
                 }
             }
         }
-        self.count_down()
-    }
-
-    /// Marks a cancelled job complete without running it; returns
-    /// whether it was the scope's last job.
-    fn skip_one(&self) -> bool {
-        self.count_down()
-    }
-
-    fn count_down(&self) -> bool {
-        let mut remaining = self.remaining.lock();
-        *remaining -= 1;
-        *remaining == 0
     }
 
     fn finish(self) -> Vec<Option<T>> {
@@ -384,6 +443,33 @@ mod tests {
             pool.scope_map(4, |j| i * 4 + j).iter().sum::<usize>()
         });
         assert_eq!(out.iter().sum::<usize>(), (0..16).sum());
+    }
+
+    #[test]
+    fn nested_scopes_never_start_more_than_workers_plus_one_outer_jobs() {
+        // Every outer job opens a nested scope and waits in it. A waiting
+        // caller runs only its own scope's jobs, so the outer jobs
+        // running at once are bounded by the pool's threads: each worker
+        // and the outer caller hold at most one.
+        for workers in [1, 2, 4] {
+            let pool = WorkerPool::new(workers);
+            let active = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            let out = pool.scope_map(4 * (workers + 1), |i| {
+                let now = active.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                let inner = pool.scope_map(4, |j| i * 4 + j);
+                active.fetch_sub(1, Ordering::SeqCst);
+                inner.iter().sum::<usize>()
+            });
+            let want: Vec<usize> = (0..out.len()).map(|i| 16 * i + 6).collect();
+            assert_eq!(out, want);
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(
+                peak <= workers + 1,
+                "{peak} outer jobs ran at once on {workers} workers"
+            );
+        }
     }
 
     #[test]

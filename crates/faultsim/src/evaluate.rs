@@ -98,10 +98,11 @@ struct PrefixState {
 /// staging buffers — so a Monte-Carlo campaign pays each allocation once
 /// per worker instead of once per trial.
 ///
-/// The keyed caches hold exactly one configuration each (campaigns use a
-/// single key; a DSE sweep keys by candidate scheme and rebuilds on key
-/// switch — a pure function of the key's clean matrices, so results are
-/// identical at any worker count and scratch-reuse pattern).
+/// The keyed caches hold exactly one configuration each. The engine keys
+/// by clean decode, so every configuration of a run that decodes to the
+/// same weights shares them; a key switch rebuilds — a pure function of
+/// the key's clean matrices, so results are identical at any worker
+/// count and scratch-reuse pattern.
 ///
 /// A scratch value is tied to the first evaluator that uses it (the lazily
 /// built caches keep that evaluator's architecture); do not share one

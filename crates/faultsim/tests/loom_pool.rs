@@ -8,11 +8,13 @@
 //! randomized-schedule stress, not exhaustive DPOR (see DESIGN.md §11) —
 //! a failure is always a real schedule, a pass is strong evidence.
 //!
-//! The scenarios pin the pool's three load-bearing windows:
+//! The scenarios pin the pool's three load-bearing windows, plus the
+//! scope-local helping rule (a waiting caller never starts an outer job):
 //! - enqueue vs. park: a caller pushing jobs while workers are between
 //!   the queue check and the condvar wait must not strand a job;
 //! - completion vs. wait: the scope's last job waking the parked caller
-//!   must not be lost (the `wake_all` lock-then-notify closes this);
+//!   must not be lost (the completion count changes under the queue
+//!   lock the caller checks it under, which closes this);
 //! - shutdown vs. drain: dropping the pool while workers race the
 //!   shutdown flag must join every thread.
 
@@ -56,6 +58,27 @@ fn nested_scopes_stay_live_with_one_worker() {
             .iter()
             .sum();
         assert_eq!(total, (0..9).sum());
+    });
+}
+
+#[test]
+fn nested_scope_callers_never_start_outer_jobs() {
+    // A caller waiting in a nested scope runs only its own scope's jobs,
+    // under every perturbed schedule: outer jobs in flight never exceed
+    // the pool's threads (two workers plus the outer caller).
+    loom::model(|| {
+        let pool = WorkerPool::new(2);
+        let active = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let out = pool.scope_map(6, |i| {
+            let now = active.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            let inner: usize = pool.scope_map(2, |j| i * 2 + j).iter().sum();
+            active.fetch_sub(1, Ordering::SeqCst);
+            inner
+        });
+        assert_eq!(out, (0..6).map(|i| 4 * i + 1).collect::<Vec<_>>());
+        assert!(peak.load(Ordering::SeqCst) <= 3);
     });
 }
 
