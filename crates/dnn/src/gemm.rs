@@ -36,7 +36,7 @@
 //! `network`/`prefix`), and what makes campaign results byte-identical
 //! between scalar-forced and SIMD runs.
 //!
-//! The dense kernel does not branch on zero-valued `a` entries —
+//! [`gemm_into`] does not branch on zero-valued `a` entries —
 //! data-dependent branches defeat vectorization — but skipping a term
 //! whose `a` entry is exactly `±0.0` *is* a bitwise no-op under fused
 //! arithmetic too: `fma(±0.0, b, acc)` rounds `±0.0·b + acc = acc`
@@ -44,12 +44,13 @@
 //! can never become `-0.0` (under round-to-nearest `+0.0 + ±0.0 = +0.0`
 //! and exact cancellation of nonzero terms yields `+0.0`; a fused term
 //! behaves the same because its product's sign only matters when the
-//! sum is exactly zero). So the sparse path ([`sparse_gemm_into`],
-//! [`sparse_row_into`]) — the same ascending-k additions minus the
-//! skippable zero terms — is bit-identical to the dense one. The one
-//! caveat is non-finite activations (`0.0 · inf = NaN` on the dense
-//! path only), which cannot arise from the finite inputs this crate
-//! feeds the kernels (see `DESIGN.md` §13).
+//! sum is exactly zero). So [`gemm_row_into`], which recomputes the
+//! magnitude-pruned weight rows a fault touched, skips those terms and
+//! pays only for a row's nonzeros while still reproducing the blocked
+//! kernel's row bit for bit. The one caveat is non-finite activations
+//! (`0.0 · inf = NaN` on the blocked path only), which cannot arise
+//! from the finite inputs this crate feeds the kernels (see
+//! `DESIGN.md` §13).
 //!
 //! # Within-trial parallelism
 //!
@@ -89,25 +90,16 @@ pub const NC: usize = 1024;
 /// sizes the edge-tile staging buffer.
 const MAX_TILE: usize = 8 * 32;
 
-/// Stored-density threshold above which [`sparse_gemm_into`] routes
-/// through the dense kernel on a materialized copy. Near-dense layers
-/// (e.g. VGG12's 0.591 overall density, Table 2) pay more for the
-/// per-row cursor walk than the skipped zeros save. The decision reads
-/// only `a.density()` — a pure function of the stored operand, not of
-/// the activations — and both routes are bit-identical (see module
-/// docs), so the cutover can never change a result, only its speed.
-pub const SPARSE_DENSE_CUTOVER: f64 = 0.35;
-
 /// Minimum columns per job before a multiply fans out; keeps each
 /// band's packing amortized and bands `nr`-aligned and non-trivial.
 pub const PAR_MIN_COLS: usize = 256;
-/// Minimum multiply-add count (`m·k·n` dense, `nnz·n` sparse) before a
-/// multiply fans out; below this the pool hand-off costs more than the
-/// compute. Shape-only, never data-dependent.
+/// Minimum multiply-add count (`m·k·n`) before a multiply fans out;
+/// below this the pool hand-off costs more than the compute. Shape-only,
+/// never data-dependent.
 pub const PAR_MIN_WORK: usize = 1 << 21;
 
-/// Deterministic fan-out used by [`gemm_into`]/[`sparse_gemm_into`] to
-/// run one multiply's column bands on the engine's worker pool.
+/// Deterministic fan-out used by [`gemm_into`] to run one multiply's
+/// column bands on the engine's worker pool.
 ///
 /// Implementations must run `task(0..jobs)` exactly once each and
 /// return only when all calls finished; calls may run concurrently.
@@ -129,26 +121,19 @@ pub trait GemmParallel: Send + Sync + std::fmt::Debug {
 struct PackBufs {
     packed_a: Vec<f32>,
     packed_b: Vec<f32>,
-    /// Per-`KC`-block nonzero counts of the sparse left operand, used
-    /// by [`sparse_gemm_into`] to elide packing for all-zero k panels.
-    kblock_nnz: Vec<u32>,
-    /// Per-row walk positions into the sparse left operand's entries.
-    cursors: Vec<usize>,
 }
 
-/// Reusable state for [`gemm_into`]/[`sparse_gemm_into`]. Holding one
-/// per worker (inside the evaluation scratch) keeps the trial loop
-/// allocation-free: the buffers grow once and are reused by every
-/// subsequent multiply. Optionally carries a [`GemmParallel`] handle
-/// (plus per-job buffers) so large multiplies fan out within a trial.
+/// Reusable state for [`gemm_into`]. Holding one per worker (inside the
+/// evaluation scratch) keeps the trial loop allocation-free: the buffers
+/// grow once and are reused by every subsequent multiply. Optionally
+/// carries a [`GemmParallel`] handle (plus per-job buffers) so large
+/// multiplies fan out within a trial.
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch {
     bufs: PackBufs,
     /// Per-job packing buffers for parallel column bands; `par_bufs[j]`
     /// is owned exclusively by job `j` while a fan-out runs.
     par_bufs: Vec<PackBufs>,
-    /// Materialization buffer for the sparse→dense cutover.
-    dense_a: Vec<f32>,
     parallel: Option<Arc<dyn GemmParallel>>,
 }
 
@@ -219,7 +204,6 @@ pub fn gemm_into(
         bufs,
         par_bufs,
         parallel,
-        ..
     } = scratch;
     if let Some(par) = parallel.as_deref() {
         let work = m.saturating_mul(k).saturating_mul(n);
@@ -251,7 +235,9 @@ pub fn gemm_into(
 /// One output row by a sequential fused dot: `out[j] = fma(row[k-1],
 /// b[k-1,j], … fma(row[0], b[0,j], 0.0))` in ascending-k order —
 /// bit-identical to the same row of [`gemm_into`] on every tier (see
-/// the module docs). Used by the clean-prefix fault path to recompute
+/// the module docs). Terms whose `row` entry is exactly `±0.0` are
+/// skipped, a bitwise no-op by the same argument, so a pruned row costs
+/// its nonzeros only. Used by the clean-prefix fault path to recompute
 /// only the weight rows a fault touched.
 ///
 /// # Panics
@@ -265,7 +251,9 @@ pub fn gemm_row_into(out: &mut [f32], row: &[f32], b: &[f32], k: usize, n: usize
     out.fill(0.0);
     let tier = active_tier();
     for (kk, &av) in row.iter().enumerate() {
-        axpy(tier, out, &b[kk * n..(kk + 1) * n], av);
+        if av != 0.0 {
+            axpy(tier, out, &b[kk * n..(kk + 1) * n], av);
+        }
     }
 }
 
@@ -285,116 +273,6 @@ pub fn fused_dot(a: &[f32], b: &[f32]) -> f32 {
         acc = x.mul_add(y, acc);
     }
     acc
-}
-
-/// `c = a · b` for a sparse-encoded left operand: row-major `b`
-/// (`a.cols()`×`n`), `c` (`a.rows()`×`n`), with no dense
-/// materialization of `a` below [`SPARSE_DENSE_CUTOVER`]. O(nnz · n)
-/// plus packing.
-///
-/// Blocking mirrors [`gemm_into`]: the right operand is packed into the
-/// same `nr`-wide `KC`-deep panels (widened to the active tier's tile),
-/// but k panels with no nonzero `a` entry are elided entirely (never
-/// packed, never touched), and within a live panel each row walks only
-/// its stored entries via per-row cursors. Per output element the
-/// additions are the dense kernel's ascending-k fused chain minus the
-/// exact-zero terms, which the module docs show is bitwise identical
-/// for finite `b` — so this routine's output equals [`gemm_into`] of
-/// the materialized matrix bit for bit. Above the cutover the kernel
-/// *does* materialize (into scratch) and runs the dense path, which by
-/// the same argument cannot change the result. Fans out over column
-/// bands like the dense kernel when a [`GemmParallel`] handle is set.
-///
-/// # Panics
-///
-/// Asserts that the slice lengths match `a`'s shape and `n`.
-pub fn sparse_gemm_into(
-    c: &mut [f32],
-    a: &crate::sparse::SparseMatrix,
-    b: &[f32],
-    n: usize,
-    scratch: &mut GemmScratch,
-) {
-    let (m, k) = (a.rows(), a.cols());
-    assert_eq!(b.len(), k * n, "rhs length vs {k}x{n}");
-    assert_eq!(c.len(), m * n, "out length vs {m}x{n}");
-    c.fill(0.0);
-    if m == 0 || k == 0 || n == 0 || a.nnz() == 0 {
-        return;
-    }
-    if a.density() > SPARSE_DENSE_CUTOVER {
-        // Near-dense: materialize once into scratch and run the dense
-        // kernel — bit-identical (module docs), strictly faster.
-        let mut dense = core::mem::take(&mut scratch.dense_a);
-        a.to_dense_into(&mut dense);
-        gemm_into(c, &dense, b, m, k, n, scratch);
-        scratch.dense_a = dense;
-        return;
-    }
-    let tier = active_tier();
-    let GemmScratch {
-        bufs,
-        par_bufs,
-        parallel,
-        ..
-    } = scratch;
-    a.kblock_nnz(KC, &mut bufs.kblock_nnz);
-    let kblocks = &bufs.kblock_nnz;
-    if let Some(par) = parallel.as_deref() {
-        let work = (a.nnz()).saturating_mul(n);
-        let jobs = plan_jobs(par.max_jobs(), work, n);
-        if jobs > 1 {
-            if par_bufs.len() < jobs {
-                par_bufs.resize_with(jobs, PackBufs::default);
-            }
-            let cp = SendPtr(c.as_mut_ptr());
-            let bp = SendPtr(par_bufs.as_mut_ptr());
-            let nr = tier.nr();
-            par.run(jobs, &|j| {
-                // Capture the whole `SendPtr` wrappers (not their raw
-                // fields) so the closure is Sync.
-                let (cp, bp) = (cp, bp);
-                // SAFETY: fixed ownership — job j is the only accessor
-                // of `par_bufs[j]` (j < jobs ≤ par_bufs.len()) for the
-                // duration of the fan-out.
-                let job_bufs = unsafe { &mut *bp.0.add(j) };
-                let (j0, j1) = (band_edge(n, jobs, nr, j), band_edge(n, jobs, nr, j + 1));
-                sparse_cols(tier, cp, a, b, n, j0, j1, kblocks, job_bufs);
-            });
-            return;
-        }
-    }
-    let cp = SendPtr(c.as_mut_ptr());
-    // The serial path reuses the per-job buffer slot 0 so the borrow of
-    // `bufs.kblock_nnz` (shared) and the packing buffers (mutable)
-    // don't alias.
-    if par_bufs.is_empty() {
-        par_bufs.resize_with(1, PackBufs::default);
-    }
-    sparse_cols(tier, cp, a, b, n, 0, n, kblocks, &mut par_bufs[0]);
-}
-
-/// One output row from a sparse weight row: `out[j] = Σ a[c]·b[c,j]`
-/// over the stored `(cols, vals)` entries in ascending-column order,
-/// one fused multiply-add per term — bit-identical to [`gemm_row_into`]
-/// of the materialized row (and hence to the same row of [`gemm_into`]
-/// / [`sparse_gemm_into`]) for finite `b`, by the zero-skip argument in
-/// the module docs. Used by the clean-prefix fault path.
-///
-/// # Panics
-///
-/// Asserts that the slice lengths match the given dimensions.
-// maxnvm-lint: allow(R1/index-arith): entry asserts pin b.len() to k*n and CSR columns are < k by construction, so the col*n row slice is in range.
-pub fn sparse_row_into(out: &mut [f32], cols: &[u32], vals: &[f32], b: &[f32], k: usize, n: usize) {
-    assert_eq!(cols.len(), vals.len(), "sparse row entry mismatch");
-    assert_eq!(b.len(), k * n, "rhs length vs {k}x{n}");
-    assert_eq!(out.len(), n, "out length vs n={n}");
-    out.fill(0.0);
-    let tier = active_tier();
-    for (&col, &av) in cols.iter().zip(vals) {
-        let kk = col as usize;
-        axpy(tier, out, &b[kk * n..kk * n + n], av);
-    }
 }
 
 /// Jobs for one fan-out: 1 (serial) unless the multiply is big enough
@@ -461,69 +339,6 @@ fn gemm_cols(
                 ic += mc_blk;
             }
             pc += KC;
-        }
-        jc += NC;
-    }
-}
-
-/// Sparse counterpart of [`gemm_cols`] over the column range `j0..j1`:
-/// elides all-zero k panels via the shared `kblocks` census and walks
-/// each row's stored entries with per-range cursors.
-#[allow(clippy::too_many_arguments)]
-// maxnvm-lint: allow(R1/index-arith): column offsets come from the CSR invariant cols[i] < k and the asserted b.len() == k*n, so col*n panels stay in range.
-fn sparse_cols(
-    tier: SimdTier,
-    cp: SendPtr<f32>,
-    a: &crate::sparse::SparseMatrix,
-    b: &[f32],
-    n: usize,
-    j0: usize,
-    j1: usize,
-    kblocks: &[u32],
-    bufs: &mut PackBufs,
-) {
-    let (m, k) = (a.rows(), a.cols());
-    let nr = tier.nr();
-    let mut jc = j0;
-    while jc < j1 {
-        let nc = NC.min(j1 - jc);
-        let strips = nc.div_ceil(nr);
-        bufs.cursors.clear();
-        bufs.cursors.resize(m, 0);
-        let mut pc = 0;
-        let mut block = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            if kblocks[block] == 0 {
-                // Zero panel elided: no row has an entry here, so the
-                // cursors are already past it.
-                pc += KC;
-                block += 1;
-                continue;
-            }
-            pack_b(&mut bufs.packed_b, b, n, pc, kc, jc, nc, nr);
-            for i in 0..m {
-                let (cols, vals) = a.row(i);
-                let mut cur = bufs.cursors[i];
-                // SAFETY: rows are disjoint between loop iterations and
-                // the column range `jc..jc+nc ⊆ j0..j1` is owned by
-                // this job (fixed band ownership), so no other slice or
-                // job aliases this region; dropped before the next row.
-                let crow = unsafe { core::slice::from_raw_parts_mut(cp.0.add(i * n + jc), nc) };
-                while cur < cols.len() && (cols[cur] as usize) < pc + kc {
-                    let kk = cols[cur] as usize - pc;
-                    let av = vals[cur];
-                    for s in 0..strips {
-                        let width = nr.min(nc - s * nr);
-                        let pb = &bufs.packed_b[(s * kc + kk) * nr..(s * kc + kk) * nr + width];
-                        axpy(tier, &mut crow[s * nr..s * nr + width], pb, av);
-                    }
-                    cur += 1;
-                }
-                bufs.cursors[i] = cur;
-            }
-            pc += KC;
-            block += 1;
         }
         jc += NC;
     }
@@ -778,10 +593,9 @@ unsafe fn micro_tile_mul_add<const TMR: usize, const TNR: usize>(
     }
 }
 
-/// `dst[j] = fma(a, src[j], dst[j])` on the active tier — the shared
-/// building block of the row kernels and the sparse strip updates. One
-/// fused rounding per element on every tier, so all routes are
-/// bit-identical.
+/// `dst[j] = fma(a, src[j], dst[j])` on the active tier — the building
+/// block of the row kernel. One fused rounding per element on every
+/// tier, so all routes are bit-identical.
 fn axpy(tier: SimdTier, dst: &mut [f32], src: &[f32], a: f32) {
     debug_assert_eq!(dst.len(), src.len());
     match tier {
@@ -946,13 +760,25 @@ mod tests {
     #[test]
     fn row_recompute_is_bit_identical_to_full_gemm() {
         let (m, k, n) = (9, KC + 5, 21);
-        let a = random(m * k, 9);
+        let mut a = random(m * k, 9);
+        // Pruned rows, which the row kernel skips term by term: all
+        // `+0.0`, all `-0.0`, and nonzeros interleaved with zeros of
+        // both signs.
+        for kk in 0..k {
+            a[kk] = 0.0;
+            a[k + kk] = -0.0;
+            match kk % 3 {
+                0 => a[2 * k + kk] = 0.0,
+                1 => a[2 * k + kk] = -0.0,
+                _ => {}
+            }
+        }
         let b = random(k * n, 10);
         let full = run_gemm(&a, &b, m, k, n);
         let mut row = vec![0.0f32; n];
         for i in 0..m {
             gemm_row_into(&mut row, &a[i * k..(i + 1) * k], &b, k, n);
-            assert_eq!(row, full[i * n..(i + 1) * n], "row {i}");
+            assert_bitwise_eq(&row, &full[i * n..(i + 1) * n], &format!("row {i}"));
         }
     }
 
@@ -1040,18 +866,6 @@ mod tests {
             let mut c = vec![0.0f32; m * n];
             gemm_into(&mut c, &a, &b, m, k, n, &mut scratch);
             assert_eq!(c, serial, "jobs={jobs}");
-            // Sparse fan-out over the same bands (density below the
-            // cutover so the genuinely sparse path runs).
-            let sa = random_sparse(m * k, 103, 0.8);
-            let sp = crate::sparse::SparseMatrix::from_dense(m, k, &sa);
-            assert!(sp.density() <= SPARSE_DENSE_CUTOVER);
-            let mut cs = vec![0.0f32; m * n];
-            sparse_gemm_into(&mut cs, &sp, &b, n, &mut scratch);
-            assert_bitwise_eq(
-                &cs,
-                &run_gemm(&sa, &b, m, k, n),
-                &format!("sparse jobs={jobs}"),
-            );
         }
     }
 
@@ -1070,29 +884,6 @@ mod tests {
         }
     }
 
-    /// Random matrix with an exact fraction of slots forced to zero.
-    fn random_sparse(len: usize, seed: u64, sparsity: f64) -> Vec<f32> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut data = random(len, seed);
-        let zeros = (len as f64 * sparsity).round() as usize;
-        let mut slots: Vec<usize> = (0..len).collect();
-        for i in (1..slots.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            slots.swap(i, j);
-        }
-        for &s in slots.iter().take(zeros.min(len)) {
-            data[s] = 0.0;
-        }
-        data
-    }
-
-    fn run_sparse(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-        let sp = crate::sparse::SparseMatrix::from_dense(m, k, a);
-        let mut c = vec![0.0f32; m * n];
-        sparse_gemm_into(&mut c, &sp, b, n, &mut GemmScratch::default());
-        c
-    }
-
     fn assert_bitwise_eq(got: &[f32], want: &[f32], ctx: &str) {
         assert_eq!(got.len(), want.len(), "{ctx}: length");
         for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -1101,78 +892,16 @@ mod tests {
     }
 
     #[test]
-    fn sparse_matches_dense_bitwise_across_sparsities() {
-        // 0% (fully dense — routed through the density cutover), the
-        // Table-2 extremes (VGG12 0.409, LeNet5 0.899), and 100%
-        // pruned, on shapes straddling the blocking constants (incl. a
-        // k spanning multiple KC panels). 0.409 sparsity = 0.591
-        // density sits *above* the cutover, 0.899 below — both routes
-        // must agree with the dense kernel bitwise.
-        let nr = active_tier().nr();
-        let shapes = [(3, 5, 7), (5, KC + 3, nr * 2 + 5), (9, 2 * KC + 1, 33)];
-        for sparsity in [0.0, 0.409, 0.899, 1.0] {
-            for (m, k, n) in shapes {
-                let a = random_sparse(m * k, 21 + (sparsity * 100.0) as u64, sparsity);
-                let b = random(k * n, 22);
-                assert_bitwise_eq(
-                    &run_sparse(&a, &b, m, k, n),
-                    &run_gemm(&a, &b, m, k, n),
-                    &format!("{m}x{k}x{n} @ {sparsity}"),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn density_cutover_routes_both_ways_bitwise() {
-        // Just-below and just-above the cutover around a fixed shape;
-        // also exercises to_dense_into via the dense route.
-        let (m, k, n) = (12, KC + 9, 29);
-        for sparsity in [
-            1.0 - SPARSE_DENSE_CUTOVER + 0.05,
-            1.0 - SPARSE_DENSE_CUTOVER - 0.05,
-        ] {
-            let a = random_sparse(m * k, 333, sparsity);
-            let b = random(k * n, 334);
-            assert_bitwise_eq(
-                &run_sparse(&a, &b, m, k, n),
-                &run_gemm(&a, &b, m, k, n),
-                &format!("cutover straddle @ {sparsity}"),
-            );
-        }
-    }
-
-    #[test]
-    fn sparse_elides_zero_k_panels() {
-        // Middle KC panel entirely zero: the sparse path skips packing
-        // it; the result must still match the dense kernel bitwise.
-        let (m, k, n) = (5, 3 * KC, 11);
-        let mut a = random(m * k, 31);
-        for row in 0..m {
-            for kk in KC..2 * KC {
-                a[row * k + kk] = 0.0;
-            }
-        }
-        let b = random(k * n, 32);
-        assert_bitwise_eq(
-            &run_sparse(&a, &b, m, k, n),
-            &run_gemm(&a, &b, m, k, n),
-            "zero middle panel",
-        );
-    }
-
-    #[test]
     fn all_zero_rows_and_columns_round_trip_both_paths() {
         // 100%-pruned regression: an all-zero layer, plus a mixed layer
         // with one all-zero row and one all-zero column, must produce
-        // finite (all-zero / matching) outputs on both paths — no NaN,
-        // no sign-of-zero divergence.
+        // finite (all-zero / matching) outputs from the blocked and the
+        // zero-skipping row kernel — no NaN, no sign-of-zero divergence.
         let (m, k, n) = (6, 10, 9);
         let zeros = vec![0.0f32; m * k];
         let b = random(k * n, 41);
         let dense = run_gemm(&zeros, &b, m, k, n);
         assert!(dense.iter().all(|v| v.to_bits() == 0.0f32.to_bits()));
-        assert_bitwise_eq(&run_sparse(&zeros, &b, m, k, n), &dense, "all-zero layer");
 
         let mut mixed = random(m * k, 42);
         for kk in 0..k {
@@ -1186,31 +915,13 @@ mod tests {
         assert!(d[2 * n..3 * n]
             .iter()
             .all(|v| v.to_bits() == 0.0f32.to_bits()));
-        assert_bitwise_eq(&run_sparse(&mixed, &b, m, k, n), &d, "zero row+col");
-    }
-
-    #[test]
-    fn sparse_row_matches_dense_row_bitwise() {
-        let (m, k, n) = (7, KC + 9, 13);
-        let a = random_sparse(m * k, 51, 0.7);
-        let b = random(k * n, 52);
-        let sp = crate::sparse::SparseMatrix::from_dense(m, k, &a);
-        let mut dense_row = vec![0.0f32; n];
-        let mut sparse_row = vec![0.0f32; n];
-        for i in 0..m {
-            gemm_row_into(&mut dense_row, &a[i * k..(i + 1) * k], &b, k, n);
-            let (cols, vals) = sp.row(i);
-            sparse_row_into(&mut sparse_row, cols, vals, &b, k, n);
-            assert_bitwise_eq(&sparse_row, &dense_row, &format!("row {i}"));
+        let mut row = vec![0.0f32; n];
+        for (a, full) in [(&zeros, &dense), (&mixed, &d)] {
+            for i in 0..m {
+                gemm_row_into(&mut row, &a[i * k..(i + 1) * k], &b, k, n);
+                assert_bitwise_eq(&row, &full[i * n..(i + 1) * n], &format!("row {i}"));
+            }
         }
-    }
-
-    #[test]
-    fn sparse_zero_dimensions_yield_zero_output() {
-        let sp = crate::sparse::SparseMatrix::from_dense(2, 0, &[]);
-        let mut c = vec![1.0f32; 6];
-        sparse_gemm_into(&mut c, &sp, &[], 3, &mut GemmScratch::default());
-        assert_eq!(c, vec![0.0; 6]);
     }
 
     proptest! {
@@ -1228,23 +939,6 @@ mod tests {
             let got = run_gemm(&a, &b, m, k, n);
             let want = naive(&a, &b, m, k, n);
             prop_assert_eq!(got, want);
-        }
-
-        /// The sparse kernel equals the dense kernel bit for bit at any
-        /// sparsity (both sides of the density cutover), including
-        /// shapes with whole zero rows/columns.
-        #[test]
-        fn prop_sparse_matches_dense_bitwise(
-            m in 1usize..10, k in 1usize..33, n in 1usize..34,
-            sparsity in 0.0f64..1.0, seed in any::<u64>()
-        ) {
-            let a = random_sparse(m * k, seed, sparsity);
-            let b = random(k * n, seed.wrapping_add(3));
-            let got = run_sparse(&a, &b, m, k, n);
-            let want = run_gemm(&a, &b, m, k, n);
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert_eq!(g.to_bits(), w.to_bits());
-            }
         }
 
         /// Every row of the blocked product is reproduced bit-exactly

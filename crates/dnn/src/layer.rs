@@ -5,8 +5,7 @@
 //! compatible 2-D mapping of the 3-D filters) and linear weights
 //! `[out, in]`.
 
-use crate::gemm::{gemm_into, sparse_gemm_into, GemmScratch};
-use crate::sparse::SparseMatrix;
+use crate::gemm::{gemm_into, GemmScratch};
 use crate::tensor::{conv_out_dims, im2col, im2col_into, Tensor};
 use serde::{Deserialize, Serialize};
 
@@ -417,9 +416,11 @@ impl Layer {
     }
 
     /// Multiplies this weight layer against a packed right-hand matrix
-    /// (from [`Self::weight_rhs_into`]), adds the bias, and splits the
-    /// result into per-sample tensors. `out` is staging for the GEMM
-    /// result. Returns empty for layers without weights.
+    /// (from [`Self::weight_rhs_into`]) of `n` samples, adds the bias, and
+    /// splits the result into per-sample tensors. `out` is staging for
+    /// the GEMM result. Returns empty for layers without weights and for
+    /// an empty batch.
+    // maxnvm-lint: allow(R1/index-arith): out is sized rows*total from meta here, so o*total+s*p+p <= out.len() for every row o and sample s < n.
     pub fn forward_from_rhs(
         &self,
         rhs: &[f32],
@@ -431,51 +432,13 @@ impl Layer {
         let Some((weight, bias)) = self.weight_bias() else {
             return Vec::new();
         };
+        if n == 0 {
+            return Vec::new();
+        }
         let total = n * meta.per_cols;
         out.clear();
         out.resize(meta.rows * total, 0.0);
         gemm_into(out, weight.data(), rhs, meta.rows, meta.k, total, gs);
-        Self::bias_and_split(out, bias, meta, n)
-    }
-
-    /// [`Self::forward_from_rhs`] computed from a sparse-encoded weight
-    /// matrix instead of the layer's dense tensor: same packed right-hand
-    /// matrix, same bias and per-sample split, but the multiply runs
-    /// O(nnz) via [`sparse_gemm_into`] — bit-identical to the dense
-    /// product of `w`'s materialization (see [`crate::gemm`]).
-    ///
-    /// # Panics
-    ///
-    /// Asserts `w` matches the layer's weight shape.
-    pub fn forward_from_rhs_sparse(
-        &self,
-        w: &SparseMatrix,
-        rhs: &[f32],
-        meta: &RhsMeta,
-        n: usize,
-        out: &mut Vec<f32>,
-        gs: &mut GemmScratch,
-    ) -> Vec<Tensor> {
-        let Some((weight, bias)) = self.weight_bias() else {
-            return Vec::new();
-        };
-        assert_eq!(
-            (w.rows(), w.cols()),
-            (weight.shape()[0], weight.shape()[1]),
-            "sparse weight shape vs layer"
-        );
-        let total = n * meta.per_cols;
-        out.clear();
-        out.resize(meta.rows * total, 0.0);
-        sparse_gemm_into(out, w, rhs, total, gs);
-        Self::bias_and_split(out, bias, meta, n)
-    }
-
-    /// Shared tail of the RHS paths: adds the per-row bias to the GEMM
-    /// result and splits it into per-sample tensors.
-    // maxnvm-lint: allow(R1/index-arith): meta describes the very buffer forward_from_rhs sized from it, so o*total+s*p+p <= out.len() by construction.
-    fn bias_and_split(out: &mut [f32], bias: &[f32], meta: &RhsMeta, n: usize) -> Vec<Tensor> {
-        let total = n * meta.per_cols;
         for (o, row) in out.chunks_mut(total).enumerate() {
             for v in row.iter_mut() {
                 *v += bias[o];

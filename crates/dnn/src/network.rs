@@ -69,6 +69,13 @@ impl LayerMatrix {
     }
 }
 
+/// Most samples [`Network::error_rate`] runs as one batch. A batch's
+/// im2col matrices and activations grow with its size (a single batch of
+/// 1500 LeNet images holds about 40 MB at once), so larger sets run in
+/// chunks; per-sample logits do not depend on the batch they run in
+/// (the summation-order contract of [`crate::gemm`]).
+const ERROR_RATE_BATCH: usize = 256;
+
 /// An ordered stack of layers forming a classifier.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Network {
@@ -144,58 +151,6 @@ impl Network {
         cur
     }
 
-    /// [`Network::forward_suffix`] with sparse-encoded weights: layer
-    /// `i`'s weight matrix (in [`Network::weight_matrices`] order) is
-    /// multiplied from `weights[i]` when present, falling back to the
-    /// layer's dense tensor when `None` (or for residual blocks, whose
-    /// nested matrices keep the dense path). Bit-identical to
-    /// [`Network::forward_suffix`] when each present entry materializes
-    /// to the layer's dense weights (see [`crate::gemm`]) — the caller
-    /// keeps the dense tensors authoritative (e.g. fault deltas are
-    /// applied to both representations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` exceeds the layer count or a sparse matrix
-    /// disagrees with its layer's weight shape.
-    pub fn forward_suffix_sparse(
-        &self,
-        start: usize,
-        xs: Vec<Tensor>,
-        weights: &[Option<&crate::sparse::SparseMatrix>],
-        scratch: &mut ForwardScratch,
-    ) -> Vec<Tensor> {
-        let mut wi: usize = self.layers[..start]
-            .iter()
-            .map(Layer::weight_matrix_count)
-            .sum();
-        let mut cur = xs;
-        for l in &self.layers[start..] {
-            let nmat = l.weight_matrix_count();
-            let sparse = if nmat == 1 {
-                weights.get(wi).copied().flatten()
-            } else {
-                None // weightless, or residual (nested matrices stay dense)
-            };
-            cur = match sparse {
-                Some(sp) if !cur.is_empty() => match l.weight_rhs_into(&cur, &mut scratch.cols) {
-                    Some(meta) => l.forward_from_rhs_sparse(
-                        sp,
-                        &scratch.cols,
-                        &meta,
-                        cur.len(),
-                        &mut scratch.out,
-                        &mut scratch.gemm,
-                    ),
-                    None => l.forward_batch_scratch(&cur, scratch),
-                },
-                _ => l.forward_batch_scratch(&cur, scratch),
-            };
-            wi += nmat;
-        }
-        cur
-    }
-
     /// Predicted class (argmax of logits).
     pub fn predict(&self, x: &Tensor) -> usize {
         argmax(&self.forward(x))
@@ -208,18 +163,24 @@ impl Network {
     }
 
     /// Classification error rate (fraction wrong) on labelled samples.
-    /// Runs the whole set as one batch — one matmul per weight layer.
+    /// Runs the set in batches of at most 256 samples — one matmul per
+    /// weight layer per batch — so its working memory stays bounded
+    /// however large the set.
     pub fn error_rate(&self, samples: &[(Tensor, usize)]) -> f64 {
         if samples.is_empty() {
             return 0.0;
         }
-        let xs: Vec<Tensor> = samples.iter().map(|(x, _)| x.clone()).collect();
-        let wrong = self
-            .predict_batch(&xs)
-            .iter()
-            .zip(samples)
-            .filter(|(p, (_, y))| *p != y)
-            .count();
+        let mut scratch = ForwardScratch::default();
+        let mut wrong = 0;
+        for chunk in samples.chunks(ERROR_RATE_BATCH) {
+            let xs = chunk.iter().map(|(x, _)| x.clone()).collect();
+            wrong += self
+                .forward_suffix(0, xs, &mut scratch)
+                .iter()
+                .zip(chunk)
+                .filter(|(logits, (_, y))| argmax(logits) != *y)
+                .count();
+        }
         wrong as f64 / samples.len() as f64
     }
 
@@ -506,44 +467,17 @@ mod tests {
         for (x, p) in xs.iter().zip(&preds) {
             assert_eq!(net.predict(x), *p);
         }
-    }
-
-    #[test]
-    fn sparse_suffix_matches_dense_bitwise() {
-        use crate::sparse::SparseMatrix;
-        let mut net = conv_net();
-        // Prune some weights to exact zero so the sparse path has work
-        // to skip.
-        let mut mats = net.weight_matrices();
-        for m in &mut mats {
-            for (i, v) in m.data.iter_mut().enumerate() {
-                if i % 3 == 0 {
-                    *v = 0.0;
-                }
-            }
-        }
-        net.set_weight_matrices(&mats);
-        let sparse: Vec<SparseMatrix> = mats.iter().map(SparseMatrix::from_matrix).collect();
-        let xs: Vec<Tensor> = (0..4)
-            .map(|s| {
-                let data = (0..64)
-                    .map(|i| ((i * (s + 3)) % 13) as f32 * 0.09 - 0.5)
-                    .collect();
-                Tensor::from_vec(&[1, 8, 8], data)
-            })
+        // A set spanning several error-rate chunks counts the same
+        // mistakes as per-sample prediction.
+        let samples: Vec<(Tensor, usize)> = (0..2 * ERROR_RATE_BATCH + 3)
+            .map(|i| (xs[i % xs.len()].clone(), i % 3))
             .collect();
-        let mut scratch = ForwardScratch::default();
-        let dense = net.forward_suffix(0, xs.clone(), &mut scratch);
-        // Full overlay, partial overlay, and all-None must all agree.
-        let full: Vec<Option<&SparseMatrix>> = sparse.iter().map(Some).collect();
-        let partial: Vec<Option<&SparseMatrix>> = vec![Some(&sparse[0]), None];
-        for table in [&full[..], &partial[..], &[][..]] {
-            let got = net.forward_suffix_sparse(0, xs.clone(), table, &mut scratch);
-            assert_eq!(dense.len(), got.len());
-            for (a, b) in dense.iter().zip(&got) {
-                assert_eq!(a.data(), b.data(), "sparse suffix must be bit-exact");
-            }
-        }
+        let wrong = samples.iter().filter(|(x, y)| net.predict(x) != *y).count();
+        assert!(wrong > 0 && wrong < samples.len());
+        assert_eq!(
+            net.error_rate(&samples),
+            wrong as f64 / samples.len() as f64
+        );
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!
 //! A trial then only (1) recomputes the *dirty rows* of the first
 //! perturbed layer's output — one [`gemm_row_into`] per touched weight
-//! row, O(rows·k·batch) instead of a full GEMM — starting from a clone of
-//! that layer's cached clean output, and (2) runs the remaining suffix
-//! layers normally. The result is bit-identical to a full faulty forward
+//! row, O(row nonzeros·batch) instead of a full GEMM, since the row
+//! kernel skips pruned zero weights — starting from a clone of that
+//! layer's cached clean output, and (2) runs the remaining suffix layers
+//! normally. The result is bit-identical to a full faulty forward
 //! pass: [`gemm_row_into`] reproduces any row of the blocked kernel bit
 //! for bit (see [`crate::gemm`]), untouched rows are byte-copies of the
 //! clean output, and the suffix runs the very same code either way.
@@ -30,10 +31,9 @@
 //! [`PrefixCache::build`] returns `None` otherwise and callers fall back
 //! to a full forward pass.
 
-use crate::gemm::{gemm_row_into, sparse_row_into};
+use crate::gemm::gemm_row_into;
 use crate::layer::{ForwardScratch, Layer, RhsMeta};
 use crate::network::Network;
-use crate::sparse::SparseMatrix;
 use crate::tensor::Tensor;
 
 /// One weight layer's cached geometry: where it sits in the network and
@@ -63,28 +63,12 @@ pub struct PrefixCache {
 
 impl PrefixCache {
     /// Runs one clean batched forward pass, recording every intermediate
-    /// activation and each weight layer's packed right-hand matrix.
+    /// activation and each weight layer's packed right-hand matrix (which
+    /// that layer's multiply then reads, so the batch is packed once).
     /// Returns `None` for networks containing residual blocks (their
     /// weight layers are nested, which the row-patching path does not
     /// model) — callers fall back to full forward passes.
     pub fn build(net: &Network, inputs: &[Tensor], scratch: &mut ForwardScratch) -> Option<Self> {
-        Self::build_sparse(net, inputs, &[], scratch)
-    }
-
-    /// [`PrefixCache::build`] with clean activations computed from
-    /// sparse-encoded weights: weight layer `i` (in site order, ==
-    /// [`Network::weight_matrices`] order) multiplies from `weights[i]`
-    /// when present, reusing the site's already-packed right-hand matrix
-    /// — so the clean build runs O(nnz) per weight layer. Missing /
-    /// `None` entries fall back to the dense tensor. Bit-identical to
-    /// the dense build when each present entry materializes to the
-    /// layer's dense weights (see [`crate::gemm`]).
-    pub fn build_sparse(
-        net: &Network,
-        inputs: &[Tensor],
-        weights: &[Option<&SparseMatrix>],
-        scratch: &mut ForwardScratch,
-    ) -> Option<Self> {
         let layers = net.layers();
         let mut acts: Vec<Vec<Tensor>> = Vec::with_capacity(layers.len() + 1);
         acts.push(inputs.to_vec());
@@ -95,26 +79,23 @@ impl PrefixCache {
             }
             let cur = &acts[pos];
             let mut rhs = Vec::new();
-            let next = if let Some(meta) = l.weight_rhs_into(cur, &mut rhs) {
-                let next = match weights.get(sites.len()).copied().flatten() {
-                    Some(sp) if !cur.is_empty() => l.forward_from_rhs_sparse(
-                        sp,
+            let next = match l.weight_rhs_into(cur, &mut rhs) {
+                Some(meta) => {
+                    let next = l.forward_from_rhs(
                         &rhs,
                         &meta,
                         cur.len(),
                         &mut scratch.out,
                         &mut scratch.gemm,
-                    ),
-                    _ => l.forward_batch_scratch(cur, scratch),
-                };
-                sites.push(Site {
-                    layer_pos: pos,
-                    rhs,
-                    meta,
-                });
-                next
-            } else {
-                l.forward_batch_scratch(cur, scratch)
+                    );
+                    sites.push(Site {
+                        layer_pos: pos,
+                        rhs,
+                        meta,
+                    });
+                    next
+                }
+                None => l.forward_batch_scratch(cur, scratch),
             };
             acts.push(next);
         }
@@ -150,9 +131,10 @@ impl PrefixCache {
     /// Recomputes weight layer `site`'s batch outputs under a faulty
     /// `weight`/`bias` for the given `dirty_rows` (ascending, deduped),
     /// starting from a clone of the cached clean outputs. Each dirty row
-    /// is one sequential dot against the cached right-hand matrix —
-    /// bit-identical to the same row of a full batched forward. `row_buf`
-    /// is reusable staging for one output row across the batch.
+    /// is one sequential dot against the cached right-hand matrix over
+    /// the row's nonzero weights — bit-identical to the same row of a
+    /// full batched forward. `row_buf` is reusable staging for one output
+    /// row across the batch.
     ///
     /// # Panics
     ///
@@ -196,50 +178,6 @@ impl PrefixCache {
         }
         outs
     }
-
-    /// [`PrefixCache::patched_outputs`] from a sparse-encoded (already
-    /// fault-patched) weight matrix: each dirty row is one
-    /// [`sparse_row_into`] over its stored entries — O(row nnz · batch)
-    /// — and bit-identical to the dense row recompute of `w`'s
-    /// materialization (see [`crate::gemm`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` does not match the site's geometry or a row is out
-    /// of range.
-    // maxnvm-lint: allow(R1/index-arith): row_buf is resized to n*p here and dirty rows are < rows per the weight-shape assert above, so o*p and sx*p slices are in range.
-    pub fn patched_outputs_sparse(
-        &self,
-        site: usize,
-        w: &SparseMatrix,
-        bias: &[f32],
-        dirty_rows: &[usize],
-        row_buf: &mut Vec<f32>,
-    ) -> Vec<Tensor> {
-        let s = &self.sites[site];
-        assert_eq!(
-            (w.rows(), w.cols()),
-            (s.meta.rows, s.meta.k),
-            "sparse weight shape vs site geometry"
-        );
-        let mut outs = self.acts[s.layer_pos + 1].clone();
-        let n = outs.len();
-        let p = s.meta.per_cols;
-        let total = n * p;
-        row_buf.clear();
-        row_buf.resize(total, 0.0);
-        for &o in dirty_rows {
-            let (cols, vals) = w.row(o);
-            sparse_row_into(row_buf, cols, vals, &s.rhs, s.meta.k, total);
-            for v in row_buf.iter_mut() {
-                *v += bias[o];
-            }
-            for (sx, t) in outs.iter_mut().enumerate() {
-                t.data_mut()[o * p..(o + 1) * p].copy_from_slice(&row_buf[sx * p..(sx + 1) * p]);
-            }
-        }
-        outs
-    }
 }
 
 #[cfg(test)]
@@ -257,186 +195,126 @@ mod tests {
     }
 
     /// Full faulty forward vs the prefix-patched path must agree bit for
-    /// bit, for faults in the first, middle, last, and multiple layers.
+    /// bit, for faults in the first, middle, last, and multiple layers —
+    /// on a dense network and on a pruned one, whose zero weights (of
+    /// both signs) the row kernel skips.
     #[test]
     fn patched_forward_is_bit_exact_with_full_faulty_forward() {
-        let net = lenet_mini(7);
-        let xs = batch(3, 6);
-        let mut scratch = ForwardScratch::default();
-        let cache = PrefixCache::build(&net, &xs, &mut scratch).expect("flat network");
-        assert_eq!(cache.num_sites(), net.weight_matrices().len());
+        for net in [lenet_mini(7), pruned_net(7, 0.7)] {
+            let xs = batch(3, 6);
+            let mut scratch = ForwardScratch::default();
+            let cache = PrefixCache::build(&net, &xs, &mut scratch).expect("flat network");
+            assert_eq!(cache.num_sites(), net.weight_matrices().len());
 
-        let mats = net.weight_matrices();
-        // Delta sets keyed by weight-matrix index: first conv, middle
-        // conv, last fc, and a multi-layer combination.
-        let cases: Vec<Vec<(usize, Vec<WeightDelta>)>> = vec![
-            vec![(
-                0,
-                vec![WeightDelta {
-                    slot: 3,
-                    value: 2.5,
-                }],
-            )],
-            vec![(
-                1,
-                vec![
-                    WeightDelta {
-                        slot: 11,
-                        value: -1.75,
-                    },
-                    WeightDelta {
-                        slot: 95,
-                        value: 0.5,
-                    },
-                ],
-            )],
-            vec![(
-                mats.len() - 1,
-                vec![WeightDelta {
-                    slot: 1,
-                    value: 9.0,
-                }],
-            )],
-            vec![
-                (
+            let mats = net.weight_matrices();
+            // Delta sets keyed by weight-matrix index: first conv, middle
+            // conv, last fc, and a multi-layer combination.
+            let cases: Vec<Vec<(usize, Vec<WeightDelta>)>> = vec![
+                vec![(
+                    0,
+                    vec![WeightDelta {
+                        slot: 3,
+                        value: 2.5,
+                    }],
+                )],
+                vec![(
                     1,
-                    vec![WeightDelta {
-                        slot: 40,
-                        value: -3.0,
-                    }],
-                ),
-                (
-                    2,
-                    vec![WeightDelta {
-                        slot: 7,
-                        value: 1.25,
-                    }],
-                ),
-                (
+                    vec![
+                        WeightDelta {
+                            slot: 11,
+                            value: -1.75,
+                        },
+                        WeightDelta {
+                            slot: 95,
+                            value: 0.5,
+                        },
+                    ],
+                )],
+                vec![(
                     mats.len() - 1,
                     vec![WeightDelta {
-                        slot: 0,
-                        value: -0.5,
+                        slot: 1,
+                        value: 9.0,
                     }],
-                ),
-            ],
-        ];
-        let mut row_buf = Vec::new();
-        for case in &cases {
-            let mut deltas: Vec<Vec<WeightDelta>> = vec![Vec::new(); mats.len()];
-            for (i, ds) in case {
-                deltas[*i] = ds.clone();
-            }
-            let mut faulty = net.clone();
-            let mut undo = Vec::new();
-            faulty.apply_weight_deltas(&deltas, &mut undo);
+                )],
+                vec![
+                    (
+                        1,
+                        vec![WeightDelta {
+                            slot: 40,
+                            value: -3.0,
+                        }],
+                    ),
+                    (
+                        2,
+                        vec![WeightDelta {
+                            slot: 7,
+                            value: 1.25,
+                        }],
+                    ),
+                    (
+                        mats.len() - 1,
+                        vec![WeightDelta {
+                            slot: 0,
+                            value: -0.5,
+                        }],
+                    ),
+                ],
+            ];
+            let mut row_buf = Vec::new();
+            for case in &cases {
+                let mut deltas: Vec<Vec<WeightDelta>> = vec![Vec::new(); mats.len()];
+                for (i, ds) in case {
+                    deltas[*i] = ds.clone();
+                }
+                let mut faulty = net.clone();
+                let mut undo = Vec::new();
+                faulty.apply_weight_deltas(&deltas, &mut undo);
 
-            let full: Vec<Tensor> = faulty.forward_batch_scratch(&xs, &mut scratch);
+                let full: Vec<Tensor> = faulty.forward_batch_scratch(&xs, &mut scratch);
 
-            let first = deltas
-                .iter()
-                .position(|d| !d.is_empty())
-                .expect("has deltas");
-            let pos = cache.site_layer(first);
-            let (w, b) = faulty.layers()[pos].weight_bias().expect("weight layer");
-            let mut rows: Vec<usize> = deltas[first]
-                .iter()
-                .map(|d| d.slot as usize / mats[first].cols)
-                .collect();
-            rows.sort_unstable();
-            rows.dedup();
-            let patched = cache.patched_outputs(first, w, b, &rows, &mut row_buf);
-            let logits = faulty.forward_suffix(pos + 1, patched, &mut scratch);
+                let first = deltas
+                    .iter()
+                    .position(|d| !d.is_empty())
+                    .expect("has deltas");
+                let pos = cache.site_layer(first);
+                let (w, b) = faulty.layers()[pos].weight_bias().expect("weight layer");
+                let mut rows: Vec<usize> = deltas[first]
+                    .iter()
+                    .map(|d| d.slot as usize / mats[first].cols)
+                    .collect();
+                rows.sort_unstable();
+                rows.dedup();
+                let patched = cache.patched_outputs(first, w, b, &rows, &mut row_buf);
+                let logits = faulty.forward_suffix(pos + 1, patched, &mut scratch);
 
-            assert_eq!(full.len(), logits.len());
-            for (a, b) in full.iter().zip(&logits) {
-                assert_eq!(a.data(), b.data(), "prefix path must be bit-exact");
+                assert_eq!(full.len(), logits.len());
+                for (a, b) in full.iter().zip(&logits) {
+                    let bits =
+                        |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(a), bits(b), "prefix path must be bit-exact");
+                }
             }
         }
     }
 
     /// Prunes ~the given fraction of each weight matrix to exact zero
-    /// (smallest magnitudes first) and returns the net plus its sparse
-    /// clean weights.
-    fn pruned_net(seed: u64, sparsity: f64) -> (Network, Vec<SparseMatrix>) {
+    /// (smallest magnitudes first), alternating `+0.0` and `-0.0`.
+    fn pruned_net(seed: u64, sparsity: f64) -> Network {
         let mut net = lenet_mini(seed);
         let mut mats = net.weight_matrices();
         for m in &mut mats {
             let mut mags: Vec<f32> = m.data.iter().map(|v| v.abs()).collect();
             mags.sort_by(f32::total_cmp);
             let cut = mags[((mags.len() - 1) as f64 * sparsity) as usize];
-            for v in &mut m.data {
+            for (i, v) in m.data.iter_mut().enumerate() {
                 if v.abs() <= cut {
-                    *v = 0.0;
+                    *v = if i % 2 == 0 { 0.0 } else { -0.0 };
                 }
             }
         }
         net.set_weight_matrices(&mats);
-        let sparse = mats
-            .iter()
-            .map(|m| SparseMatrix::from_dense(m.rows, m.cols, &m.data))
-            .collect();
-        (net, sparse)
-    }
-
-    /// The whole sparse trial path — sparse clean build, sparse dirty-row
-    /// patching of the first faulty site, sparse suffix — must reproduce
-    /// the dense full faulty forward bit for bit.
-    #[test]
-    fn sparse_prefix_path_is_bit_exact_with_dense() {
-        let (net, sparse) = pruned_net(7, 0.7);
-        let xs = batch(3, 5);
-        let mut scratch = ForwardScratch::default();
-        let overlay: Vec<Option<&SparseMatrix>> = sparse.iter().map(Some).collect();
-        let dense_cache = PrefixCache::build(&net, &xs, &mut scratch).expect("flat network");
-        let cache =
-            PrefixCache::build_sparse(&net, &xs, &overlay, &mut scratch).expect("flat network");
-        for (a, b) in cache.clean_logits().iter().zip(dense_cache.clean_logits()) {
-            assert_eq!(a.data(), b.data(), "sparse clean build must be bit-exact");
-        }
-
-        let mats = net.weight_matrices();
-        let nmats = mats.len();
-        for (first, slots) in [
-            (0usize, vec![3u32, 9]),
-            (1, vec![11, 95]),
-            (nmats - 1, vec![1]),
-        ] {
-            let mut deltas: Vec<Vec<WeightDelta>> = vec![Vec::new(); nmats];
-            deltas[first] = slots
-                .iter()
-                .map(|&slot| WeightDelta {
-                    slot,
-                    value: 0.75 + slot as f32 * 0.1,
-                })
-                .collect();
-            let mut faulty = net.clone();
-            let mut undo = Vec::new();
-            faulty.apply_weight_deltas(&deltas, &mut undo);
-            let full = faulty.forward_batch_scratch(&xs, &mut scratch);
-
-            // Patch only the faulty layer's sparse stream.
-            let patched_sparse = sparse[first].with_deltas(&deltas[first]);
-            let mut trial_overlay = overlay.clone();
-            trial_overlay[first] = Some(&patched_sparse);
-            let pos = cache.site_layer(first);
-            let (_, b) = faulty.layers()[pos].weight_bias().expect("weight layer");
-            let mut rows: Vec<usize> = deltas[first]
-                .iter()
-                .map(|d| d.slot as usize / mats[first].cols)
-                .collect();
-            rows.sort_unstable();
-            rows.dedup();
-            let mut row_buf = Vec::new();
-            let patched =
-                cache.patched_outputs_sparse(first, &patched_sparse, b, &rows, &mut row_buf);
-            let logits =
-                faulty.forward_suffix_sparse(pos + 1, patched, &trial_overlay, &mut scratch);
-            assert_eq!(full.len(), logits.len());
-            for (a, b) in full.iter().zip(&logits) {
-                assert_eq!(a.data(), b.data(), "sparse prefix path must be bit-exact");
-            }
-        }
+        net
     }
 
     #[test]

@@ -1,30 +1,16 @@
-//! The compressed weight representation the inference path computes on.
+//! The compressed (CSR) view of a decoded weight matrix.
 //!
-//! MaxNVM stores weights sparse-encoded in eNVM (CSR, BitMask+IdxSync);
-//! this module is the compute-side twin of those storage formats: a
-//! row-major CSR matrix of f32 weights that the GEMM kernels in
-//! [`crate::gemm`] consume directly, so a decoded layer never has to be
-//! materialized dense just to run inference.
+//! MaxNVM stores weights sparse-encoded in eNVM (CSR, BitMask+IdxSync,
+//! §3.2); those are storage formats. Inference computes on the dense
+//! decode — the row patch of the fault path skips pruned zero weights
+//! (see [`crate::gemm`]) — and this row-major CSR matrix of a clean
+//! decode's nonzeros is what per-layer nonzero and density counters
+//! read.
 //!
-//! # Bit-exactness with the dense path (rule D1)
-//!
-//! Every GEMM accumulator in this crate starts at `+0.0` and adds terms
-//! in ascending-`k` order. Under IEEE-754 round-to-nearest a running sum
-//! that starts at `+0.0` can never become `-0.0`: adding `±0.0` to `+0.0`
-//! yields `+0.0`, and exact cancellation of nonzero terms also yields
-//! `+0.0`. Adding a `±0.0` term to such an accumulator is therefore a
-//! bitwise no-op, so *skipping* every term whose weight is exactly zero —
-//! which is all the sparse path does — reproduces the dense result bit
-//! for bit, provided the right-hand side is finite (a non-finite
-//! activation would turn a skipped `0.0 × x` into a propagating `NaN` on
-//! the dense path only). The parity tests in [`crate::gemm`] and the
-//! fault-injection evaluators lock this equality.
-//!
-//! Stored entries are always nonzero: builders drop exact-`±0.0` values,
-//! and [`SparseMatrix::with_deltas`] removes entries a fault delta sets
-//! to zero, so `nnz` is the true nonzero count.
+//! Stored entries are always nonzero: [`SparseMatrix::from_dense`] drops
+//! exact-`±0.0` values, so `nnz` is the true nonzero count.
 
-use crate::network::{LayerMatrix, WeightDelta};
+use crate::network::LayerMatrix;
 
 /// A row-major CSR matrix of f32 weights: for each row, ascending column
 /// indices and their (nonzero) values.
@@ -41,72 +27,31 @@ pub struct SparseMatrix {
 }
 
 impl SparseMatrix {
-    /// Builds from a dense row-major slice, dropping exact-zero entries
+    /// Builds from a dense [`LayerMatrix`], dropping exact-zero entries
     /// (both signs).
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_dense(rows: usize, cols: usize, data: &[f32]) -> Self {
-        assert_eq!(data.len(), rows * cols, "dense data shape mismatch");
-        Self::from_entries(
-            rows,
-            cols,
-            data.iter().enumerate().map(|(slot, &v)| (slot as u32, v)),
-        )
-    }
-
-    /// Builds from a dense [`LayerMatrix`].
-    pub fn from_matrix(m: &LayerMatrix) -> Self {
-        Self::from_dense(m.rows, m.cols, &m.data)
-    }
-
-    /// Builds from `(slot, value)` entries in strictly ascending slot
-    /// order (row-major positions; this is exactly the order the
-    /// encoding run-walks emit). Exact-zero values are dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a slot is out of range or not strictly ascending.
-    pub fn from_entries(
-        rows: usize,
-        cols: usize,
-        entries: impl IntoIterator<Item = (u32, f32)>,
-    ) -> Self {
-        let mut row_starts = Vec::with_capacity(rows + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
+    /// Panics if `m.data.len() != m.rows * m.cols`.
+    pub fn from_dense(m: &LayerMatrix) -> Self {
+        assert_eq!(m.data.len(), m.rows * m.cols, "dense data shape mismatch");
+        let mut row_starts = Vec::with_capacity(m.rows + 1);
         row_starts.push(0u32);
-        let mut filled = 0usize; // rows whose start offset is recorded
-        let mut prev: Option<u32> = None;
-        for (slot, v) in entries {
-            assert!(
-                (slot as usize) < rows * cols,
-                "entry slot {slot} out of range for {rows}x{cols}"
-            );
-            assert!(
-                prev.is_none_or(|p| p < slot),
-                "entry slots must be strictly ascending"
-            );
-            prev = Some(slot);
-            if v == 0.0 {
-                continue;
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+        for row in m.data.chunks(m.cols.max(1)) {
+            for (c, &v) in row.iter().enumerate() {
+                if v != 0.0 {
+                    col_idx.push(c as u32);
+                    values.push(v);
+                }
             }
-            let r = slot as usize / cols;
-            while filled < r {
-                row_starts.push(col_idx.len() as u32);
-                filled += 1;
-            }
-            col_idx.push(slot % cols as u32);
-            values.push(v);
-        }
-        while filled < rows {
             row_starts.push(col_idx.len() as u32);
-            filled += 1;
         }
+        // A zero-column matrix has no chunks: all of its rows are empty.
+        row_starts.resize(m.rows + 1, 0);
         Self {
-            rows,
-            cols,
+            rows: m.rows,
+            cols: m.cols,
             row_starts,
             col_idx,
             values,
@@ -127,128 +72,47 @@ impl SparseMatrix {
     pub fn nnz(&self) -> usize {
         self.values.len()
     }
-
-    /// Achieved density `nnz / (rows * cols)`; `0.0` for an empty shape.
-    pub fn density(&self) -> f64 {
-        let total = self.rows * self.cols;
-        if total == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / total as f64
-        }
-    }
-
-    /// Row `r`'s entries: ascending column indices and their values.
-    // maxnvm-lint: allow(R1/index-arith): the constructor guarantees rows+1 monotone row_starts entries; an out-of-range r hits the slice bound panic, and r+1 cannot wrap before it does.
-    pub fn row(&self, r: usize) -> (&[u32], &[f32]) {
-        let (a, b) = (self.row_starts[r] as usize, self.row_starts[r + 1] as usize);
-        (&self.col_idx[a..b], &self.values[a..b])
-    }
-
-    /// Entries per `KC`-sized column block (`blocks = cols.div_ceil(kc)`),
-    /// used by the sparse GEMM to elide packing for all-zero k-panels.
-    pub fn kblock_nnz(&self, kc: usize, out: &mut Vec<u32>) {
-        out.clear();
-        out.resize(self.cols.div_ceil(kc.max(1)), 0);
-        for &c in &self.col_idx {
-            out[c as usize / kc.max(1)] += 1;
-        }
-    }
-
-    /// Materializes the dense row-major matrix (zeros filled in).
-    pub fn to_dense(&self) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.to_dense_into(&mut out);
-        out
-    }
-
-    /// Materializes into a reusable buffer (resized and zero-filled),
-    /// so the GEMM density cutover can densify without allocating in
-    /// the trial loop.
-    // maxnvm-lint: allow(R1/index-arith): out is resized to rows*cols above and the CSR invariant keeps c < cols, so r*cols+c is in range.
-    pub fn to_dense_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.resize(self.rows * self.cols, 0.0);
-        for r in 0..self.rows {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                out[r * self.cols + c as usize] = v;
-            }
-        }
-    }
-
-    /// A copy with slot-sorted fault `deltas` merged into the runs:
-    /// existing entries are replaced, new nonzero entries inserted, and
-    /// entries a delta sets to exact zero removed — so the result equals
-    /// `from_dense` of the dense matrix with the same deltas applied.
-    /// O(nnz + deltas).
-    ///
-    /// `deltas` must be slot-ascending and deduped (the form
-    /// `PreparedLayer` produces) and within the matrix shape.
-    pub fn with_deltas(&self, deltas: &[WeightDelta]) -> Self {
-        let mut out = Self {
-            rows: self.rows,
-            cols: self.cols,
-            row_starts: Vec::with_capacity(self.rows + 1),
-            col_idx: Vec::with_capacity(self.col_idx.len() + deltas.len()),
-            values: Vec::with_capacity(self.values.len() + deltas.len()),
-        };
-        out.row_starts.push(0);
-        let mut d = 0usize;
-        for r in 0..self.rows {
-            let row_base = r * self.cols;
-            let row_end = row_base + self.cols;
-            let (cols, vals) = self.row(r);
-            let mut e = 0usize;
-            while d < deltas.len() && (deltas[d].slot as usize) < row_end {
-                let dc = deltas[d].slot as usize - row_base;
-                while e < cols.len() && (cols[e] as usize) < dc {
-                    out.col_idx.push(cols[e]);
-                    out.values.push(vals[e]);
-                    e += 1;
-                }
-                if e < cols.len() && cols[e] as usize == dc {
-                    e += 1; // replaced (or removed, if the delta is zero)
-                }
-                if deltas[d].value != 0.0 {
-                    out.col_idx.push(dc as u32);
-                    out.values.push(deltas[d].value);
-                }
-                d += 1;
-            }
-            out.col_idx.extend_from_slice(&cols[e..]);
-            out.values.extend_from_slice(&vals[e..]);
-            out.row_starts.push(out.col_idx.len() as u32);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
-    fn dense_case() -> (usize, usize, Vec<f32>) {
-        let (rows, cols) = (3, 5);
+    fn dense_case() -> LayerMatrix {
         let data = vec![
             0.0, 1.5, 0.0, -2.0, 0.0, //
             0.0, 0.0, 0.0, 0.0, 0.0, //
             3.0, 0.0, -0.0, 0.25, 7.0,
         ];
-        (rows, cols, data)
+        LayerMatrix::new("w", 3, 5, data)
+    }
+
+    /// Row `r`'s stored entries: ascending column indices and values.
+    fn row(s: &SparseMatrix, r: usize) -> (&[u32], &[f32]) {
+        let (a, b) = (s.row_starts[r] as usize, s.row_starts[r + 1] as usize);
+        (&s.col_idx[a..b], &s.values[a..b])
+    }
+
+    /// The dense row-major matrix `s` stores (zeros filled in).
+    fn to_dense(s: &SparseMatrix) -> Vec<f32> {
+        let mut out = vec![0.0; s.rows * s.cols];
+        for (r, chunk) in out.chunks_mut(s.cols.max(1)).enumerate() {
+            let (cols, vals) = row(s, r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                chunk[c as usize] = v;
+            }
+        }
+        out
     }
 
     #[test]
     fn round_trips_and_skips_zeros_of_both_signs() {
-        let (rows, cols, data) = dense_case();
-        let s = SparseMatrix::from_dense(rows, cols, &data);
+        let m = dense_case();
+        let s = SparseMatrix::from_dense(&m);
         assert_eq!(s.nnz(), 5, "-0.0 must be dropped too");
-        assert_eq!(s.density(), 5.0 / 15.0);
-        // -0.0 round-trips as +0.0: bitwise harmless for the GEMM path
-        // (see the module doc) and required for nnz to mean "nonzero".
-        let back = s.to_dense();
-        for (i, (&a, &b)) in back.iter().zip(&data).enumerate() {
+        // -0.0 round-trips as +0.0: `nnz` must mean "nonzero".
+        let back = to_dense(&s);
+        for (i, (&a, &b)) in back.iter().zip(&m.data).enumerate() {
             if b == 0.0 {
                 assert_eq!(a.to_bits(), 0.0f32.to_bits(), "slot {i}");
             } else {
@@ -259,127 +123,31 @@ mod tests {
 
     #[test]
     fn row_access_is_ascending() {
-        let (rows, cols, data) = dense_case();
-        let s = SparseMatrix::from_dense(rows, cols, &data);
-        assert_eq!(s.row(0), (&[1u32, 3][..], &[1.5f32, -2.0][..]));
-        assert_eq!(s.row(1).0, &[] as &[u32]);
-        assert_eq!(s.row(2), (&[0u32, 3, 4][..], &[3.0f32, 0.25, 7.0][..]));
+        let s = SparseMatrix::from_dense(&dense_case());
+        assert_eq!(row(&s, 0), (&[1u32, 3][..], &[1.5f32, -2.0][..]));
+        assert_eq!(row(&s, 1).0, &[] as &[u32]);
+        assert_eq!(row(&s, 2), (&[0u32, 3, 4][..], &[3.0f32, 0.25, 7.0][..]));
     }
 
     #[test]
     fn empty_shapes_are_total() {
         for (r, c) in [(0, 0), (0, 4), (4, 0)] {
-            let s = SparseMatrix::from_dense(r, c, &vec![0.0; r * c]);
+            let s = SparseMatrix::from_dense(&LayerMatrix::new("e", r, c, vec![0.0; r * c]));
             assert_eq!(s.nnz(), 0);
-            assert_eq!(s.density(), 0.0);
-            assert_eq!(s.to_dense().len(), r * c);
+            assert_eq!(to_dense(&s).len(), r * c);
+            for i in 0..r {
+                assert!(row(&s, i).0.is_empty());
+            }
         }
     }
 
     #[test]
     fn all_zero_matrix_round_trips() {
-        let s = SparseMatrix::from_dense(4, 6, &[0.0; 24]);
+        let s = SparseMatrix::from_dense(&LayerMatrix::new("z", 4, 6, vec![0.0; 24]));
         assert_eq!(s.nnz(), 0);
-        assert_eq!(s.to_dense(), vec![0.0; 24]);
+        assert_eq!(to_dense(&s), vec![0.0; 24]);
         for r in 0..4 {
-            assert!(s.row(r).0.is_empty());
-        }
-    }
-
-    #[test]
-    fn kblock_nnz_buckets_columns() {
-        let (rows, cols, data) = dense_case();
-        let s = SparseMatrix::from_dense(rows, cols, &data);
-        let mut blocks = Vec::new();
-        s.kblock_nnz(2, &mut blocks);
-        // cols {1,3,0,3,4} -> blocks {0:2, 1:2 (two col-3 entries... )}
-        assert_eq!(blocks.len(), 3);
-        assert_eq!(blocks.iter().sum::<u32>(), s.nnz() as u32);
-        assert_eq!(blocks, vec![2, 2, 1]);
-    }
-
-    fn apply_dense(data: &[f32], deltas: &[WeightDelta]) -> Vec<f32> {
-        let mut out = data.to_vec();
-        for d in deltas {
-            out[d.slot as usize] = d.value;
-        }
-        out
-    }
-
-    #[test]
-    fn with_deltas_replaces_inserts_and_removes() {
-        let (rows, cols, data) = dense_case();
-        let s = SparseMatrix::from_dense(rows, cols, &data);
-        let deltas = vec![
-            WeightDelta {
-                slot: 1,
-                value: 9.0, // replace
-            },
-            WeightDelta {
-                slot: 2,
-                value: -4.0, // insert
-            },
-            WeightDelta {
-                slot: 10,
-                value: 0.0, // remove
-            },
-        ];
-        let patched = s.with_deltas(&deltas);
-        let expect = SparseMatrix::from_dense(rows, cols, &apply_dense(&data, &deltas));
-        assert_eq!(patched, expect);
-        assert_eq!(patched.nnz(), 5, "one insert, one removal");
-        // The original is untouched.
-        assert_eq!(s.nnz(), 5);
-    }
-
-    #[test]
-    fn with_no_deltas_is_identity() {
-        let (rows, cols, data) = dense_case();
-        let s = SparseMatrix::from_dense(rows, cols, &data);
-        assert_eq!(s.with_deltas(&[]), s);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn prop_with_deltas_matches_dense_application(
-            rows in 1usize..6,
-            cols in 1usize..12,
-            seed in any::<u64>(),
-            sparsity in 0.0f64..1.0,
-            ndeltas in 0usize..8,
-        ) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let data: Vec<f32> = (0..rows * cols)
-                .map(|_| {
-                    if rng.gen::<f64>() < sparsity {
-                        0.0
-                    } else {
-                        rng.gen::<f32>() - 0.5
-                    }
-                })
-                .collect();
-            let mut slots: Vec<u32> = (0..(rows * cols) as u32).collect();
-            // Deterministic partial shuffle, then sort the chosen slots.
-            for i in (1..slots.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                slots.swap(i, j);
-            }
-            let mut chosen: Vec<u32> = slots.into_iter().take(ndeltas.min(rows * cols)).collect();
-            chosen.sort_unstable();
-            let deltas: Vec<WeightDelta> = chosen
-                .into_iter()
-                .map(|slot| WeightDelta {
-                    slot,
-                    value: if rng.gen::<f64>() < 0.3 { 0.0 } else { rng.gen::<f32>() - 0.5 },
-                })
-                .collect();
-            let s = SparseMatrix::from_dense(rows, cols, &data);
-            let patched = s.with_deltas(&deltas);
-            let expect = SparseMatrix::from_dense(rows, cols, &apply_dense(&data, &deltas));
-            prop_assert_eq!(patched, expect);
+            assert!(row(&s, r).0.is_empty());
         }
     }
 }

@@ -201,37 +201,6 @@ impl BitMaskLayer {
         out
     }
 
-    /// Walks the stored non-zeros in mask order, calling
-    /// `f(row, col, value)` for each set mask bit whose stored cluster
-    /// index is non-zero — without materializing the dense index matrix.
-    /// The mask is scanned in 64-bit groups and all-zero groups are
-    /// skipped wholesale, so the walk is O(mask words + non-zeros).
-    ///
-    /// Assumes self-consistent (clean) metadata: the value pointer is the
-    /// running set-bit count, which equals the IdxSync block bases when
-    /// the counters are clean — the mapping
-    /// [`Self::reconstruct_indices`] uses either way.
-    pub fn for_each_nonzero(&self, mut f: impl FnMut(usize, usize, u16)) {
-        let total = self.rows * self.cols;
-        let mut ptr = 0usize;
-        let mut base = 0usize;
-        while base < total {
-            let width = 64.min(total - base);
-            let mut word = self.mask.read_at(base, width).unwrap_or(0);
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let i = base + bit;
-                let v = self.values.get(ptr).copied().unwrap_or(0);
-                ptr += 1;
-                if v != 0 {
-                    f(i / self.cols, i % self.cols, v);
-                }
-            }
-            base += width;
-        }
-    }
-
     /// The output-matrix slot each stored value writes during
     /// [`Self::reconstruct_indices`]: value `j` lands at the position of
     /// the `j`-th set mask bit (`u32::MAX` when the mask has fewer set
@@ -394,52 +363,8 @@ mod tests {
         assert!((1u32 << sync_counter_bits()) > IDXSYNC_BLOCK_BITS as u32);
     }
 
-    #[test]
-    fn walk_matches_reconstruction() {
-        for (rows, cols, sparsity, idx_sync) in [
-            (8, 32, 0.6, false),
-            (20, 100, 0.8, true),
-            (3, 200, 0.95, true),
-        ] {
-            let c = clustered(rows, cols, sparsity, 9);
-            let enc = BitMaskLayer::encode(&c, idx_sync);
-            let mut walked = Vec::new();
-            enc.for_each_nonzero(|r, cc, v| walked.push((r, cc, v)));
-            let expect: Vec<(usize, usize, u16)> = enc
-                .reconstruct_indices()
-                .iter()
-                .enumerate()
-                .filter(|(_, &v)| v != 0)
-                .map(|(i, &v)| (i / cols, i % cols, v))
-                .collect();
-            assert_eq!(walked, expect, "{rows}x{cols} @ {sparsity}");
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn prop_walk_matches_reconstruction(
-            rows in 1usize..8,
-            cols in 1usize..200,
-            sparsity in 0.0f64..0.99,
-            seed in any::<u64>(),
-            idx_sync in any::<bool>(),
-        ) {
-            let c = clustered(rows, cols, sparsity, seed);
-            let enc = BitMaskLayer::encode(&c, idx_sync);
-            let mut walked = Vec::new();
-            enc.for_each_nonzero(|r, cc, v| walked.push((r, cc, v)));
-            let expect: Vec<(usize, usize, u16)> = enc
-                .reconstruct_indices()
-                .iter()
-                .enumerate()
-                .filter(|(_, &v)| v != 0)
-                .map(|(i, &v)| (i / cols, i % cols, v))
-                .collect();
-            prop_assert_eq!(walked, expect);
-        }
 
         #[test]
         fn prop_round_trip(

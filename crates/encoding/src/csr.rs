@@ -279,43 +279,6 @@ impl CsrLayer {
         out
     }
 
-    /// Walks the stored (value, column) runs per row in storage order,
-    /// calling `f(row, col, value)` for every entry that lands a non-zero
-    /// cluster index inside the matrix — without materializing the dense
-    /// index matrix. Gap-encoded zero runs are never visited and padding
-    /// entries (zero value) are filtered, so the walk is O(entries) and
-    /// emits exactly the non-zeros [`Self::reconstruct_indices`] would
-    /// place, in ascending (row, col) order under clean metadata.
-    pub fn for_each_nonzero(&self, mut f: impl FnMut(usize, usize, u16)) {
-        let mut ptr = 0usize;
-        for r in 0..self.rows {
-            let count = self.row_counts.get(r).copied().unwrap_or(0) as usize;
-            let mut pos = 0usize;
-            for _ in 0..count {
-                if ptr >= self.values.len() {
-                    break;
-                }
-                let field = self.gaps[ptr] as usize;
-                let v = self.values[ptr];
-                ptr += 1;
-                match self.col_mode {
-                    ColIndexMode::Relative => {
-                        pos += field;
-                        if pos < self.cols && v != 0 {
-                            f(r, pos, v);
-                        }
-                        pos += 1;
-                    }
-                    ColIndexMode::Absolute => {
-                        if field < self.cols && v != 0 {
-                            f(r, field, v);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// The output-matrix slot each stored entry writes during
     /// [`Self::reconstruct_indices`] (`u32::MAX` when an entry's position
     /// falls outside the matrix or the counters never reach it). Under
@@ -567,57 +530,8 @@ mod tests {
         assert_eq!(out.len(), 32); // no panic, well-formed output
     }
 
-    fn walk_entries(enc: &CsrLayer) -> Vec<(usize, usize, u16)> {
-        let mut out = Vec::new();
-        enc.for_each_nonzero(|r, c, v| out.push((r, c, v)));
-        out
-    }
-
-    fn reconstruct_entries(indices: &[u16], cols: usize) -> Vec<(usize, usize, u16)> {
-        indices
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v != 0)
-            .map(|(i, &v)| (i / cols, i % cols, v))
-            .collect()
-    }
-
-    #[test]
-    fn walk_matches_reconstruction_and_skips_padding() {
-        // Narrow width forces padding entries; the walk must filter them.
-        let c = clustered(6, 40, 0.9, 2);
-        let enc = CsrLayer::encode_with_width(&c, 2);
-        assert!(enc.entries() > c.nonzeros());
-        assert_eq!(
-            walk_entries(&enc),
-            reconstruct_entries(&enc.reconstruct_indices(), enc.cols)
-        );
-        // Absolute mode walks the same set.
-        let abs = CsrLayer::encode_absolute(&c);
-        assert_eq!(
-            walk_entries(&abs),
-            reconstruct_entries(&abs.reconstruct_indices(), abs.cols)
-        );
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn prop_walk_matches_reconstruction(
-            rows in 1usize..10,
-            cols in 1usize..30,
-            sparsity in 0.0f64..0.98,
-            seed in any::<u64>(),
-            width in 2u8..9,
-        ) {
-            let c = clustered(rows, cols, sparsity, seed);
-            let enc = CsrLayer::encode_with_width(&c, width);
-            prop_assert_eq!(
-                walk_entries(&enc),
-                reconstruct_entries(&enc.reconstruct_indices(), cols)
-            );
-        }
 
         #[test]
         fn prop_round_trip(

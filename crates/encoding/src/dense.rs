@@ -61,17 +61,6 @@ impl DenseLayer {
         self.indices.clone()
     }
 
-    /// Walks the non-zero cluster indices in row-major order, calling
-    /// `f(row, col, value)` — the dense counterpart of the sparse
-    /// encodings' run walks.
-    pub fn for_each_nonzero(&self, mut f: impl FnMut(usize, usize, u16)) {
-        for (i, &v) in self.indices.iter().enumerate() {
-            if v != 0 {
-                f(i / self.cols, i % self.cols, v);
-            }
-        }
-    }
-
     /// Output slot of each stored entry: entry `j` is matrix position `j`.
     pub fn entry_slots(&self) -> Vec<u32> {
         (0..self.rows as u32 * self.cols as u32).collect()
@@ -104,22 +93,6 @@ mod tests {
         let c = clustered();
         let streams = DenseLayer::encode(&c).to_streams();
         assert_eq!(streams[0].1.len(), 8 * 3);
-    }
-
-    #[test]
-    fn walk_visits_nonzeros_in_order() {
-        let enc = DenseLayer::encode(&clustered());
-        let mut walked = Vec::new();
-        enc.for_each_nonzero(|r, c, v| walked.push((r, c, v)));
-        let expect: Vec<(usize, usize, u16)> = enc
-            .indices
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v != 0)
-            .map(|(i, &v)| (i / enc.cols, i % enc.cols, v))
-            .collect();
-        assert_eq!(walked, expect);
-        assert!(!walked.is_empty());
     }
 
     #[test]

@@ -567,10 +567,10 @@ fn parse_decode(text: &str) -> Option<CleanLayerDecode> {
         return None;
     }
     let matrix = LayerMatrix::new(&name, rows, cols, data);
-    // The sparse twin is doc-locked to equal `from_dense` of the clean
-    // matrix (see `CleanLayerDecode`), so rebuilding it here reproduces
-    // the in-memory value bit for bit without storing it.
-    let sparse = SparseMatrix::from_dense(matrix.rows, matrix.cols, &matrix.data);
+    // `CleanLayerDecode::sparse` is `from_dense` of the clean matrix, so
+    // rebuilding it here reproduces the in-memory value without storing
+    // it.
+    let sparse = SparseMatrix::from_dense(&matrix);
     Some(CleanLayerDecode {
         matrix,
         value_slots,

@@ -356,16 +356,4 @@ impl DecodedEncoding {
             DecodedEncoding::BitMask(b) => b.entry_slots(),
         }
     }
-
-    /// Walks the non-zero cluster indices in row-major order via each
-    /// encoding's run walk (`f(row, col, index)`) without materializing
-    /// the dense index matrix — the storage-side feed of the sparse
-    /// compute path.
-    pub(crate) fn for_each_nonzero(&self, f: impl FnMut(usize, usize, u16)) {
-        match self {
-            DecodedEncoding::Dense(d) => d.for_each_nonzero(f),
-            DecodedEncoding::Csr(c) => c.for_each_nonzero(f),
-            DecodedEncoding::BitMask(b) => b.for_each_nonzero(f),
-        }
-    }
 }

@@ -47,10 +47,8 @@ pub struct CleanLayerDecode {
     /// Output slot each stored value entry writes under clean metadata
     /// (`u32::MAX` when an entry lands outside the matrix).
     pub value_slots: Vec<u32>,
-    /// The clean weights as the compute-side sparse format, built
-    /// straight from the encoding's run walk (no dense detour when the
-    /// zero centroid holds) — what the sparse inference path multiplies
-    /// from. Always equals `SparseMatrix::from_dense` of `matrix`.
+    /// The nonzeros of `matrix` (`SparseMatrix::from_dense`), which the
+    /// per-layer nonzero and density counters on results read.
     pub sparse: SparseMatrix,
 }
 
@@ -66,28 +64,7 @@ impl CleanLayerDecode {
         let indices = enc.reconstruct_indices();
         let matrix = stored.matrix_from_indices(&indices);
         let value_slots = enc.entry_slots();
-        let zero_centroid = stored.centroids.first().map(|c| c.to_bits()) == Some(0f32.to_bits());
-        let sparse = if zero_centroid {
-            // Run-walk build: structurally skipped slots decode to
-            // centroid 0 == exactly +0.0, and the builder drops any
-            // stored entry mapping to 0.0, so this equals the
-            // from_dense build without materializing anything extra.
-            let top = (stored.centroids.len() - 1) as u16;
-            let mut entries: Vec<(u32, f32)> = Vec::new();
-            enc.for_each_nonzero(|r, c, v| {
-                entries.push((
-                    (r * stored.cols + c) as u32,
-                    stored.centroids[v.min(top) as usize],
-                ));
-            });
-            SparseMatrix::from_entries(stored.rows, stored.cols, entries)
-        } else {
-            // Centroid 0 decodes non-zero (never happens with the
-            // clustering in this repo, which pins centroid 0 to 0.0):
-            // the walk's zero-skip assumption fails, so build from the
-            // dense matrix — always correct.
-            SparseMatrix::from_dense(matrix.rows, matrix.cols, &matrix.data)
-        };
+        let sparse = SparseMatrix::from_dense(&matrix);
         Self {
             matrix,
             value_slots,

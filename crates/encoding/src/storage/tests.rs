@@ -510,35 +510,6 @@ fn prepared_sampled_decode_is_deterministic_and_calibrated() {
 }
 
 #[test]
-fn clean_sparse_decode_matches_dense_build_all_encodings() {
-    use maxnvm_dnn::sparse::SparseMatrix;
-    // The run-walk-built sparse clean decode must equal the from_dense
-    // build exactly — same entries, same bits — for every encoding,
-    // bpc, and alignment variant, including a fully-zero layer.
-    for (rows, cols, sparsity, seed) in [(12, 40, 0.6, 1), (6, 32, 1.0, 2), (5, 48, 0.0, 3)] {
-        let c = clustered(rows, cols, sparsity, seed);
-        for enc in EncodingKind::ALL {
-            for bpc in [MlcConfig::SLC, MlcConfig::MLC3] {
-                for idx_sync in [false, true] {
-                    let mut scheme = StorageScheme::uniform(enc, bpc);
-                    scheme.idx_sync = idx_sync;
-                    let stored = StoredLayer::store(&c, &scheme);
-                    let clean = CleanLayerDecode::of(&stored);
-                    let want = SparseMatrix::from_dense(
-                        clean.matrix.rows,
-                        clean.matrix.cols,
-                        &clean.matrix.data,
-                    );
-                    assert_eq!(clean.sparse, want, "{} sync={idx_sync}", scheme.label());
-                    let expect_nnz = clean.matrix.data.iter().filter(|v| **v != 0.0).count();
-                    assert_eq!(clean.sparse.nnz(), expect_nnz);
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn sampled_chip_flips_reproduce_programmed_chip() {
     // `sample_chip_flips` must consume the RNG exactly as `program_chip`
     // does: same seed → the flip list is precisely the cells where the

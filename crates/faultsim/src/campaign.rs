@@ -700,7 +700,7 @@ mod tests {
     fn chip_campaign_is_bit_exact_with_materialized_reference() {
         // The engine's chip path no longer materializes anything: it
         // samples only the mis-programmed cells and evaluates sparse
-        // deltas through the sparse inference path. It must reproduce
+        // deltas through the delta trial path. It must reproduce
         // the old materializing semantics — program every cell, decode
         // the chip, evaluate the matrices — bit for bit, trial by trial.
         let (c, stored) = stored_layer(1.0, MlcConfig::MLC3);
@@ -734,7 +734,7 @@ mod tests {
         assert!(total_faults > 0, "no chip faults: the lock is vacuous");
         assert_eq!(chips.errors, ref_errors, "chip trials drifted");
         assert!((chips.mean_cell_faults - total_faults as f64 / trials as f64).abs() < 1e-12);
-        // The sparse path also reports the clean model's density.
+        // The trial path also reports the clean model's density.
         assert_eq!(chips.layer_nnz, vec![c.nonzeros() as u64]);
         assert!(chips.density > 0.0 && chips.density < 1.0);
     }

@@ -17,19 +17,19 @@
 //! [`PreparedLayer`] (clean decode cached once, faults sampled sparsely
 //! with geometric skips, each trial reduced to a sparse
 //! [`WeightDelta`] list against the shared clean decode), and the
-//! evaluators consume those deltas through
-//! [`AccuracyEval::eval_deltas`] on per-worker [`EvalScratch`] state —
-//! [`crate::evaluate::NetworkEval`] patches only the dirty rows of the
-//! first fault-touched layer atop a cached clean-prefix forward pass,
-//! [`crate::evaluate::ProxyEval`] adjusts a cached MSE numerator —
+//! evaluators consume those deltas through their one trial entry point,
+//! [`AccuracyEval::eval_deltas_sparse`], on per-worker [`EvalScratch`]
+//! state — [`crate::evaluate::NetworkEval`] patches only the dirty rows
+//! of the first fault-touched layer atop a cached clean-prefix forward
+//! pass, [`crate::evaluate::ProxyEval`] adjusts a cached MSE numerator —
 //! both bit-identical to materializing the faulty matrices. The clean
-//! model additionally travels as a [`SparseModel`] — the storage
-//! format's compute-side twin — so network evaluations run the sparse
-//! GEMM path end to end ([`AccuracyEval::eval_deltas_sparse`]). Chip
-//! campaigns ([`EvalContext::run_chips`]) are O(nnz + faults) too: each
-//! trial samples only the cells a chip instance mis-programs
-//! (`StoredLayer::sample_chip_flips`, RNG-identical to programming the
-//! full chip) and reduces them to the same sparse deltas.
+//! model travels as a [`SparseModel`]: the dense decode the evaluators
+//! compute on, plus its nonzeros for the density counters on results.
+//! Chip campaigns ([`EvalContext::run_chips`]) are O(nnz + faults) per
+//! trial too: each trial samples only the cells a chip instance
+//! mis-programs (`StoredLayer::sample_chip_flips`, RNG-identical to
+//! programming the full chip) and reduces them to the same sparse
+//! deltas.
 //!
 //! On top of that sits the **resilience layer** (`*_controlled` entry
 //! points taking a [`RunControl`]):
@@ -115,8 +115,8 @@ impl ScratchPool {
         }
     }
 
-    /// [`AccuracyEval::eval_deltas_sparse`] on a pooled scratch: the
-    /// sparse trial path. `key` identifies which clean decode the deltas
+    /// [`AccuracyEval::eval_deltas_sparse`] on a pooled scratch: one
+    /// trial. `key` identifies which clean decode the deltas
     /// are against ([`clean_keys`]), so a scratch checked out by a trial
     /// of a differently-decoding group rebuilds its caches
     /// deterministically instead of mixing state, and one of an equally
@@ -879,8 +879,8 @@ impl EvalContext {
         let keys = clean_keys(&views);
         // Trials never materialize faulty matrices: each samples sparse
         // deltas against the shared clean decodes and evaluates them
-        // through the evaluator's O(deltas) path, with the clean model
-        // also in the compute-side sparse format — one copy per key.
+        // through the evaluator's O(deltas) path. One clean model copy
+        // (with its nonzeros, for the density counters) per key.
         let models: Vec<(Vec<LayerMatrix>, Vec<Arc<SparseMatrix>>)> = prepared
             .iter()
             .enumerate()
@@ -945,8 +945,8 @@ impl EvalContext {
     /// Trials never materialize the chip: only the mis-programmed cells
     /// are recorded (`StoredLayer::sample_chip_flips`, drawing the RNG
     /// exactly as programming the full chip would), reduced to sparse
-    /// [`WeightDelta`]s, and evaluated through the sparse path — bit-
-    /// identical to programming, decoding, and evaluating every cell.
+    /// [`WeightDelta`]s, and evaluated through the delta trial path —
+    /// bit-identical to programming, decoding, and evaluating every cell.
     pub fn run_chips(
         &self,
         trials: usize,
@@ -1278,7 +1278,7 @@ mod tests {
 
     #[test]
     fn sparse_campaign_is_bit_exact_and_worker_invariant() {
-        // Full-chain lock on the sparse trial path: a network campaign
+        // Full-chain lock on the delta trial path: a network campaign
         // over encoded pruned layers must reproduce the materializing
         // reference (decode every trial's faulty matrices in full,
         // evaluate end to end) bit for bit, at any worker count —

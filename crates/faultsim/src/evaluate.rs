@@ -2,18 +2,14 @@
 //! stand-ins, and a weight-corruption sensitivity proxy for the
 //! ImageNet-scale specs.
 //!
-//! Evaluators expose two granularities. [`AccuracyEval::eval`] (and its
-//! scratch-reusing twin) takes fully materialized weight matrices — the
-//! reference path everything is checked against. [`AccuracyEval::eval_deltas`]
-//! takes the *clean* matrices plus a per-layer sparse list of
-//! [`WeightDelta`]s, which is what the sparse fault sampler produces
-//! (chip instances reduce to the same deltas via
-//! `StoredLayer::sample_chip_flips`); the fast implementations here
-//! never materialize the faulty matrices. On top of that,
-//! [`AccuracyEval::eval_deltas_sparse`] accepts the clean model as a
-//! [`SparseModel`] — the storage-format [`SparseMatrix`] twins next to
-//! the dense view — so the whole clean forward pass and every per-trial
-//! patch run O(nnz) instead of O(size):
+//! [`AccuracyEval`] has two granularities. [`AccuracyEval::eval`] takes
+//! fully materialized weight matrices — the reference everything is
+//! checked against. [`AccuracyEval::eval_deltas_sparse`] is the one
+//! trial entry point: it takes the *clean* decoded model (a
+//! [`SparseModel`]) plus a per-layer sparse list of [`WeightDelta`]s,
+//! which is what the sparse fault sampler produces (chip instances
+//! reduce to the same deltas via `StoredLayer::sample_chip_flips`), and
+//! the implementations here never materialize the faulty matrices:
 //!
 //! - [`NetworkEval`] keeps a [`PrefixCache`] of the clean batch forward
 //!   pass (keyed per configuration) and per trial only patches the dirty
@@ -25,10 +21,10 @@
 //!   scan whenever the clean decode equals the proxy reference bitwise
 //!   (the only configuration the shortcut is enabled for).
 //!
-//! Both fall back to the materializing default (clean copy + delta
-//! overwrite + [`AccuracyEval::eval_scratch`]) when their preconditions
-//! fail (residual networks; a lossy clean decode), so `eval_deltas` is
-//! total for every evaluator.
+//! Both fall back to materializing (a clean copy in the scratch, delta
+//! overwrite, evaluate, revert) when their preconditions fail (residual
+//! networks; a lossy clean decode), so a trial is total for every
+//! evaluator.
 
 use maxnvm_dnn::layer::ForwardScratch;
 use maxnvm_dnn::network::{argmax, LayerMatrix, Network, WeightDelta};
@@ -38,15 +34,14 @@ use maxnvm_dnn::tensor::Tensor;
 use std::sync::Arc;
 
 /// The clean model handed to [`AccuracyEval::eval_deltas_sparse`]: the
-/// decoded weight matrices in both formats. `sparse[i]` must equal
-/// `SparseMatrix::from_dense` of `dense[i]` bit for bit (which the
-/// storage layer's clean decode guarantees) — evaluators are free to use
-/// either view and get identical results.
+/// decoded weight matrices, and their nonzeros. Evaluators compute on
+/// `dense`; `sparse[i]` is `SparseMatrix::from_dense` of `dense[i]` and
+/// feeds the per-layer nonzero and density counters results carry.
 #[derive(Debug, Clone, Copy)]
 pub struct SparseModel<'a> {
     /// Clean decoded weight matrices, materialized.
     pub dense: &'a [LayerMatrix],
-    /// The same matrices in the compute-side sparse format.
+    /// The nonzeros of each matrix.
     pub sparse: &'a [Arc<SparseMatrix>],
 }
 
@@ -86,17 +81,14 @@ struct PrefixState {
     net: Network,
     cache: PrefixCache,
     clean_error: f64,
-    /// One sparse clean weight matrix per prefix site, in site order —
-    /// what the sparse trial path patches with `with_deltas` and feeds
-    /// to [`Network::forward_suffix_sparse`].
-    sparse: Vec<Arc<SparseMatrix>>,
 }
 
 /// Reusable per-worker evaluation state: the network clone a
-/// [`NetworkEval`] writes decoded weights into, the keyed clean-prefix /
-/// clean-MSE caches behind [`AccuracyEval::eval_deltas`], and assorted
-/// staging buffers — so a Monte-Carlo campaign pays each allocation once
-/// per worker instead of once per trial.
+/// [`NetworkEval`] writes materialized weights into, the keyed
+/// clean-prefix / clean-MSE caches behind
+/// [`AccuracyEval::eval_deltas_sparse`], and assorted staging buffers —
+/// so a Monte-Carlo campaign pays each allocation once per worker
+/// instead of once per trial.
 ///
 /// The keyed caches hold exactly one configuration each. The engine keys
 /// by clean decode, so every configuration of a run that decodes to the
@@ -137,69 +129,44 @@ impl EvalScratch {
 pub trait AccuracyEval {
     /// Error of the unperturbed model.
     fn baseline_error(&self) -> f64;
-    /// Error with the given (possibly corrupted) weights in place.
+    /// Error with the given (possibly corrupted) weights in place — the
+    /// materialized reference trials are checked against.
     fn eval(&self, mats: &[LayerMatrix]) -> f64;
-    /// [`AccuracyEval::eval`] with reusable per-worker state. The default
-    /// delegates to `eval`; evaluators with per-call allocations (network
-    /// clones) override it so the allocation happens once per scratch.
-    fn eval_scratch(&self, mats: &[LayerMatrix], scratch: &mut EvalScratch) -> f64 {
-        let _ = scratch;
-        self.eval(mats)
-    }
-    /// Error with the faults given as sparse deltas against the `clean`
-    /// decoded matrices: `deltas[i]` lists the faulty slots of matrix `i`
-    /// in slot-ascending order, deduped (missing trailing entries mean
-    /// "no faults"). `key` identifies the configuration `clean` belongs
-    /// to — calls with the same key **must** pass bitwise-identical
-    /// `clean` matrices, which lets implementations cache per-key state
-    /// in the scratch.
+    /// One trial: the error with the faults given as sparse deltas
+    /// against the `clean` decoded model. `deltas[i]` lists the faulty
+    /// slots of matrix `i` in slot-ascending order, deduped (missing
+    /// trailing entries mean "no faults"). `key` identifies the
+    /// configuration `clean` belongs to — calls with the same key
+    /// **must** pass bitwise-identical clean matrices, which lets
+    /// implementations cache per-key state in the scratch.
     ///
-    /// The default materializes: it keeps a per-key clean copy in the
-    /// scratch, overwrites the delta slots, delegates to
-    /// [`AccuracyEval::eval_scratch`], and reverts — so overriding
-    /// `eval`/`eval_scratch` alone keeps `eval_deltas` consistent.
-    /// [`NetworkEval`] and [`ProxyEval`] override it with O(deltas)
-    /// paths that are bit-identical to this default.
-    fn eval_deltas(
-        &self,
-        key: u64,
-        clean: &[LayerMatrix],
-        deltas: &[Vec<WeightDelta>],
-        scratch: &mut EvalScratch,
-    ) -> f64 {
-        eval_deltas_materialized(self, key, clean, deltas, scratch)
-    }
-    /// [`AccuracyEval::eval_deltas`] with the clean model available in
-    /// the compute-side sparse format too. The default ignores the
-    /// sparse view and delegates to `eval_deltas` (exact by contract,
-    /// since both views decode the same weights); [`NetworkEval`]
-    /// overrides it to build its clean prefix and per-trial patches from
-    /// the sparse stream, making trials O(nnz) — still bit-identical to
-    /// the materializing path.
+    /// Must return [`AccuracyEval::eval`] of the materialized faulty
+    /// matrices bit for bit. Every engine entry point evaluates trials
+    /// here and only here, so a wrapping evaluator forwards this method
+    /// to see the trials production runs.
     fn eval_deltas_sparse(
         &self,
         key: u64,
         clean: &SparseModel,
         deltas: &[Vec<WeightDelta>],
         scratch: &mut EvalScratch,
-    ) -> f64 {
-        self.eval_deltas(key, clean.dense, deltas, scratch)
-    }
+    ) -> f64;
 }
 
-/// The materializing [`AccuracyEval::eval_deltas`] path, shared by the
-/// trait default and the fast evaluators' fallback arms: copy the clean
-/// matrices once per key, overwrite the delta slots, evaluate, restore.
-fn eval_deltas_materialized<E: AccuracyEval + ?Sized>(
-    eval: &E,
+/// The materializing trial path, which the fast evaluators fall back to:
+/// copy the clean matrices once per key into the scratch, overwrite the
+/// delta slots, evaluate them with `eval` (which may reuse the rest of
+/// the scratch, e.g. its network), and restore.
+fn eval_deltas_materialized(
     key: u64,
     clean: &[LayerMatrix],
     deltas: &[Vec<WeightDelta>],
     scratch: &mut EvalScratch,
+    eval: impl FnOnce(&[LayerMatrix], &mut EvalScratch) -> f64,
 ) -> f64 {
-    // Take the cached copy out of the scratch so `eval_scratch` below can
-    // borrow the scratch mutably; reverting the deltas (rather than
-    // re-cloning `clean`) keeps steady-state trials allocation-free.
+    // Take the cached copy out of the scratch so `eval` below can borrow
+    // the scratch mutably; reverting the deltas (rather than re-cloning
+    // `clean`) keeps steady-state trials allocation-free.
     let cached = scratch
         .materialized
         .take()
@@ -213,7 +180,7 @@ fn eval_deltas_materialized<E: AccuracyEval + ?Sized>(
             mats[i].data[d.slot as usize] = d.value;
         }
     }
-    let error = eval.eval_scratch(&mats, scratch);
+    let error = eval(&mats, scratch);
     for (i, ds) in deltas.iter().enumerate() {
         for d in ds {
             mats[i].data[d.slot as usize] = clean[i].data[d.slot as usize];
@@ -247,6 +214,14 @@ impl NetworkEval {
     pub fn network(&self) -> &Network {
         &self.net
     }
+
+    /// Error with `mats` written into `net`, a copy of the wrapped
+    /// network (every weight is overwritten, so a reused copy cannot
+    /// leak a previous trial's state).
+    fn error_with(&self, net: &mut Network, mats: &[LayerMatrix]) -> f64 {
+        net.set_weight_matrices(mats);
+        net.error_rate(&self.test)
+    }
 }
 
 impl AccuracyEval for NetworkEval {
@@ -255,29 +230,22 @@ impl AccuracyEval for NetworkEval {
     }
 
     fn eval(&self, mats: &[LayerMatrix]) -> f64 {
-        self.eval_scratch(mats, &mut EvalScratch::default())
+        self.error_with(&mut self.net.clone(), mats)
     }
 
-    fn eval_scratch(&self, mats: &[LayerMatrix], scratch: &mut EvalScratch) -> f64 {
-        // Every weight of every matrix is overwritten below, so a stale
-        // scratch network from a previous trial cannot leak state.
-        let net = scratch.net.get_or_insert_with(|| self.net.clone());
-        net.set_weight_matrices(mats);
-        net.error_rate(&self.test)
-    }
-
-    /// Clean-prefix fast path: the clean batch forward pass is cached
+    /// Clean-prefix trial path: the clean batch forward pass is cached
     /// once per key; a trial recomputes only the dirty rows of the first
     /// fault-touched layer and the layer suffix behind it — bit-identical
     /// to materializing the faults (see [`maxnvm_dnn::prefix`]). Residual
-    /// networks fall back to the materializing default.
-    fn eval_deltas(
+    /// networks materialize into the scratch network instead.
+    fn eval_deltas_sparse(
         &self,
         key: u64,
-        clean: &[LayerMatrix],
+        clean: &SparseModel,
         deltas: &[Vec<WeightDelta>],
         scratch: &mut EvalScratch,
     ) -> f64 {
+        let clean = clean.dense;
         if self.test.is_empty() {
             return 0.0; // matches `Network::error_rate` on an empty set
         }
@@ -287,18 +255,10 @@ impl AccuracyEval for NetworkEval {
             let xs: Vec<Tensor> = self.test.iter().map(|(x, _)| x.clone()).collect();
             let state = PrefixCache::build(&net, &xs, &mut scratch.forward).map(|cache| {
                 let clean_error = error_over(cache.clean_logits(), &self.test);
-                // Same-key sparse calls may reuse this state, so give it
-                // the sparse twins (equal to any caller-provided ones by
-                // the `eval_deltas_sparse` contract).
-                let sparse = clean
-                    .iter()
-                    .map(|m| Arc::new(SparseMatrix::from_matrix(m)))
-                    .collect();
                 PrefixState {
                     net,
                     cache,
                     clean_error,
-                    sparse,
                 }
             });
             scratch.prefix = Some((key, state));
@@ -344,122 +304,9 @@ impl AccuracyEval for NetworkEval {
                 state.net.revert_weight_deltas(undo);
                 error
             }
-            _ => eval_deltas_materialized(self, key, clean, deltas, scratch),
-        }
-    }
-
-    /// Fully sparse trial path: the clean prefix is built straight from
-    /// the sparse weight streams ([`PrefixCache::build_sparse`]), dirty
-    /// rows are recomputed from the delta-patched sparse matrix
-    /// ([`SparseMatrix::with_deltas`] +
-    /// [`PrefixCache::patched_outputs_sparse`]), and the suffix runs
-    /// through [`Network::forward_suffix_sparse`] — O(nnz) end to end
-    /// and bit-identical to the materializing path (see
-    /// [`maxnvm_dnn::sparse`] for the exactness argument). Residual
-    /// networks fall back to the dense `eval_deltas`.
-    fn eval_deltas_sparse(
-        &self,
-        key: u64,
-        clean: &SparseModel,
-        deltas: &[Vec<WeightDelta>],
-        scratch: &mut EvalScratch,
-    ) -> f64 {
-        if self.test.is_empty() {
-            return 0.0; // matches `Network::error_rate` on an empty set
-        }
-        if !matches!(&scratch.prefix, Some((k, _)) if *k == key) {
-            assert_eq!(
-                clean.dense.len(),
-                clean.sparse.len(),
-                "sparse/dense layer count mismatch"
-            );
-            let mut net = self.net.clone();
-            net.set_weight_matrices(clean.dense);
-            let xs: Vec<Tensor> = self.test.iter().map(|(x, _)| x.clone()).collect();
-            let overlay: Vec<Option<&SparseMatrix>> =
-                clean.sparse.iter().map(|s| Some(&**s)).collect();
-            let state =
-                PrefixCache::build_sparse(&net, &xs, &overlay, &mut scratch.forward).map(|cache| {
-                    let clean_error = error_over(cache.clean_logits(), &self.test);
-                    PrefixState {
-                        net,
-                        cache,
-                        clean_error,
-                        sparse: clean.sparse.to_vec(),
-                    }
-                });
-            scratch.prefix = Some((key, state));
-        }
-        match scratch {
-            EvalScratch {
-                prefix: Some((k, Some(state))),
-                forward,
-                row_buf,
-                dirty_rows,
-                undo,
-                ..
-            } if *k == key => {
-                let Some(first) = deltas.iter().position(|d| !d.is_empty()) else {
-                    return state.clean_error;
-                };
-                dirty_rows.clear();
-                dirty_rows.extend(
-                    deltas[first]
-                        .iter()
-                        .map(|d| d.slot as usize / clean.dense[first].cols),
-                );
-                dirty_rows.sort_unstable();
-                dirty_rows.dedup();
-                // The dense weights are patched too: suffix layers the
-                // sparse overlay doesn't cover (nested residual
-                // matrices) must still see the faults.
-                state.net.apply_weight_deltas(deltas, undo);
-                let pos = state.cache.site_layer(first);
-                let logits = match state.net.layers()[pos].weight_bias() {
-                    Some((_, b)) => {
-                        let patched_first = state.sparse[first].with_deltas(&deltas[first]);
-                        // Later fault-touched sites get their own
-                        // delta-patched streams; clean sites reuse the
-                        // cached clean twins untouched.
-                        let later: Vec<Option<SparseMatrix>> = state
-                            .sparse
-                            .iter()
-                            .enumerate()
-                            .map(|(i, s)| {
-                                deltas
-                                    .get(i)
-                                    .filter(|ds| i > first && !ds.is_empty())
-                                    .map(|ds| s.with_deltas(ds))
-                            })
-                            .collect();
-                        let overlay: Vec<Option<&SparseMatrix>> = state
-                            .sparse
-                            .iter()
-                            .zip(&later)
-                            .map(|(s, p)| Some(p.as_ref().unwrap_or(&**s)))
-                            .collect();
-                        let patched = state.cache.patched_outputs_sparse(
-                            first,
-                            &patched_first,
-                            b,
-                            dirty_rows,
-                            row_buf,
-                        );
-                        state
-                            .net
-                            .forward_suffix_sparse(pos + 1, patched, &overlay, forward)
-                    }
-                    // Sites address weight layers by construction; stay
-                    // total with a (still exact) full faulty forward.
-                    None => state
-                        .net
-                        .forward_batch_scratch(state.cache.input_batch(), forward),
-                };
-                let error = error_over(&logits, &self.test);
-                state.net.revert_weight_deltas(undo);
-                error
-            }
-            _ => self.eval_deltas(key, clean.dense, deltas, scratch),
+            _ => eval_deltas_materialized(key, clean, deltas, scratch, |mats, scratch| {
+                self.error_with(scratch.net.get_or_insert_with(|| self.net.clone()), mats)
+            }),
         }
     }
 }
@@ -586,15 +433,16 @@ impl AccuracyEval for ProxyEval {
     /// Incremental fast path: with the denominator cached (see
     /// [`ProxyEval::incremental_den`]) the numerator is just the
     /// slot-ordered sum of `(value − ref)²` over the deltas — O(deltas)
-    /// and bit-identical to the full scan. Falls back to materializing
-    /// when the clean decode differs from the reference.
-    fn eval_deltas(
+    /// and bit-identical to the full scan. Materializes when the clean
+    /// decode differs from the reference.
+    fn eval_deltas_sparse(
         &self,
         key: u64,
-        clean: &[LayerMatrix],
+        clean: &SparseModel,
         deltas: &[Vec<WeightDelta>],
         scratch: &mut EvalScratch,
     ) -> f64 {
+        let clean = clean.dense;
         if !matches!(&scratch.proxy, Some((k, _)) if *k == key) {
             scratch.proxy = Some((key, self.incremental_den(clean)));
         }
@@ -613,7 +461,7 @@ impl AccuracyEval for ProxyEval {
                 let m_rel = if den == 0.0 { 0.0 } else { num / den };
                 self.error_from_mse(m_rel)
             }
-            _ => eval_deltas_materialized(self, key, clean, deltas, scratch),
+            _ => eval_deltas_materialized(key, clean, deltas, scratch, |mats, _| self.eval(mats)),
         }
     }
 }
@@ -654,31 +502,6 @@ mod tests {
         let eval = trained_eval();
         let mats = eval.network().weight_matrices();
         assert_eq!(eval.eval(&mats), eval.baseline_error());
-    }
-
-    #[test]
-    fn network_eval_scratch_reuse_matches_fresh_eval() {
-        let eval = trained_eval();
-        let mut scratch = EvalScratch::default();
-        let clean = eval.network().weight_matrices();
-        assert_eq!(
-            eval.eval_scratch(&clean, &mut scratch),
-            eval.baseline_error()
-        );
-        let mut corrupted = clean.clone();
-        for v in &mut corrupted[0].data {
-            *v += 1.7;
-        }
-        assert_eq!(
-            eval.eval_scratch(&corrupted, &mut scratch),
-            eval.eval(&corrupted),
-            "reused scratch must match a fresh evaluation"
-        );
-        // The corrupted trial leaves no residue in the scratch network.
-        assert_eq!(
-            eval.eval_scratch(&clean, &mut scratch),
-            eval.baseline_error()
-        );
     }
 
     #[test]
@@ -740,7 +563,7 @@ mod tests {
     }
 
     /// Applies the sparse deltas onto a copy of `clean` — the
-    /// materialized reference every `eval_deltas` result is compared to.
+    /// materialized reference every trial result is compared to.
     fn materialize(clean: &[LayerMatrix], deltas: &[Vec<WeightDelta>]) -> Vec<LayerMatrix> {
         let mut mats = clean.to_vec();
         for (i, ds) in deltas.iter().enumerate() {
@@ -749,6 +572,26 @@ mod tests {
             }
         }
         mats
+    }
+
+    /// One trial through [`AccuracyEval::eval_deltas_sparse`] against
+    /// `clean`, with the nonzeros the engine would pass alongside.
+    fn trial(
+        eval: &dyn AccuracyEval,
+        key: u64,
+        clean: &[LayerMatrix],
+        deltas: &[Vec<WeightDelta>],
+        scratch: &mut EvalScratch,
+    ) -> f64 {
+        let sparse: Vec<Arc<SparseMatrix>> = clean
+            .iter()
+            .map(|m| Arc::new(SparseMatrix::from_dense(m)))
+            .collect();
+        let model = SparseModel {
+            dense: clean,
+            sparse: &sparse,
+        };
+        eval.eval_deltas_sparse(key, &model, deltas, scratch)
     }
 
     fn delta_cases() -> Vec<Vec<Vec<WeightDelta>>> {
@@ -771,7 +614,7 @@ mod tests {
         let mut scratch = EvalScratch::default();
         for deltas in &delta_cases() {
             assert_eq!(
-                eval.eval_deltas(7, &clean, deltas, &mut scratch),
+                trial(&eval, 7, &clean, deltas, &mut scratch),
                 eval.eval(&materialize(&clean, deltas)),
                 "prefix path must match the materialized evaluation"
             );
@@ -779,7 +622,7 @@ mod tests {
         // No faults on a reused (previously corrupted) scratch: the exact
         // clean baseline, no residue.
         assert_eq!(
-            eval.eval_deltas(7, &clean, &[Vec::new(), Vec::new()], &mut scratch),
+            trial(&eval, 7, &clean, &[Vec::new(), Vec::new()], &mut scratch),
             eval.baseline_error()
         );
         // A key switch rebuilds the cache for the new clean matrices and
@@ -789,11 +632,11 @@ mod tests {
             *v = -*v;
         }
         assert_eq!(
-            eval.eval_deltas(8, &other, &[Vec::new(), Vec::new()], &mut scratch),
+            trial(&eval, 8, &other, &[Vec::new(), Vec::new()], &mut scratch),
             eval.eval(&other)
         );
         assert_eq!(
-            eval.eval_deltas(7, &clean, &[Vec::new(), Vec::new()], &mut scratch),
+            trial(&eval, 7, &clean, &[Vec::new(), Vec::new()], &mut scratch),
             eval.baseline_error()
         );
     }
@@ -821,75 +664,43 @@ mod tests {
             .collect()
     }
 
-    /// The fully sparse trial path must be bit-identical to materializing
-    /// the faults — at 0% (dense), Table-2 (0.409), and 100% sparsity,
-    /// including multi-layer fault deltas through the prefix cache.
+    /// The trial path must be bit-identical to materializing the faults —
+    /// at 0% (dense), the Table-2 VGG12 (0.409) and LeNet5 (0.9)
+    /// sparsities, and 100%, including multi-layer fault deltas through
+    /// the prefix cache.
     #[test]
     fn network_eval_deltas_sparse_is_bit_exact_across_sparsities() {
         let eval = trained_eval();
         let base = eval.network().weight_matrices();
-        for (ki, sparsity) in [0.0, 0.409, 1.0].into_iter().enumerate() {
+        for (ki, sparsity) in [0.0, 0.409, 0.9, 1.0].into_iter().enumerate() {
             let clean = prune(&base, sparsity);
-            let sparse: Vec<Arc<SparseMatrix>> = clean
-                .iter()
-                .map(|m| Arc::new(SparseMatrix::from_matrix(m)))
-                .collect();
-            let model = SparseModel {
-                dense: &clean,
-                sparse: &sparse,
-            };
             let mut scratch = EvalScratch::default();
             for deltas in &delta_cases() {
                 assert_eq!(
-                    eval.eval_deltas_sparse(20 + ki as u64, &model, deltas, &mut scratch),
+                    trial(&eval, 20 + ki as u64, &clean, deltas, &mut scratch),
                     eval.eval(&materialize(&clean, deltas)),
-                    "sparsity {sparsity}: sparse trial path drifted"
+                    "sparsity {sparsity}: trial path drifted"
                 );
             }
-            // And the sparse path agrees with the dense prefix path on a
-            // fresh scratch, multi-layer case included.
+            // And a reused scratch agrees with a fresh one, multi-layer
+            // case included.
             let multi = &delta_cases()[3];
             assert_eq!(
-                eval.eval_deltas_sparse(20 + ki as u64, &model, multi, &mut scratch),
-                eval.eval_deltas(30 + ki as u64, &clean, multi, &mut EvalScratch::default()),
-                "sparsity {sparsity}: sparse vs dense prefix paths drifted"
+                trial(&eval, 20 + ki as u64, &clean, multi, &mut scratch),
+                trial(
+                    &eval,
+                    30 + ki as u64,
+                    &clean,
+                    multi,
+                    &mut EvalScratch::default()
+                ),
+                "sparsity {sparsity}: reused vs fresh scratch drifted"
             );
         }
     }
 
-    /// A dense-built prefix state reused by a same-key sparse call (and
-    /// vice versa) stays exact — the two entry points share the cache.
-    #[test]
-    fn network_eval_sparse_and_dense_entry_points_share_state() {
-        let eval = trained_eval();
-        let clean = eval.network().weight_matrices();
-        let sparse: Vec<Arc<SparseMatrix>> = clean
-            .iter()
-            .map(|m| Arc::new(SparseMatrix::from_matrix(m)))
-            .collect();
-        let model = SparseModel {
-            dense: &clean,
-            sparse: &sparse,
-        };
-        let mut scratch = EvalScratch::default();
-        let deltas = &delta_cases()[3];
-        let want = eval.eval(&materialize(&clean, deltas));
-        // Dense first (builds the state), then sparse on the same key.
-        assert_eq!(eval.eval_deltas(5, &clean, deltas, &mut scratch), want);
-        assert_eq!(
-            eval.eval_deltas_sparse(5, &model, deltas, &mut scratch),
-            want
-        );
-        // Sparse first on a fresh key, then dense reuses it.
-        assert_eq!(
-            eval.eval_deltas_sparse(6, &model, deltas, &mut scratch),
-            want
-        );
-        assert_eq!(eval.eval_deltas(6, &clean, deltas, &mut scratch), want);
-    }
-
-    /// Residual networks have no prefix cache; `eval_deltas` must fall
-    /// back to the materializing path and still agree exactly.
+    /// Residual networks have no prefix cache; a trial must fall back to
+    /// the materializing path and still agree exactly.
     #[test]
     fn network_eval_deltas_falls_back_on_residual_networks() {
         use maxnvm_dnn::layer::Layer;
@@ -914,25 +725,12 @@ mod tests {
         }]];
         let mut scratch = EvalScratch::default();
         assert_eq!(
-            eval.eval_deltas(0, &clean, &deltas, &mut scratch),
+            trial(&eval, 0, &clean, &deltas, &mut scratch),
             eval.eval(&materialize(&clean, &deltas))
         );
         assert_eq!(
-            eval.eval_deltas(0, &clean, &[Vec::new()], &mut scratch),
+            trial(&eval, 0, &clean, &[Vec::new()], &mut scratch),
             eval.baseline_error()
-        );
-        // The sparse entry point falls back identically.
-        let sparse: Vec<Arc<SparseMatrix>> = clean
-            .iter()
-            .map(|m| Arc::new(SparseMatrix::from_matrix(m)))
-            .collect();
-        let model = SparseModel {
-            dense: &clean,
-            sparse: &sparse,
-        };
-        assert_eq!(
-            eval.eval_deltas_sparse(0, &model, &deltas, &mut scratch),
-            eval.eval(&materialize(&clean, &deltas))
         );
     }
 
@@ -949,7 +747,7 @@ mod tests {
         let mut scratch = EvalScratch::default();
         for deltas in &delta_cases() {
             assert_eq!(
-                proxy.eval_deltas(3, &refm, deltas, &mut scratch),
+                trial(&proxy, 3, &refm, deltas, &mut scratch),
                 proxy.eval(&materialize(&refm, deltas)),
                 "incremental proxy must match the full scan"
             );
@@ -975,12 +773,12 @@ mod tests {
         }]];
         let mut scratch = EvalScratch::default();
         assert_eq!(
-            proxy.eval_deltas(1, &clean, &deltas, &mut scratch),
+            trial(&proxy, 1, &clean, &deltas, &mut scratch),
             proxy.eval(&materialize(&clean, &deltas))
         );
         // And with no faults, exactly the clean evaluation.
         assert_eq!(
-            proxy.eval_deltas(1, &clean, &[Vec::new()], &mut scratch),
+            trial(&proxy, 1, &clean, &[Vec::new()], &mut scratch),
             proxy.eval(&clean)
         );
     }

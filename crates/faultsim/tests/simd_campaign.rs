@@ -145,20 +145,6 @@ impl AccuracyEval for InFlight<'_> {
         self.inner.eval(mats)
     }
 
-    fn eval_scratch(&self, mats: &[LayerMatrix], scratch: &mut EvalScratch) -> f64 {
-        self.inner.eval_scratch(mats, scratch)
-    }
-
-    fn eval_deltas(
-        &self,
-        key: u64,
-        clean: &[LayerMatrix],
-        deltas: &[Vec<WeightDelta>],
-        scratch: &mut EvalScratch,
-    ) -> f64 {
-        self.inner.eval_deltas(key, clean, deltas, scratch)
-    }
-
     fn eval_deltas_sparse(
         &self,
         key: u64,

@@ -25,9 +25,9 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Wraps a job's evaluator so every evaluation bumps a shared progress
-/// counter — the watchdog's liveness signal. All five trait methods
-/// forward, so the engine's fast sparse/delta paths (and their
-/// bit-exactness) are preserved; only the counter is added.
+/// counter — the watchdog's liveness signal. Every trait method
+/// forwards, so the engine's trial path (and its bit-exactness) is
+/// preserved; only the counter is added.
 struct HeartbeatEval {
     inner: Arc<dyn AccuracyEval + Send + Sync>,
     beats: Arc<AtomicU64>,
@@ -47,22 +47,6 @@ impl AccuracyEval for HeartbeatEval {
     fn eval(&self, mats: &[LayerMatrix]) -> f64 {
         self.beat();
         self.inner.eval(mats)
-    }
-
-    fn eval_scratch(&self, mats: &[LayerMatrix], scratch: &mut EvalScratch) -> f64 {
-        self.beat();
-        self.inner.eval_scratch(mats, scratch)
-    }
-
-    fn eval_deltas(
-        &self,
-        key: u64,
-        clean: &[LayerMatrix],
-        deltas: &[Vec<WeightDelta>],
-        scratch: &mut EvalScratch,
-    ) -> f64 {
-        self.beat();
-        self.inner.eval_deltas(key, clean, deltas, scratch)
     }
 
     fn eval_deltas_sparse(
@@ -722,6 +706,16 @@ mod tests {
         }
 
         fn eval(&self, _mats: &[LayerMatrix]) -> f64 {
+            0.0
+        }
+
+        fn eval_deltas_sparse(
+            &self,
+            _key: u64,
+            _clean: &SparseModel,
+            _deltas: &[Vec<WeightDelta>],
+            _scratch: &mut EvalScratch,
+        ) -> f64 {
             0.0
         }
     }

@@ -4,13 +4,13 @@
 //! seed so byte-identity checks are meaningful stream by stream.
 #![allow(dead_code)]
 
-use maxnvm_dnn::network::LayerMatrix;
+use maxnvm_dnn::network::{LayerMatrix, WeightDelta};
 use maxnvm_dnn::zoo;
 use maxnvm_encoding::cluster::ClusteredLayer;
 use maxnvm_encoding::storage::{StorageScheme, StoredLayer};
 use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
-use maxnvm_faultsim::evaluate::{AccuracyEval, EvalScratch};
+use maxnvm_faultsim::evaluate::{AccuracyEval, EvalScratch, SparseModel};
 use maxnvm_faultsim::{Campaign, CampaignResult, ProxyEval};
 use maxnvm_server::CampaignJob;
 use std::path::PathBuf;
@@ -77,10 +77,10 @@ pub fn temp_spool(name: &str) -> PathBuf {
     dir
 }
 
-/// Wraps the proxy evaluator with a fixed per-evaluation sleep without
+/// Wraps the proxy evaluator with a fixed per-trial sleep without
 /// changing any value — keeps streams running long enough to cancel,
 /// quarantine, or SIGKILL mid-flight. Values stay byte-identical to the
-/// plain evaluator's (the fast-path defaults are bit-identical).
+/// plain evaluator's.
 #[derive(Debug)]
 pub struct SlowEval {
     inner: Arc<ProxyEval>,
@@ -99,13 +99,18 @@ impl AccuracyEval for SlowEval {
     }
 
     fn eval(&self, mats: &[LayerMatrix]) -> f64 {
-        std::thread::sleep(self.delay);
         self.inner.eval(mats)
     }
 
-    fn eval_scratch(&self, mats: &[LayerMatrix], scratch: &mut EvalScratch) -> f64 {
+    fn eval_deltas_sparse(
+        &self,
+        key: u64,
+        clean: &SparseModel,
+        deltas: &[Vec<WeightDelta>],
+        scratch: &mut EvalScratch,
+    ) -> f64 {
         std::thread::sleep(self.delay);
-        self.inner.eval_scratch(mats, scratch)
+        self.inner.eval_deltas_sparse(key, clean, deltas, scratch)
     }
 }
 

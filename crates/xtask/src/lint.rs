@@ -1135,10 +1135,11 @@ mod tests {
 
     #[test]
     fn sparse_modules_are_in_the_d1_scan() {
-        // The sparse compute format is result-affecting end to end: the
-        // walk-built matrices, the sparse GEMM, and the prefix cache all
-        // feed Monte-Carlo error rates. Lock them into the D1 scan so a
-        // module move can't silently drop them from enforcement.
+        // The trial path is result-affecting end to end: the GEMM and
+        // row kernels, the prefix cache, the clean decode and its
+        // nonzero counts all feed Monte-Carlo results. Lock them into the
+        // D1 scan so a module move can't silently drop them from
+        // enforcement.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let files: Vec<String> = workspace_sources(&root)
             .iter()

@@ -4,13 +4,13 @@
 //! preserving the engine's byte-identical determinism at any worker
 //! count.
 
-use maxnvm_dnn::network::LayerMatrix;
+use maxnvm_dnn::network::{LayerMatrix, WeightDelta};
 use maxnvm_dnn::zoo;
 use maxnvm_encoding::cluster::ClusteredLayer;
 use maxnvm_encoding::storage::{StorageScheme, StoredLayer};
 use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
-use maxnvm_faultsim::evaluate::{AccuracyEval, EvalScratch};
+use maxnvm_faultsim::evaluate::{AccuracyEval, EvalScratch, SparseModel};
 use maxnvm_faultsim::{
     Campaign, CancelToken, CheckpointConfig, EarlyStop, EngineError, EvalContext, ProxyEval,
     RunControl,
@@ -57,9 +57,10 @@ fn temp_path(name: &str) -> PathBuf {
     dir.join(format!("{name}-{}.ckpt", std::process::id()))
 }
 
-/// Wraps an evaluator with side effects per evaluation — a sleep (to
-/// keep a child process killable mid-campaign) and/or firing a cancel
-/// token after a fixed number of evals — without changing any value.
+/// Wraps an evaluator with side effects per trial evaluation — a sleep
+/// (to keep a child process killable mid-campaign) and/or firing a
+/// cancel token after a fixed number of evals — without changing any
+/// value.
 struct InstrumentedEval<'a> {
     inner: &'a ProxyEval,
     delay: Duration,
@@ -105,13 +106,18 @@ impl AccuracyEval for InstrumentedEval<'_> {
     }
 
     fn eval(&self, mats: &[LayerMatrix]) -> f64 {
-        self.tick();
         self.inner.eval(mats)
     }
 
-    fn eval_scratch(&self, mats: &[LayerMatrix], scratch: &mut EvalScratch) -> f64 {
+    fn eval_deltas_sparse(
+        &self,
+        key: u64,
+        clean: &SparseModel,
+        deltas: &[Vec<WeightDelta>],
+        scratch: &mut EvalScratch,
+    ) -> f64 {
         self.tick();
-        self.inner.eval_scratch(mats, scratch)
+        self.inner.eval_deltas_sparse(key, clean, deltas, scratch)
     }
 }
 

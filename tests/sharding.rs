@@ -5,13 +5,13 @@
 //! `failed_trials` replay seeds), including after a shard worker is
 //! SIGKILLed mid-run and resumed.
 
-use maxnvm_dnn::network::LayerMatrix;
+use maxnvm_dnn::network::{LayerMatrix, WeightDelta};
 use maxnvm_dnn::zoo;
 use maxnvm_encoding::cluster::ClusteredLayer;
 use maxnvm_encoding::storage::{StorageScheme, StoredLayer};
 use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
-use maxnvm_faultsim::evaluate::EvalScratch;
+use maxnvm_faultsim::evaluate::{EvalScratch, SparseModel};
 use maxnvm_faultsim::{
     AccuracyEval, Campaign, CheckpointConfig, DseConfig, EarlyStop, EngineError, EvalContext,
     ProxyEval, RunControl, ShardSpec,
@@ -318,7 +318,7 @@ fn mismatched_shard_layouts_refuse_to_resume() {
 
 const CHILD_ENV: &str = "MAXNVM_SHARDING_CHILD_CHECKPOINT";
 
-/// Slows every evaluation so the parent can SIGKILL the worker
+/// Slows every trial evaluation so the parent can SIGKILL the worker
 /// mid-campaign; values are unchanged.
 struct SlowEval<'a> {
     inner: &'a ProxyEval,
@@ -331,13 +331,18 @@ impl AccuracyEval for SlowEval<'_> {
     }
 
     fn eval(&self, mats: &[LayerMatrix]) -> f64 {
-        std::thread::sleep(self.delay);
         self.inner.eval(mats)
     }
 
-    fn eval_scratch(&self, mats: &[LayerMatrix], scratch: &mut EvalScratch) -> f64 {
+    fn eval_deltas_sparse(
+        &self,
+        key: u64,
+        clean: &SparseModel,
+        deltas: &[Vec<WeightDelta>],
+        scratch: &mut EvalScratch,
+    ) -> f64 {
         std::thread::sleep(self.delay);
-        self.inner.eval_scratch(mats, scratch)
+        self.inner.eval_deltas_sparse(key, clean, deltas, scratch)
     }
 }
 
