@@ -24,7 +24,7 @@
 ///
 /// Bits are stored in 64-bit words; bit `i` of the logical stream lives at
 /// word `i / 64`, bit position `i % 64`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitBuffer {
     words: Vec<u64>,
     len: usize,

@@ -42,12 +42,11 @@ use maxnvm_envm::WriteModel;
 use maxnvm_faultsim::dse::{explore_spec, minimal_cells, DsePoint};
 use maxnvm_nvdla::perf::{encoded_weight_bytes, evaluate};
 use maxnvm_nvsim::{characterize_min_width, ArrayRequest};
-use serde::{Deserialize, Serialize};
 
 /// The outcome of the full co-design pipeline for one model on one
 /// technology: everything a Table 4 row reports, plus the baseline
 /// comparison behind Fig. 9.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
     /// Model name.
     pub model: String,

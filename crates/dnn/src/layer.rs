@@ -7,7 +7,6 @@
 
 use crate::gemm::{gemm_into, GemmScratch};
 use crate::tensor::{conv_out_dims, im2col, im2col_into, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Reusable buffers for [`Layer::forward_batch_scratch`]. One instance per
 /// worker keeps the whole batched forward pass allocation-free after
@@ -41,7 +40,7 @@ pub struct RhsMeta {
 }
 
 /// One layer of a [`Network`](crate::Network).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Layer {
     /// 2-D convolution. `weight` is `[out_ch, in_ch*kh*kw]`.
     Conv2d {

@@ -11,7 +11,6 @@
 
 use crate::layer::{ForwardScratch, Layer};
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// One faulty weight cell relative to the clean decode: `slot` indexes the
 /// flattened row-major weight matrix, `value` is the decoded faulty value.
@@ -27,7 +26,7 @@ pub struct WeightDelta {
 
 /// A 2-D-mapped weight matrix extracted from (or written back to) a layer —
 /// the unit of storage the paper's encodings operate on (§3.2.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerMatrix {
     /// Originating layer name.
     pub name: String,
@@ -77,7 +76,7 @@ impl LayerMatrix {
 const ERROR_RATE_BATCH: usize = 256;
 
 /// An ordered stack of layers forming a classifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     /// Model name.
     pub name: String,

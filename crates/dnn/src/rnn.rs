@@ -12,10 +12,9 @@ use crate::network::LayerMatrix;
 use crate::tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A single-layer Elman RNN sequence classifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElmanRnn {
     /// Model name.
     pub name: String,

@@ -5,7 +5,6 @@
 //! which fixes the per-element summation order (determinism contract D1).
 
 use crate::gemm::{gemm_into, GemmScratch};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Shape errors from checked tensor operations (determinism contract D2:
@@ -44,7 +43,7 @@ impl fmt::Display for TensorError {
 impl std::error::Error for TensorError {}
 
 /// A dense row-major tensor of `f32` values.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

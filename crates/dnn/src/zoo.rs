@@ -25,10 +25,9 @@ use crate::layer::Layer;
 use crate::network::{LayerMatrix, Network};
 use crate::train::he_init;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// What kind of computation a spec layer performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Convolution with square kernel size `k`.
     Conv {
@@ -41,7 +40,7 @@ pub enum LayerKind {
 
 /// One weight-bearing layer of a [`ModelSpec`], in the 2-D mapping the
 /// sparse encodings consume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerSpec {
     /// Layer name.
     pub name: String,
@@ -131,7 +130,7 @@ pub fn prune_to_sparsity(data: &mut [f32], sparsity: f64) {
 /// Table 2 facts reported by the paper, carried alongside each spec for
 /// comparison printing and as pipeline inputs (sparsity and index bits are
 /// used as optimization targets).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PaperModelInfo {
     /// Parameter count as printed in Table 2.
     pub reported_params: u64,
@@ -146,7 +145,7 @@ pub struct PaperModelInfo {
 }
 
 /// A model described at the storage/performance level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Model name as used in the paper ("LeNet5", "VGG16", ...).
     pub name: String,

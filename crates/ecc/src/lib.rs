@@ -38,10 +38,9 @@
 //! ```
 
 use maxnvm_bits::BitBuffer;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of decoding one SEC-DED codeword.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Correction {
     /// No error detected.
     Clean,
@@ -75,7 +74,7 @@ pub struct Decoded {
 /// Codeword layout: positions `1..=m` hold data and Hamming parity bits
 /// (parity at power-of-two positions), position `0` holds the overall
 /// parity bit that upgrades SEC to SEC-DED.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SecDed {
     data_bits: usize,
     hamming_parity: usize,
@@ -238,7 +237,7 @@ impl SecDed {
 /// if shorter than the configured size, uses a right-sized SEC-DED code so
 /// small structures (e.g. a layer's row counters) do not pay a full
 /// codeword of padding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockCodec {
     code: SecDed,
 }

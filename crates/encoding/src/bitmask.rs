@@ -13,10 +13,9 @@ use crate::cluster::ClusteredLayer;
 use crate::csr::bit_width;
 use crate::{StructureKind, IDXSYNC_BLOCK_BITS};
 use maxnvm_bits::{BitBuffer, BitReader};
-use serde::{Deserialize, Serialize};
 
 /// A bitmask-encoded layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BitMaskLayer {
     /// Matrix rows.
     pub rows: usize,

@@ -9,7 +9,6 @@
 use maxnvm_dnn::network::LayerMatrix;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// 1-D k-means with k-means++ seeding.
 ///
@@ -107,7 +106,7 @@ fn nearest(centroids: &[f32], v: f32) -> usize {
 
 /// A layer whose weights have been pruned and clustered: every weight is a
 /// `index_bits`-bit cluster index into a per-layer centroid table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusteredLayer {
     /// Layer name.
     pub name: String,

@@ -13,7 +13,6 @@
 use crate::cluster::ClusteredLayer;
 use crate::StructureKind;
 use maxnvm_bits::{BitBuffer, BitReader};
-use serde::{Deserialize, Serialize};
 
 /// Default width of the relative column-index field when the density is
 /// unknown.
@@ -33,7 +32,7 @@ pub fn col_idx_bits_for(cols: u64, density: f64) -> u8 {
 }
 
 /// How CSR column positions are stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColIndexMode {
     /// Gap to the previous non-zero within the row (the paper's choice):
     /// compact, but a misread offsets the remainder of the row.
@@ -45,7 +44,7 @@ pub enum ColIndexMode {
 }
 
 /// A CSR-encoded layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrLayer {
     /// Matrix rows.
     pub rows: usize,

@@ -5,10 +5,9 @@
 use crate::cluster::ClusteredLayer;
 use crate::StructureKind;
 use maxnvm_bits::{BitBuffer, BitReader};
-use serde::{Deserialize, Serialize};
 
 /// A densely stored clustered layer (indices only).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseLayer {
     /// Matrix rows.
     pub rows: usize,

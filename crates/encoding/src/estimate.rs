@@ -12,10 +12,9 @@ use crate::storage::StorageScheme;
 use crate::{EncodingKind, StructureKind, IDXSYNC_BLOCK_BITS};
 use maxnvm_dnn::zoo::ModelSpec;
 use maxnvm_ecc::BlockCodec;
-use serde::{Deserialize, Serialize};
 
 /// The shape facts the estimators need about one layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerGeometry {
     /// Matrix rows.
     pub rows: u64,
@@ -39,7 +38,7 @@ impl LayerGeometry {
 }
 
 /// Bits per structure for one encoded layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SizeBreakdown {
     /// `(structure, bits)` pairs, including the centroid LUT.
     pub per_structure: Vec<(StructureKind, u64)>,

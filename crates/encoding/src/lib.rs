@@ -48,11 +48,10 @@ pub mod estimate;
 pub mod quantize;
 pub mod storage;
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The sparse-encoding strategies the paper compares (Table 2, Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EncodingKind {
     /// Dense storage of pruned-and-clustered indices ("P+C").
     DenseClustered,
@@ -89,7 +88,7 @@ impl fmt::Display for EncodingKind {
 /// The distinct data structures a stored layer is made of; each can be
 /// given its own bits-per-cell and protection (§4.1: "sparse encodings
 /// require separate fault injections on each structure").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StructureKind {
     /// Non-zero weight cluster indices (or all indices for P+C).
     Values,

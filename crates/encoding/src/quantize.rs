@@ -9,11 +9,10 @@
 //! bits-at-iso-error search the claim rests on.
 
 use maxnvm_dnn::network::LayerMatrix;
-use serde::{Deserialize, Serialize};
 
 /// A signed fixed-point format: one sign bit, `int_bits` integer bits,
 /// `frac_bits` fractional bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FixedPoint {
     /// Integer bits (excluding sign).
     pub int_bits: u8,

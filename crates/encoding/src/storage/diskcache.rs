@@ -33,7 +33,6 @@ use maxnvm_bits::BitBuffer;
 use maxnvm_dnn::network::LayerMatrix;
 use maxnvm_dnn::sparse::SparseMatrix;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -54,7 +53,7 @@ pub const ENCODE_CACHE_FORMAT: &str = "maxnvm-encode-cache v1";
 /// workers two concurrent misses on one key may both recompute (each
 /// counted), so equality comparisons across runs should zero these
 /// fields first.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EncodeCacheStats {
     /// Artifacts served from disk.
     pub disk_hits: u64,

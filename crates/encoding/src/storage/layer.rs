@@ -14,7 +14,6 @@ use maxnvm_bits::BitBuffer;
 use maxnvm_dnn::network::LayerMatrix;
 use maxnvm_envm::{CellModel, FaultMap, MlcConfig};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The raw sparse-encoded bit-streams of one layer, before any cells
@@ -64,7 +63,7 @@ impl EncodedStreams {
 }
 
 /// A layer fully committed to simulated eNVM cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoredLayer {
     /// Layer name.
     pub name: String,

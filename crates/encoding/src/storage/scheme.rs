@@ -4,10 +4,9 @@
 use crate::{EncodingKind, StructureKind};
 use maxnvm_ecc::SecDed;
 use maxnvm_envm::MlcConfig;
-use serde::{Deserialize, Serialize};
 
 /// Which structures receive SEC-DED protection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EccScope {
     /// No ECC anywhere.
     None,
@@ -39,7 +38,7 @@ impl EccScope {
 /// Bits-per-cell per structure — the paper sweeps these independently
 /// ("we vary the number of bits per cell used to store each structure",
 /// §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StructureBpc {
     /// Weight values (cluster indices).
     pub values: MlcConfig,
@@ -80,7 +79,7 @@ impl StructureBpc {
 
 /// A complete storage configuration for one layer: encoding choice,
 /// per-structure density, and protection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageScheme {
     /// Sparse-encoding strategy.
     pub encoding: EncodingKind,

@@ -6,10 +6,9 @@ use maxnvm_bits::{BitBuffer, BitReader};
 use maxnvm_ecc::{BlockCodec, SecDed};
 use maxnvm_envm::gray::{binary_to_level, level_to_binary};
 use maxnvm_envm::MlcConfig;
-use serde::{Deserialize, Serialize};
 
 /// One structure's bits, packed into MLC cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoredStructure {
     /// Which structure this is.
     pub kind: StructureKind,
@@ -140,7 +139,7 @@ impl StoredStructure {
 }
 
 /// Statistics from one decode pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeStats {
     /// Cells whose level flipped under fault injection.
     pub cell_faults: usize,

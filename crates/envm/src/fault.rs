@@ -3,14 +3,13 @@
 
 use crate::level::CellModel;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Adjacent-level misread probabilities for every level of a cell.
 ///
 /// `p_up[i]` is the probability that level `i` is read as `i+1`;
 /// `p_down[i]` that it is read as `i-1`. Non-adjacent misreads are below
 /// the paper's `1.5e-10` bound and are not modeled.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultMap {
     p_up: Vec<f64>,
     p_down: Vec<f64>,

@@ -10,14 +10,13 @@ use crate::fault::FaultMap;
 use crate::math::{normal_cdf, q_function, sample_normal};
 use crate::sense::SenseAmp;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of bits stored per cell (1 = SLC, 2 = MLC2, 3 = MLC3).
 ///
 /// The paper evaluates up to 3 bits per cell, the densest configuration
 /// demonstrated on the CTT test chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MlcConfig {
     bits: u8,
 }
@@ -80,7 +79,7 @@ impl fmt::Display for MlcConfig {
 
 /// A single programmed level's read distribution, `N(mean, sigma^2)`, in
 /// normalized read-signal units (the full signal window is `[0, 1]`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelDistribution {
     /// Mean read signal.
     pub mean: f64,
@@ -107,7 +106,7 @@ impl LevelDistribution {
 /// Thresholds default to sigma-weighted midpoints between adjacent level
 /// means, which is how a flash-ADC style parallel sensing scheme (§2.3)
 /// would place its references.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellModel {
     levels: Vec<LevelDistribution>,
     thresholds: Vec<f64>,

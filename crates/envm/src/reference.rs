@@ -4,10 +4,8 @@
 //! `maxnvm-nvsim` calibrates its array model against their macro area and
 //! read latency (Fig. 1 regenerates the comparison at a fixed 4MB).
 
-use serde::{Deserialize, Serialize};
-
 /// The access-device style of a published memory macro.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessDevice {
     /// Conventional CMOS access transistor (1T1R-style array).
     Cmos,
@@ -18,7 +16,7 @@ pub enum AccessDevice {
 }
 
 /// The base storage technology of a published chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnvmKind {
     /// Resistive RAM.
     Rram,
@@ -32,7 +30,7 @@ pub enum EnvmKind {
 
 /// One row of the paper's Table 1: a fabricated eNVM macro with published
 /// characteristics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReferenceChip {
     /// Citation tag as printed in the paper (e.g. `"[8]"`).
     pub reference: &'static str,

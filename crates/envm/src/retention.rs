@@ -12,11 +12,10 @@
 
 use crate::level::{CellModel, LevelDistribution};
 use crate::tech::CellTechnology;
-use serde::{Deserialize, Serialize};
 
 /// Per-technology retention parameters (log-time drift law:
 /// `Δ = coefficient × log10(1 + t/t0)` with `t0` = 1 hour).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetentionParams {
     /// Fractional mean drift toward the erased state per decade of time.
     pub mean_drift_per_decade: f64,

@@ -9,13 +9,11 @@
 //! by less than 2x. We capture that with a Pelgrom-style `offset ∝
 //! 1/sqrt(area)` law.
 
-use serde::{Deserialize, Serialize};
-
 /// A sense amplifier with a Gaussian input-referred offset.
 ///
 /// Offsets are expressed in the same normalized read-signal units as
 /// [`LevelDistribution`](crate::LevelDistribution) (full window = 1.0).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SenseAmp {
     offset_sigma: f64,
 }

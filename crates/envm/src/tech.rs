@@ -8,11 +8,10 @@
 //! extra guard gap.
 
 use crate::level::{CellModel, LevelDistribution, MlcConfig};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the eNVM proposals characterized in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellTechnology {
     /// Multi-level charge-trap transistor, measured 16nm FinFET test chip.
     MlcCtt,
@@ -178,7 +177,7 @@ impl fmt::Display for CellTechnology {
 }
 
 /// Physical device parameters consumed by the array and write-time models.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceParams {
     /// Which technology these parameters describe.
     pub tech: CellTechnology,

@@ -8,10 +8,9 @@
 //! cells sharing a program operation are written in parallel.
 
 use crate::tech::CellTechnology;
-use serde::{Deserialize, Serialize};
 
 /// Write-time model for one technology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WriteModel {
     tech: CellTechnology,
     /// Seconds per program(-and-verify) operation.
@@ -86,7 +85,7 @@ impl WriteModel {
 
 /// Endurance analysis (§7.1): "the desired frequency of rewriting weights
 /// may also be constrained by the endurance of the memory cells."
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnduranceModel {
     tech: CellTechnology,
     endurance_cycles: f64,

@@ -23,10 +23,9 @@ use maxnvm_encoding::estimate::{encoded_bits_with_block, LayerGeometry};
 use maxnvm_encoding::storage::StorageScheme;
 use maxnvm_encoding::StructureKind;
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
-use serde::{Deserialize, Serialize};
 
 /// Expected corruption of one stored layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DamageReport {
     /// Expected injected cell faults across all structures.
     pub expected_cell_faults: f64,

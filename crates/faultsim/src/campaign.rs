@@ -2,7 +2,7 @@
 //! over many seeded trials and aggregate, exactly the Ares flow of §4.1.
 //!
 //! The heavy lifting lives in [`crate::engine`]: `Campaign` is the
-//! serializable configuration, and its `run*` methods build a transient
+//! configuration, and its `run*` methods build a transient
 //! [`EvalContext`] on the process-wide worker pool. The pre-engine
 //! scoped-thread implementation is retained as
 //! [`Campaign::run_reference`] for parity tests and benchmarks.
@@ -14,11 +14,10 @@ use maxnvm_encoding::storage::{DecodeStats, StoredLayer};
 use maxnvm_encoding::StructureKind;
 use maxnvm_envm::{CellTechnology, FaultMap, MlcConfig, SenseAmp};
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Campaign configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Campaign {
     /// Number of independent trials (unique fault maps, §4.1).
     pub trials: usize,
@@ -45,7 +44,7 @@ impl Default for Campaign {
 /// trial panicked and was isolated by the engine's per-trial
 /// `catch_unwind` — the panic, recorded with the trial's seed so the
 /// failure reproduces deterministically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TrialOutcome {
     /// The trial ran to completion.
     Ok {
@@ -65,7 +64,7 @@ pub enum TrialOutcome {
 }
 
 /// A trial that panicked, as reported on [`CampaignResult`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailedTrial {
     /// Trial index within the campaign.
     pub trial: usize,
@@ -102,7 +101,7 @@ pub fn wilson_interval(p_hat: f64, n: usize, z: f64) -> (f64, f64) {
 /// panicked are listed in `failed_trials` rather than silently dropped
 /// or allowed to unwind the sweep. `error_ci` quantifies what the
 /// reduced sample supports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResult {
     /// Per-trial classification error (completed trials, trial order).
     pub errors: Vec<f64>,
@@ -138,18 +137,14 @@ pub struct CampaignResult {
     /// Mean uncorrectable codewords per trial.
     pub mean_ecc_uncorrectable: f64,
     /// Non-zero weights per stored layer (clean decode). Engine-run
-    /// campaigns report it; older serialized results and the pre-engine
-    /// reference arm leave it empty.
-    #[serde(default)]
+    /// campaigns report it; the pre-engine reference arm leaves it
+    /// empty.
     pub layer_nnz: Vec<u64>,
     /// Achieved model density: total non-zeros over total weights
     /// (`0.0` when unreported).
-    #[serde(default)]
     pub density: f64,
     /// Disk-layer counters of the run's shared encode cache (all zero
-    /// when the run had none; serde-defaulted so older serialized
-    /// results still load).
-    #[serde(default)]
+    /// when the run had none).
     pub encode_cache: maxnvm_encoding::storage::EncodeCacheStats,
 }
 
@@ -443,14 +438,13 @@ impl Campaign {
             .unwrap_or(4)
             .min(self.trials.max(1))
             .min(8);
-        let mut results: Vec<(f64, DecodeStats)> = Vec::with_capacity(self.trials);
-        crossbeam::thread::scope(|scope| {
+        let results = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for t in 0..threads {
                 let trial_ids: Vec<usize> = (0..self.trials).filter(|i| i % threads == t).collect();
                 let seed = self.seed;
                 let rate_scale = self.rate_scale;
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     let base_maps = fault_maps(tech, sa);
                     let fault_for =
                         move |cfg: MlcConfig| Arc::new(base_maps(cfg).scaled(rate_scale));
@@ -482,9 +476,8 @@ impl Campaign {
                 })
                 .collect();
             all.sort_by_key(|(t, _, _)| *t);
-            results = all.into_iter().map(|(_, e, s)| (e, s)).collect();
-        })
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            all.into_iter().map(|(_, e, s)| (e, s)).collect()
+        });
         CampaignResult::from_trials(results)
     }
 }

@@ -26,11 +26,12 @@
 //! All checkpoint I/O goes through a [`CheckpointStore`]: the real
 //! [`FsStore`] keeps the tmp + fsync + rename discipline, while the
 //! deterministic [`FaultyStore`] injects seeded I/O errors, torn
-//! writes, disk-full, and slow writes for testing the resilience layer
-//! itself. Transient failures are absorbed by a bounded-retry
-//! [`RetryPolicy`] with exponential backoff; disk-full surfaces as the
-//! distinct [`EngineError::CheckpointDiskFull`] so a supervisor can
-//! evict the stream instead of retrying hopelessly.
+//! writes, and disk-full for testing the resilience layer itself.
+//! Transient failures are absorbed by a bounded-retry [`RetryPolicy`]
+//! with exponential backoff; disk-full surfaces as the distinct
+//! [`EngineError::CheckpointDiskFull`] at once, since retrying cannot
+//! free space. The previous snapshot stays intact, so the caller can
+//! rerun once space is freed.
 
 use crate::campaign::TrialOutcome;
 use crate::engine::EngineError;
@@ -73,8 +74,8 @@ pub const TRIAL_SEMANTICS_VERSION: u32 = 4;
 /// The checkpoint storage backend: text-level read/write of snapshot
 /// files. The engine talks only to this trait, so the real filesystem
 /// implementation ([`FsStore`]) and the deterministic fault-injecting
-/// one ([`FaultyStore`]) are interchangeable — campaigns, the
-/// supervisor, and the retry layer behave identically against both.
+/// one ([`FaultyStore`]) are interchangeable — campaigns, sweeps, and
+/// the retry layer behave identically against both.
 ///
 /// `write_atomic` must be all-or-nothing with respect to process death
 /// (the `FsStore` contract: tmp + fsync + rename), but is allowed to
@@ -95,9 +96,8 @@ pub trait CheckpointStore: std::fmt::Debug + Send + Sync {
 
 /// Maps an I/O error to the typed engine error: out-of-space conditions
 /// (`StorageFull`, `WriteZero`, raw `ENOSPC`) become the distinct
-/// [`EngineError::CheckpointDiskFull`] so callers can evict instead of
-/// retrying; everything else is the transient
-/// [`EngineError::CheckpointIo`].
+/// [`EngineError::CheckpointDiskFull`], which is never retried;
+/// everything else is the transient [`EngineError::CheckpointIo`].
 fn map_io_error(path: &Path, e: std::io::Error) -> EngineError {
     let disk_full = matches!(
         e.kind(),
@@ -171,19 +171,16 @@ pub struct FaultPlan {
     /// [`EngineError::CheckpointDiskFull`] (not retried; previous
     /// snapshot intact).
     pub disk_full: f64,
-    /// Added latency per write, modeling a slow device.
-    pub slow_write: Option<Duration>,
 }
 
 impl FaultPlan {
     /// A moderately hostile default: 20% transient errors, 5% torn
-    /// writes, no disk-full, no latency.
+    /// writes, no disk-full.
     pub fn flaky() -> Self {
         Self {
             io_error: 0.2,
             torn_write: 0.05,
             disk_full: 0.0,
-            slow_write: None,
         }
     }
 
@@ -193,15 +190,14 @@ impl FaultPlan {
             io_error: 0.0,
             torn_write: 0.0,
             disk_full: 0.0,
-            slow_write: None,
         }
     }
 }
 
 /// A deterministic fault-injecting [`CheckpointStore`]: wraps an inner
 /// store and, per operation, draws from a seeded RNG whether to fail
-/// transiently, tear the write, report disk-full, or stall. Used by the
-/// fault-injection test suite and the CI `fault-injection` job; the
+/// transiently, tear the write, or report disk-full. Used by the
+/// resilience tests and the sharded sweep's faulty-cache mode; the
 /// injected schedule is a pure function of the seed and the operation
 /// sequence.
 pub struct FaultyStore<S: CheckpointStore = FsStore> {
@@ -252,9 +248,6 @@ impl<S: CheckpointStore> CheckpointStore for FaultyStore<S> {
                 rng.gen_range(0..text.len().max(1)),
             )
         };
-        if let Some(delay) = self.plan.slow_write {
-            std::thread::sleep(delay);
-        }
         if full {
             return Err(EngineError::CheckpointDiskFull {
                 path: path.display().to_string(),
@@ -1132,7 +1125,6 @@ mod tests {
                     io_error: 0.4,
                     torn_write: 0.3,
                     disk_full: 0.1,
-                    slow_write: None,
                 },
             );
             (0..32)
@@ -1150,7 +1142,6 @@ mod tests {
                 io_error: 0.0,
                 torn_write: 1.0,
                 disk_full: 0.0,
-                slow_write: None,
             },
         );
         let err = torn_only.write_atomic(&path, &text).expect_err("torn");
@@ -1168,7 +1159,6 @@ mod tests {
                 io_error: 0.0,
                 torn_write: 0.0,
                 disk_full: 1.0,
-                slow_write: None,
             },
         );
         let err = full_only.write_atomic(&path, &text).expect_err("full");

@@ -13,10 +13,9 @@ use maxnvm_encoding::estimate::{estimate_cells, LayerGeometry};
 use maxnvm_encoding::storage::{StorageScheme, StoredLayer, StructureBpc};
 use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
-use serde::{Deserialize, Serialize};
 
 /// One evaluated point of the design space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DsePoint {
     /// The storage configuration.
     pub scheme: StorageScheme,
@@ -33,22 +32,18 @@ pub struct DsePoint {
     pub trials_run: usize,
     /// Non-zero weights per layer (clean decode; spec-level exploration
     /// reports the geometry's nnz estimate).
-    #[serde(default)]
     pub layer_nnz: Vec<u64>,
     /// Achieved model density: total non-zeros over total weights
-    /// (`0.0` when unreported, e.g. deserialized from an old sweep).
-    #[serde(default)]
+    /// (`0.0` when unreported).
     pub density: f64,
     /// Disk-layer counters of the sweep's shared encode cache at the
     /// moment all encode/decode work finished (identical on every point
-    /// of one sweep; all zero without a disk-backed cache, and
-    /// serde-defaulted so older serialized sweeps still load).
-    #[serde(default)]
+    /// of one sweep; all zero without a disk-backed cache).
     pub encode_cache: maxnvm_encoding::storage::EncodeCacheStats,
 }
 
 /// DSE configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DseConfig {
     /// Monte-Carlo campaign settings (concrete exploration only).
     pub campaign: Campaign,

@@ -74,9 +74,9 @@ pub enum EngineError {
     },
     /// Writing a checkpoint failed because the device is out of space
     /// (`ErrorKind::StorageFull`/`WriteZero`). Distinct from
-    /// [`EngineError::CheckpointIo`] so a supervisor can *evict* the
-    /// stream (its previous snapshot is still resumable) instead of
-    /// retrying hopelessly against a full disk.
+    /// [`EngineError::CheckpointIo`] because retrying cannot help: the
+    /// run stops at once, and its previous snapshot stays resumable once
+    /// space is freed.
     CheckpointDiskFull {
         /// The file that could not be written.
         path: String,
@@ -89,11 +89,11 @@ pub enum EngineError {
         /// What was wrong, with the offending line where possible.
         detail: String,
     },
-    /// An environment override (`MAXNVM_CHECKPOINT_RETRIES`,
-    /// `MAXNVM_WATCHDOG_SECS`, …) is set but malformed. Surfaced at
-    /// context/supervisor construction, mirroring how `MAXNVM_THREADS`
-    /// and `MAXNVM_FORCE_SCALAR` are handled; bare-library paths fall
-    /// back to the default with a one-time warning instead.
+    /// An environment override (`MAXNVM_CHECKPOINT_RETRIES`) is set but
+    /// malformed. Surfaced at context construction, mirroring how
+    /// `MAXNVM_THREADS` and `MAXNVM_FORCE_SCALAR` are handled;
+    /// bare-library paths fall back to the default with a one-time
+    /// warning instead.
     InvalidConfig {
         /// The environment variable involved.
         var: String,
@@ -157,7 +157,7 @@ impl fmt::Display for EngineError {
                 write!(
                     f,
                     "checkpoint write to {path} failed: device out of space ({detail}); \
-                     evict the stream instead of retrying"
+                     free space and rerun to resume from the last snapshot"
                 )
             }
             Self::InvalidConfig { var, value } => {

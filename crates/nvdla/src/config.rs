@@ -1,9 +1,7 @@
 //! NVDLA baseline configurations (paper Table 3).
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed NVDLA datapath + memory-system configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NvdlaConfig {
     /// Configuration name ("NVDLA-64", "NVDLA-1024").
     pub name: String,

@@ -13,10 +13,9 @@ use maxnvm_dnn::zoo::ModelSpec;
 use maxnvm_envm::CellTechnology;
 use maxnvm_nvsim::sram::SramMacro;
 use maxnvm_nvsim::{characterize, ArrayDesign, ArrayRequest, NvsimError, OptTarget};
-use serde::{Deserialize, Serialize};
 
 /// One point of the Fig. 11 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HybridPoint {
     /// Fraction of the on-chip area budget given to eNVM.
     pub envm_fraction: f64,

@@ -5,10 +5,9 @@
 
 use crate::config::{NvdlaConfig, DRAM_RELOAD_PJ_PER_BYTE};
 use crate::perf::SystemReport;
-use serde::{Deserialize, Serialize};
 
 /// How the DRAM-based baseline bridges the gaps between inferences.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IdlePolicy {
     /// DRAM stays powered to retain weights ("DRAM always on").
     AlwaysOn,

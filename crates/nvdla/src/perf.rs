@@ -12,10 +12,9 @@ use crate::source::WeightSource;
 use maxnvm_dnn::zoo::ModelSpec;
 use maxnvm_encoding::estimate::{encoded_bits, LayerGeometry};
 use maxnvm_encoding::EncodingKind;
-use serde::{Deserialize, Serialize};
 
 /// Cycle breakdown for one layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerPerf {
     /// Cycles the MAC array needs.
     pub compute_cycles: u64,
@@ -35,7 +34,7 @@ impl LayerPerf {
 }
 
 /// System-level evaluation result (the quantities of Fig. 9).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemReport {
     /// Configuration name.
     pub config: String,
@@ -181,7 +180,7 @@ pub fn evaluate(
 }
 
 /// What limits a layer's execution rate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Bottleneck {
     /// MAC-array throughput.
     Compute,
@@ -195,7 +194,7 @@ pub enum Bottleneck {
 
 /// Per-layer diagnosis: where the cycles go (the evidence behind the §6
 /// greedy placement).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerReport {
     /// Layer name.
     pub name: String,

@@ -3,10 +3,9 @@
 
 use crate::config::{NvdlaConfig, DRAM_ENERGY_PJ_PER_BYTE};
 use maxnvm_nvsim::ArrayDesign;
-use serde::{Deserialize, Serialize};
 
 /// Where a layer's weights are fetched from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WeightSource {
     /// Baseline: all weights stream from off-chip LPDDR4 (Fig. 7a).
     Dram,

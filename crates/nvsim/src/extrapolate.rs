@@ -9,10 +9,9 @@
 //! `log2(capacity)`.
 
 use maxnvm_envm::reference::ReferenceChip;
-use serde::{Deserialize, Serialize};
 
 /// A published chip scaled to a target capacity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtrapolatedArray {
     /// Citation tag of the source chip.
     pub reference: &'static str,

@@ -36,10 +36,9 @@ pub mod extrapolate;
 pub mod sram;
 
 use maxnvm_envm::{CellTechnology, DeviceParams};
-use serde::{Deserialize, Serialize};
 
 /// What to build: a number of cells of one technology at a bits-per-cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrayRequest {
     /// Storage technology.
     pub tech: CellTechnology,
@@ -83,7 +82,7 @@ impl ArrayRequest {
 }
 
 /// NVSim optimization targets (paper Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OptTarget {
     /// Minimize total area.
     Area,
@@ -109,7 +108,7 @@ impl OptTarget {
 }
 
 /// One subarray organization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArrayConfig {
     /// Rows per subarray.
     pub rows: u32,
@@ -122,7 +121,7 @@ pub struct ArrayConfig {
 }
 
 /// A fully characterized array design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrayDesign {
     /// The request this design satisfies.
     pub request: ArrayRequest,

@@ -4,13 +4,11 @@
 //! The paper budgets "1mm², enough to accommodate about 1MB of SRAM" in a
 //! modern node (§6); reads are ~1ns and cheap relative to DRAM.
 
-use serde::{Deserialize, Serialize};
-
 /// SRAM density assumed by the hybrid study: bytes per mm².
 pub const SRAM_BYTES_PER_MM2: f64 = 1024.0 * 1024.0;
 
 /// A characterized on-chip SRAM macro.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramMacro {
     /// Capacity in bytes.
     pub bytes: u64,

@@ -1,5 +1,6 @@
 //! A module-level call graph lexed out of the code channel, for the R1
-//! (panic reachability) and C1 (event-loop hygiene) rule families.
+//! (panic reachability) rule family; the same walk records the sites
+//! the C1 channel ban matches.
 //!
 //! This is deliberately *not* a type-checked call graph — the lint has
 //! no `syn`, no name resolution, no types. It extracts `fn` spans and
@@ -11,14 +12,10 @@
 //!   when the crate has exactly **one** fn of that name (otherwise the
 //!   edge is dropped rather than guessed).
 //!
-//! Both choices approximate in the safe direction for their consumers:
-//! R1 treats extra edges as extra scrutiny, and C1 matches its banned
-//! constructs at the *site* as well, so a dropped edge can only relax
-//! path *reporting*, never site detection inside the reachable set.
-//! The argument list of a `spawn(...)` call is carved out as a
-//! *detached* region — code that runs on another thread, which C1 must
-//! not attribute to the event loop (R1 still follows it: a panic on a
-//! runner thread is still a panic).
+//! Both choices approximate in the safe direction: R1 treats extra
+//! edges as extra scrutiny, and a dropped edge can only hide a path,
+//! never a site. Closures passed to `spawn(...)` are walked like any
+//! other code: a panic on a spawned thread is still a panic.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -34,20 +31,8 @@ pub enum SiteKind {
     IndexArith,
     /// Plain `x[i]` indexing — a loud bounds panic at worst. Advisory.
     IndexPlain,
-    /// `sleep(...)` in any spelling. Banned in event loops by C1.
-    Sleep,
-    /// File-system tokens (`fs::`, `File`, `OpenOptions`). Banned in
-    /// event loops by C1.
-    BlockingIo,
-    /// `recv()`-family call with the lexical receiver it was called
-    /// on. C1 allows it only on the loop's own channel parameter.
-    Recv { receiver: String, method: String },
-    /// An argless `.join()` — a thread join. `Path::join` and
-    /// `slice::join` take arguments, so they don't match. Banned in
-    /// event loops by C1.
-    Join,
-    /// An unbounded `channel()` constructor. Banned crate-wide in the
-    /// service crates by C1 in favour of `sync_channel`.
+    /// An unbounded `channel()` constructor. Banned crate-wide by C1 in
+    /// favour of `sync_channel`.
     UnboundedChannel,
 }
 
@@ -55,9 +40,6 @@ pub enum SiteKind {
 pub struct Site {
     pub kind: SiteKind,
     pub line: usize,
-    /// Inside the argument list of a `spawn(...)` call: runs on a
-    /// different thread than the enclosing fn.
-    pub detached: bool,
 }
 
 /// A call site, resolved by name at the crate level.
@@ -67,7 +49,6 @@ pub struct Call {
     /// `.name(` or `::name(` (resolved only if unique in the crate)
     /// vs. a bare `name(` (resolved to every fn of that name).
     pub qualified: bool,
-    pub detached: bool,
 }
 
 /// One lexed `fn` definition.
@@ -81,9 +62,6 @@ pub struct FnInfo {
     pub end_line: usize,
     /// `pub` without a `pub(restricted)` qualifier.
     pub is_pub: bool,
-    /// Names of parameters whose type mentions `Receiver` — the
-    /// channel(s) an event loop legitimately blocks on.
-    pub receiver_params: Vec<String>,
     pub calls: Vec<Call>,
     pub sites: Vec<Site>,
 }
@@ -92,7 +70,7 @@ pub struct FnInfo {
 pub struct FileAnalysis {
     pub fns: Vec<FnInfo>,
     /// Sites outside any fn body (consts, statics): kept for the
-    /// crate-wide C1 channel ban and advisory totals.
+    /// crate-wide C1 channel ban and the R1 advisory totals.
     pub orphan_sites: Vec<Site>,
 }
 
@@ -143,22 +121,16 @@ struct Pending {
     name: String,
     line: usize,
     is_pub: bool,
-    sig: Vec<Tok>,
 }
 
 fn push_site(
     kind: SiteKind,
     line: usize,
-    detached: bool,
     fns: &mut [FnInfo],
     open: &[(usize, i32)],
     orphans: &mut Vec<Site>,
 ) {
-    let site = Site {
-        kind,
-        line,
-        detached,
-    };
+    let site = Site { kind, line };
     match open.last() {
         Some((f, _)) => fns[*f].sites.push(site),
         None => orphans.push(site),
@@ -182,8 +154,6 @@ pub fn analyze_file(rel: &str, fs: &FileScan) -> FileAnalysis {
     // Tokens since the last `;` / `{` / `}` — the item prefix, for
     // `pub` detection.
     let mut prefix: Vec<Tok> = Vec::new();
-    // Paren depths at which `spawn(` argument lists opened.
-    let mut detached_at: Vec<i32> = Vec::new();
 
     for (idx, line) in fs.code.iter().enumerate() {
         let lineno = idx + 1;
@@ -202,7 +172,6 @@ pub fn analyze_file(rel: &str, fs: &FileScan) -> FileAnalysis {
                                 line: p.line,
                                 end_line: p.line,
                                 is_pub: p.is_pub,
-                                receiver_params: receiver_params(&p.sig),
                                 calls: Vec::new(),
                                 sites: Vec::new(),
                             });
@@ -236,12 +205,7 @@ pub fn analyze_file(rel: &str, fs: &FileScan) -> FileAnalysis {
                 Tok::Punct(c) => {
                     match c {
                         '(' => paren_depth += 1,
-                        ')' => {
-                            paren_depth -= 1;
-                            if detached_at.last() == Some(&paren_depth) {
-                                detached_at.pop();
-                            }
-                        }
+                        ')' => paren_depth -= 1,
                         '[' => {
                             bracket_depth += 1;
                             if !excluded && pending.is_none() {
@@ -253,7 +217,6 @@ pub fn analyze_file(rel: &str, fs: &FileScan) -> FileAnalysis {
                                             SiteKind::IndexPlain
                                         },
                                         lineno,
-                                        !detached_at.is_empty(),
                                         &mut fns,
                                         &open,
                                         &mut orphans,
@@ -263,9 +226,6 @@ pub fn analyze_file(rel: &str, fs: &FileScan) -> FileAnalysis {
                         }
                         ']' => bracket_depth -= 1,
                         _ => {}
-                    }
-                    if let Some(p) = pending.as_mut() {
-                        p.sig.push(Tok::Punct(*c));
                     }
                     prefix.push(Tok::Punct(*c));
                 }
@@ -278,27 +238,14 @@ pub fn analyze_file(rel: &str, fs: &FileScan) -> FileAnalysis {
                                 name: name.clone(),
                                 line: lineno,
                                 is_pub: prefix_is_pub(&prefix),
-                                sig: Vec::new(),
                             });
                             prefix.clear();
                             t += 2; // skip `fn` and the name
                             continue;
                         }
                     }
-                    if let Some(p) = pending.as_mut() {
-                        p.sig.push(Tok::Ident(word.clone()));
-                    } else if !excluded {
-                        record_ident(
-                            word,
-                            &toks,
-                            t,
-                            lineno,
-                            &mut fns,
-                            &open,
-                            &mut orphans,
-                            &mut detached_at,
-                            paren_depth,
-                        );
+                    if pending.is_none() && !excluded {
+                        record_ident(word, &toks, t, lineno, &mut fns, &open, &mut orphans);
                     }
                     prefix.push(Tok::Ident(word.clone()));
                 }
@@ -326,66 +273,8 @@ fn prefix_is_pub(prefix: &[Tok]) -> bool {
     false
 }
 
-/// Names of signature parameters whose type mentions `Receiver`.
-fn receiver_params(sig: &[Tok]) -> Vec<String> {
-    let Some(start) = sig.iter().position(|t| *t == Tok::Punct('(')) else {
-        return Vec::new();
-    };
-    let mut depth = 0i32;
-    let mut end = sig.len();
-    for (i, t) in sig.iter().enumerate().skip(start) {
-        match t {
-            Tok::Punct('(') => depth += 1,
-            Tok::Punct(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    end = i;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let params = &sig[start + 1..end];
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut chunk_start = 0usize;
-    let flush = |chunk: &[Tok], out: &mut Vec<String>| {
-        if !chunk
-            .iter()
-            .any(|t| matches!(t, Tok::Ident(w) if w == "Receiver"))
-        {
-            return;
-        }
-        // The param name is the ident just before the first `:`.
-        if let Some(c) = chunk.iter().position(|t| *t == Tok::Punct(':')) {
-            if c > 0 {
-                if let Tok::Ident(n) = &chunk[c - 1] {
-                    out.push(n.clone());
-                }
-            }
-        }
-    };
-    for (i, t) in params.iter().enumerate() {
-        match t {
-            Tok::Punct('(') | Tok::Punct('<') | Tok::Punct('[') => depth += 1,
-            Tok::Punct(')') | Tok::Punct(']') => depth -= 1,
-            // `->` in an fn-trait bound is not a closing angle.
-            Tok::Punct('>') if i == 0 || params[i - 1] != Tok::Punct('-') => depth -= 1,
-            Tok::Punct(',') if depth == 0 => {
-                flush(&params[chunk_start..i], &mut out);
-                chunk_start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    flush(&params[chunk_start..], &mut out);
-    out
-}
-
-/// Classifies one identifier as a call and/or dangerous site and
-/// records it on the innermost open fn.
-#[allow(clippy::too_many_arguments)]
+/// Classifies one identifier as a call and/or channel site and records
+/// it on the innermost open fn.
 fn record_ident(
     word: &str,
     toks: &[(usize, Tok)],
@@ -394,78 +283,22 @@ fn record_ident(
     fns: &mut [FnInfo],
     open: &[(usize, i32)],
     orphans: &mut Vec<Site>,
-    detached_at: &mut Vec<i32>,
-    paren_depth: i32,
 ) {
     let followed_by_paren = matches!(toks.get(t + 1), Some((_, Tok::Punct('('))));
-    let prev = if t > 0 { Some(&toks[t - 1].1) } else { None };
-    let detached = !detached_at.is_empty();
-
-    // File-system tokens are site-worthy even without a call shape
-    // (`fs::read_to_string`, `File::open`, `OpenOptions::new`).
-    if word == "File" || word == "OpenOptions" {
-        push_site(SiteKind::BlockingIo, lineno, detached, fns, open, orphans);
-        return;
-    }
-    if word == "fs" && matches!(toks.get(t + 1), Some((_, Tok::Punct(':')))) {
-        push_site(SiteKind::BlockingIo, lineno, detached, fns, open, orphans);
-        return;
-    }
-
     if !followed_by_paren || NON_CALL_WORDS.contains(&word) {
         return;
     }
-
-    // `spawn(...)`: the argument list (the runner closure) runs on
-    // another thread.
-    if word == "spawn" {
-        detached_at.push(paren_depth);
-        return;
-    }
-
-    match word {
-        "sleep" => push_site(SiteKind::Sleep, lineno, detached, fns, open, orphans),
-        "channel" => push_site(
-            SiteKind::UnboundedChannel,
-            lineno,
-            detached,
-            fns,
-            open,
-            orphans,
-        ),
-        "recv" | "recv_timeout" | "recv_deadline" => {
-            let receiver = match (prev, t.checked_sub(2).map(|i| &toks[i].1)) {
-                (Some(Tok::Punct('.')), Some(Tok::Ident(r))) => r.clone(),
-                _ => String::new(),
-            };
-            push_site(
-                SiteKind::Recv {
-                    receiver,
-                    method: word.to_string(),
-                },
-                lineno,
-                detached,
-                fns,
-                open,
-                orphans,
-            );
-        }
-        "join"
-            if matches!(prev, Some(Tok::Punct('.')))
-                && matches!(toks.get(t + 2), Some((_, Tok::Punct(')')))) =>
-        {
-            push_site(SiteKind::Join, lineno, detached, fns, open, orphans);
-        }
-        _ => {}
+    if word == "channel" {
+        push_site(SiteKind::UnboundedChannel, lineno, fns, open, orphans);
     }
 
     // Every call shape also becomes a graph edge candidate.
+    let prev = if t > 0 { Some(&toks[t - 1].1) } else { None };
     let qualified = matches!(prev, Some(Tok::Punct('.')) | Some(Tok::Punct(':')));
     if let Some((f, _)) = open.last() {
         fns[*f].calls.push(Call {
             name: word.to_string(),
             qualified,
-            detached,
         });
     }
 }
@@ -526,12 +359,9 @@ impl CrateGraph {
 
     /// Resolved callees of `f`. Bare calls fan out to every fn of that
     /// name; qualified calls resolve only when unique in the crate.
-    fn callees(&self, f: usize, follow_detached: bool) -> Vec<usize> {
+    fn callees(&self, f: usize) -> Vec<usize> {
         let mut out = Vec::new();
         for call in &self.fns[f].calls {
-            if call.detached && !follow_detached {
-                continue;
-            }
             let Some(targets) = self.by_name.get(&call.name) else {
                 continue;
             };
@@ -548,7 +378,7 @@ impl CrateGraph {
     /// BFS from `roots`; returns, per fn, the predecessor on a
     /// shortest path from some root (a root maps to itself). `None` =
     /// unreachable.
-    pub fn reach(&self, roots: &[usize], follow_detached: bool) -> Vec<Option<usize>> {
+    pub fn reach(&self, roots: &[usize]) -> Vec<Option<usize>> {
         let mut parent: Vec<Option<usize>> = vec![None; self.fns.len()];
         let mut queue: VecDeque<usize> = VecDeque::new();
         for &r in roots {
@@ -558,7 +388,7 @@ impl CrateGraph {
             }
         }
         while let Some(f) = queue.pop_front() {
-            for callee in self.callees(f, follow_detached) {
+            for callee in self.callees(f) {
                 if parent[callee].is_none() {
                     parent[callee] = Some(f);
                     queue.push_back(callee);
@@ -624,7 +454,7 @@ mod tests {
             "pub fn api() { mid() }\nfn mid() { leaf() }\nfn leaf() { other() }\nfn island() {}\n";
         let a = analyze(src);
         let g = CrateGraph::build(a.fns);
-        let parent = g.reach(&g.pub_roots(), true);
+        let parent = g.reach(&g.pub_roots());
         let leaf = g.fns.iter().position(|f| f.name == "leaf").unwrap();
         let island = g.fns.iter().position(|f| f.name == "island").unwrap();
         assert!(parent[leaf].is_some());
@@ -637,7 +467,7 @@ mod tests {
         let src = "pub fn api(x: T) { x.go() }\nfn go() { dangerous() }\nfn dangerous() {}\n";
         let a = analyze(src);
         let g = CrateGraph::build(a.fns);
-        let parent = g.reach(&g.pub_roots(), true);
+        let parent = g.reach(&g.pub_roots());
         let d = g.fns.iter().position(|f| f.name == "dangerous").unwrap();
         assert!(parent[d].is_some(), "unique method name resolves");
 
@@ -645,7 +475,7 @@ mod tests {
         let src = "pub fn api(x: T) { x.go() }\nimpl A { fn go(&self) { dangerous() } }\nimpl B { fn go(&self) {} }\nfn dangerous() {}\n";
         let a = analyze(src);
         let g = CrateGraph::build(a.fns);
-        let parent = g.reach(&g.pub_roots(), true);
+        let parent = g.reach(&g.pub_roots());
         let d = g.fns.iter().position(|f| f.name == "dangerous").unwrap();
         assert!(
             parent[d].is_none(),
@@ -692,71 +522,25 @@ mod tests {
     }
 
     #[test]
-    fn spawn_closures_are_detached() {
-        let src = "fn event_loop() {\n    tick();\n    thread::Builder::new().spawn(move || {\n        blocking_work();\n        store.read(path);\n    });\n    after();\n}\nfn tick() {}\nfn after() {}\nfn blocking_work() { let _ = fs::read(\"x\"); }\n";
-        let a = analyze(src);
-        let el = &a.fns[0];
-        let calls: Vec<(&str, bool)> = el
-            .calls
-            .iter()
-            .map(|c| (c.name.as_str(), c.detached))
-            .collect();
-        assert!(calls.contains(&("tick", false)));
-        assert!(calls.contains(&("blocking_work", true)));
-        assert!(calls.contains(&("after", false)));
-        // C1 (follow_detached = false) cannot reach the closure body.
-        let g = CrateGraph::build(a.fns);
-        let roots = vec![0usize];
-        let parent = g.reach(&roots, false);
-        let bw = g
-            .fns
-            .iter()
-            .position(|f| f.name == "blocking_work")
-            .unwrap();
-        assert!(parent[bw].is_none());
-        // R1 (follow_detached = true) still follows it.
-        let parent = g.reach(&roots, true);
-        assert!(parent[bw].is_some());
+    fn spawn_closures_are_walked() {
+        // A panic on a spawned thread is still a panic: R1 follows calls
+        // inside a `spawn(...)` argument like any other call.
+        let src = "pub fn api() {\n    thread::Builder::new().spawn(move || {\n        work();\n    });\n}\nfn work() {}\n";
+        let g = CrateGraph::build(analyze(src).fns);
+        let parent = g.reach(&g.pub_roots());
+        let work = g.fns.iter().position(|f| f.name == "work").unwrap();
+        assert_eq!(g.path_to(&parent, work), "api -> work");
     }
 
     #[test]
-    fn c1_sites_are_detected() {
-        let src = "fn event_loop(rx: Receiver<Event>) {\n    let e = rx.recv_timeout(tick);\n    other.recv();\n    thread::sleep(d);\n    let f = File::open(p);\n    handle.join();\n    path.join(\"x\");\n    let (a, b) = channel();\n    let (c, d) = sync_channel(4);\n}\n";
+    fn channel_sites_are_detected() {
+        let src =
+            "fn wire() {\n    let (a, b) = channel();\n    let (c, d) = sync_channel(4);\n}\n";
         let a = analyze(src);
-        let f = &a.fns[0];
-        assert_eq!(f.receiver_params, vec!["rx".to_string()]);
-        let kinds: Vec<&SiteKind> = f.sites.iter().map(|s| &s.kind).collect();
-        assert!(kinds.contains(&&SiteKind::Sleep));
-        assert!(kinds.contains(&&SiteKind::BlockingIo));
-        assert!(kinds.contains(&&SiteKind::Join));
-        assert!(kinds.contains(&&SiteKind::UnboundedChannel));
-        let recvs: Vec<&SiteKind> = f
-            .sites
-            .iter()
-            .filter(|s| matches!(s.kind, SiteKind::Recv { .. }))
-            .map(|s| &s.kind)
-            .collect();
-        assert_eq!(recvs.len(), 2);
-        assert_eq!(
-            recvs[0],
-            &SiteKind::Recv {
-                receiver: "rx".to_string(),
-                method: "recv_timeout".to_string()
-            }
-        );
-        // `path.join("x")` has an argument: not a thread join.
-        assert_eq!(
-            f.sites.iter().filter(|s| s.kind == SiteKind::Join).count(),
-            1
-        );
         // `sync_channel` does not word-match `channel`.
-        assert_eq!(
-            f.sites
-                .iter()
-                .filter(|s| s.kind == SiteKind::UnboundedChannel)
-                .count(),
-            1
-        );
+        let kinds: Vec<(&SiteKind, usize)> =
+            a.fns[0].sites.iter().map(|s| (&s.kind, s.line)).collect();
+        assert_eq!(kinds, vec![(&SiteKind::UnboundedChannel, 2)]);
     }
 
     #[test]
@@ -766,15 +550,5 @@ mod tests {
         assert_eq!(a.fns.len(), 1);
         assert_eq!(a.fns[0].sites.len(), 1);
         assert!(a.orphan_sites.is_empty());
-    }
-
-    #[test]
-    fn receiver_params_handle_paths_and_multiple_params() {
-        let sigs =
-            analyze("fn f(cfg: &Config, rx: mpsc::Receiver<Event>, done_rx: Receiver<u32>) {}\n");
-        assert_eq!(
-            sigs.fns[0].receiver_params,
-            vec!["rx".to_string(), "done_rx".to_string()]
-        );
     }
 }

@@ -26,12 +26,8 @@
 //!   in release builds the arithmetic wraps, so an overflow reads a
 //!   *wrong* element silently instead of panicking. Plain `x[i]` stays
 //!   advisory, now with a public-reachability split per crate.
-//! - **C1 event-loop hygiene** — within the supervisor's `event_loop`
-//!   span and every intra-crate fn it (non-detachedly) calls: no file
-//!   I/O, no `sleep`, no `recv` on anything but the loop's own channel
-//!   parameter, no joining runner threads; plus a crate-wide ban on
-//!   unbounded `mpsc::channel()` in the service crates (`server`,
-//!   `faultsim`) in favour of `sync_channel`.
+//! - **C1 bounded channels** — a crate-wide ban on unbounded
+//!   `mpsc::channel()` in `faultsim` in favour of `sync_channel`.
 //!
 //! Scope: `src/` of every workspace crate plus the root package, minus
 //! `src/bin/`, `tests/`, `benches/`, `examples/`, `#[cfg(test)]` /
@@ -80,14 +76,9 @@ const D1_BANNED: &[(&str, &str, &str)] = &[
 /// Macros banned by D2 (the `assert!` family is explicitly allowed).
 const D2_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// Crates under the C1 unbounded-channel ban (rule C1). Both sides of
-/// the supervisor protocol: an unbounded queue hides backpressure
-/// failures until memory runs out.
-const C1_CRATES: &[&str] = &["server", "faultsim"];
-
-/// The crate whose `event_loop` fn anchors the C1 traversal. The fn
-/// must exist — a rename silently dropping the rule is a config error.
-const EVENT_LOOP_CRATE: &str = "server";
+/// Crates under the C1 unbounded-channel ban: an unbounded queue hides
+/// backpressure failures until memory runs out.
+const C1_CRATES: &[&str] = &["faultsim"];
 
 /// One rule violation at a source location.
 pub struct Violation {
@@ -245,7 +236,8 @@ pub fn run(root: &Path) -> Report {
     report
 }
 
-/// R1 + C1: the call-graph rules over the cached per-crate analyses.
+/// R1 + C1: the rules over the cached per-crate analyses (R1 walks the
+/// call graph; C1 matches channel sites).
 fn graph_rules(
     crate_files: &BTreeMap<String, Vec<(String, String, FileScan, FileAnalysis)>>,
     allow: &AllowList,
@@ -264,13 +256,13 @@ fn graph_rules(
         }
         let graph = CrateGraph::build(fns);
         let pub_roots = graph.pub_roots();
-        let reachable = graph.reach(&pub_roots, true);
+        let reachable = graph.reach(&pub_roots);
 
         if RESULT_AFFECTING.contains(&krate.as_str()) {
             r1_rules(krate, files, &graph, &fn_file, &reachable, allow, report);
         }
         if C1_CRATES.contains(&krate.as_str()) {
-            c1_rules(krate, files, &graph, &fn_file, allow, report);
+            c1_rules(files, allow, report);
         }
     }
 }
@@ -388,41 +380,16 @@ fn r1_rules(
     report.reachability.push(stat);
 }
 
-/// C1: event-loop hygiene in the supervisor plus the crate-wide
-/// unbounded-channel ban.
+/// C1: no unbounded channel anywhere in the crate, in fn bodies and
+/// item position alike.
 fn c1_rules(
-    krate: &str,
     files: &[(String, String, FileScan, FileAnalysis)],
-    graph: &CrateGraph,
-    fn_file: &[usize],
     allow: &AllowList,
     report: &mut Report,
 ) {
-    // Crate-wide: unbounded channels (fn bodies and item position,
-    // detached or not — a runner-side unbounded queue is just as
-    // unbounded).
-    for (i, f) in graph.fns.iter().enumerate() {
-        for s in &f.sites {
-            if s.kind == SiteKind::UnboundedChannel {
-                let (rel, src, fsc, _) = &files[fn_file[i]];
-                record(
-                    report,
-                    fsc,
-                    allow,
-                    rel,
-                    s.line,
-                    "C1/unbounded-channel",
-                    "unbounded `mpsc::channel()` in a service crate; use `sync_channel` so \
-                     backpressure surfaces instead of growing the queue"
-                        .to_string(),
-                    src,
-                );
-            }
-        }
-    }
-    for (fi, (rel, src, fsc, analysis)) in files.iter().enumerate() {
-        let _ = fi;
-        for s in &analysis.orphan_sites {
+    for (rel, src, fsc, analysis) in files {
+        let sites = analysis.fns.iter().flat_map(|f| &f.sites);
+        for s in sites.chain(&analysis.orphan_sites) {
             if s.kind == SiteKind::UnboundedChannel {
                 record(
                     report,
@@ -431,79 +398,12 @@ fn c1_rules(
                     rel,
                     s.line,
                     "C1/unbounded-channel",
-                    "unbounded `mpsc::channel()` in a service crate; use `sync_channel` so \
-                     backpressure surfaces instead of growing the queue"
+                    "unbounded `mpsc::channel()`; use `sync_channel` so backpressure surfaces \
+                     instead of growing the queue"
                         .to_string(),
                     src,
                 );
             }
-        }
-    }
-
-    // Event-loop traversal only anchors in the supervisor's crate.
-    if krate != EVENT_LOOP_CRATE {
-        return;
-    }
-    let roots: Vec<usize> = graph
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.name == "event_loop")
-        .map(|(i, _)| i)
-        .collect();
-    if roots.is_empty() {
-        report.errors.push(format!(
-            "C1: no `event_loop` fn found in crate `{krate}` — the hygiene rule has nothing to \
-             anchor on (renamed? update EVENT_LOOP_CRATE/lint)",
-        ));
-        return;
-    }
-    // The channels the loop may legitimately block on: its own
-    // Receiver-typed parameters.
-    let mut loop_receivers: Vec<String> = Vec::new();
-    for &r in &roots {
-        loop_receivers.extend(graph.fns[r].receiver_params.iter().cloned());
-    }
-    // Detached call edges are NOT followed: runner-thread code is not
-    // loop code.
-    let in_loop = graph.reach(&roots, false);
-    for (i, f) in graph.fns.iter().enumerate() {
-        if in_loop[i].is_none() {
-            continue;
-        }
-        let call_path = graph.path_to(&in_loop, i);
-        let (rel, src, fsc, _) = &files[fn_file[i]];
-        for s in &f.sites {
-            if s.detached {
-                continue; // runs on a runner thread, not the loop
-            }
-            let (rule, message) = match &s.kind {
-                SiteKind::Sleep => (
-                    "C1/sleep",
-                    format!("`sleep` on the event-loop thread (via `{call_path}`); block on the loop channel's timeout instead"),
-                ),
-                SiteKind::BlockingIo => (
-                    "C1/blocking-io",
-                    format!("file I/O on the event-loop thread (via `{call_path}`); move it to a runner thread or do it before the loop starts"),
-                ),
-                SiteKind::Join => (
-                    "C1/thread-join",
-                    format!("thread join on the event-loop thread (via `{call_path}`); joining a live runner stalls every stream"),
-                ),
-                SiteKind::Recv { receiver, method } => {
-                    let own = loop_receivers.iter().any(|r| r == receiver)
-                        || f.receiver_params.iter().any(|r| r == receiver);
-                    if own {
-                        continue;
-                    }
-                    (
-                        "C1/foreign-recv",
-                        format!("`.{method}()` on `{receiver}`, which is not the loop's own channel (via `{call_path}`); a foreign recv deadlocks the loop"),
-                    )
-                }
-                _ => continue,
-            };
-            record(report, fsc, allow, rel, s.line, rule, message, src);
         }
     }
 }
@@ -813,7 +713,7 @@ impl Report {
         let _ = writeln!(
             out,
             "maxnvm-lint v{} — D1 determinism, D2 no-panic, D3 unsafe hygiene, \
-             R1 panic reachability, C1 event-loop hygiene",
+             R1 panic reachability, C1 bounded channels",
             self.version
         );
         for v in &self.violations {
@@ -1175,12 +1075,12 @@ mod tests {
     }
 
     #[test]
-    fn server_and_checkpoint_modules_have_the_right_scan_status() {
+    fn checkpoint_modules_and_d1_exempt_crates_have_the_right_scan_status() {
         // The checkpoint substrate (stores, retry, parsing) feeds
         // resumed campaign results, so it must stay under the full D1
-        // scan. The supervisor crate is service plumbing — its watchdog
-        // legitimately reads wall clocks — so it must be *in* the scan
-        // (D2 no-panic still applies) but *not* result-affecting.
+        // scan. The analytic models (`nvsim`) feed no Monte-Carlo
+        // result, so they are *in* the scan (D2 no-panic still applies)
+        // but *not* result-affecting.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let files: Vec<String> = workspace_sources(&root)
             .iter()
@@ -1196,9 +1096,7 @@ mod tests {
             "crates/faultsim/src/engine/shard.rs",
             "crates/encoding/src/storage/cache.rs",
             "crates/encoding/src/storage/diskcache.rs",
-            "crates/server/src/supervisor.rs",
-            "crates/server/src/config.rs",
-            "crates/server/src/job.rs",
+            "crates/nvsim/src/lib.rs",
         ] {
             assert!(
                 files.iter().any(|f| f == rel),
@@ -1213,10 +1111,10 @@ mod tests {
         assert!(is_result_affecting(
             "crates/encoding/src/storage/diskcache.rs"
         ));
-        assert!(!is_result_affecting("crates/server/src/supervisor.rs"));
-        // D2 holds for the server crate even though it is D1-exempt.
+        assert!(!is_result_affecting("crates/nvsim/src/lib.rs"));
+        // D2 holds for a crate even though it is D1-exempt.
         let r = lint_str(
-            "crates/server/src/supervisor.rs",
+            "crates/nvsim/src/lib.rs",
             "fn f(x: Option<u8>) { x.unwrap(); }\n",
         );
         assert_eq!(r.violations.len(), 1);
@@ -1297,71 +1195,15 @@ mod tests {
     }
 
     #[test]
-    fn c1_event_loop_hygiene_bans_blocking_constructs() {
-        let src = "\
-use std::sync::mpsc::Receiver;
-pub fn event_loop(rx: Receiver<u32>) {
-    let _ = rx.recv_timeout(tick);
-    helper();
-}
-fn helper() {
-    let _ = std::fs::read(\"x\");
-    other_rx.recv();
-}
-";
-        let r = graph_str("server", &[("crates/server/src/supervisor.rs", src)]);
-        let rules: Vec<&str> = r.violations.iter().map(|v| v.rule).collect();
-        assert!(rules.contains(&"C1/blocking-io"), "rules: {rules:?}");
-        assert!(rules.contains(&"C1/foreign-recv"), "rules: {rules:?}");
-        // The loop's own recv_timeout is fine.
-        assert!(!r
-            .violations
-            .iter()
-            .any(|v| v.rule == "C1/foreign-recv" && v.line == 3));
-    }
-
-    #[test]
-    fn c1_spawned_runner_code_is_exempt() {
-        let src = "\
-pub fn event_loop(rx: Receiver<u32>) {
-    let _ = rx.recv_timeout(tick);
-    std::thread::Builder::new().spawn(move || {
-        run_stream();
-    });
-}
-fn run_stream() {
-    let _ = std::fs::read(\"x\");
-    std::thread::sleep(d);
-}
-";
-        let r = graph_str("server", &[("crates/server/src/supervisor.rs", src)]);
-        assert!(
-            r.violations.is_empty(),
-            "runner-thread code is not loop code: {:?}",
-            r.violations
-                .iter()
-                .map(|v| (v.rule, v.line))
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn c1_unbounded_channel_is_banned_in_service_crates() {
+    fn c1_unbounded_channel_is_banned_in_faultsim() {
         let src = "pub fn wire() { let (tx, rx) = std::sync::mpsc::channel(); }\n";
         let r = graph_str("faultsim", &[("crates/faultsim/src/x.rs", src)]);
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].rule, "C1/unbounded-channel");
         // `sync_channel` is the sanctioned spelling.
         let ok = "pub fn wire() { let (tx, rx) = std::sync::mpsc::sync_channel(8); }\n";
-        let r = graph_str("server", &[("crates/server/src/x.rs", ok)]);
-        // (missing event_loop is a config error in the server crate,
-        // but the channel itself is clean)
+        let r = graph_str("faultsim", &[("crates/faultsim/src/x.rs", ok)]);
         assert!(r.violations.is_empty());
-    }
-
-    #[test]
-    fn c1_missing_event_loop_is_a_config_error() {
-        let r = graph_str("server", &[("crates/server/src/x.rs", "pub fn api() {}\n")]);
-        assert!(r.errors.iter().any(|e| e.contains("event_loop")));
+        assert!(r.errors.is_empty());
     }
 }

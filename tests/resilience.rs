@@ -1,8 +1,8 @@
 //! The faultsim resilience layer, end to end: checkpoint/resume
-//! (including a real SIGKILL mid-campaign), cooperative cancellation,
-//! per-trial panic isolation, and adaptive early stopping — all while
-//! preserving the engine's byte-identical determinism at any worker
-//! count.
+//! (including a real SIGKILL mid-campaign and seeded checkpoint-store
+//! faults), cooperative cancellation, per-trial panic isolation, and
+//! adaptive early stopping — all while preserving the engine's
+//! byte-identical determinism at any worker count.
 
 use maxnvm_dnn::network::{LayerMatrix, WeightDelta};
 use maxnvm_dnn::zoo;
@@ -12,11 +12,12 @@ use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
 use maxnvm_faultsim::evaluate::{AccuracyEval, EvalScratch, SparseModel};
 use maxnvm_faultsim::{
-    Campaign, CancelToken, CheckpointConfig, EarlyStop, EngineError, EvalContext, ProxyEval,
-    RunControl,
+    Campaign, CancelToken, CheckpointConfig, EarlyStop, EngineError, EvalContext, FaultPlan,
+    FaultyStore, ProxyEval, RetryPolicy, RunControl,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const TECH: CellTechnology = CellTechnology::MlcCtt;
@@ -516,6 +517,136 @@ fn early_stopping_halts_a_decisive_campaign_deterministically() {
         .expect("full run");
     assert_eq!(full.completed_trials, c.trials);
     assert!(!full.stopped_early);
+}
+
+// ---------------------------------------------------------------------
+// Injected checkpoint faults: seeded `FaultyStore` schedules under the
+// plain engine entry point. A schedule is a pure function of its seed
+// and the (single-threaded) sequence of checkpoint operations, so each
+// seed replays the same faults on every run.
+// ---------------------------------------------------------------------
+
+const FAULT_SEEDS: [u64; 3] = [42, 1337, 271828];
+
+#[test]
+fn flaky_checkpoint_store_fails_typed_and_converges_on_rerun() {
+    let (stored, eval) = fixture();
+    let c = campaign();
+    let ctx = EvalContext::new(TECH, &sa(), RATE_SCALE).expect("ctx");
+    let uninterrupted = ctx
+        .run_campaign(c.trials, c.seed, std::slice::from_ref(&stored), &eval)
+        .expect("uninterrupted run");
+    let mut failures = 0;
+    for seed in FAULT_SEEDS {
+        let ckpt = temp_path(&format!("flaky-{seed}"));
+        let _ = std::fs::remove_file(&ckpt);
+        // No retries: every injected fault reaches the caller, so each
+        // attempt ends at the first one and the rerun resumes from the
+        // last snapshot that landed.
+        let control = RunControl {
+            checkpoint: Some(
+                CheckpointConfig::new(&ckpt)
+                    .every(1)
+                    .with_store(Arc::new(FaultyStore::new(seed, FaultPlan::flaky())))
+                    .with_retry(RetryPolicy::none()),
+            ),
+            ..RunControl::default()
+        };
+        let mut torn_on_disk = false;
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            assert!(attempts <= 1000, "seed {seed}: never converged");
+            let run = ctx.run_campaign_controlled(
+                c.trials,
+                c.seed,
+                std::slice::from_ref(&stored),
+                &eval,
+                &control,
+            );
+            match run {
+                Ok(result) => {
+                    assert_eq!(result, uninterrupted, "seed {seed}");
+                    break;
+                }
+                Err(EngineError::CheckpointIo { path, detail }) => {
+                    assert_eq!(path, ckpt.display().to_string());
+                    torn_on_disk |= detail.contains("torn write");
+                }
+                Err(EngineError::CheckpointDiskFull { path, .. }) => {
+                    assert_eq!(path, ckpt.display().to_string());
+                }
+                // A torn write bypasses the atomic rename and leaves a
+                // prefix at the final path. The engine never discards a
+                // snapshot on its own: every rerun reports the typed
+                // parse error until the caller removes the file.
+                Err(EngineError::CheckpointParse { detail }) => {
+                    assert!(
+                        torn_on_disk,
+                        "seed {seed}: parse error without a torn write: {detail}"
+                    );
+                    std::fs::remove_file(&ckpt).expect("discard torn snapshot");
+                    torn_on_disk = false;
+                }
+                Err(other) => panic!("seed {seed}: untyped failure: {other}"),
+            }
+            failures += 1;
+        }
+        assert!(!ckpt.exists(), "a completed run removes its checkpoint");
+    }
+    assert!(failures > 0, "the fault schedules injected nothing");
+}
+
+#[test]
+fn disk_full_is_typed_and_a_healthy_rerun_completes() {
+    let (stored, eval) = fixture();
+    let c = campaign();
+    let ckpt = temp_path("disk-full");
+    let _ = std::fs::remove_file(&ckpt);
+    let full = FaultPlan {
+        io_error: 0.0,
+        torn_write: 0.0,
+        disk_full: 1.0,
+    };
+    let control = |config: CheckpointConfig| RunControl {
+        checkpoint: Some(config.every(1)),
+        ..RunControl::default()
+    };
+    let ctx = EvalContext::new(TECH, &sa(), RATE_SCALE).expect("ctx");
+    let err = ctx
+        .run_campaign_controlled(
+            c.trials,
+            c.seed,
+            std::slice::from_ref(&stored),
+            &eval,
+            &control(
+                CheckpointConfig::new(&ckpt)
+                    .with_store(Arc::new(FaultyStore::new(FAULT_SEEDS[0], full)))
+                    .with_retry(RetryPolicy::new(2)),
+            ),
+        )
+        .expect_err("every write hits a full disk");
+    match err {
+        EngineError::CheckpointDiskFull { path, .. } => {
+            assert_eq!(path, ckpt.display().to_string())
+        }
+        other => panic!("expected CheckpointDiskFull, got {other}"),
+    }
+    // Once space is freed, a rerun over the same path completes
+    // byte-identically to an uninterrupted run.
+    let rerun = ctx
+        .run_campaign_controlled(
+            c.trials,
+            c.seed,
+            std::slice::from_ref(&stored),
+            &eval,
+            &control(CheckpointConfig::new(&ckpt)),
+        )
+        .expect("healthy rerun");
+    let uninterrupted = ctx
+        .run_campaign(c.trials, c.seed, std::slice::from_ref(&stored), &eval)
+        .expect("uninterrupted run");
+    assert_eq!(rerun, uninterrupted);
 }
 
 // ---------------------------------------------------------------------
