@@ -5,6 +5,7 @@
 //! cargo run --release -p maxnvm-bench --bin ablations
 //! ```
 
+use maxnvm_bench::println;
 use maxnvm_dnn::network::LayerMatrix;
 use maxnvm_ecc::{BlockCodec, SecDed};
 use maxnvm_encoding::cluster::ClusteredLayer;

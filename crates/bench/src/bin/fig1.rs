@@ -2,6 +2,7 @@
 //! proposals, each characterized as a fixed-capacity 4MB array
 //! (read-latency-optimized, as the paper's NVSim runs were).
 
+use maxnvm_bench::println;
 use maxnvm_envm::CellTechnology;
 use maxnvm_nvsim::extrapolate::fig1_points;
 use maxnvm_nvsim::{characterize, ArrayRequest, OptTarget};

@@ -3,6 +3,7 @@
 //! "DRAM wake up".
 
 use maxnvm::{baseline_design, optimal_design, CellTechnology, NvdlaConfig};
+use maxnvm_bench::println;
 use maxnvm_dnn::zoo;
 use maxnvm_encoding::EncodingKind;
 use maxnvm_nvdla::nonvolatility::{

@@ -2,6 +2,7 @@
 //! 1mm² of on-chip memory is split between activation SRAM and weight
 //! eNVM (DRAM takes the overflow of both).
 
+use maxnvm_bench::println;
 use maxnvm_dnn::zoo;
 use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::CellTechnology;

@@ -3,6 +3,7 @@
 //! histogram of 128 sampled devices per level, plus the derived
 //! adjacent-level fault rates.
 
+use maxnvm_bench::println;
 use maxnvm_envm::{CellTechnology, MlcConfig};
 use rand::SeedableRng;
 

@@ -9,6 +9,7 @@
 //! diverges is reported as a typed error with a non-zero exit, never as
 //! a chance-level figure.
 
+use maxnvm_bench::println;
 use std::error::Error;
 use std::process::ExitCode;
 

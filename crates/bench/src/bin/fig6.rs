@@ -3,6 +3,7 @@
 //! MLC-CTT, MLC-RRAM, and the SLC baseline — the result of the exhaustive
 //! bits-per-cell / protection design-space exploration.
 
+use maxnvm_bench::println;
 use maxnvm_dnn::zoo::ModelSpec;
 use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::{CellTechnology, SenseAmp};

@@ -3,6 +3,7 @@
 //! four eNVM proposals.
 
 use maxnvm::{optimal_design, CellTechnology};
+use maxnvm_bench::println;
 use maxnvm_dnn::zoo;
 
 fn main() {

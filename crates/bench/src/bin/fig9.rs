@@ -3,6 +3,7 @@
 //! the LPDDR4-DRAM baseline with the four eNVM proposals.
 
 use maxnvm::{baseline_design, optimal_design, CellTechnology, NvdlaConfig};
+use maxnvm_bench::println;
 use maxnvm_dnn::zoo;
 
 fn main() {

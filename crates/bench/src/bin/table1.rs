@@ -1,6 +1,7 @@
 //! Regenerates paper Table 1: characterization of published non-volatile
 //! memory chips.
 
+use maxnvm_bench::println;
 use maxnvm_envm::reference::table1_chips;
 
 fn main() {

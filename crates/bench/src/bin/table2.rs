@@ -1,6 +1,7 @@
 //! Regenerates paper Table 2: DNN models with baseline error, ITN bound,
 //! cluster index bits, sparsity, and storage footprints per encoding.
 
+use maxnvm_bench::println;
 use maxnvm_dnn::zoo::ModelSpec;
 use maxnvm_encoding::estimate::model_bits;
 use maxnvm_encoding::EncodingKind;

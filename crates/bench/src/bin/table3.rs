@@ -1,6 +1,7 @@
 //! Regenerates paper Table 3: the NVSim sweep parameters and NVDLA
 //! baseline configurations this reproduction uses.
 
+use maxnvm_bench::println;
 use maxnvm_nvdla::NvdlaConfig;
 use maxnvm_nvsim::OptTarget;
 
@@ -10,14 +11,8 @@ fn main() {
     println!("  Subarray rows     64 - 2048");
     println!("  Subarray columns  64 - 1024");
     println!("  Column mux        1 - 32");
-    print!("  Optimization targets: ");
-    for (i, t) in OptTarget::ALL.iter().enumerate() {
-        if i > 0 {
-            print!(", ");
-        }
-        print!("{t:?}");
-    }
-    println!("\n");
+    let targets: Vec<String> = OptTarget::ALL.iter().map(|t| format!("{t:?}")).collect();
+    println!("  Optimization targets: {}\n", targets.join(", "));
     println!("Table 3 (right): NVDLA baselines");
     println!("{:<28} {:>12} {:>12}", "", "NVDLA-64", "NVDLA-1024");
     let a = NvdlaConfig::nvdla_64();

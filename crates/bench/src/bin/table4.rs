@@ -2,6 +2,7 @@
 //! proposal, characterized per DNN.
 
 use maxnvm::{optimal_design, CellTechnology};
+use maxnvm_bench::println;
 use maxnvm_dnn::zoo;
 
 fn main() {

@@ -2,6 +2,7 @@
 //! weights per model and eNVM proposal.
 
 use maxnvm::{optimal_design, CellTechnology};
+use maxnvm_bench::println;
 use maxnvm_dnn::zoo;
 use maxnvm_envm::WriteModel;
 

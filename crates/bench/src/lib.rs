@@ -1,8 +1,8 @@
 //! MaxNVM reproduction: benchmark harness binaries (one per paper table/figure).
 //!
-//! The library half holds what a binary shares with the test suite: the
-//! Fig. 5 stand-in recipe, which `fig5` prints and `tests/golden.rs` at
-//! the workspace root locks by digest.
+//! The library half holds what the binaries share: the [`println!`] they
+//! all print through, and the Fig. 5 stand-in recipe, which `fig5`
+//! prints and `tests/golden.rs` at the workspace root locks by digest.
 
 use maxnvm_dnn::data::SyntheticDigits;
 use maxnvm_dnn::train::{sgd_train, TrainConfig, TrainError};
@@ -12,6 +12,35 @@ use maxnvm_envm::{CellTechnology, SenseAmp};
 use maxnvm_faultsim::campaign::Campaign;
 use maxnvm_faultsim::evaluate::NetworkEval;
 use maxnvm_faultsim::vulnerability::VulnerabilityStudy;
+use std::io::{ErrorKind, Write};
+
+/// std's `println!` for the figure and table binaries, which import it
+/// by name in its place, except that a closed stdout ends the process
+/// with exit code 0 instead of a panic: the reader of `fig5 | head -1`
+/// has all it asked for. Any other write error exits 1 with a message
+/// on stderr.
+#[macro_export]
+macro_rules! println {
+    () => {
+        $crate::write_line(format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_line(format_args!($($arg)*))
+    };
+}
+
+/// Writes `args` and a newline to stdout; see [`println!`].
+#[doc(hidden)]
+pub fn write_line(args: std::fmt::Arguments<'_>) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(args).and_then(|()| out.write_all(b"\n")) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// The Fig. 5 stand-in: a LeNet-style CNN trained on synthetic digits,
 /// pruned to 60% with retraining (§3.1.2) and clustered to 4-bit indices.

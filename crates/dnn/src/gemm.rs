@@ -261,13 +261,29 @@ pub fn gemm_row_into(out: &mut [f32], row: &[f32], b: &[f32], k: usize, n: usize
 /// per-element chain: `fma(a[k-1], b[k-1], … fma(a[0], b[0], 0.0))`.
 /// Bit-identical to one element of [`gemm_into`] (`n = 1` column) on
 /// every tier; used wherever a single output needs the same bits as
-/// the batched kernels (e.g. the single-sample linear layer).
+/// the batched kernels (e.g. the single-sample linear layer). Runs an
+/// FMA-compiled clone where the CPU has hardware FMA, like the scalar
+/// tier's axpy, instead of one libm `fmaf` call per term.
 ///
 /// # Panics
 ///
 /// Asserts that the slices have equal length.
 pub fn fused_dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot operand lengths");
+    #[cfg(target_arch = "x86_64")]
+    if dispatch::scalar_fma_available() {
+        // SAFETY: hardware FMA detected; the clone computes the same
+        // sequential chain as the portable body.
+        return unsafe { kernel_x86::dot_fma(a, b) };
+    }
+    dot_portable(a, b)
+}
+
+/// Portable fused dot body: one `f32::mul_add` per term, ascending —
+/// the reference semantics of [`fused_dot`]. `#[inline(always)]` so the
+/// `#[target_feature]` clone compiles it with hardware FMA.
+#[inline(always)]
+fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = 0.0f32;
     for (&x, &y) in a.iter().zip(b) {
         acc = x.mul_add(y, acc);
@@ -833,6 +849,10 @@ mod tests {
         for (h, p) in d_hw.iter().zip(&d_po) {
             assert_eq!(h.to_bits(), p.to_bits());
         }
+        let other = random(37, 66);
+        // SAFETY: FMA detected above; equal slice lengths.
+        let dot_hw = unsafe { kernel_x86::dot_fma(&src, &other) };
+        assert_eq!(dot_hw.to_bits(), dot_portable(&src, &other).to_bits());
     }
 
     /// A deterministic in-process stand-in for the engine pool: runs

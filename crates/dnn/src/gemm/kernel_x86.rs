@@ -185,3 +185,17 @@ pub(super) unsafe fn axpy_avx512(dst: &mut [f32], src: &[f32], a: f32) {
 pub(super) unsafe fn axpy_fma(dst: &mut [f32], src: &[f32], a: f32) {
     super::axpy_portable(dst, src, a);
 }
+
+/// Scalar fused dot product compiled with hardware FMA: the portable
+/// body's sequential chain, one `vfmadd` per term.
+///
+/// # Safety
+///
+/// Requires FMA (guaranteed by dispatch). `a` and `b` must be the same
+/// length.
+// SAFETY: `unsafe fn` — caller contract in the doc `# Safety` section
+// above; dispatch verifies the target features before routing here.
+#[target_feature(enable = "fma")]
+pub(super) unsafe fn dot_fma(a: &[f32], b: &[f32]) -> f32 {
+    super::dot_portable(a, b)
+}

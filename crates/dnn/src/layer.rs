@@ -5,8 +5,8 @@
 //! compatible 2-D mapping of the 3-D filters) and linear weights
 //! `[out, in]`.
 
-use crate::gemm::{gemm_into, GemmScratch};
-use crate::tensor::{conv_out_dims, im2col, im2col_into, Tensor};
+use crate::gemm::{fused_dot, gemm_into, GemmScratch};
+use crate::tensor::{conv_out_dims, im2col_into, Tensor};
 
 /// Reusable buffers for [`Layer::forward_batch_scratch`]. One instance per
 /// worker keeps the whole batched forward pass allocation-free after
@@ -21,6 +21,19 @@ pub struct ForwardScratch {
     pub cols: Vec<f32>,
     /// GEMM output staging (`[rows, n·p]`).
     pub out: Vec<f32>,
+}
+
+/// One layer's output on one sample, in buffers reused from sample to
+/// sample (see [`Layer::forward_into`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Activation {
+    /// Row-major values.
+    pub(crate) data: Vec<f32>,
+    /// Shape of `data`.
+    pub(crate) shape: Vec<usize>,
+    /// Conv2d only: the `[in_ch·kh·kw, out_h·out_w]` im2col of the
+    /// layer's input, the matrix the convolution multiplied.
+    pub(crate) cols: Vec<f32>,
 }
 
 /// Geometry of the packed right-hand matrix built by
@@ -137,82 +150,9 @@ impl Layer {
     /// # Panics
     ///
     /// Panics if the input shape is incompatible with the layer.
-    // maxnvm-lint: allow(R1/index-arith): every flattening ((ci*h+y)*w+x, o*inp row spans) uses the dims the entry match destructured from the validated input shape, so products stay within data().len().
+    // maxnvm-lint: allow(R1/index-arith): the channel spans ci*h*w..(ci+1)*h*w use the dims destructured from the [c,h,w] input shape, and ci < c, so they stay within data().len().
     pub fn forward(&self, x: &Tensor) -> Tensor {
         match self {
-            Layer::Conv2d {
-                weight,
-                bias,
-                in_ch,
-                kh,
-                kw,
-                stride,
-                pad,
-                ..
-            } => {
-                assert_eq!(x.shape().len(), 3, "conv input must be [c,h,w]");
-                assert_eq!(x.shape()[0], *in_ch, "conv input channels");
-                let (cols, oh, ow) = im2col(x, *kh, *kw, *stride, *pad);
-                let out_ch = weight.shape()[0];
-                let k = weight.shape()[1];
-                let mut out = vec![0.0f32; out_ch * oh * ow];
-                gemm_into(
-                    &mut out,
-                    weight.data(),
-                    cols.data(),
-                    out_ch,
-                    k,
-                    oh * ow,
-                    &mut GemmScratch::default(),
-                );
-                for (ci, row) in out.chunks_mut(oh * ow).enumerate() {
-                    for v in row.iter_mut() {
-                        *v += bias[ci];
-                    }
-                }
-                Tensor::from_vec(&[out_ch, oh, ow], out)
-            }
-            Layer::Linear { weight, bias, .. } => {
-                assert_eq!(x.shape().len(), 1, "linear input must be flat");
-                let (out, inp) = (weight.shape()[0], weight.shape()[1]);
-                assert_eq!(x.len(), inp, "linear input size");
-                let mut y = vec![0.0f32; out];
-                for (o, yo) in y.iter_mut().enumerate() {
-                    let row = &weight.data()[o * inp..(o + 1) * inp];
-                    // Fused dot so the single-sample path is bit-identical
-                    // to the batched GEMM column (then + bias, as there).
-                    *yo = bias[o] + crate::gemm::fused_dot(row, x.data());
-                }
-                Tensor::from_vec(&[out], y)
-            }
-            Layer::ReLU => {
-                Tensor::from_vec(x.shape(), x.data().iter().map(|&v| v.max(0.0)).collect())
-            }
-            Layer::MaxPool2 => {
-                assert_eq!(x.shape().len(), 3, "pool input must be [c,h,w]");
-                let (c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-                assert!(
-                    h % 2 == 0 && w % 2 == 0,
-                    "pool needs even dims, got {h}x{w}"
-                );
-                let (oh, ow) = (h / 2, w / 2);
-                let mut out = vec![0.0f32; c * oh * ow];
-                for ci in 0..c {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut m = f32::NEG_INFINITY;
-                            for dy in 0..2 {
-                                for dx in 0..2 {
-                                    let v = x.data()[(ci * h + oy * 2 + dy) * w + ox * 2 + dx];
-                                    m = m.max(v);
-                                }
-                            }
-                            out[(ci * oh + oy) * ow + ox] = m;
-                        }
-                    }
-                }
-                Tensor::from_vec(&[c, oh, ow], out)
-            }
             Layer::AvgPoolGlobal => {
                 assert_eq!(x.shape().len(), 3, "pool input must be [c,h,w]");
                 let (c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
@@ -221,10 +161,6 @@ impl Layer {
                     .map(|ci| x.data()[ci * h * w..(ci + 1) * h * w].iter().sum::<f32>() / hw)
                     .collect();
                 Tensor::from_vec(&[c], out)
-            }
-            Layer::Flatten => {
-                let n = x.len();
-                x.clone().reshape(&[n])
             }
             Layer::BatchNorm2d {
                 gamma,
@@ -262,7 +198,131 @@ impl Layer {
                     .collect();
                 Tensor::from_vec(main.shape(), data)
             }
+            // The batched forward maps these two over every sample, and
+            // the buffer-reusing `forward_into` adds ~30 ns per call.
+            Layer::ReLU => {
+                Tensor::from_vec(x.shape(), x.data().iter().map(|&v| v.max(0.0)).collect())
+            }
+            Layer::Flatten => {
+                let n = x.len();
+                x.clone().reshape(&[n])
+            }
+            // Conv2d, Linear and MaxPool2.
+            _ => {
+                let mut out = Activation::default();
+                self.forward_into(x.data(), x.shape(), &mut out, &mut GemmScratch::default());
+                Tensor::from_parts(out.shape, out.data)
+            }
         }
+    }
+
+    /// Runs a Conv2d, Linear, ReLU, MaxPool2 or Flatten layer on one
+    /// sample `x` of shape `shape`, into `out`'s reused buffers; a Conv2d
+    /// layer also leaves its input's im2col in `out.cols`. This is the
+    /// single-sample forward of [`Self::forward`] (which runs ReLU and
+    /// Flatten itself, with the same one operation per element), so
+    /// both give the same bits. Returns `false`, with `out` untouched,
+    /// for the other layer kinds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input shape is incompatible with the layer.
+    // maxnvm-lint: allow(R1/index-arith): the pool's flattening (ci*h+y)*w+x uses the dims destructured from the shape asserted [c,h,w] with even h and w, so every tap lies inside x.
+    pub(crate) fn forward_into(
+        &self,
+        x: &[f32],
+        shape: &[usize],
+        out: &mut Activation,
+        gs: &mut GemmScratch,
+    ) -> bool {
+        let mut set_shape = |dims: &[usize]| {
+            out.shape.clear();
+            out.shape.extend_from_slice(dims);
+        };
+        match self {
+            Layer::Conv2d {
+                weight,
+                bias,
+                in_ch,
+                kh,
+                kw,
+                stride,
+                pad,
+                ..
+            } => {
+                assert_eq!(shape.len(), 3, "conv input must be [c,h,w]");
+                assert_eq!(shape[0], *in_ch, "conv input channels");
+                let (c, h, w) = (shape[0], shape[1], shape[2]);
+                let (oh, ow) = conv_out_dims(h, w, *kh, *kw, *stride, *pad);
+                let (out_ch, k, p) = (weight.shape()[0], weight.shape()[1], oh * ow);
+                out.cols.clear();
+                out.cols.resize(k * p, 0.0);
+                im2col_into(x, c, h, w, *kh, *kw, *stride, *pad, &mut out.cols, p, 0);
+                out.data.resize(out_ch * p, 0.0);
+                gemm_into(&mut out.data, weight.data(), &out.cols, out_ch, k, p, gs);
+                for (row, b) in out.data.chunks_mut(p).zip(bias) {
+                    for v in row {
+                        *v += b;
+                    }
+                }
+                set_shape(&[out_ch, oh, ow]);
+            }
+            Layer::Linear { weight, bias, .. } => {
+                assert_eq!(shape.len(), 1, "linear input must be flat");
+                let inp = weight.shape()[1];
+                assert_eq!(x.len(), inp, "linear input size");
+                out.data.clear();
+                // Fused dot so the single-sample path is bit-identical to
+                // the batched GEMM column (then + bias, as there).
+                out.data.extend(
+                    weight
+                        .data()
+                        .chunks_exact(inp)
+                        .zip(bias)
+                        .map(|(row, b)| b + fused_dot(row, x)),
+                );
+                set_shape(&[bias.len()]);
+            }
+            Layer::ReLU => {
+                out.data.clear();
+                out.data.extend(x.iter().map(|&v| v.max(0.0)));
+                set_shape(shape);
+            }
+            Layer::MaxPool2 => {
+                assert_eq!(shape.len(), 3, "pool input must be [c,h,w]");
+                let (c, h, w) = (shape[0], shape[1], shape[2]);
+                assert!(
+                    h % 2 == 0 && w % 2 == 0,
+                    "pool needs even dims, got {h}x{w}"
+                );
+                assert_eq!(x.len(), c * h * w, "pool input length");
+                out.data.clear();
+                out.data.reserve(c * (h / 2) * (w / 2));
+                for ci in 0..c {
+                    for oy in 0..h / 2 {
+                        for ox in 0..w / 2 {
+                            let mut m = f32::NEG_INFINITY;
+                            for dy in 0..2 {
+                                for dx in 0..2 {
+                                    m = m.max(x[(ci * h + oy * 2 + dy) * w + ox * 2 + dx]);
+                                }
+                            }
+                            out.data.push(m);
+                        }
+                    }
+                }
+                set_shape(&[c, h / 2, w / 2]);
+            }
+            Layer::Flatten => {
+                out.data.clear();
+                out.data.extend_from_slice(x);
+                set_shape(&[x.len()]);
+            }
+            Layer::AvgPoolGlobal | Layer::BatchNorm2d { .. } | Layer::Residual { .. } => {
+                return false;
+            }
+        }
+        true
     }
 
     /// Runs the layer on a batch of same-shaped samples, allocating a

@@ -5,7 +5,7 @@
 //! crate provides everything the co-design pipeline needs from the DNN
 //! side, built from scratch:
 //!
-//! - [`tensor`]: a minimal row-major f32 tensor with matmul and im2col;
+//! - [`tensor`]: a minimal row-major f32 tensor and the im2col unfolding;
 //! - [`layer`] / [`network`]: runnable networks (conv, linear, pooling,
 //!   batch-norm, residual blocks) with forward inference and — for the
 //!   architectures used in fault-injection experiments — SGD backprop;
@@ -51,5 +51,5 @@ pub use layer::{ForwardScratch, Layer};
 pub use network::{Network, WeightDelta};
 pub use prefix::PrefixCache;
 pub use sparse::SparseMatrix;
-pub use tensor::{Tensor, TensorError};
+pub use tensor::Tensor;
 pub use zoo::{LayerSpec, ModelSpec};

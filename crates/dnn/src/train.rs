@@ -8,9 +8,9 @@
 //! trainable models.
 
 use crate::gemm::{gemm_into, GemmScratch};
-use crate::layer::Layer;
+use crate::layer::{Activation, Layer};
 use crate::network::Network;
-use crate::tensor::{col2im, im2col, Tensor};
+use crate::tensor::{col2im_into, Tensor};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -86,12 +86,6 @@ impl fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// Per-layer parameter gradients (only weight-bearing layers have entries).
-struct ParamGrad {
-    weight: Tensor,
-    bias: Vec<f32>,
-}
-
 /// Initializes conv/linear weights with He-style scaled Gaussians.
 pub fn he_init(net: &mut Network, seed: u64) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -120,173 +114,321 @@ pub fn he_init(net: &mut Network, seed: u64) {
     init_layers(net.layers_mut(), &mut rng);
 }
 
-/// Softmax cross-entropy loss and gradient w.r.t. the logits.
-fn softmax_ce(logits: &Tensor, label: usize) -> (f32, Tensor) {
-    let max = logits
-        .data()
-        .iter()
-        .fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-    let exps: Vec<f32> = logits.data().iter().map(|&v| (v - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    let probs: Vec<f32> = exps.iter().map(|&e| e / sum).collect();
-    let loss = -(probs[label].max(1e-12)).ln();
-    let grad = probs
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| if i == label { p - 1.0 } else { p })
-        .collect();
-    (loss, Tensor::from_vec(logits.shape(), grad))
+/// One layer's buffers in a [`TrainStep`].
+#[derive(Debug, Default)]
+struct LayerBufs {
+    /// The layer's output on the current sample (and a conv layer's
+    /// im2col of its input).
+    act: Activation,
+    /// Weight-bearing layers: the current sample's weight and bias
+    /// gradients, and their momentum buffers.
+    dw: Vec<f32>,
+    db: Vec<f32>,
+    vw: Vec<f32>,
+    vb: Vec<f32>,
 }
 
-/// Forward + backward for one sample. Returns the loss and per-layer
-/// parameter gradients (None for parameter-free layers), or
-/// [`TrainError::UnsupportedBackprop`] when a layer has no backward pass.
-// maxnvm-lint: allow(R1/index-arith): mirrors the forward pass's indexing: all products are over dims destructured from the validated layer shapes, and the maxpool argmax re-reads taps it just probed.
-fn forward_backward(
-    net: &Network,
-    x: &Tensor,
-    label: usize,
-) -> Result<(f32, Vec<Option<ParamGrad>>), TrainError> {
-    // Forward, caching each layer's input.
-    let mut inputs: Vec<Tensor> = Vec::with_capacity(net.layers().len());
-    let mut cur = x.clone();
-    for l in net.layers() {
-        inputs.push(cur.clone());
-        cur = l.forward(&cur);
-    }
-    let (loss, mut grad) = softmax_ce(&cur, label);
+/// The scratch of one SGD step — forward, backward and update on one
+/// sample. One instance serves every sample of an [`sgd_train`] call, so
+/// the step allocates nothing once its buffers have grown.
+///
+/// Every floating-point operation that reaches the weights is the one a
+/// plain per-sample backprop does, on the same operands in the same
+/// order, so the trained bits do not depend on how the work is arranged.
+/// The step saves only work that feeds nothing: the forward's conv im2col
+/// is kept for the weight gradient instead of being rebuilt, transposed
+/// GEMM operands go into reused buffers (see [`TransposedGemm`]), and no
+/// input gradient is computed below the first weight-bearing layer.
+#[derive(Debug, Default)]
+struct TrainStep {
+    layers: Vec<LayerBufs>,
+    /// Gradient w.r.t. the current layer's output, and w.r.t. its input.
+    grad: Vec<f32>,
+    grad_in: Vec<f32>,
+    /// A conv layer's input gradient in im2col form, before the fold.
+    dcols: Vec<f32>,
+    mm: TransposedGemm,
+}
 
-    let mut grads: Vec<Option<ParamGrad>> = (0..net.layers().len()).map(|_| None).collect();
-    for (li, l) in net.layers().iter().enumerate().rev() {
-        let input = &inputs[li];
-        match l {
-            Layer::Linear { weight, .. } => {
-                let (out, inp) = (weight.shape()[0], weight.shape()[1]);
-                let mut dw = Tensor::zeros(&[out, inp]);
-                let mut db = vec![0.0f32; out];
-                let mut dx = vec![0.0f32; inp];
-                #[allow(clippy::needless_range_loop)]
-                for o in 0..out {
-                    let g = grad.data()[o];
-                    db[o] = g;
-                    let wrow = &weight.data()[o * inp..(o + 1) * inp];
-                    let dwrow = &mut dw.data_mut()[o * inp..(o + 1) * inp];
-                    for i in 0..inp {
-                        dwrow[i] = g * input.data()[i];
-                        dx[i] += g * wrow[i];
-                    }
+impl TrainStep {
+    fn new(net: &Network) -> Self {
+        let layers = net
+            .layers()
+            .iter()
+            .map(|l| {
+                let mut bufs = LayerBufs::default();
+                if let Some((weight, bias)) = l.weight_bias() {
+                    bufs.vw = vec![0.0; weight.len()];
+                    bufs.vb = vec![0.0; bias.len()];
                 }
-                grads[li] = Some(ParamGrad {
-                    weight: dw,
-                    bias: db,
-                });
-                grad = Tensor::from_vec(&[inp], dx);
-            }
-            Layer::Conv2d {
-                weight,
-                in_ch,
-                kh,
-                kw,
-                stride,
-                pad,
-                ..
-            } => {
-                let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-                debug_assert_eq!(c, *in_ch);
-                let (cols, oh, ow) = im2col(input, *kh, *kw, *stride, *pad);
-                let out_ch = weight.shape()[0];
-                let fan_in = weight.shape()[1];
-                let p = oh * ow;
-                // grad is [out_ch, oh, ow] -> matrix [out_ch, oh*ow]
-                let gmat = grad.clone().reshape(&[out_ch, p]);
-                let mut gs = GemmScratch::default();
-                // dW = gmat · cols^T  ([out_ch, p] · [p, fan_in])
-                let colst = cols.transpose();
-                let mut dw_data = vec![0.0f32; out_ch * fan_in];
-                gemm_into(
-                    &mut dw_data,
-                    gmat.data(),
-                    colst.data(),
-                    out_ch,
-                    p,
-                    fan_in,
-                    &mut gs,
-                );
-                let dw = Tensor::from_vec(&[out_ch, fan_in], dw_data);
-                let db: Vec<f32> = (0..out_ch)
-                    .map(|o| gmat.data()[o * p..(o + 1) * p].iter().sum())
-                    .collect();
-                // dX_cols = W^T · gmat ([fan_in, out_ch] · [out_ch, p]),
-                // then fold back.
-                let wt = weight.transpose();
-                let mut dcols_data = vec![0.0f32; fan_in * p];
-                gemm_into(
-                    &mut dcols_data,
-                    wt.data(),
-                    gmat.data(),
-                    fan_in,
-                    out_ch,
-                    p,
-                    &mut gs,
-                );
-                let dcols = Tensor::from_vec(&[fan_in, p], dcols_data);
-                let dx = col2im(&dcols, c, h, w, *kh, *kw, *stride, *pad);
-                grads[li] = Some(ParamGrad {
-                    weight: dw,
-                    bias: db,
-                });
-                grad = dx;
-            }
-            Layer::ReLU => {
-                let data = grad
-                    .data()
-                    .iter()
-                    .zip(input.data())
-                    .map(|(&g, &v)| if v > 0.0 { g } else { 0.0 })
-                    .collect();
-                grad = Tensor::from_vec(input.shape(), data);
-            }
-            Layer::MaxPool2 => {
-                let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-                let (oh, ow) = (h / 2, w / 2);
-                let mut dx = vec![0.0f32; c * h * w];
-                for ci in 0..c {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            // Recompute the argmax.
-                            let (mut best, mut by, mut bx) = (f32::NEG_INFINITY, 0, 0);
-                            for dy in 0..2 {
-                                for dx_ in 0..2 {
-                                    let v = input.data()[(ci * h + oy * 2 + dy) * w + ox * 2 + dx_];
-                                    if v > best {
-                                        best = v;
-                                        by = dy;
-                                        bx = dx_;
-                                    }
-                                }
-                            }
-                            dx[(ci * h + oy * 2 + by) * w + ox * 2 + bx] +=
-                                grad.data()[(ci * oh + oy) * ow + ox];
-                        }
-                    }
-                }
-                grad = Tensor::from_vec(&[c, h, w], dx);
-            }
-            Layer::Flatten => {
-                grad = grad.clone().reshape(input.shape());
-            }
-            other => {
+                bufs
+            })
+            .collect();
+        Self {
+            layers,
+            ..Self::default()
+        }
+    }
+
+    /// Forward + backward for one sample: returns the loss and leaves each
+    /// weight-bearing layer's gradients in its `dw`/`db`, or returns
+    /// [`TrainError::UnsupportedBackprop`] when a layer has no backward
+    /// pass.
+    fn forward_backward(
+        &mut self,
+        net: &Network,
+        x: &Tensor,
+        label: usize,
+    ) -> Result<f32, TrainError> {
+        for (li, l) in net.layers().iter().enumerate() {
+            let (below, rest) = self.layers.split_at_mut(li);
+            let (input, shape) = below.last().map_or((x.data(), x.shape()), |b| {
+                (&b.act.data[..], &b.act.shape[..])
+            });
+            if !l.forward_into(input, shape, &mut rest[0].act, &mut self.mm.gemm) {
                 return Err(TrainError::UnsupportedBackprop(format!(
-                    "{} (layer {other:?})",
+                    "{} (layer {l:?})",
                     net.name
                 )));
             }
         }
+        let logits = self.layers.last().map_or(x.data(), |b| &b.act.data[..]);
+        let loss = softmax_ce(logits, label, &mut self.grad);
+        self.backward(net, x);
+        Ok(loss)
     }
-    Ok((loss, grads))
+
+    /// Backpropagates `self.grad` (w.r.t. the logits) down to the first
+    /// weight-bearing layer, filling every such layer's `dw`/`db`.
+    fn backward(&mut self, net: &Network, x: &Tensor) {
+        let Some(first) = net.layers().iter().position(|l| l.weight_bias().is_some()) else {
+            return;
+        };
+        for (li, l) in net.layers().iter().enumerate().skip(first).rev() {
+            let (below, rest) = self.layers.split_at_mut(li);
+            let (input, shape) = below.last().map_or((x.data(), x.shape()), |b| {
+                (&b.act.data[..], &b.act.shape[..])
+            });
+            let bufs = &mut rest[0];
+            // The input gradient of the first weight-bearing layer feeds
+            // only parameter-free layers: skip it.
+            let want_dx = li > first;
+            match l {
+                Layer::Linear { weight, .. } => {
+                    let inp = weight.shape()[1];
+                    bufs.dw.resize(weight.len(), 0.0);
+                    bufs.db.clear();
+                    bufs.db.extend_from_slice(&self.grad);
+                    if want_dx {
+                        self.grad_in.clear();
+                        self.grad_in.resize(inp, 0.0);
+                    }
+                    let rows = bufs
+                        .dw
+                        .chunks_exact_mut(inp)
+                        .zip(weight.data().chunks_exact(inp));
+                    for ((dw_row, w_row), &g) in rows.zip(&self.grad) {
+                        for (d, &v) in dw_row.iter_mut().zip(input) {
+                            *d = g * v;
+                        }
+                        if want_dx {
+                            // `g·w` rounded, then added: a fused GEMM
+                            // chain here would change the trained bits.
+                            for (d, &w) in self.grad_in.iter_mut().zip(w_row) {
+                                *d += g * w;
+                            }
+                        }
+                    }
+                }
+                Layer::Conv2d {
+                    weight,
+                    kh,
+                    kw,
+                    stride,
+                    pad,
+                    ..
+                } => {
+                    let (out_ch, k) = (weight.shape()[0], weight.shape()[1]);
+                    let p = self.grad.len() / out_ch;
+                    // dW = g · colsᵀ: [out_ch, p] · [p, k].
+                    let (g, cols) = ((&self.grad[..], false), (&bufs.act.cols[..], true));
+                    self.mm.multiply(&mut bufs.dw, g, cols, [out_ch, p, k]);
+                    bufs.db.clear();
+                    bufs.db
+                        .extend(self.grad.chunks_exact(p).map(|g| g.iter().sum::<f32>()));
+                    if want_dx {
+                        // dX = col2im(Wᵀ · g): [k, out_ch] · [out_ch, p],
+                        // folded onto the input image.
+                        let (w_t, g) = ((weight.data(), true), (&self.grad[..], false));
+                        self.mm.multiply(&mut self.dcols, w_t, g, [k, out_ch, p]);
+                        let (c, h, w) = (shape[0], shape[1], shape[2]);
+                        self.grad_in.resize(c * h * w, 0.0);
+                        col2im_into(
+                            &self.dcols,
+                            c,
+                            h,
+                            w,
+                            *kh,
+                            *kw,
+                            *stride,
+                            *pad,
+                            &mut self.grad_in,
+                        );
+                    }
+                }
+                Layer::ReLU => {
+                    // Branch-free select, in place.
+                    for (g, &v) in self.grad.iter_mut().zip(input) {
+                        *g = if v > 0.0 { *g } else { 0.0 };
+                    }
+                    continue;
+                }
+                Layer::MaxPool2 => maxpool_backward(input, shape, &self.grad, &mut self.grad_in),
+                // Same values, new shape.
+                Layer::Flatten => continue,
+                // The forward pass rejected every other kind.
+                _ => return,
+            }
+            std::mem::swap(&mut self.grad, &mut self.grad_in);
+        }
+    }
+
+    /// Applies momentum SGD to every weight-bearing layer from the
+    /// gradients [`Self::forward_backward`] left behind.
+    fn update(&mut self, net: &mut Network, cfg: &TrainConfig) {
+        for (l, bufs) in net.layers_mut().iter_mut().zip(&mut self.layers) {
+            if let Layer::Conv2d { weight, bias, .. } | Layer::Linear { weight, bias, .. } = l {
+                momentum_step(weight.data_mut(), &mut bufs.vw, &bufs.dw, cfg);
+                momentum_step(bias, &mut bufs.vb, &bufs.db, cfg);
+            }
+        }
+    }
 }
 
-/// Trains `net` in place with SGD + momentum.
+/// `v = momentum·v − lr·g`, then `param += v`, element by element.
+fn momentum_step(param: &mut [f32], vel: &mut [f32], grad: &[f32], cfg: &TrainConfig) {
+    for ((w, v), &g) in param.iter_mut().zip(vel).zip(grad) {
+        *v = cfg.momentum * *v - cfg.lr * g;
+        *w += *v;
+    }
+}
+
+/// Softmax cross-entropy loss of `logits` against `label`; writes the
+/// gradient w.r.t. the logits into `grad`.
+fn softmax_ce(logits: &[f32], label: usize, grad: &mut Vec<f32>) -> f32 {
+    let max = logits.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+    grad.clear();
+    grad.extend(logits.iter().map(|&v| (v - max).exp()));
+    let sum: f32 = grad.iter().sum();
+    for p in grad.iter_mut() {
+        *p /= sum;
+    }
+    let loss = -(grad[label].max(1e-12)).ln();
+    grad[label] -= 1.0;
+    loss
+}
+
+/// Routes each output gradient of a 2×2 max-pool to the first maximum of
+/// its window.
+// maxnvm-lint: allow(R1/index-arith): indices are the pool's own (ci*h+y)*w+x flattening over dims destructured from the [c,h,w] input shape the forward pass validated, and dx is sized c*h*w first.
+fn maxpool_backward(input: &[f32], shape: &[usize], grad: &[f32], dx: &mut Vec<f32>) {
+    let (c, h, w) = (shape[0], shape[1], shape[2]);
+    let (oh, ow) = (h / 2, w / 2);
+    dx.clear();
+    dx.resize(c * h * w, 0.0);
+    for ci in 0..c {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let (mut best, mut by, mut bx) = (f32::NEG_INFINITY, 0, 0);
+                for dy in 0..2 {
+                    for dx_ in 0..2 {
+                        let v = input[(ci * h + oy * 2 + dy) * w + ox * 2 + dx_];
+                        if v > best {
+                            best = v;
+                            by = dy;
+                            bx = dx_;
+                        }
+                    }
+                }
+                dx[(ci * h + oy * 2 + by) * w + ox * 2 + bx] += grad[(ci * oh + oy) * ow + ox];
+            }
+        }
+    }
+}
+
+/// Matrix products with transposed operands, in reused buffers.
+#[derive(Debug, Default)]
+struct TransposedGemm {
+    /// Materialized transposes of the left and right operands.
+    a: Vec<f32>,
+    b: Vec<f32>,
+    /// The transposed product, on the flipped route.
+    c: Vec<f32>,
+    gemm: GemmScratch,
+}
+
+impl TransposedGemm {
+    /// `c = A · B` (`[m, k] · [k, n]`), each operand given as `(data,
+    /// transposed)`: `A` is `data` (`m`×`k`) or, when transposed, the
+    /// transpose of the `k`×`m` matrix `data`; likewise `B`.
+    ///
+    /// Bit-identical to [`gemm_into`] on materialized operands. Every
+    /// element is the same ascending fused chain `Σ_t A[i,t]·B[t,j]`, and
+    /// computing `cᵀ = Bᵀ·Aᵀ` instead only swaps the two factors of each
+    /// `fma`, which is exact. So this multiplies whichever of `c` and `cᵀ`
+    /// has no more rows than columns — every tier's register tile is at
+    /// least as wide as it is tall — transposing what that route needs.
+    fn multiply(
+        &mut self,
+        c: &mut Vec<f32>,
+        (a, ta): (&[f32], bool),
+        (b, tb): (&[f32], bool),
+        [m, k, n]: [usize; 3],
+    ) {
+        c.resize(m * n, 0.0);
+        if m <= n {
+            let a = if ta {
+                transpose_into(a, k, m, &mut self.a)
+            } else {
+                a
+            };
+            let b = if tb {
+                transpose_into(b, n, k, &mut self.b)
+            } else {
+                b
+            };
+            gemm_into(c, a, b, m, k, n, &mut self.gemm);
+        } else {
+            let a_t = if ta {
+                a
+            } else {
+                transpose_into(a, m, k, &mut self.a)
+            };
+            let b_t = if tb {
+                b
+            } else {
+                transpose_into(b, k, n, &mut self.b)
+            };
+            self.c.resize(n * m, 0.0);
+            gemm_into(&mut self.c, b_t, a_t, n, k, m, &mut self.gemm);
+            transpose_into(&self.c, n, m, c);
+        }
+    }
+}
+
+/// Writes the transpose of the row-major `rows`×`cols` matrix `src`
+/// into `dst` and returns it.
+fn transpose_into<'a>(src: &[f32], rows: usize, cols: usize, dst: &'a mut Vec<f32>) -> &'a [f32] {
+    dst.resize(rows * cols, 0.0);
+    for (j, dst_row) in dst.chunks_exact_mut(rows).enumerate() {
+        for (d, &v) in dst_row.iter_mut().zip(src[j..].iter().step_by(cols)) {
+            *d = v;
+        }
+    }
+    dst
+}
+
+/// Trains `net` in place with SGD + momentum, one sample per step.
 ///
 /// # Errors
 ///
@@ -307,51 +449,15 @@ pub fn sgd_train(
     }
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
     let mut order: Vec<usize> = (0..samples.len()).collect();
-    // Momentum buffers per weight-bearing layer.
-    let mut vel: Vec<Option<(Tensor, Vec<f32>)>> = net
-        .layers()
-        .iter()
-        .map(|l| match l {
-            Layer::Conv2d { weight, bias, .. } | Layer::Linear { weight, bias, .. } => {
-                Some((Tensor::zeros(weight.shape()), vec![0.0; bias.len()]))
-            }
-            _ => None,
-        })
-        .collect();
-
+    let mut step = TrainStep::new(net);
     let mut final_loss = 0.0f32;
     for _ in 0..cfg.epochs {
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0f32;
         for &si in &order {
             let (x, y) = &samples[si];
-            let (loss, grads) = forward_backward(net, x, *y)?;
-            epoch_loss += loss;
-            for (li, g) in grads.into_iter().enumerate() {
-                let Some(g) = g else { continue };
-                // Gradients and velocity buffers are built from the same
-                // layer list, so a Some gradient implies a Some buffer.
-                let Some((vw, vb)) = vel[li].as_mut() else {
-                    continue;
-                };
-                for (v, dg) in vw.data_mut().iter_mut().zip(g.weight.data()) {
-                    *v = cfg.momentum * *v - cfg.lr * dg;
-                }
-                for (v, dg) in vb.iter_mut().zip(&g.bias) {
-                    *v = cfg.momentum * *v - cfg.lr * dg;
-                }
-                match &mut net.layers_mut()[li] {
-                    Layer::Conv2d { weight, bias, .. } | Layer::Linear { weight, bias, .. } => {
-                        for (w, v) in weight.data_mut().iter_mut().zip(vw.data()) {
-                            *w += v;
-                        }
-                        for (b, v) in bias.iter_mut().zip(vb.iter()) {
-                            *b += v;
-                        }
-                    }
-                    _ => {}
-                }
-            }
+            epoch_loss += step.forward_backward(net, x, *y)?;
+            step.update(net, cfg);
         }
         final_loss = epoch_loss / samples.len().max(1) as f32;
     }
@@ -495,44 +601,55 @@ mod tests {
     }
 
     #[test]
-    fn conv_gradient_matches_finite_difference() {
+    fn gradients_match_finite_differences() {
+        // A pad-1 stride-2 conv after a pool (so the first weight layer
+        // is not layer 0), a second conv and a linear: every weight
+        // layer's analytic gradient against central differences.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let mut net = Network::new(
             "gradcheck",
             vec![
-                Layer::conv2d("c", 2, 1, 3, 1, 0),
+                Layer::MaxPool2,
+                Layer::conv2d("c1", 3, 2, 3, 2, 1),
+                Layer::ReLU,
+                Layer::conv2d("c2", 2, 3, 3, 1, 0),
                 Layer::Flatten,
-                Layer::linear("fc", 2, 2 * 4 * 4),
+                Layer::linear("fc", 3, 2 * 2 * 2),
             ],
         );
         he_init(&mut net, 8);
-        let x = Tensor::from_vec(&[1, 6, 6], (0..36).map(|_| rng.gen::<f32>()).collect());
-        let (_, grads) = forward_backward(&net, &x, 1).expect("backprop-capable net");
-        let g = grads[0].as_ref().unwrap();
-        // Check a few weight entries against central differences.
-        for &wi in &[0usize, 5, 11] {
-            let eps = 1e-3f32;
-            let orig = match &net.layers()[0] {
-                Layer::Conv2d { weight, .. } => weight.data()[wi],
-                _ => unreachable!(),
-            };
-            let loss_at = |net: &mut Network, v: f32| {
-                if let Layer::Conv2d { weight, .. } = &mut net.layers_mut()[0] {
-                    weight.data_mut()[wi] = v;
-                }
-                let (l, _) = forward_backward(net, &x, 1).expect("backprop-capable net");
-                l
-            };
-            let mut net2 = net.clone();
-            let lp = loss_at(&mut net2, orig + eps);
-            let lm = loss_at(&mut net2, orig - eps);
-            let numeric = (lp - lm) / (2.0 * eps);
-            let analytic = g.weight.data()[wi];
-            assert!(
-                (numeric - analytic).abs() < 2e-2_f32.max(0.2 * numeric.abs()),
-                "w[{wi}]: numeric {numeric} vs analytic {analytic}"
-            );
+        let x = Tensor::from_vec(&[2, 16, 16], (0..512).map(|_| rng.gen::<f32>()).collect());
+        let mut step = TrainStep::new(&net);
+        step.forward_backward(&net, &x, 1)
+            .expect("backprop-capable net");
+        for li in [1, 3, 5] {
+            let analytic = step.layers[li].dw.clone();
+            for wi in [0usize, 5, 7] {
+                let eps = 1e-3f32;
+                let loss_at = |v: f32| {
+                    let mut net = net.clone();
+                    if let Layer::Conv2d { weight, .. } | Layer::Linear { weight, .. } =
+                        &mut net.layers_mut()[li]
+                    {
+                        weight.data_mut()[wi] = v;
+                    }
+                    TrainStep::new(&net)
+                        .forward_backward(&net, &x, 1)
+                        .expect("backprop-capable net")
+                };
+                let orig = net.layers()[li]
+                    .weight_bias()
+                    .expect("weight layer")
+                    .0
+                    .data()[wi];
+                let numeric = (loss_at(orig + eps) - loss_at(orig - eps)) / (2.0 * eps);
+                assert!(
+                    (numeric - analytic[wi]).abs() < 2e-2_f32.max(0.2 * numeric.abs()),
+                    "layer {li} w[{wi}]: numeric {numeric} vs analytic {}",
+                    analytic[wi]
+                );
+            }
         }
     }
 

@@ -1,6 +1,5 @@
 //! A module-level call graph lexed out of the code channel, for the R1
-//! (panic reachability) rule family; the same walk records the sites
-//! the C1 channel ban matches.
+//! (panic reachability) rule family.
 //!
 //! This is deliberately *not* a type-checked call graph — the lint has
 //! no `syn`, no name resolution, no types. It extracts `fn` spans and
@@ -31,9 +30,6 @@ pub enum SiteKind {
     IndexArith,
     /// Plain `x[i]` indexing — a loud bounds panic at worst. Advisory.
     IndexPlain,
-    /// An unbounded `channel()` constructor. Banned crate-wide by C1 in
-    /// favour of `sync_channel`.
-    UnboundedChannel,
 }
 
 #[derive(Clone, Debug)]
@@ -69,8 +65,8 @@ pub struct FnInfo {
 /// Everything the walker extracted from one file.
 pub struct FileAnalysis {
     pub fns: Vec<FnInfo>,
-    /// Sites outside any fn body (consts, statics): kept for the
-    /// crate-wide C1 channel ban and the R1 advisory totals.
+    /// Sites outside any fn body (consts, statics): kept for the R1
+    /// advisory totals.
     pub orphan_sites: Vec<Site>,
 }
 
@@ -245,7 +241,7 @@ pub fn analyze_file(rel: &str, fs: &FileScan) -> FileAnalysis {
                         }
                     }
                     if pending.is_none() && !excluded {
-                        record_ident(word, &toks, t, lineno, &mut fns, &open, &mut orphans);
+                        record_ident(word, &toks, t, &mut fns, &open);
                     }
                     prefix.push(Tok::Ident(word.clone()));
                 }
@@ -273,26 +269,19 @@ fn prefix_is_pub(prefix: &[Tok]) -> bool {
     false
 }
 
-/// Classifies one identifier as a call and/or channel site and records
-/// it on the innermost open fn.
+/// Records one identifier followed by `(` as a call on the innermost
+/// open fn.
 fn record_ident(
     word: &str,
     toks: &[(usize, Tok)],
     t: usize,
-    lineno: usize,
     fns: &mut [FnInfo],
     open: &[(usize, i32)],
-    orphans: &mut Vec<Site>,
 ) {
     let followed_by_paren = matches!(toks.get(t + 1), Some((_, Tok::Punct('('))));
     if !followed_by_paren || NON_CALL_WORDS.contains(&word) {
         return;
     }
-    if word == "channel" {
-        push_site(SiteKind::UnboundedChannel, lineno, fns, open, orphans);
-    }
-
-    // Every call shape also becomes a graph edge candidate.
     let prev = if t > 0 { Some(&toks[t - 1].1) } else { None };
     let qualified = matches!(prev, Some(Tok::Punct('.')) | Some(Tok::Punct(':')));
     if let Some((f, _)) = open.last() {
@@ -530,17 +519,6 @@ mod tests {
         let parent = g.reach(&g.pub_roots());
         let work = g.fns.iter().position(|f| f.name == "work").unwrap();
         assert_eq!(g.path_to(&parent, work), "api -> work");
-    }
-
-    #[test]
-    fn channel_sites_are_detected() {
-        let src =
-            "fn wire() {\n    let (a, b) = channel();\n    let (c, d) = sync_channel(4);\n}\n";
-        let a = analyze(src);
-        // `sync_channel` does not word-match `channel`.
-        let kinds: Vec<(&SiteKind, usize)> =
-            a.fns[0].sites.iter().map(|s| (&s.kind, s.line)).collect();
-        assert_eq!(kinds, vec![(&SiteKind::UnboundedChannel, 2)]);
     }
 
     #[test]

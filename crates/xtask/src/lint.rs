@@ -26,8 +26,9 @@
 //!   in release builds the arithmetic wraps, so an overflow reads a
 //!   *wrong* element silently instead of panicking. Plain `x[i]` stays
 //!   advisory, now with a public-reachability split per crate.
-//! - **C1 bounded channels** — a crate-wide ban on unbounded
-//!   `mpsc::channel()` in `faultsim` in favour of `sync_channel`.
+//! - **C1 bounded channels** — a per-line ban on unbounded
+//!   `mpsc::channel()` (or `channel::<T>()`) in `faultsim` in favour of
+//!   `sync_channel`.
 //!
 //! Scope: `src/` of every workspace crate plus the root package, minus
 //! `src/bin/`, `tests/`, `benches/`, `examples/`, `#[cfg(test)]` /
@@ -213,7 +214,7 @@ pub fn run(root: &Path) -> Report {
         let fsc = scan(&src);
         lint_file(&rel, &src, &fsc, &allow, &mut report);
         if let Some(krate) = crate_of(&rel) {
-            if RESULT_AFFECTING.contains(&krate) || C1_CRATES.contains(&krate) {
+            if RESULT_AFFECTING.contains(&krate) {
                 let analysis = analyze_file(&rel, &fsc);
                 crate_files
                     .entry(krate.to_string())
@@ -236,8 +237,8 @@ pub fn run(root: &Path) -> Report {
     report
 }
 
-/// R1 + C1: the rules over the cached per-crate analyses (R1 walks the
-/// call graph; C1 matches channel sites).
+/// R1: the rule over the cached per-crate analyses (it walks the call
+/// graph).
 fn graph_rules(
     crate_files: &BTreeMap<String, Vec<(String, String, FileScan, FileAnalysis)>>,
     allow: &AllowList,
@@ -260,9 +261,6 @@ fn graph_rules(
 
         if RESULT_AFFECTING.contains(&krate.as_str()) {
             r1_rules(krate, files, &graph, &fn_file, &reachable, allow, report);
-        }
-        if C1_CRATES.contains(&krate.as_str()) {
-            c1_rules(files, allow, report);
         }
     }
 }
@@ -293,7 +291,6 @@ fn r1_rules(
             match s.kind {
                 SiteKind::IndexPlain => stat.index_plain += 1,
                 SiteKind::IndexArith => stat.index_arith += 1,
-                _ => {}
             }
         }
     }
@@ -315,7 +312,6 @@ fn r1_rules(
                         arith_lines.push(s.line);
                     }
                 }
-                _ => {}
             }
         }
         if arith_lines.is_empty() {
@@ -380,34 +376,6 @@ fn r1_rules(
     report.reachability.push(stat);
 }
 
-/// C1: no unbounded channel anywhere in the crate, in fn bodies and
-/// item position alike.
-fn c1_rules(
-    files: &[(String, String, FileScan, FileAnalysis)],
-    allow: &AllowList,
-    report: &mut Report,
-) {
-    for (rel, src, fsc, analysis) in files {
-        let sites = analysis.fns.iter().flat_map(|f| &f.sites);
-        for s in sites.chain(&analysis.orphan_sites) {
-            if s.kind == SiteKind::UnboundedChannel {
-                record(
-                    report,
-                    fsc,
-                    allow,
-                    rel,
-                    s.line,
-                    "C1/unbounded-channel",
-                    "unbounded `mpsc::channel()`; use `sync_channel` so backpressure surfaces \
-                     instead of growing the queue"
-                        .to_string(),
-                    src,
-                );
-            }
-        }
-    }
-}
-
 fn lines_list(lines: &[usize]) -> String {
     let mut out = String::from(if lines.len() == 1 { "line " } else { "lines " });
     for (i, l) in lines.iter().enumerate() {
@@ -462,6 +430,7 @@ fn is_result_affecting(rel: &str) -> bool {
 
 fn lint_file(rel: &str, src: &str, fs: &FileScan, allow: &AllowList, report: &mut Report) {
     let d1 = is_result_affecting(rel);
+    let c1 = crate_of(rel).is_some_and(|c| C1_CRATES.contains(&c));
     let mut slice_indexes = 0usize;
 
     for (idx, line) in fs.code.iter().enumerate() {
@@ -477,6 +446,20 @@ fn lint_file(rel: &str, src: &str, fs: &FileScan, allow: &AllowList, report: &mu
             for (ident, rule, why) in D1_BANNED {
                 if !find_word(line, ident).is_empty() {
                     emit(rule, format!("`{ident}` in result-affecting crate: {why}"));
+                }
+            }
+        }
+
+        if c1 {
+            for at in find_word(line, "channel") {
+                let rest = line[at + "channel".len()..].trim_start();
+                if rest.starts_with('(') || rest.starts_with("::<") {
+                    emit(
+                        "C1/unbounded-channel",
+                        "unbounded `mpsc::channel()`; use `sync_channel` so backpressure surfaces \
+                         instead of growing the queue"
+                            .into(),
+                    );
                 }
             }
         }
@@ -1196,14 +1179,36 @@ mod tests {
 
     #[test]
     fn c1_unbounded_channel_is_banned_in_faultsim() {
-        let src = "pub fn wire() { let (tx, rx) = std::sync::mpsc::channel(); }\n";
-        let r = graph_str("faultsim", &[("crates/faultsim/src/x.rs", src)]);
-        assert_eq!(r.violations.len(), 1);
-        assert_eq!(r.violations[0].rule, "C1/unbounded-channel");
-        // `sync_channel` is the sanctioned spelling.
-        let ok = "pub fn wire() { let (tx, rx) = std::sync::mpsc::sync_channel(8); }\n";
-        let r = graph_str("faultsim", &[("crates/faultsim/src/x.rs", ok)]);
-        assert!(r.violations.is_empty());
-        assert!(r.errors.is_empty());
+        // Both spellings of the unbounded constructor, and the one in
+        // item position, which no fn body holds.
+        for src in [
+            "pub fn wire() { let (tx, rx) = std::sync::mpsc::channel(); }\n",
+            "pub fn wire() { let (tx, rx) = mpsc::channel::<u64>(); }\n",
+            "static Q: Lazy<Chan> = Lazy::new(|| channel ());\n",
+        ] {
+            let r = lint_str("crates/faultsim/src/x.rs", src);
+            assert_eq!(r.violations.len(), 1, "{src}");
+            assert_eq!(r.violations[0].rule, "C1/unbounded-channel");
+        }
+        // `sync_channel` is the sanctioned spelling, in either form, and
+        // the ban is `faultsim`'s alone.
+        for (rel, src) in [
+            (
+                "crates/faultsim/src/x.rs",
+                "pub fn wire() { let (tx, rx) = std::sync::mpsc::sync_channel(8); }\n",
+            ),
+            (
+                "crates/faultsim/src/x.rs",
+                "pub fn wire() { let (tx, rx) = mpsc::sync_channel::<u64>(8); }\n",
+            ),
+            (
+                "crates/bench/src/x.rs",
+                "pub fn wire() { let (tx, rx) = mpsc::channel::<u64>(); }\n",
+            ),
+        ] {
+            let r = lint_str(rel, src);
+            assert!(r.violations.is_empty(), "{rel}: {src}");
+            assert!(r.errors.is_empty());
+        }
     }
 }

@@ -8,6 +8,9 @@
 //!   bits-per-cell on a small pruned, clustered conv net, a chip
 //!   campaign, an early-stopping DSE, and a reduced Fig. 5 study on the
 //!   `fig5` stand-in;
+//! - `train/…` — trained weights and `TrainReport`s: the `fig5`
+//!   stand-in's two training passes, and a brief run of a small net with
+//!   the conv geometries the stand-in lacks (pad 1, stride 2);
 //! - `table4/…` — the analytic co-design answer for each of Table 4's
 //!   (model, technology) pairs;
 //! - `format/…` — the on-disk text of a checkpoint snapshot and of the
@@ -33,8 +36,8 @@
 
 use maxnvm::optimal_design;
 use maxnvm_bench::{fig5_stand_in, fig5_study};
-use maxnvm_dnn::data::synthetic_textures;
-use maxnvm_dnn::train::he_init;
+use maxnvm_dnn::data::{synthetic_textures, SyntheticDigits};
+use maxnvm_dnn::train::{he_init, sgd_train, TrainConfig, TrainReport};
 use maxnvm_dnn::zoo::{self, prune_to_sparsity};
 use maxnvm_dnn::{Layer, Network, Tensor};
 use maxnvm_encoding::cluster::ClusteredLayer;
@@ -74,6 +77,8 @@ const GOLDEN: Golden = Golden {
         ("trial/chips", 0x03558418a86fd87d),
         ("trial/dse", 0xc22f73e70e142762),
         ("trial/fig5", 0xf3418201f1bd1852),
+        ("train/fig5", 0x0dfcef48e5e2a0cf),
+        ("train/conv-geometry", 0xae4ad6e03d12d182),
         ("table4/VGG12/Opt MLC-RRAM", 0x871339c2cdf05cf1),
         ("table4/VGG12/MLC-CTT", 0x8af82370fdb037ac),
         ("table4/VGG12/MLC-RRAM", 0x71f1fd5175e14612),
@@ -170,7 +175,7 @@ fn campaign_digest(r: &CampaignResult) -> u64 {
 }
 
 /// Campaigns, chips, DSE and Fig. 5: the values checkpoints store.
-fn trial_outputs(out: &mut Vec<(String, u64)>) {
+fn trial_outputs(fig5: &(NetworkEval, Vec<ClusteredLayer>), out: &mut Vec<(String, u64)>) {
     let (layers, eval) = conv_fixture();
     let sa = SenseAmp::paper_default();
     let ctx = EvalContext::new(TECH, &sa, RATE_SCALE).expect("context");
@@ -225,8 +230,8 @@ fn trial_outputs(out: &mut Vec<(String, u64)>) {
     }
     out.push(("trial/dse".into(), f.finish()));
 
-    let (eval, clustered) = fig5_stand_in().expect("the fig5 stand-in trains");
-    let rows = fig5_study(6).run_fig5(&clustered, &eval).expect("fig5");
+    let (eval, clustered) = fig5;
+    let rows = fig5_study(6).run_fig5(clustered, eval).expect("fig5");
     let mut f = digest();
     f.push_f64(eval.baseline_error());
     for r in &rows {
@@ -236,6 +241,79 @@ fn trial_outputs(out: &mut Vec<(String, u64)>) {
         }
     }
     out.push(("trial/fig5".into(), f.finish()));
+}
+
+/// Every weight and bias of `net`, bit-exact, in layer order.
+fn push_params(f: &mut Fingerprint, net: &Network) {
+    for (w, b) in net.layers().iter().filter_map(Layer::weight_bias) {
+        for &v in w.data().iter().chain(b) {
+            f.push_u64(u64::from(v.to_bits()));
+        }
+    }
+}
+
+fn push_report(f: &mut Fingerprint, r: &TrainReport) {
+    f.push_f64(f64::from(r.final_loss)).push_f64(r.train_error);
+}
+
+/// Training: what `sgd_train` leaves behind, weights and reports.
+fn train_outputs(fig5_net: &Network, out: &mut Vec<(String, u64)>) {
+    // The recipe of `maxnvm_bench::fig5_stand_in`, replayed to see each
+    // pass's report and its weights before pruning.
+    let data = SyntheticDigits::generate(1500, 42);
+    let mut net = zoo::lenet_mini(7);
+    let mut f = digest();
+    for (epochs, lr, seed) in [(6, 0.004, 1), (2, 0.002, 2)] {
+        let cfg = TrainConfig {
+            epochs,
+            lr,
+            momentum: 0.9,
+            seed,
+        };
+        let report = sgd_train(&mut net, &data.train, &cfg).expect("the fig5 recipe trains");
+        push_report(&mut f, &report);
+        push_params(&mut f, &net);
+        let mut mats = net.weight_matrices();
+        for m in &mut mats {
+            prune_to_sparsity(&mut m.data, 0.6);
+        }
+        net.set_weight_matrices(&mats);
+    }
+    assert_eq!(
+        net.layers(),
+        fig5_net.layers(),
+        "the replay no longer matches fig5_stand_in"
+    );
+    out.push(("train/fig5".into(), f.finish()));
+
+    // A pad-1 conv, a stride-2 conv, a max-pool and two linears.
+    let mut net = Network::new(
+        "golden-train",
+        vec![
+            Layer::conv2d("conv1", 4, 3, 3, 1, 1),
+            Layer::ReLU,
+            Layer::conv2d("conv2", 8, 4, 3, 2, 1),
+            Layer::ReLU,
+            Layer::MaxPool2,
+            Layer::Flatten,
+            Layer::linear("fc1", 16, 8 * 4 * 4),
+            Layer::ReLU,
+            Layer::linear("fc2", 4, 16),
+        ],
+    );
+    he_init(&mut net, 5);
+    let data = synthetic_textures(96, 4, 13);
+    let cfg = TrainConfig {
+        epochs: 3,
+        lr: 0.01,
+        momentum: 0.9,
+        seed: 17,
+    };
+    let report = sgd_train(&mut net, &data, &cfg).expect("the small conv net trains");
+    let mut f = digest();
+    push_report(&mut f, &report);
+    push_params(&mut f, &net);
+    out.push(("train/conv-geometry".into(), f.finish()));
 }
 
 /// The co-design answer for Table 4's 12 (model, technology) pairs.
@@ -417,8 +495,10 @@ fn verdict(golden: &Golden, tsv: u32, got: &[(String, u64)]) -> Result<(), Strin
 )]
 #[test]
 fn outputs_match_the_golden_digests() {
+    let fig5 = fig5_stand_in().expect("the fig5 stand-in trains");
     let mut got = Vec::new();
-    trial_outputs(&mut got);
+    trial_outputs(&fig5, &mut got);
+    train_outputs(fig5.0.network(), &mut got);
     table4_outputs(&mut got);
     format_outputs(&mut got);
     if let Err(report) = verdict(&GOLDEN, TRIAL_SEMANTICS_VERSION, &got) {
