@@ -7,7 +7,6 @@
 //! keys on exactly that, so a 100-scheme sweep performs a handful of
 //! encodes per layer instead of hundreds.
 
-use super::diskcache::{EncodeCacheStats, EncodeDiskCache};
 use super::layer::{EncodedStreams, StoredLayer};
 use super::prepared::CleanLayerDecode;
 use super::scheme::StorageScheme;
@@ -51,11 +50,6 @@ pub struct EncodeCache {
     // any future traversal deterministic by construction (lint rule D1).
     map: Mutex<BTreeMap<StreamKey, Arc<EncodedStreams>>>,
     decoded: Mutex<BTreeMap<StreamKey, Arc<CleanLayerDecode>>>,
-    /// Optional cross-process persistence layer: on an in-memory miss
-    /// the artifact is looked up on disk before recomputing, and fresh
-    /// computations are written back, so concurrent shard processes of
-    /// one sweep pay each encode once between them.
-    disk: Option<EncodeDiskCache>,
 }
 
 impl std::fmt::Debug for EncodeCache {
@@ -63,7 +57,6 @@ impl std::fmt::Debug for EncodeCache {
         // Manual impl: the vendored parking_lot Mutex has no Debug.
         f.debug_struct("EncodeCache")
             .field("entries", &self.len())
-            .field("disk", &self.disk)
             .finish()
     }
 }
@@ -72,22 +65,6 @@ impl EncodeCache {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Backs this cache with a content-addressed on-disk layer shared
-    /// across processes.
-    pub fn with_disk(mut self, disk: EncodeDiskCache) -> Self {
-        self.disk = Some(disk);
-        self
-    }
-
-    /// Counters of the disk layer's activity (all zero when this cache
-    /// has no disk layer).
-    pub fn stats(&self) -> EncodeCacheStats {
-        self.disk
-            .as_ref()
-            .map(EncodeDiskCache::stats)
-            .unwrap_or_default()
     }
 
     /// The raw encoded streams for `layer` (at position `layer_idx`)
@@ -102,19 +79,10 @@ impl EncodeCache {
         if let Some(hit) = self.map.lock().get(&key) {
             return Arc::clone(hit);
         }
-        // Encode (or disk-load) outside the lock: concurrent misses may
-        // both do the work, but the results are identical and sweeps
-        // never stall behind one worker's encode.
-        if let Some(disk) = &self.disk {
-            if let Some(loaded) = disk.load_streams(layer_idx, layer, scheme) {
-                let loaded = Arc::new(loaded);
-                return Arc::clone(self.map.lock().entry(key).or_insert(loaded));
-            }
-        }
+        // Encode outside the lock: concurrent misses may both do the
+        // work, but the results are identical and sweeps never stall
+        // behind one worker's encode.
         let encoded = Arc::new(EncodedStreams::encode(layer, scheme));
-        if let Some(disk) = &self.disk {
-            disk.store_streams(layer_idx, layer, scheme, &encoded);
-        }
         Arc::clone(self.map.lock().entry(key).or_insert(encoded))
     }
 
@@ -143,32 +111,6 @@ impl EncodeCache {
         }
         // Decode outside the lock, same rationale as `streams`.
         let clean = Arc::new(CleanLayerDecode::of(stored));
-        Arc::clone(self.decoded.lock().entry(key).or_insert(clean))
-    }
-
-    /// Like [`Self::clean_decode`], additionally consulting the disk
-    /// layer. Needs the clustered `layer` in hand because disk entries
-    /// are content-addressed by the layer's weights, not the in-process
-    /// index.
-    pub fn clean_decode_cached(
-        &self,
-        layer_idx: usize,
-        layer: &ClusteredLayer,
-        stored: &StoredLayer,
-    ) -> Arc<CleanLayerDecode> {
-        let Some(disk) = &self.disk else {
-            return self.clean_decode(layer_idx, stored);
-        };
-        let key = StreamKey::for_scheme(layer_idx, &stored.scheme);
-        if let Some(hit) = self.decoded.lock().get(&key) {
-            return Arc::clone(hit);
-        }
-        if let Some(loaded) = disk.load_decode(layer_idx, layer, &stored.scheme) {
-            let loaded = Arc::new(loaded);
-            return Arc::clone(self.decoded.lock().entry(key).or_insert(loaded));
-        }
-        let clean = Arc::new(CleanLayerDecode::of(stored));
-        disk.store_decode(layer_idx, layer, &stored.scheme, &clean);
         Arc::clone(self.decoded.lock().entry(key).or_insert(clean))
     }
 

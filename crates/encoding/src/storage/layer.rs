@@ -24,12 +24,12 @@ use std::sync::Arc;
 /// which apply at pack time. That independence is what
 /// [`super::EncodeCache`] exploits to share one encode across every
 /// candidate scheme that differs only in density or protection.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct EncodedStreams {
-    pub(crate) streams: Vec<(StructureKind, BitBuffer)>,
-    pub(crate) entries: usize,
-    pub(crate) col_idx_bits: u8,
-    pub(crate) counter_bits: u8,
+    streams: Vec<(StructureKind, BitBuffer)>,
+    entries: usize,
+    col_idx_bits: u8,
+    counter_bits: u8,
 }
 
 impl EncodedStreams {

@@ -23,9 +23,6 @@
 //! - [`cache`]: [`EncodeCache`] — reuses raw encoded streams and clean
 //!   decodes across candidate schemes that differ only in bits-per-cell
 //!   or protection.
-//! - [`diskcache`]: [`EncodeDiskCache`] — the cross-process layer under
-//!   [`EncodeCache`]: content-addressed on-disk artifacts (tmp + fsync +
-//!   rename) so N shard processes of one sweep pay each encode once.
 //! - [`prepared`]: [`PreparedLayer`] — the O(expected faults) trial path:
 //!   sparse fault sampling plus dirty-region incremental decode against a
 //!   cached clean decode ([`CleanLayerDecode`]).
@@ -33,7 +30,6 @@
 pub mod cache;
 pub mod chip;
 pub mod codec;
-pub mod diskcache;
 pub mod layer;
 pub mod model;
 pub mod prepared;
@@ -43,7 +39,6 @@ pub mod structure;
 pub use cache::EncodeCache;
 pub use chip::ProgrammedLayer;
 pub use codec::{CleanCodec, FaultInjectionCodec, FixedReadCodec, StructureCodec};
-pub use diskcache::{ArtifactStore, EncodeCacheStats, EncodeDiskCache, FsArtifactStore};
 pub use layer::{EncodedStreams, StoredLayer};
 pub use model::ModelStorage;
 pub use prepared::{CleanLayerDecode, PreparedLayer};

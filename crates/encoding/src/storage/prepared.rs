@@ -40,7 +40,7 @@ use std::sync::Arc;
 /// every trial (and, via [`super::EncodeCache`], by every scheme that
 /// differs only in bits-per-cell or protection — a clean decode is a
 /// lossless round trip, so it depends only on the raw encoded streams).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct CleanLayerDecode {
     /// The clean weight matrix.
     pub matrix: LayerMatrix,

@@ -658,143 +658,3 @@ fn cached_store_decodes_identically_with_faults() {
         direct.decode_with_faults(&fault_for, &mut rng_b),
     );
 }
-
-fn disk_cache_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("maxnvm-diskcache-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-#[test]
-fn disk_cache_round_trips_streams_and_decodes_exactly() {
-    let dir = disk_cache_dir("roundtrip");
-    let c = clustered(10, 48, 0.6, 11);
-    for enc in EncodingKind::ALL {
-        for idx_sync in [false, true] {
-            let mut scheme = StorageScheme::uniform(enc, MlcConfig::MLC2);
-            scheme.idx_sync = idx_sync;
-            let disk = super::diskcache::EncodeDiskCache::new(&dir);
-            let encoded = EncodedStreams::encode(&c, &scheme);
-            disk.store_streams(0, &c, &scheme, &encoded);
-            let loaded = disk
-                .load_streams(0, &c, &scheme)
-                .expect("stored streams must load");
-            assert_eq!(loaded, encoded, "{enc} sync={idx_sync}");
-            let stored = StoredLayer::store_encoded(&c, &scheme, &encoded);
-            let decode = CleanLayerDecode::of(&stored);
-            disk.store_decode(0, &c, &scheme, &decode);
-            let loaded = disk
-                .load_decode(0, &c, &scheme)
-                .expect("stored decode must load");
-            assert_eq!(loaded, decode, "{enc} sync={idx_sync}");
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn disk_cache_treats_corruption_as_a_miss_and_self_heals() {
-    let dir = disk_cache_dir("corrupt");
-    let c = clustered(6, 32, 0.5, 12);
-    let scheme = StorageScheme::uniform(EncodingKind::Csr, MlcConfig::SLC);
-    let disk = super::diskcache::EncodeDiskCache::new(&dir);
-    let encoded = EncodedStreams::encode(&c, &scheme);
-    disk.store_streams(0, &c, &scheme, &encoded);
-    // Mangle every cached entry in several ways; none may panic, all
-    // must read back as a miss.
-    let entry = std::fs::read_dir(&dir)
-        .expect("cache dir exists")
-        .flatten()
-        .map(|e| e.path())
-        .find(|p| p.extension().is_some_and(|e| e == "mnvc"))
-        .expect("one cached entry");
-    let original = std::fs::read_to_string(&entry).expect("readable");
-    for bad in [
-        "",
-        "garbage",
-        "maxnvm-encode-cache v999 streams\nentries 4\n",
-        &original[..original.len() - 2], // end marker's count cut off
-        &original[..original.len() / 2], // torn write
-        &original.replace("end", "End"),
-    ] {
-        std::fs::write(&entry, bad).expect("writable");
-        assert!(
-            disk.load_streams(0, &c, &scheme).is_none(),
-            "corrupt entry {bad:?} must miss"
-        );
-    }
-    // A corrupt-token bit width must not trip the bit-buffer assertion.
-    let hexmangled: String = original
-        .lines()
-        .map(|l| {
-            if l.starts_with("stream ") {
-                let mut toks: Vec<String> = l.split(' ').map(str::to_string).collect();
-                let last = toks.len() - 1;
-                toks[last] = "ffffffffffffffff".to_string();
-                toks.join(" ") + "\n"
-            } else {
-                l.to_string() + "\n"
-            }
-        })
-        .collect();
-    std::fs::write(&entry, &hexmangled).expect("writable");
-    let _ = disk.load_streams(0, &c, &scheme); // may hit or miss, must not panic
-                                               // Self-heal: the writer path replaces the mangled entry.
-    std::fs::write(&entry, "garbage").expect("writable");
-    let cache = EncodeCache::new().with_disk(super::diskcache::EncodeDiskCache::new(&dir));
-    let via_cache = cache.streams(0, &c, &scheme);
-    assert_eq!(*via_cache, encoded);
-    let healed = super::diskcache::EncodeDiskCache::new(&dir);
-    assert_eq!(
-        healed.load_streams(0, &c, &scheme).expect("healed entry"),
-        encoded
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn disk_cache_counts_hits_misses_and_bytes() {
-    let dir = disk_cache_dir("stats");
-    let c = clustered(6, 32, 0.5, 13);
-    let scheme = StorageScheme::uniform(EncodingKind::BitMask, MlcConfig::MLC3);
-    let cold = EncodeCache::new().with_disk(super::diskcache::EncodeDiskCache::new(&dir));
-    let stored = cold.store_layer(0, &c, &scheme);
-    let _ = cold.clean_decode_cached(0, &c, &stored);
-    let s = cold.stats();
-    assert_eq!(s.disk_hits, 0, "cold cache cannot hit");
-    assert_eq!(s.disk_misses, 2, "one streams miss, one decode miss");
-    assert!(s.bytes_written > 0);
-    assert!((0.0..=1.0).contains(&s.hit_rate()));
-    let warm = EncodeCache::new().with_disk(super::diskcache::EncodeDiskCache::new(&dir));
-    let stored = warm.store_layer(0, &c, &scheme);
-    let _ = warm.clean_decode_cached(0, &c, &stored);
-    let s = warm.stats();
-    assert_eq!(s.disk_hits, 2, "warm cache serves both artifacts");
-    assert_eq!(s.disk_misses, 0);
-    assert!(s.bytes_read > 0);
-    assert_eq!(s.bytes_written, 0, "warm run rewrites nothing");
-    assert_eq!(s.hit_rate(), 1.0);
-    // In-memory reuse does not touch the disk counters.
-    let _ = warm.store_layer(0, &c, &scheme);
-    assert_eq!(warm.stats(), s);
-    // A cache without a disk layer reports all zeros.
-    assert_eq!(EncodeCache::new().stats(), EncodeCacheStats::default());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn disk_cache_clear_evicts_everything() {
-    let dir = disk_cache_dir("clear");
-    let c = clustered(6, 32, 0.5, 14);
-    let scheme = StorageScheme::uniform(EncodingKind::DenseClustered, MlcConfig::MLC2);
-    let disk = super::diskcache::EncodeDiskCache::new(&dir);
-    disk.store_streams(0, &c, &scheme, &EncodedStreams::encode(&c, &scheme));
-    assert!(disk.load_streams(0, &c, &scheme).is_some());
-    disk.clear().expect("clear succeeds");
-    assert!(disk.load_streams(0, &c, &scheme).is_none());
-    // Clearing a never-created directory is fine too.
-    super::diskcache::EncodeDiskCache::new(dir.join("nope"))
-        .clear()
-        .expect("missing dir is not an error");
-    let _ = std::fs::remove_dir_all(&dir);
-}

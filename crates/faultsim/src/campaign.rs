@@ -143,9 +143,6 @@ pub struct CampaignResult {
     /// Achieved model density: total non-zeros over total weights
     /// (`0.0` when unreported).
     pub density: f64,
-    /// Disk-layer counters of the run's shared encode cache (all zero
-    /// when the run had none).
-    pub encode_cache: maxnvm_encoding::storage::EncodeCacheStats,
 }
 
 impl CampaignResult {
@@ -203,18 +200,8 @@ impl CampaignResult {
             mean_ecc_uncorrectable: stats_sum.ecc_uncorrectable as f64 / n,
             layer_nnz: Vec::new(),
             density: 0.0,
-            encode_cache: maxnvm_encoding::storage::EncodeCacheStats::default(),
             errors,
         }
-    }
-
-    /// Attaches the run's encode-cache disk counters.
-    pub(crate) fn with_encode_cache(
-        mut self,
-        stats: maxnvm_encoding::storage::EncodeCacheStats,
-    ) -> Self {
-        self.encode_cache = stats;
-        self
     }
 
     /// Attaches the clean model's per-layer non-zero counts and achieved

@@ -197,9 +197,8 @@ impl FaultPlan {
 /// A deterministic fault-injecting [`CheckpointStore`]: wraps an inner
 /// store and, per operation, draws from a seeded RNG whether to fail
 /// transiently, tear the write, or report disk-full. Used by the
-/// resilience tests and the sharded sweep's faulty-cache mode; the
-/// injected schedule is a pure function of the seed and the operation
-/// sequence.
+/// resilience tests; the injected schedule is a pure function of the
+/// seed and the operation sequence.
 pub struct FaultyStore<S: CheckpointStore = FsStore> {
     inner: S,
     plan: FaultPlan,
@@ -475,7 +474,7 @@ impl CheckpointConfig {
     /// returns the snapshot at this config's path.
     pub fn load_snapshot(&self) -> Result<CampaignCheckpoint, EngineError> {
         let text = self.retry.run(|| self.store.read(&self.path))?;
-        CampaignCheckpoint::from_text(&text)
+        CampaignCheckpoint::from_text(&text, &self.path)
     }
 
     /// Saves `snapshot` through the store, retrying transient I/O per
@@ -666,9 +665,13 @@ impl CampaignCheckpoint {
         out
     }
 
-    /// Parses the text format produced by [`Self::to_text`].
-    pub fn from_text(text: &str) -> Result<Self, EngineError> {
-        let parse = |detail: String| EngineError::CheckpointParse { detail };
+    /// Parses the text format produced by [`Self::to_text`], as read
+    /// from `path`; a [`EngineError::CheckpointParse`] names that file.
+    pub fn from_text(text: &str, path: &Path) -> Result<Self, EngineError> {
+        let parse = |detail: String| EngineError::CheckpointParse {
+            path: path.display().to_string(),
+            detail,
+        };
         let mut lines = text.lines();
         let header = lines.next().ok_or_else(|| parse("empty file".into()))?;
         if header != CHECKPOINT_FORMAT {
@@ -802,41 +805,7 @@ impl CampaignCheckpoint {
 
     /// Loads and parses a snapshot through the real [`FsStore`].
     pub fn load(path: &Path) -> Result<Self, EngineError> {
-        Self::from_text(&FsStore.read(path)?)
-    }
-}
-
-/// Adapts any [`CheckpointStore`] onto the encoding crate's
-/// `ArtifactStore`, so the on-disk encode cache
-/// ([`maxnvm_encoding::storage::EncodeDiskCache`]) can reuse the same
-/// backends as campaign checkpoints — including the fault-injecting
-/// [`FaultyStore`] in the resilience suite. Typed engine errors are
-/// flattened to `std::io::Error` text; the cache treats any failure as
-/// a miss, so nothing downstream needs the structure back.
-#[derive(Debug, Clone)]
-pub struct CheckpointArtifactStore(pub Arc<dyn CheckpointStore>);
-
-impl maxnvm_encoding::storage::ArtifactStore for CheckpointArtifactStore {
-    fn write_atomic(&self, path: &Path, text: &str) -> std::io::Result<()> {
-        self.0
-            .write_atomic(path, text)
-            .map_err(|e| std::io::Error::other(e.to_string()))
-    }
-
-    fn read(&self, path: &Path) -> std::io::Result<String> {
-        self.0
-            .read(path)
-            .map_err(|e| std::io::Error::other(e.to_string()))
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        self.0.exists(path)
-    }
-
-    fn remove(&self, path: &Path) -> std::io::Result<()> {
-        self.0
-            .remove(path)
-            .map_err(|e| std::io::Error::other(e.to_string()))
+        Self::from_text(&FsStore.read(path)?, path)
     }
 }
 
@@ -908,7 +877,7 @@ mod tests {
     #[test]
     fn text_round_trip_is_exact() {
         let cp = sample();
-        let parsed = CampaignCheckpoint::from_text(&cp.to_text()).expect("parse");
+        let parsed = CampaignCheckpoint::from_text(&cp.to_text(), Path::new("cp")).expect("parse");
         // Serialization sorts entries by (group, trial).
         let mut want = cp.clone();
         want.entries.sort_by_key(|(g, t, _)| (*g, *t));
@@ -947,9 +916,9 @@ mod tests {
         // Drop the end marker (simulated torn write without the rename
         // discipline).
         let torn: String = text.lines().take(7).map(|l| format!("{l}\n")).collect();
-        let err = CampaignCheckpoint::from_text(&torn).expect_err("must reject");
+        let err = CampaignCheckpoint::from_text(&torn, Path::new("torn.ckpt")).expect_err("reject");
         assert!(
-            matches!(err, EngineError::CheckpointParse { .. }),
+            matches!(&err, EngineError::CheckpointParse { path, .. } if path == "torn.ckpt"),
             "{err:?}"
         );
     }
@@ -959,12 +928,13 @@ mod tests {
         let cp = sample();
         assert_eq!((cp.shard_index, cp.shard_count), (0, 1));
         let sharded = sample().with_shard(2, 5);
-        let parsed = CampaignCheckpoint::from_text(&sharded.to_text()).expect("parse");
+        let path = Path::new("shard.ckpt");
+        let parsed = CampaignCheckpoint::from_text(&sharded.to_text(), path).expect("parse");
         assert_eq!((parsed.shard_index, parsed.shard_count), (2, 5));
         // A snapshot with a mangled shard line is rejected, not guessed.
         let bad = sharded.to_text().replace("shard 2 5", "shard 2");
         assert!(matches!(
-            CampaignCheckpoint::from_text(&bad),
+            CampaignCheckpoint::from_text(&bad, path),
             Err(EngineError::CheckpointParse { .. })
         ));
     }
@@ -1079,6 +1049,7 @@ mod tests {
                 detail: "full".into(),
             },
             EngineError::CheckpointParse {
+                path: "p".into(),
                 detail: "torn".into(),
             },
         ] {
@@ -1150,7 +1121,7 @@ mod tests {
             let left = std::fs::read_to_string(&path).unwrap();
             assert!(text.starts_with(&left), "must be a prefix");
             assert!(left.len() < text.len(), "must be strict");
-            assert!(CampaignCheckpoint::from_text(&left).is_err());
+            assert!(CampaignCheckpoint::from_text(&left, &path).is_err());
         }
         // Disk-full injection surfaces the distinct variant.
         let full_only = FaultyStore::new(

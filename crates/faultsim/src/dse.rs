@@ -36,10 +36,6 @@ pub struct DsePoint {
     /// Achieved model density: total non-zeros over total weights
     /// (`0.0` when unreported).
     pub density: f64,
-    /// Disk-layer counters of the sweep's shared encode cache at the
-    /// moment all encode/decode work finished (identical on every point
-    /// of one sweep; all zero without a disk-backed cache).
-    pub encode_cache: maxnvm_encoding::storage::EncodeCacheStats,
 }
 
 /// DSE configuration.
@@ -178,7 +174,6 @@ pub fn explore_concrete_reference(
                 trials_run: result.completed_trials,
                 layer_nnz: layer_nnz.clone(),
                 density,
-                encode_cache: Default::default(),
             }
         })
         .collect()
@@ -232,7 +227,6 @@ pub fn explore_spec(
                 trials_run: 0,
                 layer_nnz: layer_nnz.clone(),
                 density,
-                encode_cache: Default::default(),
             }
         })
         .collect()
@@ -522,7 +516,6 @@ mod tests {
             trials_run: 0,
             layer_nnz: Vec::new(),
             density: 0.0,
-            encode_cache: Default::default(),
         };
         let pts = vec![mk(100, 0.1, true), mk(50, 0.2, true), mk(10, 0.1, false)];
         let best = minimal_cells(&pts).unwrap();

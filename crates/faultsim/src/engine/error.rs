@@ -84,8 +84,13 @@ pub enum EngineError {
         detail: String,
     },
     /// A checkpoint file exists but cannot be parsed (truncated,
-    /// corrupted, or from an unknown format version).
+    /// corrupted, or from an unknown format version). A snapshot is
+    /// recovery state, so the engine never discards one on its own:
+    /// every later run over the file fails the same way until the caller
+    /// removes it, which restarts the run that wrote it from scratch.
     CheckpointParse {
+        /// The file that failed to parse.
+        path: String,
         /// What was wrong, with the offending line where possible.
         detail: String,
     },
@@ -163,9 +168,11 @@ impl fmt::Display for EngineError {
             Self::InvalidConfig { var, value } => {
                 write!(f, "invalid environment override {var}={value:?}")
             }
-            Self::CheckpointParse { detail } => {
-                write!(f, "checkpoint file is corrupt or unreadable: {detail}")
-            }
+            Self::CheckpointParse { path, detail } => write!(
+                f,
+                "checkpoint {path} is corrupt or unreadable: {detail}; removing it \
+                 restarts the run that wrote it from scratch"
+            ),
             Self::Internal { detail } => {
                 write!(
                     f,
@@ -242,6 +249,13 @@ mod tests {
                 detail: "No space left on device".into(),
             }
         );
+        let parse = EngineError::CheckpointParse {
+            path: "/spool/s0.ckpt".into(),
+            detail: "missing end line".into(),
+        };
+        assert!(parse.to_string().contains("/spool/s0.ckpt"));
+        assert!(parse.to_string().contains("missing end line"));
+        assert!(parse.to_string().contains("removing it restarts the run"));
         let cfg = EngineError::InvalidConfig {
             var: "MAXNVM_CHECKPOINT_RETRIES".into(),
             value: "-1".into(),

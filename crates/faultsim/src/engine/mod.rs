@@ -78,7 +78,6 @@ use crate::evaluate::{AccuracyEval, EvalScratch, SparseModel};
 use maxnvm_dnn::network::{LayerMatrix, WeightDelta};
 use maxnvm_dnn::sparse::SparseMatrix;
 use maxnvm_encoding::cluster::ClusteredLayer;
-use maxnvm_encoding::storage::EncodeCacheStats;
 use maxnvm_encoding::storage::{DecodeStats, EncodeCache, PreparedLayer, StoredLayer};
 use maxnvm_encoding::StructureKind;
 use maxnvm_envm::{CellModel, CellTechnology, FaultMap, MlcConfig, SenseAmp};
@@ -290,11 +289,6 @@ pub struct RunControl {
     /// decisions over the merged prefix, and the output is
     /// byte-identical to the 1-shard run.
     pub merge_sources: Vec<PathBuf>,
-    /// When set, prepared-layer encode/decode artifacts are shared
-    /// through this cache (optionally disk-backed for cross-process
-    /// sharing between shards); its disk counters are surfaced on the
-    /// run's results.
-    pub encode_cache: Option<Arc<EncodeCache>>,
 }
 
 impl RunControl {
@@ -304,15 +298,6 @@ impl RunControl {
             cancel,
             ..Self::default()
         }
-    }
-
-    /// The disk-layer counters of this control's encode cache (all zero
-    /// without one).
-    fn cache_stats(&self) -> EncodeCacheStats {
-        self.encode_cache
-            .as_ref()
-            .map(|c| c.stats())
-            .unwrap_or_default()
     }
 }
 
@@ -749,7 +734,7 @@ impl EvalContext {
         eval: &(dyn AccuracyEval + Sync),
         control: &RunControl,
     ) -> Result<CampaignResult, EngineError> {
-        single(self.run_trials(trials, seed, &[(stored, None)], eval, control)?)
+        single(self.run_trials(trials, seed, &[(stored, None)], None, eval, control)?)
     }
 
     /// Runs a campaign injecting faults only into structures of
@@ -780,7 +765,7 @@ impl EvalContext {
         eval: &(dyn AccuracyEval + Sync),
         control: &RunControl,
     ) -> Result<CampaignResult, EngineError> {
-        single(self.run_trials(trials, seed, &[(stored, Some(target))], eval, control)?)
+        single(self.run_trials(trials, seed, &[(stored, Some(target))], None, eval, control)?)
     }
 
     /// Runs `trials` seeded trials of every group — a set of stored
@@ -790,19 +775,23 @@ impl EvalContext {
     /// case; Fig. 5 runs its 24 configurations as one grid, so the pool
     /// stays busy across configurations and a scratch keeps one clean
     /// prefix for every group that decodes to the same weights.
+    ///
+    /// A `cache` shares one clean decode between groups whose schemes
+    /// differ only in bits-per-cell or protection. It keys on layer
+    /// position, so every group must then store the same layers in the
+    /// same order, as Fig. 5's grid does.
     pub(crate) fn run_trials(
         &self,
         trials: usize,
         seed: u64,
         groups: &[TrialGroup<'_>],
+        cache: Option<&EncodeCache>,
         eval: &(dyn AccuracyEval + Sync),
         control: &RunControl,
     ) -> Result<Vec<CampaignResult>, EngineError> {
         let fault_for = self.fault_for();
         // Clean decodes and level partitions are trial-invariant: prepare
         // them once so every trial costs O(expected faults), not O(cells).
-        // A control-supplied encode cache shares the clean decodes across
-        // groups and runs (and, disk-backed, across shard processes).
         let layers: Vec<(usize, &StoredLayer)> = groups
             .iter()
             .flat_map(|(s, _)| s.iter().enumerate())
@@ -811,7 +800,7 @@ impl EvalContext {
             .pool
             .scope_map(layers.len(), |j| {
                 let (i, layer) = layers[j];
-                match &control.encode_cache {
+                match cache {
                     Some(cache) => PreparedLayer::new(layer, cache.clean_decode(i, layer)),
                     None => PreparedLayer::prepare(layer),
                 }
@@ -857,8 +846,8 @@ impl EvalContext {
     /// layer from `StdRng::seed_from_u64(seed + t)` through
     /// `sample(g, layer, rng)` and evaluates them on a pooled scratch
     /// under the group's clean-decode key ([`clean_keys`]). Results carry
-    /// how the run ended, the clean model's density and the control's
-    /// encode-cache counters; callers attach expected faults.
+    /// how the run ended and the clean model's density; callers attach
+    /// expected faults.
     #[allow(clippy::too_many_arguments)]
     fn drive_groups(
         &self,
@@ -921,7 +910,6 @@ impl EvalContext {
                 (error, stats)
             },
         )?;
-        let cache_stats = control.cache_stats();
         Ok(driven
             .into_iter()
             .enumerate()
@@ -930,7 +918,6 @@ impl EvalContext {
                 CampaignResult::from_outcomes(trials, group.outcomes)
                     .with_termination(group.stopped_early, group.cancelled)
                     .with_density(model.layer_nnz(), model.density())
-                    .with_encode_cache(cache_stats)
             })
             .collect())
     }
@@ -1051,17 +1038,7 @@ impl EvalContext {
             });
         }
         let schemes = candidate_schemes(self.tech);
-        // A control-supplied cache (possibly disk-backed and shared
-        // between shard processes) takes precedence over the sweep's
-        // own in-memory one.
-        let owned_cache;
-        let cache: &EncodeCache = match &control.encode_cache {
-            Some(shared) => shared.as_ref(),
-            None => {
-                owned_cache = EncodeCache::new();
-                &owned_cache
-            }
-        };
+        let cache = EncodeCache::new();
         let stored: Vec<(Vec<StoredLayer>, u64)> = self.pool.scope_map(schemes.len(), |s| {
             let layers: Vec<StoredLayer> = layers
                 .iter()
@@ -1083,13 +1060,9 @@ impl EvalContext {
                 .0
                 .iter()
                 .enumerate()
-                .map(|(i, l)| PreparedLayer::new(l, cache.clean_decode_cached(i, &layers[i], l)))
+                .map(|(i, l)| PreparedLayer::new(l, cache.clean_decode(i, l)))
                 .collect()
         });
-        // All encode/decode work is done; snapshot the disk-layer
-        // counters once so every point of the sweep reports the same
-        // observation.
-        let cache_stats = cache.stats();
         // Fingerprint the whole sweep: every scheme's identity and cell
         // count participates, so adding/removing candidates invalidates
         // old checkpoints.
@@ -1132,7 +1105,6 @@ impl EvalContext {
                 trials_run: result.completed_trials,
                 layer_nnz: result.layer_nnz,
                 density: result.density,
-                encode_cache: cache_stats,
             })
             .collect())
     }

@@ -32,8 +32,8 @@ pub mod vulnerability;
 pub use campaign::{wilson_interval, Campaign, CampaignResult, FailedTrial, TrialOutcome};
 pub use cancel::CancelToken;
 pub use checkpoint::{
-    CampaignCheckpoint, CheckpointArtifactStore, CheckpointConfig, CheckpointStore, FaultPlan,
-    FaultyStore, Fingerprint, FsStore, RetryPolicy,
+    CampaignCheckpoint, CheckpointConfig, CheckpointStore, FaultPlan, FaultyStore, Fingerprint,
+    FsStore, RetryPolicy,
 };
 pub use dse::{minimal_cells, DseConfig, DsePoint};
 pub use engine::{EarlyStop, EngineError, EvalContext, RunControl, ShardSpec};

@@ -15,7 +15,7 @@ use maxnvm_faultsim::{
     RunControl,
 };
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 const TECH: CellTechnology = CellTechnology::MlcCtt;
@@ -81,11 +81,12 @@ fn every_byte_boundary_truncation_parses_typed_or_whole() {
     let text = complete_snapshot_text();
     assert!(text.is_ascii(), "byte boundaries must be char boundaries");
     assert!(text.len() > 100, "fixture snapshot suspiciously small");
-    let full = CampaignCheckpoint::from_text(text).expect("the whole snapshot parses");
+    let path = Path::new("snapshot.ckpt");
+    let full = CampaignCheckpoint::from_text(text, path).expect("the whole snapshot parses");
     let recorded = full.entries.len();
     assert_eq!(recorded, campaign().trials, "fixture records every trial");
     for cut in 0..=text.len() {
-        match CampaignCheckpoint::from_text(&text[..cut]) {
+        match CampaignCheckpoint::from_text(&text[..cut], path) {
             // A prefix that parses must carry an internally consistent
             // trial set — the `end <count>` trailer guards exactly this.
             Ok(snapshot) => assert_eq!(
@@ -155,7 +156,7 @@ proptest! {
         let mut bytes = text.as_bytes()[..cut.min(text.len())].to_vec();
         bytes.extend_from_slice(&garbage);
         let torn = String::from_utf8_lossy(&bytes).into_owned();
-        match CampaignCheckpoint::from_text(&torn) {
+        match CampaignCheckpoint::from_text(&torn, Path::new("torn.ckpt")) {
             Ok(snapshot) => prop_assert_eq!(snapshot.entries.len(), campaign().trials),
             Err(EngineError::CheckpointParse { .. }) => {}
             Err(other) => prop_assert!(false, "unexpected error {}", other),

@@ -1078,7 +1078,6 @@ mod tests {
             "crates/faultsim/src/checkpoint.rs",
             "crates/faultsim/src/engine/shard.rs",
             "crates/encoding/src/storage/cache.rs",
-            "crates/encoding/src/storage/diskcache.rs",
             "crates/nvsim/src/lib.rs",
         ] {
             assert!(
@@ -1087,13 +1086,9 @@ mod tests {
             );
         }
         assert!(is_result_affecting("crates/faultsim/src/checkpoint.rs"));
-        // Shard assignment decides which RNG streams execute where, and
-        // the disk cache feeds decoded artifacts straight into trials —
-        // both stay under the full D1 determinism scan.
+        // Shard assignment decides which RNG streams execute where, so
+        // it stays under the full D1 determinism scan.
         assert!(is_result_affecting("crates/faultsim/src/engine/shard.rs"));
-        assert!(is_result_affecting(
-            "crates/encoding/src/storage/diskcache.rs"
-        ));
         assert!(!is_result_affecting("crates/nvsim/src/lib.rs"));
         // D2 holds for a crate even though it is D1-exempt.
         let r = lint_str(

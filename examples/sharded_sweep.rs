@@ -6,37 +6,30 @@
 //! respawned and resumes from its own checkpoint), and finally merges
 //! the shard checkpoints into a result that is byte-identical to the
 //! unsharded single-process run — same trial outcomes, same
-//! early-stopping decisions, same optimal configuration. Workers share
-//! encode work through a content-addressed on-disk cache, so the
-//! dominant sparse-encode cost is paid once per artifact across the
-//! whole fleet.
+//! early-stopping decisions, same optimal configuration. Each worker
+//! encodes the layers itself. On one host the fleet is slower than a
+//! single process; sharding is for byte-identical merges and resumable
+//! workers.
 //!
 //! ```sh
 //! cargo run --release --example sharded_sweep -- --shards 4
 //! cargo run --release --example sharded_sweep -- --shards 2 --verify
-//! cargo run --release --example sharded_sweep -- --shards 2 --faulty-cache 42
 //! ```
 //!
 //! `--verify` additionally runs the sweep unsharded in this process and
-//! asserts the merged result is identical (encode-cache counters
-//! zeroed: they describe I/O activity, not trial semantics), printing
-//! the measured speedup and `dse_same_optimal`. `--faulty-cache SEED`
-//! routes the shared cache through the fault-injecting checkpoint store
-//! — the sweep must still complete with identical results, because the
-//! cache is strictly best-effort.
+//! asserts the merged result is identical, printing the measured
+//! speedup and `dse_same_optimal`.
 
 use maxnvm_dnn::zoo;
 use maxnvm_encoding::cluster::ClusteredLayer;
-use maxnvm_encoding::storage::{EncodeCache, EncodeDiskCache};
 use maxnvm_envm::{CellTechnology, SenseAmp};
 use maxnvm_faultsim::dse::minimal_cells;
 use maxnvm_faultsim::{
-    AccuracyEval, Campaign, CheckpointArtifactStore, CheckpointConfig, DseConfig, DsePoint,
-    EarlyStop, EvalContext, FaultPlan, FaultyStore, ProxyEval, RunControl, ShardSpec,
+    AccuracyEval, Campaign, CheckpointConfig, DseConfig, EarlyStop, EvalContext, ProxyEval,
+    RunControl, ShardSpec,
 };
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const TECH: CellTechnology = CellTechnology::MlcCtt;
@@ -48,7 +41,6 @@ struct Args {
     shards: usize,
     trials: usize,
     verify: bool,
-    faulty_cache: Option<u64>,
     /// Set when this process is a shard worker: (index, count, dir).
     child: Option<(usize, usize, PathBuf)>,
 }
@@ -58,7 +50,6 @@ fn parse_args() -> Args {
         shards: 2,
         trials: 48,
         verify: false,
-        faulty_cache: None,
         child: None,
     };
     let mut it = std::env::args().skip(1);
@@ -71,9 +62,6 @@ fn parse_args() -> Args {
             "--shards" => args.shards = value("--shards").parse().expect("--shards: integer"),
             "--trials" => args.trials = value("--trials").parse().expect("--trials: integer"),
             "--verify" => args.verify = true,
-            "--faulty-cache" => {
-                args.faulty_cache = Some(value("--faulty-cache").parse().expect("seed: integer"));
-            }
             "--child" => {
                 let index = value("--child index").parse().expect("index: integer");
                 let count = value("--child count").parse().expect("count: integer");
@@ -112,19 +100,6 @@ fn shard_ckpt(dir: &Path, index: usize, count: usize) -> PathBuf {
     dir.join(format!("shard-{index}-of-{count}.ckpt"))
 }
 
-/// The shared cross-process encode cache, optionally routed through the
-/// fault-injecting checkpoint store.
-fn shared_cache(dir: &Path, faulty_seed: Option<u64>) -> Arc<EncodeCache> {
-    let disk = EncodeDiskCache::new(dir.join("cache"));
-    let disk = match faulty_seed {
-        Some(seed) => disk.with_store(Arc::new(CheckpointArtifactStore(Arc::new(
-            FaultyStore::new(seed, FaultPlan::flaky()),
-        )))),
-        None => disk,
-    };
-    Arc::new(EncodeCache::new().with_disk(disk))
-}
-
 /// The control every process uses, differing only in shard layout and
 /// checkpoint path. Early stopping is configured identically everywhere
 /// — shard workers fold it into their fingerprints but never stop early
@@ -133,14 +108,12 @@ fn shared_cache(dir: &Path, faulty_seed: Option<u64>) -> Arc<EncodeCache> {
 fn control_for(
     shard: ShardSpec,
     ckpt: Option<PathBuf>,
-    cache: Option<Arc<EncodeCache>>,
     eval: &ProxyEval,
     cfg: &DseConfig,
 ) -> RunControl {
     RunControl {
         shard,
         checkpoint: ckpt.map(|p| CheckpointConfig::new(p).every(64).keep_on_success()),
-        encode_cache: cache,
         early_stop: Some(EarlyStop::new(eval.baseline_error(), cfg.itn_bound)),
         ..RunControl::default()
     }
@@ -148,41 +121,29 @@ fn control_for(
 
 /// Shard-worker entry point: run this process's slice of the sweep,
 /// checkpointing so a kill at any moment is resumable.
-fn run_child(index: usize, count: usize, dir: &Path, trials: usize, faulty_seed: Option<u64>) {
+fn run_child(index: usize, count: usize, dir: &Path, trials: usize) {
     let (layers, eval) = fixture();
     let cfg = dse_config(trials);
     let ctx = EvalContext::new(TECH, &SenseAmp::paper_default(), RATE_SCALE).expect("context");
     let control = control_for(
         ShardSpec::of(index, count),
         Some(shard_ckpt(dir, index, count)),
-        Some(shared_cache(dir, faulty_seed)),
         &eval,
         &cfg,
     );
     let points = ctx
         .run_dse_controlled(&layers, &eval, &cfg, &control)
         .expect("shard sweep");
-    let stats = points.first().map(|p| p.encode_cache).unwrap_or_default();
-    eprintln!(
-        "[shard {index}/{count}] done: {} schemes, cache {} hits / {} misses",
-        points.len(),
-        stats.disk_hits,
-        stats.disk_misses
-    );
+    eprintln!("[shard {index}/{count}] done: {} schemes", points.len());
 }
 
 fn spawn_shard(dir: &Path, index: usize, count: usize, args: &Args) -> std::process::Child {
     let exe = std::env::current_exe().expect("runner path");
-    let mut cmd = Command::new(exe);
-    cmd.args(["--child", &index.to_string(), &count.to_string()])
+    Command::new(exe)
+        .args(["--child", &index.to_string(), &count.to_string()])
         .arg(dir)
-        .args(["--trials", &args.trials.to_string()]);
-    if let Some(seed) = args.faulty_cache {
-        // Salt the seed per shard so workers draw distinct fault
-        // schedules (same-seed workers would fail in lockstep).
-        cmd.args(["--faulty-cache", &(seed ^ index as u64).to_string()]);
-    }
-    cmd.stdout(Stdio::inherit())
+        .args(["--trials", &args.trials.to_string()])
+        .stdout(Stdio::inherit())
         .stderr(Stdio::inherit())
         .spawn()
         .expect("spawn shard worker")
@@ -219,19 +180,10 @@ fn supervise(dir: &Path, args: &Args) {
     }
 }
 
-/// Zeroes the I/O-activity counters so result comparisons test trial
-/// semantics, not cache weather.
-fn without_cache_stats(mut points: Vec<DsePoint>) -> Vec<DsePoint> {
-    for p in &mut points {
-        p.encode_cache = Default::default();
-    }
-    points
-}
-
 fn main() {
     let args = parse_args();
     if let Some((index, count, dir)) = &args.child {
-        run_child(*index, *count, dir, args.trials, args.faulty_cache);
+        run_child(*index, *count, dir, args.trials);
         return;
     }
     assert!(args.shards >= 1, "--shards must be at least 1");
@@ -253,13 +205,7 @@ fn main() {
     let (layers, eval) = fixture();
     let cfg = dse_config(args.trials);
     let ctx = EvalContext::new(TECH, &SenseAmp::paper_default(), RATE_SCALE).expect("context");
-    let mut control = control_for(
-        ShardSpec::unsharded(),
-        None,
-        Some(shared_cache(&dir, None)),
-        &eval,
-        &cfg,
-    );
+    let mut control = control_for(ShardSpec::unsharded(), None, &eval, &cfg);
     control.merge_sources = (0..args.shards)
         .map(|i| shard_ckpt(&dir, i, args.shards))
         .collect();
@@ -269,7 +215,6 @@ fn main() {
     let sharded_time = sharded_start.elapsed();
 
     let best = minimal_cells(&merged).expect("something passes");
-    let stats = merged.first().map(|p| p.encode_cache).unwrap_or_default();
     println!(
         "Merged {} schemes in {:.2?}; winner {} ({} cells, {:.2}% error).",
         merged.len(),
@@ -278,23 +223,16 @@ fn main() {
         best.cells,
         best.mean_error * 100.0
     );
-    println!(
-        "encode_cache_hit_rate: {:.3} ({} hits / {} misses, {} B written)",
-        stats.hit_rate(),
-        stats.disk_hits,
-        stats.disk_misses,
-        stats.bytes_written
-    );
 
     if args.verify {
         println!("\nVerifying against the unsharded single-process run...");
         let single_start = Instant::now();
-        let control = control_for(ShardSpec::unsharded(), None, None, &eval, &cfg);
+        let control = control_for(ShardSpec::unsharded(), None, &eval, &cfg);
         let single = ctx
             .run_dse_controlled(&layers, &eval, &cfg, &control)
             .expect("unsharded run");
         let single_time = single_start.elapsed();
-        let same = without_cache_stats(merged.clone()) == without_cache_stats(single.clone());
+        let same = merged == single;
         let single_best = minimal_cells(&single).expect("something passes");
         let same_optimal = single_best.scheme.label() == best.scheme.label();
         println!(

@@ -163,9 +163,11 @@ fn spec_sample_matrices_reproduce_declared_sparsity() {
 }
 
 #[test]
-fn concrete_and_spec_dse_agree_on_protection_necessity() {
-    // Both exploration paths must agree that an unprotected MLC3 bitmask
-    // fails while the IdxSync+SLC-counter variant passes, at VGG16 scale.
+fn analytic_dse_rejects_plain_mlc3_bitmask_and_accepts_idx_sync_at_vgg16() {
+    // The analytic DSE (`explore_spec`) alone, at VGG16 scale: an
+    // unprotected MLC3 bitmask (MLC3 mask and values, no IdxSync, no ECC)
+    // fails the ITN bound, while some IdxSync bitmask with an MLC3 mask
+    // passes. No Monte-Carlo sweep runs here.
     let spec = zoo::vgg16();
     let sa = SenseAmp::paper_default();
     let points = maxnvm_faultsim::dse::explore_spec(

@@ -13,8 +13,8 @@
 //!   the conv geometries the stand-in lacks (pad 1, stride 2);
 //! - `table4/…` — the analytic co-design answer for each of Table 4's
 //!   (model, technology) pairs;
-//! - `format/…` — the on-disk text of a checkpoint snapshot and of the
-//!   encode cache's entries, and a `ShardSpec::owns` table.
+//! - `format/…` — the on-disk text of a checkpoint snapshot, and a
+//!   `ShardSpec::owns` table.
 //!
 //! CI's thread-matrix and forced-scalar jobs run this file too, so
 //! worker-count and SIMD-tier invariance are checked on outputs.
@@ -41,7 +41,7 @@ use maxnvm_dnn::train::{he_init, sgd_train, TrainConfig, TrainReport};
 use maxnvm_dnn::zoo::{self, prune_to_sparsity};
 use maxnvm_dnn::{Layer, Network, Tensor};
 use maxnvm_encoding::cluster::ClusteredLayer;
-use maxnvm_encoding::storage::{EncodeCache, EncodeDiskCache, StorageScheme, StoredLayer};
+use maxnvm_encoding::storage::{StorageScheme, StoredLayer};
 use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
 use maxnvm_faultsim::checkpoint::TRIAL_SEMANTICS_VERSION;
@@ -51,7 +51,6 @@ use maxnvm_faultsim::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// The digest table: `digests` were taken at `TRIAL_SEMANTICS_VERSION`
 /// `version`; `previous` holds the `trial/` digests of the version
@@ -92,7 +91,6 @@ const GOLDEN: Golden = Golden {
         ("table4/ResNet50/MLC-RRAM", 0xf980240b8622e9a1),
         ("table4/ResNet50/SLC-RRAM", 0x21499ba2a0d265e4),
         ("format/checkpoint", 0x12d81ae26760a1a7),
-        ("format/encode-cache", 0x80ebe8585c8bb46f),
         ("format/shard-owns", 0x197824e82ec4a286),
     ],
     // None recorded: the table was first taken at version 4.
@@ -340,8 +338,8 @@ fn table4_outputs(out: &mut Vec<(String, u64)>) {
     }
 }
 
-/// The persisted formats: checkpoint text, encode-cache entries, and
-/// which shard owns which trial.
+/// The persisted formats: checkpoint text, and which shard owns which
+/// trial.
 fn format_outputs(out: &mut Vec<(String, u64)>) {
     let dir = std::env::temp_dir().join(format!("maxnvm-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -362,25 +360,6 @@ fn format_outputs(out: &mut Vec<(String, u64)>) {
         "format/checkpoint".into(),
         digest().push_str(&text).finish(),
     ));
-
-    let cache_dir = dir.join("encode-cache");
-    let cache = EncodeCache::new().with_disk(EncodeDiskCache::new(&cache_dir));
-    let stored = cache.store_layer(0, &layers[0], &chip_scheme());
-    cache.clean_decode_cached(0, &layers[0], &stored);
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(&cache_dir)
-        .expect("cache dir")
-        .map(|e| e.expect("cache entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "mnvc"))
-        .collect();
-    entries.sort();
-    assert_eq!(entries.len(), 2, "one streams and one decode entry");
-    let mut f = digest();
-    for p in &entries {
-        let name = p.file_name().expect("file name").to_string_lossy();
-        f.push_str(&name)
-            .push_str(&std::fs::read_to_string(p).expect("entry text"));
-    }
-    out.push(("format/encode-cache".into(), f.finish()));
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut f = digest();

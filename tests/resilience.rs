@@ -580,7 +580,8 @@ fn flaky_checkpoint_store_fails_typed_and_converges_on_rerun() {
                 // prefix at the final path. The engine never discards a
                 // snapshot on its own: every rerun reports the typed
                 // parse error until the caller removes the file.
-                Err(EngineError::CheckpointParse { detail }) => {
+                Err(EngineError::CheckpointParse { path, detail }) => {
+                    assert_eq!(path, ckpt.display().to_string());
                     assert!(
                         torn_on_disk,
                         "seed {seed}: parse error without a torn write: {detail}"

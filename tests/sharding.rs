@@ -310,6 +310,46 @@ fn mismatched_shard_layouts_refuse_to_resume() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_corrupt_merge_source_is_a_parse_error_naming_that_file() {
+    let (stored, eval) = fixture();
+    let c = campaign();
+    let dir = temp_dir("corrupt-source");
+    let sources: Vec<PathBuf> = (0..2)
+        .map(|index| {
+            let ckpt = dir.join(format!("shard-{index}-of-2.ckpt"));
+            let control = RunControl {
+                shard: ShardSpec::of(index, 2),
+                checkpoint: Some(CheckpointConfig::new(&ckpt).every(1).keep_on_success()),
+                ..RunControl::default()
+            };
+            c.run_controlled(std::slice::from_ref(&stored), TECH, &sa(), &eval, &control)
+                .expect("shard run");
+            ckpt
+        })
+        .collect();
+    // The first source is intact; only the second is garbage.
+    std::fs::write(&sources[1], "\u{0}\u{1}not a checkpoint").expect("overwrite shard 1");
+    let err = c
+        .merge(
+            &sources,
+            std::slice::from_ref(&stored),
+            TECH,
+            &sa(),
+            &eval,
+            &RunControl::default(),
+        )
+        .expect_err("a garbage source must be rejected");
+    match &err {
+        EngineError::CheckpointParse { path, .. } => {
+            assert_eq!(*path, sources[1].display().to_string())
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    assert!(err.to_string().contains("shard-1-of-2.ckpt"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Multi-process: a real shard worker SIGKILLed mid-run, resumed, and
 // merged — the sharded pipeline's answer to the resilience suite's
