@@ -22,8 +22,8 @@
 //! fma(a[i,0], b[0,j], 0.0)) …)`. The micro-kernel keeps exactly one
 //! accumulator per output element, loads the current `c` tile into it,
 //! adds the panel's `kc` terms in k order, and stores the tile back, so
-//! splitting `k` into `KC`-deep panels — or `n` into per-worker column
-//! bands — does not reorder or re-associate any element's chain.
+//! splitting `k` into `KC`-deep panels does not reorder or re-associate
+//! any element's chain.
 //!
 //! Crucially, the chain is **tier-independent**: `f32::mul_add`, an
 //! x86 `vfmadd` lane, and a NEON `vfma` lane are all the same
@@ -52,20 +52,6 @@
 //! from the finite inputs this crate feeds the kernels (see
 //! `DESIGN.md` §13).
 //!
-//! # Within-trial parallelism
-//!
-//! A [`GemmParallel`] handle installed on the [`GemmScratch`] lets one
-//! large multiply fan out over the engine's worker pool: the `n`
-//! dimension is split into `nr`-aligned column bands with **fixed
-//! ownership** — job `i` owns band `i`, no stealing — so each output
-//! element is still computed serially, in the same ascending-k order,
-//! by exactly one job. Results are byte-identical at any worker count
-//! (including the serial path) because band boundaries never split an
-//! element's chain; the split only decides *who* computes it. Small
-//! multiplies ([`PAR_MIN_WORK`], [`PAR_MIN_COLS`]) stay serial — the
-//! shape gate depends on dimensions only, never on data, and both
-//! routes are bit-identical anyway.
-
 mod dispatch;
 #[cfg(target_arch = "aarch64")]
 mod kernel_neon;
@@ -76,8 +62,6 @@ pub use dispatch::{
     active_tier, env_force_scalar, force_tier_for_tests, parse_force_scalar, supported_tiers,
     InvalidForceScalar, SimdTier, FORCE_SCALAR_ENV,
 };
-
-use std::sync::Arc;
 
 /// Depth of one packed panel (L1-resident slice of the k dimension);
 /// shared by every tier.
@@ -90,95 +74,20 @@ pub const NC: usize = 1024;
 /// sizes the edge-tile staging buffer.
 const MAX_TILE: usize = 8 * 32;
 
-/// Minimum columns per job before a multiply fans out; keeps each
-/// band's packing amortized and bands `nr`-aligned and non-trivial.
-pub const PAR_MIN_COLS: usize = 256;
-/// Minimum multiply-add count (`m·k·n`) before a multiply fans out;
-/// below this the pool hand-off costs more than the compute. Shape-only,
-/// never data-dependent.
-pub const PAR_MIN_WORK: usize = 1 << 21;
-
-/// Deterministic fan-out used by [`gemm_into`] to run one multiply's
-/// column bands on the engine's worker pool.
-///
-/// Implementations must run `task(0..jobs)` exactly once each and
-/// return only when all calls finished; calls may run concurrently.
-/// Job indices carry **fixed ownership** of disjoint column bands, so
-/// the schedule (which thread runs which index, in what order) can
-/// never affect results.
-pub trait GemmParallel: Send + Sync + std::fmt::Debug {
-    /// Upper bound on useful concurrent jobs (e.g. pool workers + the
-    /// caller). The kernels may use fewer for small shapes.
-    fn max_jobs(&self) -> usize;
-    /// Runs `task(j)` for every `j in 0..jobs`, returning when all are
-    /// done.
-    fn run(&self, jobs: usize, task: &(dyn Fn(usize) + Sync));
-}
-
-/// One set of packing buffers (one serial multiply, or one parallel
-/// job's band).
+/// Reusable packing buffers for [`gemm_into`]. Holding one per worker
+/// (inside the evaluation scratch) keeps the trial loop allocation-free:
+/// the buffers grow once and are reused by every subsequent multiply.
 #[derive(Debug, Clone, Default)]
-struct PackBufs {
+pub struct GemmScratch {
     packed_a: Vec<f32>,
     packed_b: Vec<f32>,
 }
 
-/// Reusable state for [`gemm_into`]. Holding one per worker (inside the
-/// evaluation scratch) keeps the trial loop allocation-free: the buffers
-/// grow once and are reused by every subsequent multiply. Optionally
-/// carries a [`GemmParallel`] handle (plus per-job buffers) so large
-/// multiplies fan out within a trial.
-#[derive(Debug, Clone, Default)]
-pub struct GemmScratch {
-    bufs: PackBufs,
-    /// Per-job packing buffers for parallel column bands; `par_bufs[j]`
-    /// is owned exclusively by job `j` while a fan-out runs.
-    par_bufs: Vec<PackBufs>,
-    parallel: Option<Arc<dyn GemmParallel>>,
-}
-
-impl GemmScratch {
-    /// Installs (or removes) the fan-out handle used for within-trial
-    /// GEMM parallelism. `None` (the default) keeps every multiply on
-    /// the calling thread. Results are byte-identical either way.
-    pub fn set_parallel(&mut self, parallel: Option<Arc<dyn GemmParallel>>) {
-        self.parallel = parallel;
-    }
-
-    /// The installed fan-out handle, if any.
-    pub fn parallel(&self) -> Option<&Arc<dyn GemmParallel>> {
-        self.parallel.as_ref()
-    }
-}
-
-/// Raw base pointer smuggled into fan-out jobs.
-struct SendPtr<T>(*mut T);
-
-// Manual Copy/Clone: the derive would demand `T: Copy`, but only the
-// pointer is copied.
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
-// SAFETY: `SendPtr` is only constructed inside this module's fan-out
-// paths, where every job dereferences a *disjoint* region (its own
-// column band of `c`, or its own `par_bufs[j]` entry) under the fixed
-// job↔band ownership documented on `GemmParallel`, and the fan-out
-// call completes before the owning `&mut` borrow is used again.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: see the `Send` justification above — shared access is only
-// ever to disjoint regions selected by the job index.
-unsafe impl<T> Sync for SendPtr<T> {}
-
 /// `c = a · b` for row-major `a` (`m`×`k`), `b` (`k`×`n`), `c` (`m`×`n`).
 ///
-/// `c` is overwritten (zeroed first). See the module docs for the
-/// summation-order guarantee; if `scratch` carries a [`GemmParallel`]
-/// handle and the shape clears the fan-out gate, column bands run on
-/// the pool with byte-identical results.
+/// `c` is overwritten (zeroed first). The classic jc/pc/ic loop nest runs
+/// with the active tier's packing shapes; see the module docs for the
+/// summation-order guarantee.
 ///
 /// # Panics
 ///
@@ -200,36 +109,26 @@ pub fn gemm_into(
         return;
     }
     let tier = active_tier();
-    let GemmScratch {
-        bufs,
-        par_bufs,
-        parallel,
-    } = scratch;
-    if let Some(par) = parallel.as_deref() {
-        let work = m.saturating_mul(k).saturating_mul(n);
-        let jobs = plan_jobs(par.max_jobs(), work, n);
-        if jobs > 1 {
-            if par_bufs.len() < jobs {
-                par_bufs.resize_with(jobs, PackBufs::default);
+    let (mr, nr, mc_blk) = (tier.mr(), tier.nr(), tier.mc());
+    let GemmScratch { packed_a, packed_b } = scratch;
+    let mut jc = 0;
+    while jc < n {
+        let nc = NC.min(n - jc);
+        let mut pc = 0;
+        while pc < k {
+            let kc = KC.min(k - pc);
+            pack_b(packed_b, b, n, pc, kc, jc, nc, nr);
+            let mut ic = 0;
+            while ic < m {
+                let mc = mc_blk.min(m - ic);
+                pack_a(packed_a, a, k, ic, mc, pc, kc, mr);
+                macro_kernel(tier, c, packed_a, packed_b, n, ic, mc, kc, jc, nc);
+                ic += mc_blk;
             }
-            let cp = SendPtr(c.as_mut_ptr());
-            let bp = SendPtr(par_bufs.as_mut_ptr());
-            let nr = tier.nr();
-            par.run(jobs, &|j| {
-                // Capture the whole `SendPtr` wrappers (not their raw
-                // fields) so the closure is Sync.
-                let (cp, bp) = (cp, bp);
-                // SAFETY: fixed ownership — job j is the only accessor
-                // of `par_bufs[j]` (j < jobs ≤ par_bufs.len()) for the
-                // duration of the fan-out.
-                let job_bufs = unsafe { &mut *bp.0.add(j) };
-                let (j0, j1) = (band_edge(n, jobs, nr, j), band_edge(n, jobs, nr, j + 1));
-                gemm_cols(tier, cp, a, b, k, n, j0, j1, m, job_bufs);
-            });
-            return;
+            pc += KC;
         }
+        jc += NC;
     }
-    gemm_cols(tier, SendPtr(c.as_mut_ptr()), a, b, k, n, 0, n, m, bufs);
 }
 
 /// One output row by a sequential fused dot: `out[j] = fma(row[k-1],
@@ -289,75 +188,6 @@ fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
         acc = x.mul_add(y, acc);
     }
     acc
-}
-
-/// Jobs for one fan-out: 1 (serial) unless the multiply is big enough
-/// on both the work and column axes. Depends on shape only.
-fn plan_jobs(max_jobs: usize, work: usize, n: usize) -> usize {
-    if work < PAR_MIN_WORK || n < 2 * PAR_MIN_COLS {
-        return 1;
-    }
-    max_jobs.clamp(1, n / PAR_MIN_COLS)
-}
-
-/// Start column of job `j`'s band: an `nr`-aligned balanced partition
-/// of `0..n` (job `jobs` maps to `n`). Monotone in `j`, so bands are
-/// disjoint and cover `0..n` exactly.
-fn band_edge(n: usize, jobs: usize, nr: usize, j: usize) -> usize {
-    if j >= jobs {
-        n
-    } else {
-        n * j / jobs / nr * nr
-    }
-}
-
-/// Serial driver over the column range `j0..j1` of `c`: the classic
-/// jc/pc/ic loop nest with the active tier's packing shapes. Safe to
-/// run concurrently for *disjoint* column ranges — all writes land in
-/// `jc..jc+nc ⊆ j0..j1`.
-#[allow(clippy::too_many_arguments)]
-fn gemm_cols(
-    tier: SimdTier,
-    cp: SendPtr<f32>,
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    j0: usize,
-    j1: usize,
-    m: usize,
-    bufs: &mut PackBufs,
-) {
-    let (mr, nr, mc_blk) = (tier.mr(), tier.nr(), tier.mc());
-    let mut jc = j0;
-    while jc < j1 {
-        let nc = NC.min(j1 - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            pack_b(&mut bufs.packed_b, b, n, pc, kc, jc, nc, nr);
-            let mut ic = 0;
-            while ic < m {
-                let mc = mc_blk.min(m - ic);
-                pack_a(&mut bufs.packed_a, a, k, ic, mc, pc, kc, mr);
-                macro_kernel(
-                    tier,
-                    cp,
-                    &bufs.packed_a,
-                    &bufs.packed_b,
-                    n,
-                    ic,
-                    mc,
-                    kc,
-                    jc,
-                    nc,
-                );
-                ic += mc_blk;
-            }
-            pc += KC;
-        }
-        jc += NC;
-    }
 }
 
 /// Packs `a[ic.., pc..]` (`mc`×`kc`) into `mr`-tall strips:
@@ -429,10 +259,10 @@ fn pack_b(
 /// the live lanes' chains are identical either way, and padded lanes
 /// multiply packed zeros (a bitwise no-op never stored back).
 #[allow(clippy::too_many_arguments)]
-// maxnvm-lint: allow(R1/index-arith): indexes the packed panels with the same strip/kc/lane extents pack_a/pack_b allocated; the micro-tile loops never exceed them.
+// maxnvm-lint: allow(R1/index-arith): indexes the packed panels with the same strip/kc/lane extents pack_a/pack_b allocated, and `c` at tile rows and columns inside the ic..ic+mc × jc..jc+nc block; every range is bounds-checked slicing.
 fn macro_kernel(
     tier: SimdTier,
-    cp: SendPtr<f32>,
+    c: &mut [f32],
     packed_a: &[f32],
     packed_b: &[f32],
     n: usize,
@@ -452,29 +282,23 @@ fn macro_kernel(
             let rows = mr.min(mc - asx * mr);
             let off = (ic + asx * mr) * n + jc + bs * nr;
             if rows == mr && cols == nr {
-                // SAFETY: the full tile is in bounds (`ic + asx·mr + mr
-                // ≤ m` rows of `n`-strided memory, `jc + bs·nr + nr ≤
-                // jc + nc` columns inside this call's owned band) and
-                // unaliased — fixed band ownership, serial within a
-                // job.
-                unsafe { micro_tile(tier, cp.0.add(off), n, pa, pb, kc) };
+                let tile = &mut c[off..off + (mr - 1) * n + nr];
+                // SAFETY: `tile` is a live exclusive slice spanning all
+                // `mr` rows of `nr` elements at stride `n` (its length is
+                // exactly `(mr - 1)·n + nr`); `pa`/`pb` hold kc·mr / kc·nr
+                // floats.
+                unsafe { micro_tile(tier, tile.as_mut_ptr(), n, pa, pb, kc) };
             } else {
                 for (i, srow) in stage.chunks_mut(nr).enumerate().take(rows) {
-                    // SAFETY: live-corner row `i` (`rows ≤ mr`, `cols ≤
-                    // nr`) is in bounds and owned by this job; the
-                    // shared slice is dropped before any write below.
-                    let crow = unsafe { core::slice::from_raw_parts(cp.0.add(off + i * n), cols) };
-                    srow[..cols].copy_from_slice(crow);
+                    let row = off + i * n;
+                    srow[..cols].copy_from_slice(&c[row..row + cols]);
                 }
                 // SAFETY: `stage` holds mr·nr ≤ MAX_TILE floats at
                 // stride nr; `pa`/`pb` hold kc·mr / kc·nr floats.
                 unsafe { micro_tile(tier, stage.as_mut_ptr(), nr, pa, pb, kc) };
                 for (i, srow) in stage.chunks(nr).enumerate().take(rows) {
-                    // SAFETY: as above; rows are disjoint and each
-                    // slice is dropped at the end of its iteration.
-                    let crow =
-                        unsafe { core::slice::from_raw_parts_mut(cp.0.add(off + i * n), cols) };
-                    crow.copy_from_slice(&srow[..cols]);
+                    let row = off + i * n;
+                    c[row..row + cols].copy_from_slice(&srow[..cols]);
                 }
             }
         }
@@ -487,7 +311,8 @@ fn macro_kernel(
 ///
 /// `cp` must point at the tile's top-left element of a buffer where all
 /// `mr` rows of `nr` elements at `stride` spacing are in bounds and not
-/// concurrently accessed; `pa`/`pb` must hold `kc·mr` / `kc·nr` floats.
+/// otherwise accessed during the call; `pa`/`pb` must hold `kc·mr` /
+/// `kc·nr` floats.
 // SAFETY: `unsafe fn` — the pointer contract above is forwarded
 // verbatim to the tier kernels; tier values other than Scalar are only
 // produced by dispatch after feature detection, which is exactly the
@@ -853,55 +678,6 @@ mod tests {
         // SAFETY: FMA detected above; equal slice lengths.
         let dot_hw = unsafe { kernel_x86::dot_fma(&src, &other) };
         assert_eq!(dot_hw.to_bits(), dot_portable(&src, &other).to_bits());
-    }
-
-    /// A deterministic in-process stand-in for the engine pool: runs
-    /// jobs sequentially (order irrelevant by fixed ownership).
-    #[derive(Debug)]
-    struct SeqParallel(usize);
-    impl GemmParallel for SeqParallel {
-        fn max_jobs(&self) -> usize {
-            self.0
-        }
-        fn run(&self, jobs: usize, task: &(dyn Fn(usize) + Sync)) {
-            // Reverse order on purpose: band ownership makes schedule
-            // order irrelevant, and this exercises that.
-            for j in (0..jobs).rev() {
-                task(j);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_bands_are_bit_identical_to_serial() {
-        // Large enough to clear the fan-out gate on both axes.
-        let (m, k, n) = (24, 170, 2 * PAR_MIN_COLS + 2 * active_tier().nr() + 3);
-        assert!(m * k * n >= PAR_MIN_WORK);
-        let a = random(m * k, 101);
-        let b = random(k * n, 102);
-        let serial = run_gemm(&a, &b, m, k, n);
-        for jobs in [2, 3, 4, 7] {
-            let mut scratch = GemmScratch::default();
-            scratch.set_parallel(Some(Arc::new(SeqParallel(jobs))));
-            let mut c = vec![0.0f32; m * n];
-            gemm_into(&mut c, &a, &b, m, k, n, &mut scratch);
-            assert_eq!(c, serial, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn band_edges_partition_and_align() {
-        for (n, jobs, nr) in [(1024, 3, 32), (777, 2, 8), (4096, 7, 16), (513, 4, 8)] {
-            let mut prev = 0;
-            for j in 0..=jobs {
-                let e = band_edge(n, jobs, nr, j);
-                assert!(e >= prev, "monotone");
-                assert!(j == jobs || e.is_multiple_of(nr), "aligned");
-                prev = e;
-            }
-            assert_eq!(band_edge(n, jobs, nr, 0), 0);
-            assert_eq!(band_edge(n, jobs, nr, jobs), n);
-        }
     }
 
     fn assert_bitwise_eq(got: &[f32], want: &[f32], ctx: &str) {

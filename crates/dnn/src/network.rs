@@ -6,8 +6,8 @@
 //! tiers (scalar / AVX2 / AVX-512 / NEON) compute the identical
 //! fused-multiply-add chains and are selected once per process from CPU
 //! features alone, never from the data (DESIGN.md §14). The same logits
-//! come back whether a batch runs serially, under the within-trial GEMM
-//! fan-out, or pinned to the scalar tier via `MAXNVM_FORCE_SCALAR`.
+//! come back on the detected tier or pinned to the scalar tier via
+//! `MAXNVM_FORCE_SCALAR`.
 
 use crate::layer::{ForwardScratch, Layer};
 use crate::tensor::Tensor;

@@ -23,9 +23,7 @@
 //! This holds on every SIMD dispatch tier: the row kernels route through
 //! the same tier table as the blocked GEMM, and all tiers compute the
 //! identical fused-multiply-add chains (DESIGN.md §14), so a cache built
-//! while one tier is active replays bit-identically under any other —
-//! including under the within-trial GEMM fan-out, whose fixed N-panel
-//! ownership never changes per-element operation order.
+//! while one tier is active replays bit-identically under any other.
 //!
 //! Only "flat" networks (no [`Layer::Residual`]) are supported —
 //! [`PrefixCache::build`] returns `None` otherwise and callers fall back

@@ -137,43 +137,6 @@ fn row_kernels_are_bit_identical_across_tiers() {
     }
 }
 
-/// Real-thread fan-out (unlike the in-crate sequential fake): jobs run
-/// concurrently on scoped threads.
-#[derive(Debug)]
-struct ThreadParallel(usize);
-impl gemm::GemmParallel for ThreadParallel {
-    fn max_jobs(&self) -> usize {
-        self.0
-    }
-    fn run(&self, jobs: usize, task: &(dyn Fn(usize) + Sync)) {
-        std::thread::scope(|s| {
-            for j in 0..jobs {
-                s.spawn(move || task(j));
-            }
-        });
-    }
-}
-
-#[test]
-fn parallel_fanout_is_bit_identical_on_every_tier() {
-    let _guard = TierGuard::new();
-    let (m, k, n) = (16, 300, 2 * gemm::PAR_MIN_COLS + 37);
-    assert!(m * k * n >= gemm::PAR_MIN_WORK);
-    let a = random(m * k, 171);
-    let b = random(k * n, 172);
-    for tier in supported_tiers() {
-        let serial = gemm_on_tier(tier, &a, &b, m, k, n);
-        for jobs in [2, 3, 5] {
-            force_tier_for_tests(Some(tier));
-            let mut scratch = GemmScratch::default();
-            scratch.set_parallel(Some(std::sync::Arc::new(ThreadParallel(jobs))));
-            let mut c = vec![0.0f32; m * n];
-            gemm_into(&mut c, &a, &b, m, k, n, &mut scratch);
-            assert_bits_eq(&c, &serial, &format!("{} jobs={jobs}", tier.name()));
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -3,9 +3,7 @@
 //!
 //! The heavy lifting lives in [`crate::engine`]: `Campaign` is the
 //! configuration, and its `run*` methods build a transient
-//! [`EvalContext`] on the process-wide worker pool. The pre-engine
-//! scoped-thread implementation is retained as
-//! [`Campaign::run_reference`] for parity tests and benchmarks.
+//! [`EvalContext`] on the process-wide worker pool.
 
 use crate::checkpoint::CheckpointConfig;
 use crate::engine::{EngineError, EvalContext, RunControl};
@@ -13,7 +11,6 @@ use crate::evaluate::AccuracyEval;
 use maxnvm_encoding::storage::{DecodeStats, StoredLayer};
 use maxnvm_encoding::StructureKind;
 use maxnvm_envm::{CellTechnology, FaultMap, MlcConfig, SenseAmp};
-use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Campaign configuration.
@@ -128,17 +125,13 @@ pub struct CampaignResult {
     /// Mean injected cell faults per trial.
     pub mean_cell_faults: f64,
     /// Exact expected cell faults per trial (sum of per-cell fault
-    /// probabilities over every stored structure's level histogram).
-    /// Engine-run campaigns report it; the pre-engine reference arm
-    /// leaves it at `0.0`.
+    /// probabilities over every injected structure's level histogram).
     pub expected_cell_faults: f64,
     /// Mean ECC-corrected codewords per trial.
     pub mean_ecc_corrected: f64,
     /// Mean uncorrectable codewords per trial.
     pub mean_ecc_uncorrectable: f64,
-    /// Non-zero weights per stored layer (clean decode). Engine-run
-    /// campaigns report it; the pre-engine reference arm leaves it
-    /// empty.
+    /// Non-zero weights per stored layer (clean decode).
     pub layer_nnz: Vec<u64>,
     /// Achieved model density: total non-zeros over total weights
     /// (`0.0` when unreported).
@@ -146,16 +139,6 @@ pub struct CampaignResult {
 }
 
 impl CampaignResult {
-    pub(crate) fn from_trials(trials: Vec<(f64, DecodeStats)>) -> Self {
-        let requested = trials.len();
-        let outcomes: Vec<(usize, TrialOutcome)> = trials
-            .into_iter()
-            .enumerate()
-            .map(|(t, (error, stats))| (t, TrialOutcome::Ok { error, stats }))
-            .collect();
-        Self::from_outcomes(requested, outcomes)
-    }
-
     /// Builds a result from per-trial outcomes (`(trial index, outcome)`;
     /// indices need not be contiguous — trials missing entirely were
     /// cancelled before running). Statistics aggregate over the `Ok`
@@ -404,69 +387,6 @@ impl Campaign {
         let ctx = EvalContext::new(tech, sa, self.rate_scale)?;
         ctx.run_chips(self.trials, self.seed, stored, eval)
     }
-
-    /// The pre-engine implementation: scoped threads spawned per call,
-    /// hard-capped at eight, fault maps rebuilt (and re-scaled per
-    /// lookup) on every thread, and every trial paying a full per-cell
-    /// inject + decode pass. Retained unchanged as the reference arm for
-    /// parity tests and the speedup benchmark. [`Campaign::run`] now
-    /// samples faults sparsely (a different RNG stream with the same
-    /// per-cell marginals), so the two arms agree statistically rather
-    /// than bit for bit.
-    pub fn run_reference(
-        &self,
-        stored: &[StoredLayer],
-        tech: CellTechnology,
-        sa: &SenseAmp,
-        eval: &(dyn AccuracyEval + Sync),
-    ) -> CampaignResult {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(self.trials.max(1))
-            .min(8);
-        let results = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let trial_ids: Vec<usize> = (0..self.trials).filter(|i| i % threads == t).collect();
-                let seed = self.seed;
-                let rate_scale = self.rate_scale;
-                handles.push(scope.spawn(move || {
-                    let base_maps = fault_maps(tech, sa);
-                    let fault_for =
-                        move |cfg: MlcConfig| Arc::new(base_maps(cfg).scaled(rate_scale));
-                    let mut out = Vec::with_capacity(trial_ids.len());
-                    for trial in trial_ids {
-                        let mut rng =
-                            rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(trial as u64));
-                        let mut stats = DecodeStats::default();
-                        let mats: Vec<_> = stored
-                            .iter()
-                            .map(|layer| {
-                                let (m, s) = layer.decode_with_faults(&fault_for, &mut rng);
-                                stats.absorb(s);
-                                m
-                            })
-                            .collect();
-                        out.push((trial, eval.eval(&mats), stats));
-                    }
-                    out
-                }));
-            }
-            let mut all: Vec<(usize, f64, DecodeStats)> = handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(v) => v,
-                    // The reference arm has no per-trial isolation by
-                    // design; propagate the worker's panic verbatim.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect();
-            all.sort_by_key(|(t, _, _)| *t);
-            all.into_iter().map(|(_, e, s)| (e, s)).collect()
-        });
-        CampaignResult::from_trials(results)
-    }
 }
 
 #[cfg(test)]
@@ -477,7 +397,7 @@ mod tests {
     use maxnvm_encoding::cluster::ClusteredLayer;
     use maxnvm_encoding::storage::StorageScheme;
     use maxnvm_encoding::EncodingKind;
-    use rand::Rng;
+    use rand::{Rng, SeedableRng};
 
     fn stored_layer(scale: f64, bpc: MlcConfig) -> (ClusteredLayer, StoredLayer) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
@@ -567,56 +487,32 @@ mod tests {
     }
 
     #[test]
-    fn engine_run_agrees_with_the_reference_implementation() {
-        // The engine samples faults sparsely (geometric skips), drawing a
-        // different RNG stream than the reference's per-cell injector, so
-        // the arms agree statistically — same Binomial marginals — not
-        // bitwise.
+    fn engine_fault_counts_track_the_exact_expectation() {
+        // The engine samples faults sparsely (geometric skips); its
+        // empirical mean fault count must sit near the analytically exact
+        // expectation it reports.
         let (c, stored) = stored_layer(1.0, MlcConfig::MLC3);
         let eval = ProxyEval::new(vec![c.reconstruct()], 0.05, 0.9);
-        let campaign = Campaign {
+        let result = Campaign {
             trials: 200,
             seed: 21,
             rate_scale: 40.0,
-        };
-        let engine = campaign
-            .run(
-                std::slice::from_ref(&stored),
-                CellTechnology::MlcRram,
-                &SenseAmp::paper_default(),
-                &eval,
-            )
-            .expect("campaign");
-        let reference = campaign.run_reference(
+        }
+        .run(
             std::slice::from_ref(&stored),
             CellTechnology::MlcRram,
             &SenseAmp::paper_default(),
             &eval,
-        );
-        assert_eq!(engine.errors.len(), reference.errors.len());
-        // The engine reports the analytically exact expectation, and both
-        // arms' empirical fault means must sit near it.
+        )
+        .expect("campaign");
+        assert_eq!(result.errors.len(), 200);
+        let expected = result.expected_cell_faults;
+        assert!(expected > 0.5, "{expected}");
+        let rel = (result.mean_cell_faults / expected - 1.0).abs();
         assert!(
-            engine.expected_cell_faults > 0.5,
-            "{}",
-            engine.expected_cell_faults
-        );
-        for (arm, mean) in [
-            ("engine", engine.mean_cell_faults),
-            ("reference", reference.mean_cell_faults),
-        ] {
-            let rel = (mean / engine.expected_cell_faults - 1.0).abs();
-            assert!(
-                rel < 0.25,
-                "{arm} mean {mean} vs expected {} (rel {rel})",
-                engine.expected_cell_faults
-            );
-        }
-        assert!(
-            (engine.mean_error - reference.mean_error).abs() < 0.1,
-            "engine {} vs reference {}",
-            engine.mean_error,
-            reference.mean_error
+            rel < 0.25,
+            "mean {} vs expected {expected} (rel {rel})",
+            result.mean_cell_faults
         );
     }
 
@@ -740,10 +636,11 @@ mod tests {
 
     #[test]
     fn within_itn_uses_mean() {
-        let r = CampaignResult::from_trials(vec![
-            (0.1, DecodeStats::default()),
-            (0.2, DecodeStats::default()),
-        ]);
+        let ok = |error| TrialOutcome::Ok {
+            error,
+            stats: DecodeStats::default(),
+        };
+        let r = CampaignResult::from_outcomes(2, vec![(0, ok(0.1)), (1, ok(0.2))]);
         assert!((r.mean_error - 0.15).abs() < 1e-12);
         assert!(r.within_itn(0.1, 0.06));
         assert!(!r.within_itn(0.1, 0.04));

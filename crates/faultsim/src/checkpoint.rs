@@ -406,7 +406,8 @@ impl Default for RetryPolicy {
 pub struct CheckpointConfig {
     /// Snapshot file; a sibling `<path>.tmp` is used for atomic writes.
     pub path: PathBuf,
-    /// Write a snapshot after every `every` newly completed trials.
+    /// Write a snapshot after every `every` newly completed trials
+    /// (`0` acts as `1`).
     pub every: usize,
     /// Keep the file after a run completes (default: remove it, so a
     /// finished campaign cannot be accidentally "resumed").

@@ -1,16 +1,17 @@
 //! Exhaustive design-space exploration (§4.4, Fig. 6): sweep every
 //! combination of encoding, per-structure bits-per-cell, and protection,
 //! and keep the minimal-cell configuration that preserves accuracy within
-//! the iso-training-noise bound.
+//! the iso-training-noise bound. Spec-level models use the analytic
+//! damage model ([`explore_spec`]); trainable stand-ins run the concrete
+//! Monte-Carlo sweep on the engine ([`crate::engine::EvalContext::run_dse`]).
 
 use crate::analytic::{aggregate_mse, layer_damage};
-use crate::campaign::{Campaign, CampaignResult};
-use crate::engine::{EngineError, EvalContext};
-use crate::evaluate::{AccuracyEval, ProxyEval};
+use crate::campaign::Campaign;
+use crate::engine::EngineError;
+use crate::evaluate::ProxyEval;
 use maxnvm_dnn::zoo::ModelSpec;
-use maxnvm_encoding::cluster::ClusteredLayer;
 use maxnvm_encoding::estimate::{estimate_cells, LayerGeometry};
-use maxnvm_encoding::storage::{StorageScheme, StoredLayer, StructureBpc};
+use maxnvm_encoding::storage::{StorageScheme, StructureBpc};
 use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
 
@@ -113,70 +114,6 @@ pub fn candidate_schemes(tech: CellTechnology) -> Vec<StorageScheme> {
         }
     }
     out
-}
-
-/// Concrete exploration: stores real clustered layers under every
-/// candidate scheme (raw encodes and clean decodes shared across schemes
-/// that differ only in protection), runs a Monte-Carlo campaign per
-/// scheme on the engine's worker pool with sparse fault sampling, and
-/// records cells + error. Used for the trainable stand-in models.
-///
-/// Seeding is per-(scheme, trial), so the result is identical at any
-/// worker count. Schemes and cell counts match
-/// [`explore_concrete_reference`] exactly; errors agree statistically
-/// (the sparse sampler draws a different RNG stream with the same
-/// per-cell fault marginals).
-pub fn explore_concrete(
-    layers: &[ClusteredLayer],
-    tech: CellTechnology,
-    sa: &SenseAmp,
-    eval: &(dyn AccuracyEval + Sync),
-    cfg: &DseConfig,
-) -> Result<Vec<DsePoint>, EngineError> {
-    EvalContext::new(tech, sa, cfg.campaign.rate_scale)?.run_dse(layers, eval, cfg)
-}
-
-/// The pre-engine sweep: schemes explored one at a time, each scheme
-/// freshly re-encoding every layer and running its campaign — per-cell
-/// injection, full decodes — on ad-hoc scoped threads
-/// ([`Campaign::run_reference`]). Retained as the baseline arm for
-/// parity tests and the speedup benchmark; schemes and cell counts match
-/// [`explore_concrete`] exactly, errors within Monte-Carlo noise.
-pub fn explore_concrete_reference(
-    layers: &[ClusteredLayer],
-    tech: CellTechnology,
-    sa: &SenseAmp,
-    eval: &(dyn AccuracyEval + Sync),
-    cfg: &DseConfig,
-) -> Vec<DsePoint> {
-    let baseline = eval.baseline_error();
-    let layer_nnz: Vec<u64> = layers.iter().map(|l| l.nonzeros() as u64).collect();
-    let total: u64 = layers.iter().map(|l| (l.rows * l.cols) as u64).sum();
-    let density = if total == 0 {
-        0.0
-    } else {
-        layer_nnz.iter().sum::<u64>() as f64 / total as f64
-    };
-    candidate_schemes(tech)
-        .into_iter()
-        .map(|scheme| {
-            let stored: Vec<StoredLayer> = layers
-                .iter()
-                .map(|l| StoredLayer::store(l, &scheme))
-                .collect();
-            let cells = stored.iter().map(StoredLayer::total_cells).sum();
-            let result: CampaignResult = cfg.campaign.run_reference(&stored, tech, sa, eval);
-            DsePoint {
-                scheme,
-                cells,
-                mean_error: result.mean_error,
-                passes: result.within_itn(baseline, cfg.itn_bound),
-                trials_run: result.completed_trials,
-                layer_nnz: layer_nnz.clone(),
-                density,
-            }
-        })
-        .collect()
 }
 
 /// Analytic exploration for spec-level models: cells from the exact size
@@ -463,8 +400,10 @@ mod tests {
 
     #[test]
     fn concrete_exploration_runs_on_a_real_layer() {
+        use crate::engine::EvalContext;
         use crate::evaluate::ProxyEval;
         use maxnvm_dnn::network::LayerMatrix;
+        use maxnvm_encoding::cluster::ClusteredLayer;
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let data: Vec<f32> = (0..32 * 128)
@@ -486,14 +425,9 @@ mod tests {
             },
             itn_bound: 0.01,
         };
-        let points = explore_concrete(
-            &[layer],
-            CellTechnology::MlcCtt,
-            &SenseAmp::default(),
-            &eval,
-            &cfg,
-        )
-        .expect("dse");
+        let points = EvalContext::new(CellTechnology::MlcCtt, &SenseAmp::default(), 1.0)
+            .and_then(|ctx| ctx.run_dse(&[layer], &eval, &cfg))
+            .expect("dse");
         assert_eq!(
             points.len(),
             candidate_schemes(CellTechnology::MlcCtt).len()

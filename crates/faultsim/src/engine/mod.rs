@@ -91,29 +91,17 @@ use std::path::PathBuf;
 use std::sync::{Arc, Once, OnceLock};
 
 /// A checkout pool of reusable [`EvalScratch`] values: each in-flight
-/// evaluation pops one (or starts fresh) and pushes it back, so at most
-/// `workers + 1` scratch networks ever exist per run, independent of the
-/// trial count — trials run one per pool thread, and a thread waiting on
-/// a nested scope runs only that scope's jobs, never another trial.
-///
-/// Every scratch handed out carries the run's [`pool::PoolParallel`]
-/// handle, so a single large GEMM inside one trial can fan out over the
-/// same worker pool the trials themselves run on (nested scopes are
-/// safe; results are byte-identical at any worker count per the fixed
-/// column-band ownership in `maxnvm_dnn::gemm`).
+/// evaluation pops one (or starts fresh) and pushes it back. A trial runs
+/// start to finish on one pool thread and never opens a scope of its own,
+/// so at most `workers + 1` trials are in flight (one per worker, one on
+/// the waiting caller) and as many scratch networks exist per run,
+/// independent of the trial count.
+#[derive(Default)]
 struct ScratchPool {
     scratches: Mutex<Vec<EvalScratch>>,
-    parallel: Arc<dyn maxnvm_dnn::GemmParallel>,
 }
 
 impl ScratchPool {
-    fn new(pool: &Arc<WorkerPool>) -> Self {
-        Self {
-            scratches: Mutex::new(Vec::new()),
-            parallel: Arc::new(pool::PoolParallel::new(Arc::clone(pool))),
-        }
-    }
-
     /// [`AccuracyEval::eval_deltas_sparse`] on a pooled scratch: one
     /// trial. `key` identifies which clean decode the deltas
     /// are against ([`clean_keys`]), so a scratch checked out by a trial
@@ -128,7 +116,6 @@ impl ScratchPool {
         deltas: &[Vec<WeightDelta>],
     ) -> f64 {
         let mut scratch = self.scratches.lock().pop().unwrap_or_default();
-        scratch.set_gemm_parallel(Some(Arc::clone(&self.parallel)));
         let error = eval.eval_deltas_sparse(key, clean, deltas, &mut scratch);
         self.scratches.lock().push(scratch);
         error
@@ -375,7 +362,7 @@ fn drive_trials(
     let batch = match &control.early_stop {
         Some(es) => es.batch.max(1),
         None => match &control.checkpoint {
-            Some(cp) => cp.every,
+            Some(cp) => cp.every.max(1),
             None => group_trials,
         },
     };
@@ -886,7 +873,7 @@ impl EvalContext {
             let (dense, sparse) = &models[keys[g]];
             SparseModel { dense, sparse }
         };
-        let scratch = ScratchPool::new(&self.pool);
+        let scratch = ScratchPool::default();
         let driven = drive_trials(
             &self.pool,
             prepared.len(),
@@ -1000,11 +987,10 @@ impl EvalContext {
     ///
     /// Seeding is per-(scheme, trial) — trial `t` of every scheme uses
     /// `seed.wrapping_add(t)` — so the returned points are identical at
-    /// any worker count. Against
-    /// [`crate::dse::explore_concrete_reference`] the schemes and cell
-    /// counts match exactly, while errors agree statistically: sparse
-    /// fault sampling draws a different RNG stream with the same
-    /// per-cell marginals.
+    /// any worker count, and each point's `mean_error` equals, to the
+    /// bit, the in-order mean of freshly stored layers decoded with
+    /// [`PreparedLayer::decode_with_faults`] under those seeds and
+    /// evaluated with [`AccuracyEval::eval`].
     ///
     /// Errors with [`EngineError::RateScaleMismatch`] if
     /// `cfg.campaign.rate_scale` differs from this context's.

@@ -1,25 +1,28 @@
-//! A persistent worker pool for evaluation fan-out.
+//! A persistent worker pool: the only threads the library spawns.
 //!
-//! Campaign trials and design-space sweeps are embarrassingly parallel
-//! but were previously run on ad-hoc scoped threads spawned per call,
-//! capped at eight. This pool spawns its workers once and serves every
-//! evaluation in the process: each [`WorkerPool::scope_map`] call opens
-//! a scope in a shared FIFO queue, and idle workers claim its jobs one
-//! index at a time, which load-balances trials of very different cost
-//! (a 105-scheme sweep mixes SLC layers that decode instantly with
-//! ECC-protected MLC3 layers that dominate the wall-clock).
+//! Campaign trials and design-space sweeps are embarrassingly parallel.
+//! This pool spawns its workers once and serves every evaluation in the
+//! process: each [`WorkerPool::scope_map`] call opens a scope in a shared
+//! FIFO queue, and idle workers claim its jobs one index at a time, which
+//! load-balances trials of very different cost (a 105-scheme sweep mixes
+//! SLC layers that decode instantly with ECC-protected MLC3 layers that
+//! dominate the wall-clock). A trial is the unit of parallelism: each
+//! runs start to finish on one thread, its GEMMs included.
 //!
 //! The scheduling is cooperative but scope-local: the thread that calls
 //! [`WorkerPool::scope_map`] runs jobs of *its own* scope while it
 //! waits, never another scope's, while workers take whatever is oldest
 //! in the queue. So a pool works at any size (even zero workers
-//! degenerates to the caller running everything serially), nested
-//! scopes cannot deadlock — a blocked scope always has its own caller
-//! able to run every job nobody else claimed — and a job that opens a
-//! nested scope (a GEMM fan-out inside a trial) cannot start further
-//! outer jobs on its thread: at most `workers + 1` jobs of any one
-//! scope run at once. While waiting, a caller parks on the pool's
-//! `work_ready` condvar until its scope's last job completes.
+//! degenerates to the caller running everything serially), and
+//! concurrent callers sharing the process-wide pool never run each
+//! other's jobs. The same rule keeps nested scopes safe, although no
+//! library path opens one: a job that calls back into the pool (a
+//! campaign started from inside another pool job) cannot deadlock — a
+//! blocked scope always has its own caller able to run every job nobody
+//! else claimed — and cannot start further outer jobs on its thread, so
+//! at most `workers + 1` jobs of any one scope run at once. While
+//! waiting, a caller parks on the pool's `work_ready` condvar until its
+//! scope's last job completes.
 //!
 //! Scopes can be made cancellable ([`WorkerPool::scope_map_cancellable`]):
 //! each job checks a [`CancelToken`] just before running, so a
@@ -131,7 +134,6 @@ impl Shared {
 /// A fixed set of persistent worker threads draining a shared job queue.
 pub struct WorkerPool {
     shared: Arc<Shared>,
-    workers: usize,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -157,17 +159,14 @@ impl WorkerPool {
                 Err(_) => break,
             }
         }
-        Self {
-            shared,
-            workers,
-            handles,
-        }
+        Self { shared, handles }
     }
 
-    /// Number of worker threads (the caller of [`Self::scope_map`] also
-    /// contributes while it waits).
+    /// Number of worker threads that spawned — fewer than requested if
+    /// the OS refused some. The caller of [`Self::scope_map`] also
+    /// contributes while it waits.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.handles.len()
     }
 
     /// Evaluates `f(0..n)` across the pool, returning results in index
@@ -274,45 +273,6 @@ impl Drop for WorkerPool {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-    }
-}
-
-/// Adapter exposing the pool to the GEMM kernels as a
-/// [`maxnvm_dnn::GemmParallel`] fan-out, so one large multiply inside a
-/// trial can split its column bands across the whole machine.
-///
-/// Band↔job ownership is fixed by the kernel (job `j` owns band `j`),
-/// so the pool's dynamic scheduling — which thread runs which job, in
-/// what order — cannot affect results; `scope_map` only decides *when*
-/// each band is computed. Nested fan-out (a GEMM inside a trial that is
-/// itself a pool job) is safe because a scope's caller can always run
-/// its own bands, and it runs only those: the trial's thread never
-/// starts another trial while it waits.
-pub struct PoolParallel(Arc<WorkerPool>);
-
-impl PoolParallel {
-    /// Wraps a shared pool handle.
-    pub fn new(pool: Arc<WorkerPool>) -> Self {
-        Self(pool)
-    }
-}
-
-impl std::fmt::Debug for PoolParallel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolParallel")
-            .field("workers", &self.0.workers())
-            .finish()
-    }
-}
-
-impl maxnvm_dnn::GemmParallel for PoolParallel {
-    fn max_jobs(&self) -> usize {
-        // The scope caller runs its own jobs, so it counts as a slot.
-        self.0.workers() + 1
-    }
-
-    fn run(&self, jobs: usize, task: &(dyn Fn(usize) + Sync)) {
-        self.0.scope_map(jobs, task);
     }
 }
 

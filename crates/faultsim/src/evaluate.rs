@@ -111,20 +111,6 @@ pub struct EvalScratch {
     proxy: Option<(u64, Option<f64>)>,
 }
 
-impl EvalScratch {
-    /// Installs (or removes) the fan-out handle the GEMM kernels use to
-    /// split one large multiply across the worker pool within a trial.
-    /// Byte-identical results either way (fixed column-band ownership;
-    /// see `maxnvm_dnn::gemm`); the engine installs its pool here so
-    /// VGG16-scale forward passes use the whole machine.
-    pub fn set_gemm_parallel(
-        &mut self,
-        parallel: Option<std::sync::Arc<dyn maxnvm_dnn::GemmParallel>>,
-    ) {
-        self.forward.gemm.set_parallel(parallel);
-    }
-}
-
 /// Maps decoded weight matrices to a classification error estimate.
 pub trait AccuracyEval {
     /// Error of the unperturbed model.

@@ -136,25 +136,60 @@ fn engine_dse_is_identical_at_any_worker_count() {
 
 #[test]
 fn engine_dse_agrees_with_the_reference_sweep() {
-    // The engine samples faults sparsely, drawing a different RNG stream
-    // than the pre-engine per-cell sweep, so per-point errors differ
-    // within Monte-Carlo noise; everything deterministic — the candidate
-    // schemes and their cell counts — must match exactly.
-    use maxnvm_faultsim::dse::{explore_concrete, explore_concrete_reference, DsePoint};
+    // The reference is a serial oracle with no pool, no encode cache and
+    // no delta path: every candidate scheme stores the layers afresh, and
+    // trial `t` decodes them with the fault sampler seeded `seed + t` and
+    // evaluates the materialized matrices. The engine must reproduce it
+    // exactly: cell counts, and every point's mean error to the bit.
+    use maxnvm_encoding::storage::PreparedLayer;
+    use maxnvm_faultsim::campaign::fault_maps;
+    use maxnvm_faultsim::dse::candidate_schemes;
+    use maxnvm_faultsim::engine::EvalContext;
+    use maxnvm_faultsim::evaluate::AccuracyEval;
+    use rand::SeedableRng;
+    use std::sync::Arc;
     let (layers, eval, mut cfg) = dse_fixture();
     cfg.campaign.trials = 24;
+    let Campaign {
+        trials,
+        seed,
+        rate_scale,
+    } = cfg.campaign;
+    let tech = CellTechnology::MlcCtt;
     let sa = SenseAmp::paper_default();
-    let engine = explore_concrete(&layers, CellTechnology::MlcCtt, &sa, &eval, &cfg).expect("dse");
-    let reference = explore_concrete_reference(&layers, CellTechnology::MlcCtt, &sa, &eval, &cfg);
-    assert_eq!(engine.len(), reference.len());
-    for (e, r) in engine.iter().zip(&reference) {
-        assert_eq!(e.scheme, r.scheme);
-        assert_eq!(e.cells, r.cells);
+    let engine = EvalContext::new(tech, &sa, rate_scale)
+        .expect("context")
+        .run_dse(&layers, &eval, &cfg)
+        .expect("dse");
+    let base = fault_maps(tech, &sa);
+    let fault_for = |bpc: MlcConfig| Arc::new(base(bpc).scaled(rate_scale));
+    let schemes = candidate_schemes(tech);
+    assert_eq!(engine.len(), schemes.len());
+    for (point, scheme) in engine.iter().zip(&schemes) {
+        let label = scheme.label();
+        assert_eq!(&point.scheme, scheme);
+        let stored: Vec<StoredLayer> = layers
+            .iter()
+            .map(|l| StoredLayer::store(l, scheme))
+            .collect();
+        let cells: u64 = stored.iter().map(StoredLayer::total_cells).sum();
+        assert_eq!(point.cells, cells, "{label}");
+        let prepared: Vec<PreparedLayer> = stored.iter().map(PreparedLayer::prepare).collect();
+        let errors: Vec<f64> = (0..trials)
+            .map(|t| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(t as u64));
+                let mats: Vec<_> = prepared
+                    .iter()
+                    .map(|p| p.decode_with_faults(&fault_for, &mut rng).0)
+                    .collect();
+                eval.eval(&mats)
+            })
+            .collect();
+        let mean = errors.iter().sum::<f64>() / trials as f64;
+        assert_eq!(point.trials_run, trials, "{label}");
+        assert_eq!(point.mean_error.to_bits(), mean.to_bits(), "{label}");
     }
-    // Sweep-wide mean error aggregates 105 schemes x 24 trials per arm;
-    // the two samplers must land on the same value within noise.
-    let sweep_mean =
-        |pts: &[DsePoint]| pts.iter().map(|p| p.mean_error).sum::<f64>() / pts.len() as f64;
-    let (me, mr) = (sweep_mean(&engine), sweep_mean(&reference));
-    assert!((me - mr).abs() < 0.03, "engine {me} vs reference {mr}");
+    // Faults must move some points, or the bitwise match is vacuous.
+    let baseline = eval.baseline_error();
+    assert!(engine.iter().any(|p| p.mean_error != baseline));
 }

@@ -144,6 +144,33 @@ fn default_control_matches_plain_run() {
 }
 
 #[test]
+fn zero_checkpoint_cadence_runs_like_one() {
+    // `every` is a public field, so the builder's `max(1)` can be
+    // bypassed. A zero cadence must still advance trial by trial; the
+    // deadline is only a safety net that turns a stalled run into a
+    // failed assertion instead of a hang.
+    let (stored, eval) = fixture();
+    let ckpt = temp_path("zero-cadence");
+    let _ = std::fs::remove_file(&ckpt);
+    let plain = campaign()
+        .run(std::slice::from_ref(&stored), TECH, &sa(), &eval)
+        .expect("plain");
+    let mut cp = CheckpointConfig::new(&ckpt);
+    cp.every = 0;
+    let control = RunControl {
+        cancel: CancelToken::with_timeout(Duration::from_secs(60)),
+        checkpoint: Some(cp),
+        ..RunControl::default()
+    };
+    let result = campaign()
+        .run_controlled(std::slice::from_ref(&stored), TECH, &sa(), &eval, &control)
+        .expect("zero-cadence run");
+    assert!(!result.cancelled, "the run stalled until its deadline");
+    assert_eq!(result, plain);
+    assert!(!ckpt.exists(), "a completed run removes its checkpoint");
+}
+
+#[test]
 fn panicking_trial_is_isolated_and_reported() {
     let (stored, eval) = fixture();
     let plain = campaign()
