@@ -1,19 +1,18 @@
 //! Monte-Carlo injection campaigns: repeat (inject → decode → evaluate)
 //! over many seeded trials and aggregate, exactly the Ares flow of §4.1.
 //!
-//! The heavy lifting lives in [`crate::engine`]: `Campaign` is the
-//! configuration, and its `run*` methods build a transient
-//! [`EvalContext`] on the process-wide worker pool.
+//! This module holds the campaign's data: the [`Campaign`] settings that
+//! [`crate::DseConfig`] and [`crate::VulnerabilityStudy`] embed, and the
+//! per-trial outcomes and [`CampaignResult`] a run returns. Runs start
+//! on [`crate::engine::EvalContext`] (`run_campaign`, `run_isolated`,
+//! `run_chips`), whose [`crate::engine::RunControl`] also covers resuming
+//! from a checkpoint and merging shard checkpoints.
 
-use crate::checkpoint::CheckpointConfig;
-use crate::engine::{EngineError, EvalContext, RunControl};
-use crate::evaluate::AccuracyEval;
-use maxnvm_encoding::storage::{DecodeStats, StoredLayer};
-use maxnvm_encoding::StructureKind;
+use maxnvm_encoding::storage::DecodeStats;
 use maxnvm_envm::{CellTechnology, FaultMap, MlcConfig, SenseAmp};
 use std::sync::Arc;
 
-/// Campaign configuration.
+/// Campaign settings: trial budget, base seed and fault-rate scale.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Campaign {
     /// Number of independent trials (unique fault maps, §4.1).
@@ -25,16 +24,6 @@ pub struct Campaign {
     /// counts per structure* match a full-size deployment (the stand-ins
     /// have 100-1000x fewer cells than the paper's models).
     pub rate_scale: f64,
-}
-
-impl Default for Campaign {
-    fn default() -> Self {
-        Self {
-            trials: 20,
-            seed: 0,
-            rate_scale: 1.0,
-        }
-    }
 }
 
 /// What one Monte-Carlo trial produced: its evaluation, or — when the
@@ -214,12 +203,6 @@ impl CampaignResult {
     pub fn within_itn(&self, baseline: f64, bound: f64) -> bool {
         self.mean_error <= baseline + bound
     }
-
-    /// Wilson interval on the mean error at critical value `z`, over
-    /// the completed trials (the stored `error_ci` uses `z = 1.96`).
-    pub fn wilson_ci(&self, z: f64) -> (f64, f64) {
-        wilson_interval(self.mean_error, self.completed_trials, z)
-    }
 }
 
 /// Builds the per-bits-per-cell fault maps for a technology (including the
@@ -240,163 +223,15 @@ pub fn fault_maps(tech: CellTechnology, sa: &SenseAmp) -> impl Fn(MlcConfig) -> 
     move |cfg: MlcConfig| Arc::clone(&maps[(cfg.bits() - 1) as usize])
 }
 
-impl Campaign {
-    /// Runs the full campaign: all structures of every layer are injected
-    /// each trial. Trials run in parallel on the engine's worker pool;
-    /// results are deterministic per seed at any worker count.
-    ///
-    /// Errors with [`EngineError::InvalidRateScale`] if `rate_scale` is
-    /// not a positive finite number.
-    pub fn run(
-        &self,
-        stored: &[StoredLayer],
-        tech: CellTechnology,
-        sa: &SenseAmp,
-        eval: &(dyn AccuracyEval + Sync),
-    ) -> Result<CampaignResult, EngineError> {
-        let ctx = EvalContext::new(tech, sa, self.rate_scale)?;
-        ctx.run_campaign(self.trials, self.seed, stored, eval)
-    }
-
-    /// Runs a campaign injecting faults *only* into structures of `target`
-    /// kind (others stored perfectly) — Fig. 5's isolation methodology.
-    pub fn run_isolated(
-        &self,
-        stored: &[StoredLayer],
-        target: StructureKind,
-        tech: CellTechnology,
-        sa: &SenseAmp,
-        eval: &(dyn AccuracyEval + Sync),
-    ) -> Result<CampaignResult, EngineError> {
-        let ctx = EvalContext::new(tech, sa, self.rate_scale)?;
-        ctx.run_isolated(self.trials, self.seed, target, stored, eval)
-    }
-
-    /// [`Campaign::run`] under a [`RunControl`]: per-trial panic
-    /// isolation, cooperative cancellation (flag or deadline),
-    /// checkpointing at the configured cadence, and optional Wilson
-    /// early stopping. With `RunControl::default()` this is exactly
-    /// [`Campaign::run`].
-    pub fn run_controlled(
-        &self,
-        stored: &[StoredLayer],
-        tech: CellTechnology,
-        sa: &SenseAmp,
-        eval: &(dyn AccuracyEval + Sync),
-        control: &RunControl,
-    ) -> Result<CampaignResult, EngineError> {
-        let ctx = EvalContext::new(tech, sa, self.rate_scale)?;
-        ctx.run_campaign_controlled(self.trials, self.seed, stored, eval, control)
-    }
-
-    /// Resumes a checkpointed campaign from `path`: trials the snapshot
-    /// already covers are not rerun, the remainder executes under
-    /// `control`, and the final result is byte-identical to an
-    /// uninterrupted [`Campaign::run_controlled`] at any worker count.
-    ///
-    /// Errors with [`EngineError::CheckpointIo`] if no checkpoint exists
-    /// at `path` (nothing to resume), and with
-    /// [`EngineError::CheckpointMismatch`] if the snapshot was written
-    /// by a different configuration (trials, seed, rate scale, schemes,
-    /// evaluator baseline, early-stop rule, …).
-    pub fn resume_from(
-        &self,
-        path: impl Into<std::path::PathBuf>,
-        stored: &[StoredLayer],
-        tech: CellTechnology,
-        sa: &SenseAmp,
-        eval: &(dyn AccuracyEval + Sync),
-        control: &RunControl,
-    ) -> Result<CampaignResult, EngineError> {
-        let path = path.into();
-        if !path.exists() {
-            return Err(EngineError::CheckpointIo {
-                path: path.display().to_string(),
-                detail: "no checkpoint to resume from".to_string(),
-            });
-        }
-        let mut control = control.clone();
-        control.checkpoint = Some(match control.checkpoint.take() {
-            Some(mut cp) => {
-                cp.path = path;
-                cp
-            }
-            None => CheckpointConfig::new(path),
-        });
-        self.run_controlled(stored, tech, sa, eval, &control)
-    }
-
-    /// Merges the checkpoints of a sharded run: each `sources` path
-    /// holds one shard's complete (or partial) snapshot, written by a
-    /// worker running this same campaign under a
-    /// [`crate::engine::ShardSpec`]. The merge preseeds an *unsharded*
-    /// run with every source's trials — verified against this
-    /// configuration's fingerprint folded with each snapshot's own
-    /// recorded shard layout — then executes whatever is missing, so
-    /// the output is byte-identical to the uninterrupted 1-shard
-    /// [`Campaign::run_controlled`]: same trials, same early-stopping
-    /// decisions, same `failed_trials` replay seeds, same Wilson CIs.
-    /// Sources from killed shards merely leave more trials to run here.
-    ///
-    /// Errors with [`EngineError::CheckpointIo`] if a source is missing,
-    /// and with [`EngineError::CheckpointMismatch`] if one was written
-    /// by a different configuration or under a mangled shard layout.
-    pub fn merge(
-        &self,
-        sources: &[std::path::PathBuf],
-        stored: &[StoredLayer],
-        tech: CellTechnology,
-        sa: &SenseAmp,
-        eval: &(dyn AccuracyEval + Sync),
-        control: &RunControl,
-    ) -> Result<CampaignResult, EngineError> {
-        for source in sources {
-            if !source.exists() {
-                return Err(EngineError::CheckpointIo {
-                    path: source.display().to_string(),
-                    detail: "no checkpoint to merge from".to_string(),
-                });
-            }
-        }
-        let mut control = control.clone();
-        control.shard = crate::engine::ShardSpec::unsharded();
-        control.merge_sources = sources.to_vec();
-        self.run_controlled(stored, tech, sa, eval, &control)
-    }
-
-    /// Runs the campaign with the paper's exact chip semantics: each
-    /// trial *programs a chip instance* (every cell's analog outcome drawn
-    /// once from its level distribution, §4.1) and decodes it
-    /// deterministically. Statistically this matches [`Campaign::run`] for
-    /// single decodes, but it also produces the rare non-adjacent misreads
-    /// and models faults as permanent.
-    ///
-    /// Errors with [`EngineError::ChipRateScale`] if `rate_scale != 1.0`
-    /// — analog programming outcomes cannot be rate-scaled; use the
-    /// fault-map path for scaled studies.
-    pub fn run_chips(
-        &self,
-        stored: &[StoredLayer],
-        tech: CellTechnology,
-        sa: &SenseAmp,
-        eval: &(dyn AccuracyEval + Sync),
-    ) -> Result<CampaignResult, EngineError> {
-        if (self.rate_scale - 1.0).abs() > 1e-12 {
-            return Err(EngineError::ChipRateScale(self.rate_scale));
-        }
-        let ctx = EvalContext::new(tech, sa, self.rate_scale)?;
-        ctx.run_chips(self.trials, self.seed, stored, eval)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::ProxyEval;
+    use crate::engine::{EngineError, EvalContext, RunControl};
+    use crate::evaluate::{AccuracyEval, ProxyEval};
     use maxnvm_dnn::network::LayerMatrix;
     use maxnvm_encoding::cluster::ClusteredLayer;
-    use maxnvm_encoding::storage::StorageScheme;
-    use maxnvm_encoding::EncodingKind;
+    use maxnvm_encoding::storage::{StorageScheme, StoredLayer};
+    use maxnvm_encoding::{EncodingKind, StructureKind};
     use rand::{Rng, SeedableRng};
 
     fn stored_layer(scale: f64, bpc: MlcConfig) -> (ClusteredLayer, StoredLayer) {
@@ -417,23 +252,25 @@ mod tests {
         (c, stored)
     }
 
+    /// A context for `tech` on the process-wide pool.
+    fn ctx(tech: CellTechnology, rate_scale: f64) -> EvalContext {
+        EvalContext::new(tech, &SenseAmp::paper_default(), rate_scale).expect("context")
+    }
+
     #[test]
     fn zero_fault_technology_reproduces_baseline() {
         let (c, stored) = stored_layer(1.0, MlcConfig::SLC);
         let eval = ProxyEval::new(vec![c.reconstruct()], 0.05, 0.9);
         // SLC RRAM fault rates are below 1e-10: effectively no faults.
-        let result = Campaign {
-            trials: 5,
-            seed: 1,
-            rate_scale: 1.0,
-        }
-        .run(
-            std::slice::from_ref(&stored),
-            CellTechnology::SlcRram,
-            &SenseAmp::paper_default(),
-            &eval,
-        )
-        .expect("campaign");
+        let result = ctx(CellTechnology::SlcRram, 1.0)
+            .run_campaign(
+                5,
+                1,
+                std::slice::from_ref(&stored),
+                &eval,
+                &RunControl::default(),
+            )
+            .expect("campaign");
         assert!((result.mean_error - 0.05).abs() < 1e-9);
         assert_eq!(result.mean_cell_faults, 0.0);
     }
@@ -445,18 +282,15 @@ mod tests {
         // ~2700 mask cells -> use many trials and check the mean moved.
         let (c, stored) = stored_layer(1.0, MlcConfig::MLC3);
         let eval = ProxyEval::new(vec![c.reconstruct()], 0.05, 0.9);
-        let result = Campaign {
-            trials: 60,
-            seed: 2,
-            rate_scale: 1.0,
-        }
-        .run(
-            std::slice::from_ref(&stored),
-            CellTechnology::MlcRram,
-            &SenseAmp::paper_default(),
-            &eval,
-        )
-        .expect("campaign");
+        let result = ctx(CellTechnology::MlcRram, 1.0)
+            .run_campaign(
+                60,
+                2,
+                std::slice::from_ref(&stored),
+                &eval,
+                &RunControl::default(),
+            )
+            .expect("campaign");
         // With per-cell rates ~1e-5 and ~15k cells total, a fair share of
         // trials see at least one fault; the worst trial must degrade.
         assert!(result.mean_cell_faults > 0.0, "no faults injected");
@@ -468,18 +302,15 @@ mod tests {
         let (c, stored) = stored_layer(1.0, MlcConfig::MLC3);
         let eval = ProxyEval::new(vec![c.reconstruct()], 0.05, 0.9);
         let run = |seed| {
-            Campaign {
-                trials: 8,
-                seed,
-                rate_scale: 1.0,
-            }
-            .run(
-                std::slice::from_ref(&stored),
-                CellTechnology::MlcRram,
-                &SenseAmp::paper_default(),
-                &eval,
-            )
-            .expect("campaign")
+            ctx(CellTechnology::MlcRram, 1.0)
+                .run_campaign(
+                    8,
+                    seed,
+                    std::slice::from_ref(&stored),
+                    &eval,
+                    &RunControl::default(),
+                )
+                .expect("campaign")
         };
         let a = run(3);
         let b = run(3);
@@ -493,18 +324,15 @@ mod tests {
         // expectation it reports.
         let (c, stored) = stored_layer(1.0, MlcConfig::MLC3);
         let eval = ProxyEval::new(vec![c.reconstruct()], 0.05, 0.9);
-        let result = Campaign {
-            trials: 200,
-            seed: 21,
-            rate_scale: 40.0,
-        }
-        .run(
-            std::slice::from_ref(&stored),
-            CellTechnology::MlcRram,
-            &SenseAmp::paper_default(),
-            &eval,
-        )
-        .expect("campaign");
+        let result = ctx(CellTechnology::MlcRram, 40.0)
+            .run_campaign(
+                200,
+                21,
+                std::slice::from_ref(&stored),
+                &eval,
+                &RunControl::default(),
+            )
+            .expect("campaign");
         assert_eq!(result.errors.len(), 200);
         let expected = result.expected_cell_faults;
         assert!(expected > 0.5, "{expected}");
@@ -517,51 +345,17 @@ mod tests {
     }
 
     #[test]
-    fn invalid_rate_scale_is_a_typed_error() {
-        let (c, stored) = stored_layer(1.0, MlcConfig::SLC);
-        let eval = ProxyEval::new(vec![c.reconstruct()], 0.05, 0.9);
-        let err = Campaign {
-            trials: 1,
-            seed: 0,
-            rate_scale: -3.0,
-        }
-        .run(
-            std::slice::from_ref(&stored),
-            CellTechnology::SlcRram,
-            &SenseAmp::paper_default(),
-            &eval,
-        )
-        .expect_err("negative rate_scale must be rejected");
-        assert_eq!(err, EngineError::InvalidRateScale(-3.0));
-    }
-
-    #[test]
     fn chip_campaign_matches_fault_map_campaign_statistically() {
         // On an SLC layer both paths see (essentially) zero faults and
         // agree exactly; on MLC3 their mean fault counts must agree.
         let (c, stored) = stored_layer(1.0, MlcConfig::MLC3);
         let eval = ProxyEval::new(vec![c.reconstruct()], 0.05, 0.9);
-        let campaign = Campaign {
-            trials: 40,
-            seed: 7,
-            rate_scale: 1.0,
-        };
-        let maps = campaign
-            .run(
-                std::slice::from_ref(&stored),
-                CellTechnology::MlcRram,
-                &SenseAmp::paper_default(),
-                &eval,
-            )
+        let ctx = ctx(CellTechnology::MlcRram, 1.0);
+        let stored = std::slice::from_ref(&stored);
+        let maps = ctx
+            .run_campaign(40, 7, stored, &eval, &RunControl::default())
             .expect("campaign");
-        let chips = campaign
-            .run_chips(
-                std::slice::from_ref(&stored),
-                CellTechnology::MlcRram,
-                &SenseAmp::paper_default(),
-                &eval,
-            )
-            .expect("chip campaign");
+        let chips = ctx.run_chips(40, 7, stored, &eval).expect("chip campaign");
         // Expected faults per trial are fractions of a fault at these
         // rates; mean counts must be within a fault of each other.
         assert!(
@@ -582,18 +376,9 @@ mod tests {
         let (c, stored) = stored_layer(1.0, MlcConfig::MLC3);
         let eval = ProxyEval::new(vec![c.reconstruct()], 0.05, 0.9);
         let (trials, seed) = (48usize, 13u64);
-        let chips = Campaign {
-            trials,
-            seed,
-            rate_scale: 1.0,
-        }
-        .run_chips(
-            std::slice::from_ref(&stored),
-            CellTechnology::MlcRram,
-            &SenseAmp::paper_default(),
-            &eval,
-        )
-        .expect("chip campaign");
+        let chips = ctx(CellTechnology::MlcRram, 1.0)
+            .run_chips(trials, seed, std::slice::from_ref(&stored), &eval)
+            .expect("chip campaign");
         let sa = SenseAmp::paper_default();
         let cell_for = |cfg: MlcConfig| CellTechnology::MlcRram.cell_model(cfg).with_sense_amp(&sa);
         let mut ref_errors = Vec::with_capacity(trials);
@@ -619,18 +404,9 @@ mod tests {
     fn chip_campaign_rejects_rate_scaling() {
         let (c, stored) = stored_layer(1.0, MlcConfig::SLC);
         let eval = ProxyEval::new(vec![c.reconstruct()], 0.05, 0.9);
-        let err = Campaign {
-            trials: 1,
-            seed: 0,
-            rate_scale: 2.0,
-        }
-        .run_chips(
-            std::slice::from_ref(&stored),
-            CellTechnology::SlcRram,
-            &SenseAmp::paper_default(),
-            &eval,
-        )
-        .expect_err("scaled chip campaign must be rejected");
+        let err = ctx(CellTechnology::SlcRram, 2.0)
+            .run_chips(1, 0, std::slice::from_ref(&stored), &eval)
+            .expect_err("scaled chip campaign must be rejected");
         assert_eq!(err, EngineError::ChipRateScale(2.0));
     }
 
@@ -711,19 +487,16 @@ mod tests {
         let eval = ProxyEval::new(vec![c.reconstruct()], 0.05, 0.9);
         // Isolate the (tiny) sync-counter structure of a non-IdxSync
         // layer: it does not exist, so no faults at all.
-        let result = Campaign {
-            trials: 4,
-            seed: 5,
-            rate_scale: 1.0,
-        }
-        .run_isolated(
-            std::slice::from_ref(&stored),
-            StructureKind::SyncCounter,
-            CellTechnology::MlcRram,
-            &SenseAmp::paper_default(),
-            &eval,
-        )
-        .expect("campaign");
+        let result = ctx(CellTechnology::MlcRram, 1.0)
+            .run_isolated(
+                4,
+                5,
+                StructureKind::SyncCounter,
+                std::slice::from_ref(&stored),
+                &eval,
+                &RunControl::default(),
+            )
+            .expect("campaign");
         assert_eq!(result.mean_cell_faults, 0.0);
         assert!((result.mean_error - 0.05).abs() < 1e-9);
     }

@@ -39,9 +39,8 @@ use maxnvm_encoding::storage::DecodeStats;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// On-disk format tag; bumped only when the file layout itself changes.
@@ -183,58 +182,39 @@ impl FaultPlan {
             disk_full: 0.0,
         }
     }
-
-    /// No injected faults at all (useful as a neutral baseline).
-    pub fn none() -> Self {
-        Self {
-            io_error: 0.0,
-            torn_write: 0.0,
-            disk_full: 0.0,
-        }
-    }
 }
 
-/// A deterministic fault-injecting [`CheckpointStore`]: wraps an inner
-/// store and, per operation, draws from a seeded RNG whether to fail
-/// transiently, tear the write, or report disk-full. Used by the
+/// A deterministic fault-injecting [`CheckpointStore`] over the real
+/// [`FsStore`]: per operation, it draws from a seeded RNG whether to
+/// fail transiently, tear the write, or report disk-full. Used by the
 /// resilience tests; the injected schedule is a pure function of the
 /// seed and the operation sequence.
-pub struct FaultyStore<S: CheckpointStore = FsStore> {
-    inner: S,
+pub struct FaultyStore {
     plan: FaultPlan,
     rng: Mutex<StdRng>,
 }
 
-impl<S: CheckpointStore> std::fmt::Debug for FaultyStore<S> {
+impl std::fmt::Debug for FaultyStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // The vendored parking_lot Mutex has no Debug impl; the RNG
         // state is not informative anyway.
         f.debug_struct("FaultyStore")
-            .field("inner", &self.inner)
             .field("plan", &self.plan)
             .finish()
     }
 }
 
-impl FaultyStore<FsStore> {
-    /// A faulty wrapper over the real filesystem store.
+impl FaultyStore {
+    /// A faulty store with the given RNG seed and fault plan.
     pub fn new(seed: u64, plan: FaultPlan) -> Self {
-        Self::wrap(FsStore, seed, plan)
-    }
-}
-
-impl<S: CheckpointStore> FaultyStore<S> {
-    /// Wraps `inner` with the given fault plan and RNG seed.
-    pub fn wrap(inner: S, seed: u64, plan: FaultPlan) -> Self {
         Self {
-            inner,
             plan,
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
         }
     }
 }
 
-impl<S: CheckpointStore> CheckpointStore for FaultyStore<S> {
+impl CheckpointStore for FaultyStore {
     fn write_atomic(&self, path: &Path, text: &str) -> Result<(), EngineError> {
         // Draw the whole schedule for this operation up front so the
         // RNG stream advances identically whichever branch fires.
@@ -269,7 +249,7 @@ impl<S: CheckpointStore> CheckpointStore for FaultyStore<S> {
                 detail: "injected: transient I/O error".to_string(),
             });
         }
-        self.inner.write_atomic(path, text)
+        FsStore.write_atomic(path, text)
     }
 
     fn read(&self, path: &Path) -> Result<String, EngineError> {
@@ -280,48 +260,24 @@ impl<S: CheckpointStore> CheckpointStore for FaultyStore<S> {
                 detail: "injected: transient read error".to_string(),
             });
         }
-        self.inner.read(path)
+        FsStore.read(path)
     }
 
     fn exists(&self, path: &Path) -> bool {
-        self.inner.exists(path)
+        FsStore.exists(path)
     }
 
     fn remove(&self, path: &Path) -> Result<(), EngineError> {
-        self.inner.remove(path)
+        FsStore.remove(path)
     }
 }
 
-/// Environment variable overriding the checkpoint retry budget.
-pub const CHECKPOINT_RETRIES_ENV: &str = "MAXNVM_CHECKPOINT_RETRIES";
-
-/// Default retry budget when `MAXNVM_CHECKPOINT_RETRIES` is unset.
+/// The retry budget of [`RetryPolicy::default`] and
+/// [`CheckpointConfig::new`].
 pub const DEFAULT_CHECKPOINT_RETRIES: u32 = 3;
 
 /// Base backoff delay; attempt `k` sleeps `base << k` before retrying.
 pub const RETRY_BASE_DELAY: Duration = Duration::from_millis(10);
-
-/// Parses a `MAXNVM_CHECKPOINT_RETRIES` override: a non-negative
-/// integer (0 disables retries). Anything else is a typed
-/// [`EngineError::InvalidConfig`], never a silent default.
-pub fn parse_checkpoint_retries(raw: &str) -> Result<u32, EngineError> {
-    raw.trim()
-        .parse::<u32>()
-        .map_err(|_| EngineError::InvalidConfig {
-            var: CHECKPOINT_RETRIES_ENV.to_string(),
-            value: raw.to_string(),
-        })
-}
-
-/// The validated retry-budget override from the environment: `Ok(None)`
-/// when `MAXNVM_CHECKPOINT_RETRIES` is unset,
-/// [`EngineError::InvalidConfig`] when set but malformed.
-pub fn env_checkpoint_retries() -> Result<Option<u32>, EngineError> {
-    match std::env::var(CHECKPOINT_RETRIES_ENV) {
-        Ok(raw) => parse_checkpoint_retries(&raw).map(Some),
-        Err(_) => Ok(None),
-    }
-}
 
 /// Bounded retry with exponential backoff for checkpoint I/O.
 ///
@@ -353,27 +309,6 @@ impl RetryPolicy {
         Self::new(0)
     }
 
-    /// The budget from `MAXNVM_CHECKPOINT_RETRIES` when set to a valid
-    /// value, otherwise [`DEFAULT_CHECKPOINT_RETRIES`]. A malformed
-    /// override cannot be reported here, so it falls back with a
-    /// one-time warning; [`crate::engine::EvalContext::new`] surfaces
-    /// the typed [`EngineError::InvalidConfig`] at the API boundary.
-    pub fn from_env() -> Self {
-        match env_checkpoint_retries() {
-            Ok(Some(n)) => Self::new(n),
-            Ok(None) => Self::new(DEFAULT_CHECKPOINT_RETRIES),
-            Err(e) => {
-                static WARN_ONCE: Once = Once::new();
-                WARN_ONCE.call_once(|| {
-                    eprintln!(
-                        "maxnvm: warning: {e}; falling back to {DEFAULT_CHECKPOINT_RETRIES} retries"
-                    );
-                });
-                Self::new(DEFAULT_CHECKPOINT_RETRIES)
-            }
-        }
-    }
-
     /// Runs `op`, retrying transient [`EngineError::CheckpointIo`]
     /// failures up to the budget with exponential backoff. Any other
     /// error — and success — returns immediately.
@@ -396,8 +331,9 @@ impl RetryPolicy {
 }
 
 impl Default for RetryPolicy {
+    /// [`DEFAULT_CHECKPOINT_RETRIES`] retries.
     fn default() -> Self {
-        Self::from_env()
+        Self::new(DEFAULT_CHECKPOINT_RETRIES)
     }
 }
 
@@ -434,15 +370,14 @@ impl Eq for CheckpointConfig {}
 
 impl CheckpointConfig {
     /// Checkpoints to `path` every 64 trials, removing on success,
-    /// through the real filesystem store with the environment-derived
-    /// retry budget.
+    /// through the real filesystem store with the default retry policy.
     pub fn new(path: impl Into<PathBuf>) -> Self {
         Self {
             path: path.into(),
             every: 64,
             keep_on_success: false,
             store: Arc::new(FsStore),
-            retry: RetryPolicy::from_env(),
+            retry: RetryPolicy::default(),
         }
     }
 
@@ -606,12 +541,6 @@ impl CampaignCheckpoint {
     /// Records one finished trial.
     pub fn record(&mut self, group: usize, trial: usize, outcome: TrialOutcome) {
         self.entries.push((group, trial, outcome));
-    }
-
-    /// The set of already-completed `(group, trial)` pairs. Ordered
-    /// (`BTreeSet`) so any traversal is deterministic (lint rule D1).
-    pub fn completed(&self) -> BTreeSet<(usize, usize)> {
-        self.entries.iter().map(|(g, t, _)| (*g, *t)).collect()
     }
 
     /// Errors with [`EngineError::CheckpointMismatch`] unless this
@@ -1067,23 +996,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_retry_overrides_parse_strictly() {
-        assert_eq!(parse_checkpoint_retries("0").ok(), Some(0));
-        assert_eq!(parse_checkpoint_retries(" 7 ").ok(), Some(7));
-        for bad in ["-1", "", "  ", "three", "2.5", "4x"] {
-            let err = parse_checkpoint_retries(bad).expect_err(bad);
-            assert_eq!(
-                err,
-                EngineError::InvalidConfig {
-                    var: CHECKPOINT_RETRIES_ENV.to_string(),
-                    value: bad.to_string(),
-                },
-                "{bad:?}"
-            );
-        }
-    }
-
-    #[test]
     fn faulty_store_is_deterministic_per_seed_and_tears_real_prefixes() {
         let dir = std::env::temp_dir().join(format!("maxnvm-faulty-store-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1148,8 +1060,6 @@ mod tests {
         let c = CheckpointConfig::new("/tmp/a.ckpt")
             .every(8)
             .with_retry(RetryPolicy::none());
-        if a.retry != RetryPolicy::none() {
-            assert_ne!(a, c, "retry policy is part of the config identity");
-        }
+        assert_ne!(a, c, "retry policy is part of the config identity");
     }
 }

@@ -3,7 +3,8 @@
 //! and keep the minimal-cell configuration that preserves accuracy within
 //! the iso-training-noise bound. Spec-level models use the analytic
 //! damage model ([`explore_spec`]); trainable stand-ins run the concrete
-//! Monte-Carlo sweep on the engine ([`crate::engine::EvalContext::run_dse`]).
+//! Monte-Carlo sweep on the engine
+//! ([`crate::engine::EvalContext::run_dse_controlled`]).
 
 use crate::analytic::{aggregate_mse, layer_damage};
 use crate::campaign::Campaign;
@@ -400,7 +401,7 @@ mod tests {
 
     #[test]
     fn concrete_exploration_runs_on_a_real_layer() {
-        use crate::engine::EvalContext;
+        use crate::engine::{EvalContext, RunControl};
         use crate::evaluate::ProxyEval;
         use maxnvm_dnn::network::LayerMatrix;
         use maxnvm_encoding::cluster::ClusteredLayer;
@@ -426,7 +427,7 @@ mod tests {
             itn_bound: 0.01,
         };
         let points = EvalContext::new(CellTechnology::MlcCtt, &SenseAmp::default(), 1.0)
-            .and_then(|ctx| ctx.run_dse(&[layer], &eval, &cfg))
+            .and_then(|ctx| ctx.run_dse_controlled(&[layer], &eval, &cfg, &RunControl::default()))
             .expect("dse");
         assert_eq!(
             points.len(),

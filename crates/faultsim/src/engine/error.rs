@@ -94,17 +94,6 @@ pub enum EngineError {
         /// What was wrong, with the offending line where possible.
         detail: String,
     },
-    /// An environment override (`MAXNVM_CHECKPOINT_RETRIES`) is set but
-    /// malformed. Surfaced at context construction, mirroring how
-    /// `MAXNVM_THREADS` and `MAXNVM_FORCE_SCALAR` are handled;
-    /// bare-library paths fall back to the default with a one-time
-    /// warning instead.
-    InvalidConfig {
-        /// The environment variable involved.
-        var: String,
-        /// The rejected value, verbatim.
-        value: String,
-    },
     /// An internal invariant failed. Surfaced as a typed error instead
     /// of a panic so callers never unwind through worker threads; seeing
     /// this is always a bug in the engine.
@@ -164,9 +153,6 @@ impl fmt::Display for EngineError {
                     "checkpoint write to {path} failed: device out of space ({detail}); \
                      free space and rerun to resume from the last snapshot"
                 )
-            }
-            Self::InvalidConfig { var, value } => {
-                write!(f, "invalid environment override {var}={value:?}")
             }
             Self::CheckpointParse { path, detail } => write!(
                 f,
@@ -256,11 +242,5 @@ mod tests {
         assert!(parse.to_string().contains("/spool/s0.ckpt"));
         assert!(parse.to_string().contains("missing end line"));
         assert!(parse.to_string().contains("removing it restarts the run"));
-        let cfg = EngineError::InvalidConfig {
-            var: "MAXNVM_CHECKPOINT_RETRIES".into(),
-            value: "-1".into(),
-        };
-        assert!(cfg.to_string().contains("MAXNVM_CHECKPOINT_RETRIES"));
-        assert!(cfg.to_string().contains("-1"));
     }
 }

@@ -8,9 +8,16 @@
 //! → evaluate loop (embarrassingly parallel). [`EvalContext`] hoists
 //! the first out of the trial loop — one pre-scaled [`FaultMap`] per
 //! bits-per-cell, shared by `Arc` — and schedules the third onto a
-//! process-wide [`WorkerPool`]; [`EvalContext::run_dse`] additionally
-//! shares raw encodes *and clean decodes* across candidate schemes
-//! through an [`EncodeCache`].
+//! process-wide [`WorkerPool`]; [`EvalContext::run_dse_controlled`]
+//! additionally shares raw encodes *and clean decodes* across candidate
+//! schemes through an [`EncodeCache`].
+//!
+//! Each job has one entry point: [`EvalContext::run_campaign`] (every
+//! structure injected), [`EvalContext::run_isolated`] (one structure
+//! kind, Fig. 5's methodology), [`EvalContext::run_chips`] (programmed
+//! chip instances) and [`EvalContext::run_dse_controlled`] (the concrete
+//! design-space sweep); [`crate::VulnerabilityStudy::run_fig5`] runs
+//! Fig. 5's grid. All of them drive the same trial loop.
 //!
 //! The trial loop itself is O(expected faults + dirty suffix), not
 //! O(cells × test set): each stored layer is wrapped in a
@@ -31,8 +38,9 @@
 //! programming the full chip) and reduces them to the same sparse
 //! deltas.
 //!
-//! On top of that sits the **resilience layer** (`*_controlled` entry
-//! points taking a [`RunControl`]):
+//! On top of that sits the **resilience layer**, configured by the
+//! [`RunControl`] the entry points take (`RunControl::default()` is the
+//! plain fixed-budget run):
 //!
 //! - every trial runs under `catch_unwind`, so a panicking trial
 //!   becomes a [`TrialOutcome::Failed`] recorded (with its seed) on the
@@ -44,6 +52,9 @@
 //!   [`CampaignCheckpoint`] snapshots, and an existing snapshot (with a
 //!   matching configuration fingerprint) resumes exactly where a killed
 //!   process stopped — byte-identical to an uninterrupted run;
+//! - `merge_sources` preseeds a run with shard checkpoints: an
+//!   unsharded run over every snapshot of a sharded sweep is the merge,
+//!   byte-identical to the 1-shard run;
 //! - an [`EarlyStop`] rule halts a scheme's trials once the Wilson
 //!   interval on its error estimate is decisively inside or outside
 //!   the iso-training-noise budget (opt-in: fixed budgets stay
@@ -239,9 +250,14 @@ impl EarlyStop {
     }
 }
 
-/// How a `*_controlled` run behaves beyond the plain trial budget:
-/// cooperative cancellation, checkpoint/resume, and adaptive early
-/// stopping. `RunControl::default()` is the plain fixed-budget run.
+/// How a run behaves beyond the plain trial budget: cooperative
+/// cancellation, checkpoint/resume, sharding and merging, and adaptive
+/// early stopping. `RunControl::default()` is the plain fixed-budget run.
+///
+/// Resuming is a run whose `checkpoint` names an existing snapshot;
+/// with no snapshot there, the run starts fresh and ends byte-identical
+/// to an uninterrupted one. Merging is an unsharded run whose
+/// `merge_sources` name the shards' snapshots.
 #[derive(Debug, Clone, Default)]
 pub struct RunControl {
     /// Checked between trials; firing it (or passing its deadline)
@@ -295,13 +311,12 @@ struct DrivenTrials {
     cancelled: bool,
 }
 
-/// The generic resilient trial driver behind every `*_controlled`
-/// entry point: runs `group_trials` trials per group (campaigns have
-/// one group; a DSE has one per scheme) on `pool`, isolating per-trial
-/// panics, honouring `control.cancel`, checkpointing at the configured
-/// cadence, and applying the early-stop rule per group at fixed batch
-/// boundaries. `trial_fn(group, trial)` must be a pure function of its
-/// arguments.
+/// The generic resilient trial driver behind every entry point: runs
+/// `group_trials` trials per group (campaigns have one group; a DSE has
+/// one per scheme) on `pool`, isolating per-trial panics, honouring
+/// `control.cancel`, checkpointing at the configured cadence, and
+/// applying the early-stop rule per group at fixed batch boundaries.
+/// `trial_fn(group, trial)` must be a pure function of its arguments.
 ///
 /// `fingerprint` is the shard-independent base digest of the run
 /// configuration: trial assignment hashes against it, and the
@@ -569,19 +584,15 @@ impl EvalContext {
     /// A context running on the process-wide pool.
     ///
     /// Errors with [`EngineError::InvalidWorkerConfig`] if
-    /// `MAXNVM_THREADS` is set but not a positive integer, with
+    /// `MAXNVM_THREADS` is set but not a positive integer, and with
     /// [`EngineError::InvalidSimdConfig`] if `MAXNVM_FORCE_SCALAR` is
-    /// set but not a recognized boolean, and with
-    /// [`EngineError::InvalidConfig`] if `MAXNVM_CHECKPOINT_RETRIES` is
-    /// set but not a non-negative integer — the bare-library paths
-    /// (kernel dispatch, [`crate::checkpoint::RetryPolicy::from_env`])
+    /// set but not a recognized boolean — bare-library kernel dispatch
     /// would fall back with a one-time warning, but the engine boundary
     /// surfaces the typo as a typed error instead.
     pub fn new(tech: CellTechnology, sa: &SenseAmp, rate_scale: f64) -> Result<Self, EngineError> {
         env_workers()?;
         maxnvm_dnn::env_force_scalar()
             .map_err(|e| EngineError::InvalidSimdConfig { value: e.value })?;
-        crate::checkpoint::env_checkpoint_retries()?;
         Self::with_pool(tech, sa, rate_scale, Arc::clone(global_pool()))
     }
 
@@ -630,16 +641,6 @@ impl EvalContext {
             cell_models,
             pool,
         })
-    }
-
-    /// The technology this context models.
-    pub fn tech(&self) -> CellTechnology {
-        self.tech
-    }
-
-    /// The fault-rate multiplier the fault maps were scaled with.
-    pub fn rate_scale(&self) -> f64 {
-        self.rate_scale
     }
 
     /// Worker threads in this context's pool.
@@ -692,28 +693,18 @@ impl EvalContext {
 
     /// Runs a full-injection campaign: `trials` seeded trials, each
     /// injecting every structure of every layer, in parallel on the
-    /// pool. Trial `t` seeds `seed.wrapping_add(t)`; results are in
-    /// trial order, identical at any worker count.
+    /// pool, under `control` (per-trial panic isolation, cooperative
+    /// cancellation, checkpoint/resume, sharding and merging, optional
+    /// early stopping). Trial `t` seeds `seed.wrapping_add(t)`; results
+    /// are in trial order, identical at any worker count.
     ///
     /// # Errors
     ///
-    /// Never fails under the default [`RunControl`] today; the `Result`
-    /// keeps the signature aligned with the controlled variants so the
-    /// engine surface stays panic-free (lint rule D2).
+    /// Under `RunControl::default()` it never fails today; the `Result`
+    /// keeps the engine surface panic-free (lint rule D2). The control's
+    /// checkpoint, shard layout and merge sources add the typed
+    /// `Checkpoint*` and [`EngineError::InvalidShardConfig`] errors.
     pub fn run_campaign(
-        &self,
-        trials: usize,
-        seed: u64,
-        stored: &[StoredLayer],
-        eval: &(dyn AccuracyEval + Sync),
-    ) -> Result<CampaignResult, EngineError> {
-        self.run_campaign_controlled(trials, seed, stored, eval, &RunControl::default())
-    }
-
-    /// [`Self::run_campaign`] under a [`RunControl`]: per-trial panic
-    /// isolation, cooperative cancellation, checkpoint/resume, and
-    /// optional early stopping.
-    pub fn run_campaign_controlled(
         &self,
         trials: usize,
         seed: u64,
@@ -725,25 +716,9 @@ impl EvalContext {
     }
 
     /// Runs a campaign injecting faults only into structures of
-    /// `target` kind — Fig. 5's isolation methodology.
-    ///
-    /// # Errors
-    ///
-    /// Never fails under the default [`RunControl`] today; see
-    /// [`Self::run_campaign`].
+    /// `target` kind — Fig. 5's isolation methodology — under `control`,
+    /// with the errors of [`Self::run_campaign`].
     pub fn run_isolated(
-        &self,
-        trials: usize,
-        seed: u64,
-        target: StructureKind,
-        stored: &[StoredLayer],
-        eval: &(dyn AccuracyEval + Sync),
-    ) -> Result<CampaignResult, EngineError> {
-        self.run_isolated_controlled(trials, seed, target, stored, eval, &RunControl::default())
-    }
-
-    /// [`Self::run_isolated`] under a [`RunControl`].
-    pub fn run_isolated_controlled(
         &self,
         trials: usize,
         seed: u64,
@@ -911,16 +886,21 @@ impl EvalContext {
 
     /// Runs a campaign with the paper's exact chip semantics: each
     /// trial programs a chip instance (every cell's analog outcome
-    /// drawn once, §4.1) and decodes it deterministically. Errors with
-    /// [`EngineError::ChipRateScale`] unless the context uses physical
-    /// rates (`rate_scale == 1.0`), since analog programming outcomes
-    /// cannot be rate-scaled.
+    /// drawn once, §4.1) and decodes it deterministically. Statistically
+    /// this matches [`Self::run_campaign`] for single decodes, but it
+    /// also produces the rare non-adjacent misreads and models faults
+    /// as permanent. Errors with [`EngineError::ChipRateScale`] unless
+    /// the context uses physical rates (`rate_scale == 1.0`), since
+    /// analog programming outcomes cannot be rate-scaled; use the
+    /// fault-map path for scaled studies. It takes no [`RunControl`]:
+    /// the trials run as the plain fixed-budget run.
     ///
     /// Trials never materialize the chip: only the mis-programmed cells
     /// are recorded (`StoredLayer::sample_chip_flips`, drawing the RNG
     /// exactly as programming the full chip would), reduced to sparse
     /// [`WeightDelta`]s, and evaluated through the delta trial path —
     /// bit-identical to programming, decoding, and evaluating every cell.
+    // maxnvm-lint: allow(R1/index-arith): cell_models is built over MlcConfig::ALL in bits order, so (bits()-1) indexes the matching slot and bits() >= 1 by construction.
     pub fn run_chips(
         &self,
         trials: usize,
@@ -928,19 +908,7 @@ impl EvalContext {
         stored: &[StoredLayer],
         eval: &(dyn AccuracyEval + Sync),
     ) -> Result<CampaignResult, EngineError> {
-        self.run_chips_controlled(trials, seed, stored, eval, &RunControl::default())
-    }
-
-    /// [`Self::run_chips`] under a [`RunControl`].
-    // maxnvm-lint: allow(R1/index-arith): cell_models is built over MlcConfig::ALL in bits order, so (bits()-1) indexes the matching slot and bits() >= 1 by construction.
-    pub fn run_chips_controlled(
-        &self,
-        trials: usize,
-        seed: u64,
-        stored: &[StoredLayer],
-        eval: &(dyn AccuracyEval + Sync),
-        control: &RunControl,
-    ) -> Result<CampaignResult, EngineError> {
+        let control = &RunControl::default();
         if (self.rate_scale - 1.0).abs() > 1e-12 {
             return Err(EngineError::ChipRateScale(self.rate_scale));
         }
@@ -985,6 +953,14 @@ impl EvalContext {
     /// load-balances across the whole sweep rather than one scheme at a
     /// time.
     ///
+    /// `control` adds per-trial panic isolation, cooperative
+    /// cancellation, whole-sweep checkpoint/resume (one checkpoint group
+    /// per candidate scheme), sharding and merging, and optional
+    /// per-scheme adaptive early stopping — each scheme's campaign halts
+    /// as soon as its Wilson interval decides the ITN acceptance test, so
+    /// decisively-passing and decisively-failing schemes stop paying
+    /// trials the moment the data suffices.
+    ///
     /// Seeding is per-(scheme, trial) — trial `t` of every scheme uses
     /// `seed.wrapping_add(t)` — so the returned points are identical at
     /// any worker count, and each point's `mean_error` equals, to the
@@ -994,22 +970,6 @@ impl EvalContext {
     ///
     /// Errors with [`EngineError::RateScaleMismatch`] if
     /// `cfg.campaign.rate_scale` differs from this context's.
-    pub fn run_dse(
-        &self,
-        layers: &[ClusteredLayer],
-        eval: &(dyn AccuracyEval + Sync),
-        cfg: &DseConfig,
-    ) -> Result<Vec<DsePoint>, EngineError> {
-        self.run_dse_controlled(layers, eval, cfg, &RunControl::default())
-    }
-
-    /// [`Self::run_dse`] under a [`RunControl`]: per-trial panic
-    /// isolation, cooperative cancellation, whole-sweep
-    /// checkpoint/resume (one checkpoint group per candidate scheme),
-    /// and optional per-scheme adaptive early stopping — each scheme's
-    /// campaign halts as soon as its Wilson interval decides the ITN
-    /// acceptance test, so decisively-passing and decisively-failing
-    /// schemes stop paying trials the moment the data suffices.
     pub fn run_dse_controlled(
         &self,
         layers: &[ClusteredLayer],
@@ -1275,7 +1235,7 @@ mod tests {
         let run = |workers| {
             EvalContext::with_workers(CellTechnology::MlcCtt, &sa, scale, workers)
                 .unwrap()
-                .run_campaign(trials, seed, &stored, &eval)
+                .run_campaign(trials, seed, &stored, &eval, &RunControl::default())
                 .unwrap()
         };
         let w1 = run(1);

@@ -49,11 +49,6 @@ impl ShardSpec {
         Self { index, count }
     }
 
-    /// Whether this is the trivial single-shard layout.
-    pub fn is_unsharded(&self) -> bool {
-        self.count == 1
-    }
-
     /// Errors with [`EngineError::InvalidShardConfig`] unless
     /// `count >= 1` and `index < count`.
     pub fn validate(&self) -> Result<(), EngineError> {

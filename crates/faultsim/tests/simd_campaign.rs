@@ -19,7 +19,7 @@ use maxnvm_encoding::cluster::ClusteredLayer;
 use maxnvm_encoding::storage::{StorageScheme, StoredLayer};
 use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
-use maxnvm_faultsim::engine::EvalContext;
+use maxnvm_faultsim::engine::{EvalContext, RunControl};
 use maxnvm_faultsim::evaluate::{AccuracyEval, EvalScratch, NetworkEval, SparseModel};
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -94,7 +94,7 @@ fn campaign_is_byte_identical_across_tiers_and_workers() {
         force_tier_for_tests(Some(tier));
         let result = EvalContext::with_workers(CellTechnology::MlcCtt, &sa, scale, workers)
             .unwrap()
-            .run_campaign(trials, seed, &stored, &eval)
+            .run_campaign(trials, seed, &stored, &eval, &RunControl::default())
             .unwrap();
         force_tier_for_tests(None);
         result.errors
@@ -166,7 +166,7 @@ fn trials_in_flight_never_exceed_workers_plus_one() {
     let run = |eval: &(dyn AccuracyEval + Sync), workers: usize| {
         EvalContext::with_workers(CellTechnology::MlcCtt, &sa, scale, workers)
             .unwrap()
-            .run_campaign(trials, seed, &stored, eval)
+            .run_campaign(trials, seed, &stored, eval, &RunControl::default())
             .unwrap()
             .errors
     };

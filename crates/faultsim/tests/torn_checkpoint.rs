@@ -11,8 +11,8 @@ use maxnvm_encoding::storage::{StorageScheme, StoredLayer};
 use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
 use maxnvm_faultsim::{
-    Campaign, CampaignCheckpoint, CampaignResult, CheckpointConfig, EngineError, ProxyEval,
-    RunControl,
+    Campaign, CampaignCheckpoint, CampaignResult, CheckpointConfig, EngineError, EvalContext,
+    ProxyEval, RunControl,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -40,6 +40,19 @@ fn campaign() -> Campaign {
     }
 }
 
+/// Runs the fixture campaign under `control` on the process-wide pool.
+fn run(control: &RunControl) -> Result<CampaignResult, EngineError> {
+    let (stored, eval) = fixture();
+    let c = campaign();
+    EvalContext::new(TECH, &SenseAmp::paper_default(), c.rate_scale)?.run_campaign(
+        c.trials,
+        c.seed,
+        std::slice::from_ref(&stored),
+        &eval,
+        control,
+    )
+}
+
 fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("maxnvm-torn-checkpoint-tests");
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -54,22 +67,13 @@ fn temp_path(name: &str) -> PathBuf {
 fn complete_snapshot_text() -> &'static str {
     static TEXT: OnceLock<String> = OnceLock::new();
     TEXT.get_or_init(|| {
-        let (stored, eval) = fixture();
         let ckpt = temp_path("source");
         let _ = std::fs::remove_file(&ckpt);
         let control = RunControl {
             checkpoint: Some(CheckpointConfig::new(&ckpt).every(1).keep_on_success()),
             ..RunControl::default()
         };
-        campaign()
-            .run_controlled(
-                std::slice::from_ref(&stored),
-                TECH,
-                &SenseAmp::paper_default(),
-                &eval,
-                &control,
-            )
-            .expect("checkpointed run");
+        run(&control).expect("checkpointed run");
         let text = std::fs::read_to_string(&ckpt).expect("read snapshot");
         let _ = std::fs::remove_file(&ckpt);
         text
@@ -102,20 +106,12 @@ fn every_byte_boundary_truncation_parses_typed_or_whole() {
 }
 
 #[test]
-fn resume_from_any_truncation_is_typed_or_byte_identical() {
+fn resuming_any_truncation_is_typed_or_byte_identical() {
     // Through the engine's actual resume path: every truncation either
     // resumes to the uninterrupted bytes (only a whole file can) or is
     // a typed checkpoint error — sampled at every 37th boundary plus
     // both ends to keep the end-to-end arm fast.
-    let (stored, eval) = fixture();
-    let truth: CampaignResult = campaign()
-        .run(
-            std::slice::from_ref(&stored),
-            TECH,
-            &SenseAmp::paper_default(),
-            &eval,
-        )
-        .expect("uninterrupted run");
+    let truth = run(&RunControl::default()).expect("uninterrupted run");
     let text = complete_snapshot_text();
     let ckpt = temp_path("resume");
     let cuts = (0..=text.len())
@@ -123,14 +119,10 @@ fn resume_from_any_truncation_is_typed_or_byte_identical() {
         .chain([text.len() - 1, text.len()]);
     for cut in cuts {
         std::fs::write(&ckpt, &text.as_bytes()[..cut]).expect("write truncated");
-        let outcome = campaign().resume_from(
-            &ckpt,
-            std::slice::from_ref(&stored),
-            TECH,
-            &SenseAmp::paper_default(),
-            &eval,
-            &RunControl::default(),
-        );
+        let outcome = run(&RunControl {
+            checkpoint: Some(CheckpointConfig::new(&ckpt)),
+            ..RunControl::default()
+        });
         match outcome {
             Ok(resumed) => assert_eq!(resumed, truth, "cut at byte {cut}"),
             Err(EngineError::CheckpointParse { .. }) | Err(EngineError::CheckpointIo { .. }) => {}

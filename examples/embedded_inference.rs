@@ -15,6 +15,7 @@ use maxnvm_encoding::storage::{StorageScheme, StoredLayer};
 use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
 use maxnvm_faultsim::campaign::Campaign;
+use maxnvm_faultsim::engine::{EvalContext, RunControl};
 use maxnvm_faultsim::evaluate::{AccuracyEval, NetworkEval};
 
 fn main() {
@@ -83,6 +84,7 @@ fn main() {
         seed: 3,
         rate_scale: 160.0,
     };
+    let ctx = EvalContext::new(tech, &sa, campaign.rate_scale).expect("evaluation context");
     println!(
         "\nFault-injection campaigns on {} ({} trials):",
         tech.name(),
@@ -117,7 +119,15 @@ fn main() {
             .map(|c| StoredLayer::store(c, &scheme))
             .collect();
         let cells: u64 = stored.iter().map(StoredLayer::total_cells).sum();
-        let result = campaign.run(&stored, tech, &sa, &eval).expect("campaign");
+        let result = ctx
+            .run_campaign(
+                campaign.trials,
+                campaign.seed,
+                &stored,
+                &eval,
+                &RunControl::default(),
+            )
+            .expect("campaign");
         println!(
             "{:<34} {:>10} {:>11.2}% {:>11.2}%",
             label,

@@ -9,9 +9,10 @@ use maxnvm_dnn::train::{sgd_train, TrainConfig};
 use maxnvm_dnn::zoo::{self, lenet_mini};
 use maxnvm_encoding::cluster::ClusteredLayer;
 use maxnvm_encoding::storage::{StorageScheme, StoredLayer};
-use maxnvm_encoding::EncodingKind;
+use maxnvm_encoding::{EncodingKind, StructureKind};
 use maxnvm_envm::{MlcConfig, SenseAmp};
 use maxnvm_faultsim::campaign::Campaign;
+use maxnvm_faultsim::engine::{EvalContext, RunControl};
 use maxnvm_faultsim::evaluate::ProxyEval;
 
 #[test]
@@ -51,8 +52,9 @@ fn clustering_and_storage_are_deterministic() {
 
 #[test]
 fn campaigns_are_deterministic_across_thread_schedules() {
-    // Trials are seeded per trial id, so the parallel campaign's result
-    // must not depend on thread interleaving.
+    // Trials are seeded per trial id and assembled in trial order, so
+    // every campaign entry point must return the identical result on a
+    // pool of 1, 2 or every core.
     let spec = zoo::vgg12();
     let m = spec.layers[5].sample_matrix(spec.paper.sparsity, 11, 64, 256);
     let c = ClusteredLayer::from_matrix(&m, 4, 5);
@@ -60,26 +62,43 @@ fn campaigns_are_deterministic_across_thread_schedules() {
         &c,
         &StorageScheme::uniform(EncodingKind::Csr, MlcConfig::MLC3),
     );
+    let stored = std::slice::from_ref(&stored);
     let eval = ProxyEval::new(vec![c.reconstruct()], 0.1, 0.9);
-    let campaign = Campaign {
-        trials: 16,
-        seed: 3,
-        rate_scale: 100.0,
+    let (trials, seed, rate_scale) = (16, 3, 100.0);
+    let sa = SenseAmp::paper_default();
+    let ctx = |rate_scale, workers| {
+        EvalContext::with_workers(CellTechnology::MlcCtt, &sa, rate_scale, workers)
+            .expect("context")
     };
-    let run = || {
-        campaign
-            .run(
-                std::slice::from_ref(&stored),
-                CellTechnology::MlcCtt,
-                &SenseAmp::paper_default(),
+    let control = RunControl::default();
+    let run = |workers| {
+        let scaled = ctx(rate_scale, workers);
+        // Chip programming outcomes are only defined at physical rates.
+        let physical = ctx(1.0, workers);
+        [
+            scaled.run_campaign(trials, seed, stored, &eval, &control),
+            scaled.run_isolated(
+                trials,
+                seed,
+                StructureKind::ColIndex,
+                stored,
                 &eval,
-            )
-            .expect("campaign")
+                &control,
+            ),
+            physical.run_chips(trials, seed, stored, &eval),
+        ]
+        .map(|r| r.expect("campaign"))
     };
-    let a = run();
-    let b = run();
-    assert_eq!(a.errors, b.errors);
-    assert_eq!(a.mean_cell_faults, b.mean_cell_faults);
+    let max = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4);
+    let one = run(1);
+    for (name, r) in ["campaign", "isolated", "chips"].iter().zip(&one) {
+        assert!(r.mean_cell_faults > 0.0, "{name}: no faults landed");
+    }
+    for workers in [2, max] {
+        assert_eq!(run(workers), one, "{workers} workers");
+    }
 }
 
 #[test]
@@ -112,7 +131,6 @@ fn engine_dse_is_identical_at_any_worker_count() {
     // The engine seeds per (scheme, trial) and assembles results by
     // index, so the point vector must be byte-identical whether one
     // worker or every core runs the sweep.
-    use maxnvm_faultsim::engine::EvalContext;
     let (layers, eval, cfg) = dse_fixture();
     let sa = SenseAmp::paper_default();
     let run = |workers| {
@@ -123,7 +141,7 @@ fn engine_dse_is_identical_at_any_worker_count() {
             workers,
         )
         .expect("context")
-        .run_dse(&layers, &eval, &cfg)
+        .run_dse_controlled(&layers, &eval, &cfg, &RunControl::default())
         .expect("dse")
     };
     let max = std::thread::available_parallelism()
@@ -144,7 +162,6 @@ fn engine_dse_agrees_with_the_reference_sweep() {
     use maxnvm_encoding::storage::PreparedLayer;
     use maxnvm_faultsim::campaign::fault_maps;
     use maxnvm_faultsim::dse::candidate_schemes;
-    use maxnvm_faultsim::engine::EvalContext;
     use maxnvm_faultsim::evaluate::AccuracyEval;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -159,7 +176,7 @@ fn engine_dse_agrees_with_the_reference_sweep() {
     let sa = SenseAmp::paper_default();
     let engine = EvalContext::new(tech, &sa, rate_scale)
         .expect("context")
-        .run_dse(&layers, &eval, &cfg)
+        .run_dse_controlled(&layers, &eval, &cfg, &RunControl::default())
         .expect("dse");
     let base = fault_maps(tech, &sa);
     let fault_for = |bpc: MlcConfig| Arc::new(base(bpc).scaled(rate_scale));

@@ -10,6 +10,7 @@ use maxnvm_encoding::storage::{StorageScheme, StoredLayer, StructureBpc};
 use maxnvm_encoding::{EncodingKind, StructureKind};
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
 use maxnvm_faultsim::campaign::Campaign;
+use maxnvm_faultsim::engine::{EvalContext, RunControl};
 use maxnvm_faultsim::evaluate::{AccuracyEval, NetworkEval};
 
 /// Trains, prunes (with retraining) and clusters the stand-in model once.
@@ -90,16 +91,24 @@ fn isolated_error(
         .iter()
         .map(|c| StoredLayer::store(c, &scheme))
         .collect();
-    campaign()
-        .run_isolated(
-            &stored,
+    let c = campaign();
+    EvalContext::new(
+        CellTechnology::MlcCtt,
+        &SenseAmp::paper_default(),
+        c.rate_scale,
+    )
+    .and_then(|ctx| {
+        ctx.run_isolated(
+            c.trials,
+            c.seed,
             target,
-            CellTechnology::MlcCtt,
-            &SenseAmp::paper_default(),
+            &stored,
             eval,
+            &RunControl::default(),
         )
-        .expect("campaign")
-        .mean_error
+    })
+    .expect("campaign")
+    .mean_error
 }
 
 /// Error of the clustered (but fault-free) model — the reference every

@@ -180,7 +180,9 @@ fn trial_outputs(fig5: &(NetworkEval, Vec<ClusteredLayer>), out: &mut Vec<(Strin
     for encoding in EncodingKind::ALL {
         for bpc in MlcConfig::ALL {
             let stored = store(&layers, &StorageScheme::uniform(encoding, bpc));
-            let r = ctx.run_campaign(8, 21, &stored, &eval).expect("campaign");
+            let r = ctx
+                .run_campaign(8, 21, &stored, &eval, &RunControl::default())
+                .expect("campaign");
             out.push((
                 format!("trial/campaign/{encoding}/{bpc}"),
                 campaign_digest(&r),
@@ -353,7 +355,7 @@ fn format_outputs(out: &mut Vec<(String, u64)>) {
     };
     EvalContext::new(TECH, &SenseAmp::paper_default(), RATE_SCALE)
         .expect("context")
-        .run_campaign_controlled(4, 27, &store(&layers, &chip_scheme()), &eval, &control)
+        .run_campaign(4, 27, &store(&layers, &chip_scheme()), &eval, &control)
         .expect("checkpointed campaign");
     let text = std::fs::read_to_string(&ckpt).expect("snapshot");
     out.push((

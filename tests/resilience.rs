@@ -12,10 +12,10 @@ use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
 use maxnvm_faultsim::evaluate::{AccuracyEval, EvalScratch, SparseModel};
 use maxnvm_faultsim::{
-    Campaign, CancelToken, CheckpointConfig, EarlyStop, EngineError, EvalContext, FaultPlan,
-    FaultyStore, ProxyEval, RetryPolicy, RunControl,
+    Campaign, CampaignResult, CancelToken, CheckpointConfig, EarlyStop, EngineError, EvalContext,
+    FaultPlan, FaultyStore, ProxyEval, RetryPolicy, RunControl,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,6 +48,32 @@ fn campaign() -> Campaign {
 
 fn sa() -> SenseAmp {
     SenseAmp::paper_default()
+}
+
+/// Runs campaign `c` over `stored` under `control` on the process-wide
+/// pool.
+fn run(
+    c: &Campaign,
+    stored: &StoredLayer,
+    eval: &(dyn AccuracyEval + Sync),
+    control: &RunControl,
+) -> Result<CampaignResult, EngineError> {
+    EvalContext::new(TECH, &sa(), c.rate_scale)?.run_campaign(
+        c.trials,
+        c.seed,
+        std::slice::from_ref(stored),
+        eval,
+        control,
+    )
+}
+
+/// A control that checkpoints to `path`, so the run resumes from the
+/// snapshot there.
+fn resuming(path: &Path) -> RunControl {
+    RunControl {
+        checkpoint: Some(CheckpointConfig::new(path)),
+        ..RunControl::default()
+    }
 }
 
 /// A unique path under the target-relative temp dir; avoids collisions
@@ -124,19 +150,18 @@ impl AccuracyEval for InstrumentedEval<'_> {
 
 #[test]
 fn default_control_matches_plain_run() {
+    // `RunControl::default()` is the plain fixed-budget run: the same
+    // result as a control whose only setting is a token that never
+    // fires, with every trial completed.
     let (stored, eval) = fixture();
-    let plain = campaign()
-        .run(std::slice::from_ref(&stored), TECH, &sa(), &eval)
-        .expect("plain");
-    let controlled = campaign()
-        .run_controlled(
-            std::slice::from_ref(&stored),
-            TECH,
-            &sa(),
-            &eval,
-            &RunControl::default(),
-        )
-        .expect("controlled");
+    let plain = run(
+        &campaign(),
+        &stored,
+        &eval,
+        &RunControl::with_cancel(CancelToken::new()),
+    )
+    .expect("plain");
+    let controlled = run(&campaign(), &stored, &eval, &RunControl::default()).expect("controlled");
     assert_eq!(plain, controlled);
     assert!(!controlled.cancelled);
     assert!(!controlled.stopped_early);
@@ -152,9 +177,7 @@ fn zero_checkpoint_cadence_runs_like_one() {
     let (stored, eval) = fixture();
     let ckpt = temp_path("zero-cadence");
     let _ = std::fs::remove_file(&ckpt);
-    let plain = campaign()
-        .run(std::slice::from_ref(&stored), TECH, &sa(), &eval)
-        .expect("plain");
+    let plain = run(&campaign(), &stored, &eval, &RunControl::default()).expect("plain");
     let mut cp = CheckpointConfig::new(&ckpt);
     cp.every = 0;
     let control = RunControl {
@@ -162,9 +185,7 @@ fn zero_checkpoint_cadence_runs_like_one() {
         checkpoint: Some(cp),
         ..RunControl::default()
     };
-    let result = campaign()
-        .run_controlled(std::slice::from_ref(&stored), TECH, &sa(), &eval, &control)
-        .expect("zero-cadence run");
+    let result = run(&campaign(), &stored, &eval, &control).expect("zero-cadence run");
     assert!(!result.cancelled, "the run stalled until its deadline");
     assert_eq!(result, plain);
     assert!(!ckpt.exists(), "a completed run removes its checkpoint");
@@ -173,15 +194,12 @@ fn zero_checkpoint_cadence_runs_like_one() {
 #[test]
 fn panicking_trial_is_isolated_and_reported() {
     let (stored, eval) = fixture();
-    let plain = campaign()
-        .run(std::slice::from_ref(&stored), TECH, &sa(), &eval)
-        .expect("plain");
+    let plain = run(&campaign(), &stored, &eval, &RunControl::default()).expect("plain");
     let control = RunControl {
         panic_trials: vec![2],
         ..RunControl::default()
     };
-    let result = campaign()
-        .run_controlled(std::slice::from_ref(&stored), TECH, &sa(), &eval, &control)
+    let result = run(&campaign(), &stored, &eval, &control)
         .expect("campaign must survive a panicking trial");
     assert_eq!(result.requested_trials, campaign().trials);
     assert_eq!(result.completed_trials, campaign().trials - 1);
@@ -212,14 +230,7 @@ fn pre_cancelled_token_yields_empty_result() {
     let (stored, eval) = fixture();
     let token = CancelToken::new();
     token.cancel();
-    let result = campaign()
-        .run_controlled(
-            std::slice::from_ref(&stored),
-            TECH,
-            &sa(),
-            &eval,
-            &RunControl::with_cancel(token),
-        )
+    let result = run(&campaign(), &stored, &eval, &RunControl::with_cancel(token))
         .expect("cancelled run still returns cleanly");
     assert!(result.cancelled);
     assert_eq!(result.completed_trials, 0);
@@ -230,14 +241,7 @@ fn pre_cancelled_token_yields_empty_result() {
 fn expired_deadline_cancels_like_a_fired_token() {
     let (stored, eval) = fixture();
     let token = CancelToken::with_timeout(Duration::ZERO);
-    let result = campaign()
-        .run_controlled(
-            std::slice::from_ref(&stored),
-            TECH,
-            &sa(),
-            &eval,
-            &RunControl::with_cancel(token),
-        )
+    let result = run(&campaign(), &stored, &eval, &RunControl::with_cancel(token))
         .expect("deadline run still returns cleanly");
     assert!(result.cancelled);
     assert_eq!(result.completed_trials, 0);
@@ -255,7 +259,7 @@ fn mid_run_cancellation_yields_clean_partial_result() {
     // lands — the completed set is a contiguous trial prefix either way.
     let ctx = EvalContext::with_workers(TECH, &sa(), RATE_SCALE, 1).expect("ctx");
     let result = ctx
-        .run_campaign_controlled(
+        .run_campaign(
             c.trials,
             c.seed,
             std::slice::from_ref(&stored),
@@ -273,9 +277,7 @@ fn mid_run_cancellation_yields_clean_partial_result() {
     assert_eq!(result.requested_trials, c.trials);
     // The completed prefix keeps its per-trial streams: it matches the
     // uninterrupted run's leading trials exactly.
-    let plain = c
-        .run(std::slice::from_ref(&stored), TECH, &sa(), &eval)
-        .expect("plain");
+    let plain = run(&c, &stored, &eval, &RunControl::default()).expect("plain");
     assert_eq!(result.errors, plain.errors[..result.completed_trials]);
 }
 
@@ -288,7 +290,13 @@ fn interrupted_run_resumes_byte_identical_across_worker_counts() {
     // Uninterrupted truth, single worker.
     let ctx1 = EvalContext::with_workers(TECH, &sa(), RATE_SCALE, 1).expect("ctx");
     let uninterrupted = ctx1
-        .run_campaign(c.trials, c.seed, std::slice::from_ref(&stored), &eval)
+        .run_campaign(
+            c.trials,
+            c.seed,
+            std::slice::from_ref(&stored),
+            &eval,
+            &RunControl::default(),
+        )
         .expect("uninterrupted run");
     // Interrupt a checkpointed run partway (cancel after 6 evals).
     let token = CancelToken::new();
@@ -303,7 +311,7 @@ fn interrupted_run_resumes_byte_identical_across_worker_counts() {
         ..RunControl::default()
     };
     let partial = ctx_many
-        .run_campaign_controlled(
+        .run_campaign(
             c.trials,
             c.seed,
             std::slice::from_ref(&stored),
@@ -321,7 +329,7 @@ fn interrupted_run_resumes_byte_identical_across_worker_counts() {
         ..RunControl::default()
     };
     let resumed = ctx_many
-        .run_campaign_controlled(
+        .run_campaign(
             c.trials,
             c.seed,
             std::slice::from_ref(&stored),
@@ -346,20 +354,11 @@ fn checkpoint_from_a_different_configuration_is_rejected() {
         checkpoint: Some(CheckpointConfig::new(&ckpt).every(8).keep_on_success()),
         ..RunControl::default()
     };
-    c.run_controlled(std::slice::from_ref(&stored), TECH, &sa(), &eval, &keep)
-        .expect("first run");
+    run(&c, &stored, &eval, &keep).expect("first run");
     assert!(ckpt.exists());
     // Same path, different seed: the fingerprint must not match.
     c.seed += 1;
-    let err = c
-        .resume_from(
-            &ckpt,
-            std::slice::from_ref(&stored),
-            TECH,
-            &sa(),
-            &eval,
-            &RunControl::default(),
-        )
+    let err = run(&c, &stored, &eval, &resuming(&ckpt))
         .expect_err("a foreign checkpoint must be rejected");
     assert!(
         matches!(err, EngineError::CheckpointMismatch { .. }),
@@ -369,53 +368,21 @@ fn checkpoint_from_a_different_configuration_is_rejected() {
 }
 
 #[test]
-fn resume_without_a_checkpoint_is_a_typed_error() {
-    let (stored, eval) = fixture();
-    let err = campaign()
-        .resume_from(
-            temp_path("never-written"),
-            std::slice::from_ref(&stored),
-            TECH,
-            &sa(),
-            &eval,
-            &RunControl::default(),
-        )
-        .expect_err("nothing to resume");
-    assert!(matches!(err, EngineError::CheckpointIo { .. }), "{err}");
-}
-
-#[test]
 fn garbage_checkpoint_is_a_typed_parse_error() {
     // Regression: a corrupted snapshot (disk damage, partial write by a
-    // foreign tool) must surface as a typed error through
-    // `Campaign::resume_from`, never a panic in the parser.
+    // foreign tool) must surface as a typed error through a resuming
+    // run, never a panic in the parser.
     let (stored, eval) = fixture();
     let ckpt = temp_path("garbage");
     std::fs::write(&ckpt, "maxnvm-checkpoint/v1\nfingerprint zzzz\n").expect("write garbage");
-    let err = campaign()
-        .resume_from(
-            &ckpt,
-            std::slice::from_ref(&stored),
-            TECH,
-            &sa(),
-            &eval,
-            &RunControl::default(),
-        )
+    let err = run(&campaign(), &stored, &eval, &resuming(&ckpt))
         .expect_err("garbage checkpoint must be rejected");
     assert!(matches!(err, EngineError::CheckpointParse { .. }), "{err}");
 
     // Bytes that are not even the right format at all.
     std::fs::write(&ckpt, "\u{0}\u{1}not a checkpoint").expect("write noise");
-    let err = campaign()
-        .resume_from(
-            &ckpt,
-            std::slice::from_ref(&stored),
-            TECH,
-            &sa(),
-            &eval,
-            &RunControl::default(),
-        )
-        .expect_err("noise must be rejected");
+    let err =
+        run(&campaign(), &stored, &eval, &resuming(&ckpt)).expect_err("noise must be rejected");
     assert!(matches!(err, EngineError::CheckpointParse { .. }), "{err}");
     let _ = std::fs::remove_file(&ckpt);
 }
@@ -433,22 +400,13 @@ fn truncated_checkpoint_is_a_typed_parse_error() {
         checkpoint: Some(CheckpointConfig::new(&ckpt).every(8).keep_on_success()),
         ..RunControl::default()
     };
-    c.run_controlled(std::slice::from_ref(&stored), TECH, &sa(), &eval, &keep)
-        .expect("first run");
+    run(&c, &stored, &eval, &keep).expect("first run");
     let text = std::fs::read_to_string(&ckpt).expect("read checkpoint");
     assert!(text.ends_with('\n') && text.contains("\nend "));
     // Cut the file in half: lands mid-entry, and the `end <count>`
     // trailer is gone either way.
     std::fs::write(&ckpt, &text[..text.len() / 2]).expect("truncate");
-    let err = c
-        .resume_from(
-            &ckpt,
-            std::slice::from_ref(&stored),
-            TECH,
-            &sa(),
-            &eval,
-            &RunControl::default(),
-        )
+    let err = run(&c, &stored, &eval, &resuming(&ckpt))
         .expect_err("truncated checkpoint must be rejected");
     assert!(matches!(err, EngineError::CheckpointParse { .. }), "{err}");
     let _ = std::fs::remove_file(&ckpt);
@@ -469,7 +427,7 @@ fn deadline_expiring_between_trials_yields_well_formed_partial_result() {
     let slow = InstrumentedEval::slow(&eval, Duration::from_millis(10));
     let ctx = EvalContext::with_workers(TECH, &sa(), RATE_SCALE, 1).expect("ctx");
     let result = ctx
-        .run_campaign_controlled(
+        .run_campaign(
             c.trials,
             c.seed,
             std::slice::from_ref(&stored),
@@ -485,9 +443,7 @@ fn deadline_expiring_between_trials_yields_well_formed_partial_result() {
         assert!(result.mean_error.is_finite());
         assert!(result.max_error.is_finite());
         // The completed prefix keeps its per-trial seed streams.
-        let plain = c
-            .run(std::slice::from_ref(&stored), TECH, &sa(), &eval)
-            .expect("plain");
+        let plain = run(&c, &stored, &eval, &RunControl::default()).expect("plain");
         assert_eq!(result.errors, plain.errors[..result.completed_trials]);
     }
 }
@@ -510,7 +466,7 @@ fn early_stopping_halts_a_decisive_campaign_deterministically() {
     let run = |workers: usize| {
         EvalContext::with_workers(TECH, &sa(), c.rate_scale, workers)
             .expect("ctx")
-            .run_campaign_controlled(
+            .run_campaign(
                 c.trials,
                 c.seed,
                 std::slice::from_ref(&stored),
@@ -540,7 +496,13 @@ fn early_stopping_halts_a_decisive_campaign_deterministically() {
     // runs its full budget.
     let full = EvalContext::with_workers(TECH, &sa(), c.rate_scale, 2)
         .expect("ctx")
-        .run_campaign(c.trials, c.seed, std::slice::from_ref(&stored), &eval)
+        .run_campaign(
+            c.trials,
+            c.seed,
+            std::slice::from_ref(&stored),
+            &eval,
+            &RunControl::default(),
+        )
         .expect("full run");
     assert_eq!(full.completed_trials, c.trials);
     assert!(!full.stopped_early);
@@ -560,9 +522,7 @@ fn flaky_checkpoint_store_fails_typed_and_converges_on_rerun() {
     let (stored, eval) = fixture();
     let c = campaign();
     let ctx = EvalContext::new(TECH, &sa(), RATE_SCALE).expect("ctx");
-    let uninterrupted = ctx
-        .run_campaign(c.trials, c.seed, std::slice::from_ref(&stored), &eval)
-        .expect("uninterrupted run");
+    let uninterrupted = run(&c, &stored, &eval, &RunControl::default()).expect("uninterrupted run");
     let mut failures = 0;
     for seed in FAULT_SEEDS {
         let ckpt = temp_path(&format!("flaky-{seed}"));
@@ -584,14 +544,13 @@ fn flaky_checkpoint_store_fails_typed_and_converges_on_rerun() {
         loop {
             attempts += 1;
             assert!(attempts <= 1000, "seed {seed}: never converged");
-            let run = ctx.run_campaign_controlled(
+            match ctx.run_campaign(
                 c.trials,
                 c.seed,
                 std::slice::from_ref(&stored),
                 &eval,
                 &control,
-            );
-            match run {
+            ) {
                 Ok(result) => {
                     assert_eq!(result, uninterrupted, "seed {seed}");
                     break;
@@ -642,7 +601,7 @@ fn disk_full_is_typed_and_a_healthy_rerun_completes() {
     };
     let ctx = EvalContext::new(TECH, &sa(), RATE_SCALE).expect("ctx");
     let err = ctx
-        .run_campaign_controlled(
+        .run_campaign(
             c.trials,
             c.seed,
             std::slice::from_ref(&stored),
@@ -663,7 +622,7 @@ fn disk_full_is_typed_and_a_healthy_rerun_completes() {
     // Once space is freed, a rerun over the same path completes
     // byte-identically to an uninterrupted run.
     let rerun = ctx
-        .run_campaign_controlled(
+        .run_campaign(
             c.trials,
             c.seed,
             std::slice::from_ref(&stored),
@@ -671,9 +630,7 @@ fn disk_full_is_typed_and_a_healthy_rerun_completes() {
             &control(CheckpointConfig::new(&ckpt)),
         )
         .expect("healthy rerun");
-    let uninterrupted = ctx
-        .run_campaign(c.trials, c.seed, std::slice::from_ref(&stored), &eval)
-        .expect("uninterrupted run");
+    let uninterrupted = run(&c, &stored, &eval, &RunControl::default()).expect("uninterrupted run");
     assert_eq!(rerun, uninterrupted);
 }
 
@@ -711,17 +668,14 @@ fn child_campaign_runner() {
         checkpoint: Some(CheckpointConfig::new(&ckpt).every(1).keep_on_success()),
         ..RunControl::default()
     };
-    c.run_controlled(std::slice::from_ref(&stored), TECH, &sa(), &slow, &control)
-        .expect("child campaign");
+    run(&c, &stored, &slow, &control).expect("child campaign");
 }
 
 #[test]
 fn sigkilled_campaign_resumes_byte_identical() {
     let (stored, eval) = fixture();
     let c = kill_resume_campaign();
-    let uninterrupted = c
-        .run(std::slice::from_ref(&stored), TECH, &sa(), &eval)
-        .expect("uninterrupted run");
+    let uninterrupted = run(&c, &stored, &eval, &RunControl::default()).expect("uninterrupted run");
     let ckpt = temp_path("sigkill");
     let _ = std::fs::remove_file(&ckpt);
     let exe = std::env::current_exe().expect("test binary path");
@@ -753,16 +707,7 @@ fn sigkilled_campaign_resumes_byte_identical() {
     child.kill().expect("kill child");
     let _ = child.wait();
     // Resume in this process and compare against the uninterrupted run.
-    let resumed = c
-        .resume_from(
-            &ckpt,
-            std::slice::from_ref(&stored),
-            TECH,
-            &sa(),
-            &eval,
-            &RunControl::default(),
-        )
-        .expect("resume after SIGKILL");
+    let resumed = run(&c, &stored, &eval, &resuming(&ckpt)).expect("resume after SIGKILL");
     assert_eq!(resumed, uninterrupted);
     let _ = std::fs::remove_file(&ckpt);
 }

@@ -13,8 +13,8 @@ use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
 use maxnvm_faultsim::evaluate::{EvalScratch, SparseModel};
 use maxnvm_faultsim::{
-    AccuracyEval, Campaign, CheckpointConfig, DseConfig, EarlyStop, EngineError, EvalContext,
-    ProxyEval, RunControl, ShardSpec,
+    AccuracyEval, Campaign, CampaignResult, CheckpointConfig, DseConfig, EarlyStop, EngineError,
+    EvalContext, ProxyEval, RunControl, ShardSpec,
 };
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -50,6 +50,39 @@ fn sa() -> SenseAmp {
     SenseAmp::paper_default()
 }
 
+/// Runs campaign `c` over `stored` under `control` on the process-wide
+/// pool.
+fn run(
+    c: &Campaign,
+    stored: &StoredLayer,
+    eval: &(dyn AccuracyEval + Sync),
+    control: &RunControl,
+) -> Result<CampaignResult, EngineError> {
+    EvalContext::new(TECH, &sa(), c.rate_scale)?.run_campaign(
+        c.trials,
+        c.seed,
+        std::slice::from_ref(stored),
+        eval,
+        control,
+    )
+}
+
+/// Merges shard checkpoints: an unsharded run of `c` under `base`,
+/// preseeded with every snapshot in `sources`.
+fn merge_shards(
+    c: &Campaign,
+    sources: &[PathBuf],
+    stored: &StoredLayer,
+    eval: &ProxyEval,
+    base: &RunControl,
+) -> Result<CampaignResult, EngineError> {
+    let control = RunControl {
+        merge_sources: sources.to_vec(),
+        ..base.clone()
+    };
+    run(c, stored, eval, &control)
+}
+
 /// A unique directory per test; avoids collisions when the suite runs
 /// multi-threaded.
 fn temp_dir(name: &str) -> PathBuf {
@@ -60,7 +93,7 @@ fn temp_dir(name: &str) -> PathBuf {
 }
 
 /// Runs every shard of an N-way layout sequentially in this process
-/// (shard workers are plain `run_controlled` calls — process isolation
+/// (shard workers are plain `run_campaign` calls — process isolation
 /// is exercised separately below) and returns the checkpoint paths.
 fn run_shards(
     c: &Campaign,
@@ -78,8 +111,7 @@ fn run_shards(
                 checkpoint: Some(CheckpointConfig::new(&ckpt).every(1).keep_on_success()),
                 ..base.clone()
             };
-            c.run_controlled(std::slice::from_ref(stored), TECH, &sa(), eval, &control)
-                .expect("shard run");
+            run(c, stored, eval, &control).expect("shard run");
             ckpt
         })
         .collect()
@@ -93,8 +125,7 @@ fn invalid_shard_layouts_are_rejected_with_a_typed_error() {
             shard: ShardSpec::of(index, count),
             ..RunControl::default()
         };
-        let err = campaign()
-            .run_controlled(std::slice::from_ref(&stored), TECH, &sa(), &eval, &control)
+        let err = run(&campaign(), &stored, &eval, &control)
             .expect_err("degenerate layout must be rejected");
         assert_eq!(err, EngineError::InvalidShardConfig { index, count });
     }
@@ -104,22 +135,12 @@ fn invalid_shard_layouts_are_rejected_with_a_typed_error() {
 fn merge_of_n_shards_is_byte_identical_fixed_budget() {
     let (stored, eval) = fixture();
     let c = campaign();
-    let baseline = c
-        .run(std::slice::from_ref(&stored), TECH, &sa(), &eval)
-        .expect("unsharded run");
+    let baseline = run(&c, &stored, &eval, &RunControl::default()).expect("unsharded run");
     for count in [2usize, 3, 8] {
         let dir = temp_dir(&format!("fixed-{count}"));
         let sources = run_shards(&c, &stored, &eval, count, &dir, &RunControl::default());
-        let merged = c
-            .merge(
-                &sources,
-                std::slice::from_ref(&stored),
-                TECH,
-                &sa(),
-                &eval,
-                &RunControl::default(),
-            )
-            .expect("merge");
+        let merged =
+            merge_shards(&c, &sources, &stored, &eval, &RunControl::default()).expect("merge");
         assert_eq!(merged, baseline, "{count}-shard merge must be identical");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -138,9 +159,7 @@ fn merge_replays_early_stopping_decisions() {
         early_stop: Some(EarlyStop::new(eval.baseline_error(), 0.5)),
         ..RunControl::default()
     };
-    let baseline = c
-        .run_controlled(std::slice::from_ref(&stored), TECH, &sa(), &eval, &base)
-        .expect("unsharded run");
+    let baseline = run(&c, &stored, &eval, &base).expect("unsharded run");
     assert!(
         baseline.stopped_early && baseline.completed_trials < c.trials,
         "fixture must actually stop early (ran {} of {})",
@@ -153,16 +172,7 @@ fn merge_replays_early_stopping_decisions() {
         // configuration fingerprint) but never stop early themselves —
         // a shard holds only a subset of each group's trials.
         let sources = run_shards(&c, &stored, &eval, count, &dir, &base);
-        let merged = c
-            .merge(
-                &sources,
-                std::slice::from_ref(&stored),
-                TECH,
-                &sa(),
-                &eval,
-                &base,
-            )
-            .expect("merge");
+        let merged = merge_shards(&c, &sources, &stored, &eval, &base).expect("merge");
         assert_eq!(
             merged, baseline,
             "{count}-shard merge must replay the early-stopping decision"
@@ -179,22 +189,11 @@ fn merge_preserves_failed_trials_and_replay_seeds() {
         panic_trials: vec![2, 9],
         ..RunControl::default()
     };
-    let baseline = c
-        .run_controlled(std::slice::from_ref(&stored), TECH, &sa(), &eval, &base)
-        .expect("unsharded run");
+    let baseline = run(&c, &stored, &eval, &base).expect("unsharded run");
     assert_eq!(baseline.failed_trials.len(), 2, "both hooks must fire");
     let dir = temp_dir("failed");
     let sources = run_shards(&c, &stored, &eval, 3, &dir, &base);
-    let merged = c
-        .merge(
-            &sources,
-            std::slice::from_ref(&stored),
-            TECH,
-            &sa(),
-            &eval,
-            &base,
-        )
-        .expect("merge");
+    let merged = merge_shards(&c, &sources, &stored, &eval, &base).expect("merge");
     assert_eq!(merged, baseline);
     assert_eq!(
         merged
@@ -274,8 +273,7 @@ fn mismatched_shard_layouts_refuse_to_resume() {
         checkpoint: Some(CheckpointConfig::new(&ckpt).every(1).keep_on_success()),
         ..RunControl::default()
     };
-    c.run_controlled(std::slice::from_ref(&stored), TECH, &sa(), &eval, &control)
-        .expect("shard 0 run");
+    run(&c, &stored, &eval, &control).expect("shard 0 run");
     // Resuming the same snapshot under a different layout — or
     // unsharded — must fail typed, not silently run the wrong slice.
     for wrong in [ShardSpec::of(1, 2), ShardSpec::unsharded()] {
@@ -284,61 +282,29 @@ fn mismatched_shard_layouts_refuse_to_resume() {
             checkpoint: Some(CheckpointConfig::new(&ckpt).keep_on_success()),
             ..RunControl::default()
         };
-        let err = c
-            .run_controlled(std::slice::from_ref(&stored), TECH, &sa(), &eval, &control)
-            .expect_err("layout mismatch must be rejected");
+        let err = run(&c, &stored, &eval, &control).expect_err("layout mismatch must be rejected");
         assert!(
             matches!(err, EngineError::CheckpointMismatch { .. }),
             "got {err:?}"
         );
     }
     // Merging it under the snapshot's own recorded layout is fine.
-    let half = c
-        .merge(
-            &[ckpt],
-            std::slice::from_ref(&stored),
-            TECH,
-            &sa(),
-            &eval,
-            &RunControl::default(),
-        )
+    let half = merge_shards(&c, &[ckpt], &stored, &eval, &RunControl::default())
         .expect("merge of one shard completes the rest");
-    let baseline = c
-        .run(std::slice::from_ref(&stored), TECH, &sa(), &eval)
-        .expect("unsharded run");
+    let baseline = run(&c, &stored, &eval, &RunControl::default()).expect("unsharded run");
     assert_eq!(half, baseline);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn a_corrupt_merge_source_is_a_parse_error_naming_that_file() {
+fn a_corrupt_or_missing_merge_source_is_a_typed_error_naming_that_file() {
     let (stored, eval) = fixture();
     let c = campaign();
     let dir = temp_dir("corrupt-source");
-    let sources: Vec<PathBuf> = (0..2)
-        .map(|index| {
-            let ckpt = dir.join(format!("shard-{index}-of-2.ckpt"));
-            let control = RunControl {
-                shard: ShardSpec::of(index, 2),
-                checkpoint: Some(CheckpointConfig::new(&ckpt).every(1).keep_on_success()),
-                ..RunControl::default()
-            };
-            c.run_controlled(std::slice::from_ref(&stored), TECH, &sa(), &eval, &control)
-                .expect("shard run");
-            ckpt
-        })
-        .collect();
+    let sources = run_shards(&c, &stored, &eval, 2, &dir, &RunControl::default());
     // The first source is intact; only the second is garbage.
     std::fs::write(&sources[1], "\u{0}\u{1}not a checkpoint").expect("overwrite shard 1");
-    let err = c
-        .merge(
-            &sources,
-            std::slice::from_ref(&stored),
-            TECH,
-            &sa(),
-            &eval,
-            &RunControl::default(),
-        )
+    let err = merge_shards(&c, &sources, &stored, &eval, &RunControl::default())
         .expect_err("a garbage source must be rejected");
     match &err {
         EngineError::CheckpointParse { path, .. } => {
@@ -347,6 +313,22 @@ fn a_corrupt_merge_source_is_a_parse_error_naming_that_file() {
         other => panic!("expected a parse error, got {other:?}"),
     }
     assert!(err.to_string().contains("shard-1-of-2.ckpt"), "{err}");
+    // A source that does not exist fails to load: an I/O error naming
+    // it, never a result merged from the sources that do.
+    let missing = dir.join("shard-1-never-written.ckpt");
+    let sources = [sources[0].clone(), missing.clone()];
+    let err = merge_shards(&c, &sources, &stored, &eval, &RunControl::default())
+        .expect_err("a missing source must be rejected");
+    match &err {
+        EngineError::CheckpointIo { path, .. } => {
+            assert_eq!(*path, missing.display().to_string())
+        }
+        other => panic!("expected an I/O error, got {other:?}"),
+    }
+    assert!(
+        err.to_string().contains("shard-1-never-written.ckpt"),
+        "{err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -405,18 +387,14 @@ fn child_shard_worker() {
         checkpoint: Some(CheckpointConfig::new(&ckpt).every(1).keep_on_success()),
         ..RunControl::default()
     };
-    campaign()
-        .run_controlled(std::slice::from_ref(&stored), TECH, &sa(), &slow, &control)
-        .expect("child shard run");
+    run(&campaign(), &stored, &slow, &control).expect("child shard run");
 }
 
 #[test]
 fn sigkilled_shard_worker_resumes_and_merge_stays_byte_identical() {
     let (stored, eval) = fixture();
     let c = campaign();
-    let baseline = c
-        .run(std::slice::from_ref(&stored), TECH, &sa(), &eval)
-        .expect("unsharded run");
+    let baseline = run(&c, &stored, &eval, &RunControl::default()).expect("unsharded run");
     let dir = temp_dir("sigkill");
     let ckpt0 = dir.join("shard-0-of-2.ckpt");
     let exe = std::env::current_exe().expect("test binary path");
@@ -449,8 +427,7 @@ fn sigkilled_shard_worker_resumes_and_merge_stays_byte_identical() {
         checkpoint: Some(CheckpointConfig::new(&ckpt0).every(1).keep_on_success()),
         ..RunControl::default()
     };
-    c.run_controlled(std::slice::from_ref(&stored), TECH, &sa(), &eval, &control)
-        .expect("resume shard 0 after SIGKILL");
+    run(&c, &stored, &eval, &control).expect("resume shard 0 after SIGKILL");
     // Run the other shard, then merge.
     let ckpt1 = dir.join("shard-1-of-2.ckpt");
     let control = RunControl {
@@ -458,18 +435,9 @@ fn sigkilled_shard_worker_resumes_and_merge_stays_byte_identical() {
         checkpoint: Some(CheckpointConfig::new(&ckpt1).every(1).keep_on_success()),
         ..RunControl::default()
     };
-    c.run_controlled(std::slice::from_ref(&stored), TECH, &sa(), &eval, &control)
-        .expect("shard 1 run");
-    let merged = c
-        .merge(
-            &[ckpt0, ckpt1],
-            std::slice::from_ref(&stored),
-            TECH,
-            &sa(),
-            &eval,
-            &RunControl::default(),
-        )
-        .expect("merge");
+    run(&c, &stored, &eval, &control).expect("shard 1 run");
+    let merged =
+        merge_shards(&c, &[ckpt0, ckpt1], &stored, &eval, &RunControl::default()).expect("merge");
     assert_eq!(merged, baseline);
     let _ = std::fs::remove_dir_all(&dir);
 }
