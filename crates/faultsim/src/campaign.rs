@@ -252,7 +252,7 @@ mod tests {
         (c, stored)
     }
 
-    /// A context for `tech` on the process-wide pool.
+    /// A context for `tech` on the default thread count.
     fn ctx(tech: CellTechnology, rate_scale: f64) -> EvalContext {
         EvalContext::new(tech, &SenseAmp::paper_default(), rate_scale).expect("context")
     }

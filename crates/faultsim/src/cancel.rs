@@ -2,8 +2,8 @@
 //! campaigns.
 //!
 //! A Monte-Carlo sweep can run for hours; killing the process loses
-//! everything since the last checkpoint and leaves the worker pool to
-//! die mid-trial. A [`CancelToken`] gives the caller a clean way out:
+//! everything since the last checkpoint and leaves its compute threads
+//! to die mid-trial. A [`CancelToken`] gives the caller a clean way out:
 //! the engine checks the token between trials, so flipping it (from a
 //! Ctrl-C handler, another thread, or by arming a deadline at
 //! construction) stops scheduling new trials and lets the in-flight
@@ -12,15 +12,9 @@
 //!
 //! [`CampaignResult`]: crate::campaign::CampaignResult
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-// `cargo xtask loom` swaps the flag to the schedule-perturbing polyfill
-// so the CancelToken handoff races are exercised by the model tests.
-#[cfg(loom)]
-use loom::sync::atomic::{AtomicBool, Ordering};
-#[cfg(not(loom))]
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A shared cancellation flag with an optional wall-clock deadline.
 ///

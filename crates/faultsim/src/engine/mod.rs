@@ -1,5 +1,5 @@
-//! The evaluation engine: shared precomputed fault state plus a
-//! persistent worker pool behind every campaign and design-space sweep.
+//! The evaluation engine: shared precomputed fault state plus scoped
+//! compute threads behind every campaign and design-space sweep.
 //!
 //! A Monte-Carlo evaluation repeats three kinds of work: deriving fault
 //! maps from the cell models (identical for every trial of a
@@ -7,8 +7,9 @@
 //! that only differs in protection), and the per-trial inject → decode
 //! → evaluate loop (embarrassingly parallel). [`EvalContext`] hoists
 //! the first out of the trial loop — one pre-scaled [`FaultMap`] per
-//! bits-per-cell, shared by `Arc` — and schedules the third onto a
-//! process-wide [`WorkerPool`]; [`EvalContext::run_dse_controlled`]
+//! bits-per-cell, shared by `Arc` — and runs the third on the context's
+//! compute threads, which each run spawns for itself and joins before
+//! it returns; [`EvalContext::run_dse_controlled`]
 //! additionally shares raw encodes *and clean decodes* across candidate
 //! schemes through an [`EncodeCache`].
 //!
@@ -25,7 +26,7 @@
 //! with geometric skips, each trial reduced to a sparse
 //! [`WeightDelta`] list against the shared clean decode), and the
 //! evaluators consume those deltas through their one trial entry point,
-//! [`AccuracyEval::eval_deltas_sparse`], on per-worker [`EvalScratch`]
+//! [`AccuracyEval::eval_deltas_sparse`], on per-thread [`EvalScratch`]
 //! state — [`crate::evaluate::NetworkEval`] patches only the dirty rows
 //! of the first fault-touched layer atop a cached clean-prefix forward
 //! pass, [`crate::evaluate::ProxyEval`] adjusts a cached MSE numerator —
@@ -60,30 +61,29 @@
 //!   the iso-training-noise budget (opt-in: fixed budgets stay
 //!   byte-identical by default).
 //!
-//! Determinism is preserved at any worker count: trial `t` always draws
+//! Determinism is preserved at any thread count: trial `t` always draws
 //! from `StdRng::seed_from_u64(seed.wrapping_add(t))` regardless of
-//! which worker runs it, results are assembled in trial order, and
+//! which thread runs it, results are assembled in trial order, and
 //! early-stop decisions are evaluated only at fixed batch boundaries
 //! over that ordered prefix — so the engine reproduces its own
-//! single-worker run bit for bit.
+//! single-thread run bit for bit.
 //!
-//! The default pool sizes itself to `std::thread::available_parallelism`
-//! and can be overridden with the `MAXNVM_THREADS` environment variable;
+//! [`EvalContext::new`] runs on `std::thread::available_parallelism`
+//! compute threads, the calling thread included; the `MAXNVM_THREADS`
+//! environment variable overrides the count (`1` spawns no thread), and
 //! a malformed or zero override is a typed
-//! [`EngineError::InvalidWorkerConfig`] at the API boundary (and a
-//! one-time warning + fallback where no error can be returned).
+//! [`EngineError::InvalidWorkerConfig`].
 
 mod error;
-mod pool;
 mod shard;
+mod threads;
 
 pub use error::EngineError;
-pub use pool::WorkerPool;
 pub use shard::ShardSpec;
 
 use crate::campaign::{wilson_interval, CampaignResult, TrialOutcome};
 use crate::cancel::CancelToken;
-use crate::checkpoint::{CampaignCheckpoint, CheckpointConfig, Fingerprint};
+use crate::checkpoint::{CampaignCheckpoint, CheckpointConfig, Fingerprint, RetryPolicy};
 use crate::dse::{candidate_schemes, DseConfig, DsePoint};
 use crate::evaluate::{AccuracyEval, EvalScratch, SparseModel};
 use maxnvm_dnn::network::{LayerMatrix, WeightDelta};
@@ -99,14 +99,14 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Once, OnceLock};
+use std::sync::Arc;
+use threads::{map_indexed, run_indexed};
 
 /// A checkout pool of reusable [`EvalScratch`] values: each in-flight
 /// evaluation pops one (or starts fresh) and pushes it back. A trial runs
-/// start to finish on one pool thread and never opens a scope of its own,
-/// so at most `workers + 1` trials are in flight (one per worker, one on
-/// the waiting caller) and as many scratch networks exist per run,
-/// independent of the trial count.
+/// start to finish on one compute thread, so at most `threads` trials are
+/// in flight and as many scratch networks exist per run, independent of
+/// the trial count.
 #[derive(Default)]
 struct ScratchPool {
     scratches: Mutex<Vec<EvalScratch>>,
@@ -145,45 +145,14 @@ fn parse_workers(raw: &str) -> Result<usize, EngineError> {
     }
 }
 
-/// The validated worker-thread override from the environment:
-/// `Ok(None)` when `MAXNVM_THREADS` is unset,
-/// [`EngineError::InvalidWorkerConfig`] when it is set but malformed.
-pub fn env_workers() -> Result<Option<usize>, EngineError> {
+/// The compute threads [`EvalContext::new`] runs on: `MAXNVM_THREADS`
+/// when set, otherwise `std::thread::available_parallelism()`, and
+/// [`EngineError::InvalidWorkerConfig`] when the override is malformed.
+fn env_threads() -> Result<usize, EngineError> {
     match std::env::var("MAXNVM_THREADS") {
-        Ok(raw) => parse_workers(&raw).map(Some),
-        Err(_) => Ok(None),
+        Ok(raw) => parse_workers(&raw),
+        Err(_) => Ok(std::thread::available_parallelism().map_or(4, |n| n.get())),
     }
-}
-
-/// The worker count the process-wide pool is built with:
-/// `MAXNVM_THREADS` when set to a positive integer, otherwise
-/// `std::thread::available_parallelism()`. A malformed override cannot
-/// be reported here, so it falls back to the default with a one-time
-/// warning on stderr; [`EvalContext::new`] additionally surfaces the
-/// typed error at the API boundary.
-pub fn default_workers() -> usize {
-    let fallback = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    };
-    match env_workers() {
-        Ok(Some(n)) => n,
-        Ok(None) => fallback(),
-        Err(e) => {
-            static WARN_ONCE: Once = Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!("maxnvm: warning: {e}; falling back to available parallelism");
-            });
-            fallback()
-        }
-    }
-}
-
-/// The process-wide evaluation pool, created on first use.
-pub fn global_pool() -> &'static Arc<WorkerPool> {
-    static POOL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
-    POOL.get_or_init(|| Arc::new(WorkerPool::new(default_workers())))
 }
 
 /// Stringifies a caught panic payload for [`TrialOutcome::Failed`].
@@ -313,9 +282,10 @@ struct DrivenTrials {
 
 /// The generic resilient trial driver behind every entry point: runs
 /// `group_trials` trials per group (campaigns have one group; a DSE has
-/// one per scheme) on `pool`, isolating per-trial panics, honouring
-/// `control.cancel`, checkpointing at the configured cadence, and
-/// applying the early-stop rule per group at fixed batch boundaries.
+/// one per scheme) on `threads` compute threads, isolating per-trial
+/// panics, honouring `control.cancel`, checkpointing at the configured
+/// cadence, and applying the early-stop rule per group at fixed batch
+/// boundaries.
 /// `trial_fn(group, trial)` must be a pure function of its arguments.
 ///
 /// `fingerprint` is the shard-independent base digest of the run
@@ -323,7 +293,7 @@ struct DrivenTrials {
 /// checkpoint fingerprint is it with `control.shard` folded on top.
 #[allow(clippy::too_many_arguments)]
 fn drive_trials(
-    pool: &WorkerPool,
+    threads: usize,
     groups: usize,
     group_trials: usize,
     seed: u64,
@@ -361,6 +331,11 @@ fn drive_trials(
             Some(cp) => {
                 let mut src = cp.clone();
                 src.path = source.clone();
+                // Retrying cannot make a missing source appear: its one
+                // read fails with the store's error naming the file.
+                if !cp.store.exists(source) {
+                    src.retry = RetryPolicy::none();
+                }
                 src.load_snapshot()?
             }
             None => CampaignCheckpoint::load(source)?,
@@ -456,7 +431,7 @@ fn drive_trials(
             }
             continue; // checkpoint covered the whole round; advance
         }
-        let round = pool.scope_map_cancellable(jobs.len(), &control.cancel, |j| {
+        let round = run_indexed(threads, jobs.len(), &control.cancel, |j| {
             let (g, t) = jobs[j];
             outcome_fn(g, t)
         });
@@ -571,17 +546,18 @@ fn save_checkpoint(
 /// Shared evaluation state for one (technology, sense-amp, rate-scale)
 /// configuration: the per-bits-per-cell fault maps (pre-scaled, behind
 /// `Arc` so trials share them without copying), the cell models for
-/// chip-instance campaigns, and the worker pool evaluations run on.
+/// chip-instance campaigns, and how many compute threads its runs use.
 pub struct EvalContext {
     tech: CellTechnology,
     rate_scale: f64,
     fault_maps: Vec<Arc<FaultMap>>,
     cell_models: Vec<CellModel>,
-    pool: Arc<WorkerPool>,
+    threads: usize,
 }
 
 impl EvalContext {
-    /// A context running on the process-wide pool.
+    /// A context running on `MAXNVM_THREADS` compute threads, or on
+    /// `std::thread::available_parallelism()` when the variable is unset.
     ///
     /// Errors with [`EngineError::InvalidWorkerConfig`] if
     /// `MAXNVM_THREADS` is set but not a positive integer, and with
@@ -590,14 +566,15 @@ impl EvalContext {
     /// would fall back with a one-time warning, but the engine boundary
     /// surfaces the typo as a typed error instead.
     pub fn new(tech: CellTechnology, sa: &SenseAmp, rate_scale: f64) -> Result<Self, EngineError> {
-        env_workers()?;
+        let threads = env_threads()?;
         maxnvm_dnn::env_force_scalar()
             .map_err(|e| EngineError::InvalidSimdConfig { value: e.value })?;
-        Self::with_pool(tech, sa, rate_scale, Arc::clone(global_pool()))
+        Self::with_workers(tech, sa, rate_scale, threads)
     }
 
-    /// A context with its own pool of exactly `workers` threads —
-    /// mostly for determinism tests pinning the worker count.
+    /// A context whose runs use exactly `workers` compute threads, the
+    /// calling thread included (`1` spawns no thread) — mostly for
+    /// determinism tests pinning the thread count.
     pub fn with_workers(
         tech: CellTechnology,
         sa: &SenseAmp,
@@ -607,15 +584,6 @@ impl EvalContext {
         if workers == 0 {
             return Err(EngineError::NoWorkers);
         }
-        Self::with_pool(tech, sa, rate_scale, Arc::new(WorkerPool::new(workers)))
-    }
-
-    fn with_pool(
-        tech: CellTechnology,
-        sa: &SenseAmp,
-        rate_scale: f64,
-        pool: Arc<WorkerPool>,
-    ) -> Result<Self, EngineError> {
         if !rate_scale.is_finite() || rate_scale <= 0.0 {
             return Err(EngineError::InvalidRateScale(rate_scale));
         }
@@ -639,13 +607,14 @@ impl EvalContext {
             rate_scale,
             fault_maps,
             cell_models,
-            pool,
+            threads: workers,
         })
     }
 
-    /// Worker threads in this context's pool.
+    /// Compute threads this context's runs use, the calling thread
+    /// included.
     pub fn workers(&self) -> usize {
-        self.pool.workers()
+        self.threads
     }
 
     /// The per-bits-per-cell fault-map provider (already rate-scaled).
@@ -693,10 +662,10 @@ impl EvalContext {
 
     /// Runs a full-injection campaign: `trials` seeded trials, each
     /// injecting every structure of every layer, in parallel on the
-    /// pool, under `control` (per-trial panic isolation, cooperative
-    /// cancellation, checkpoint/resume, sharding and merging, optional
-    /// early stopping). Trial `t` seeds `seed.wrapping_add(t)`; results
-    /// are in trial order, identical at any worker count.
+    /// context's threads, under `control` (per-trial panic isolation,
+    /// cooperative cancellation, checkpoint/resume, sharding and merging,
+    /// optional early stopping). Trial `t` seeds `seed.wrapping_add(t)`;
+    /// results are in trial order, identical at any thread count.
     ///
     /// # Errors
     ///
@@ -732,11 +701,11 @@ impl EvalContext {
 
     /// Runs `trials` seeded trials of every group — a set of stored
     /// layers and the structure kind its faults are injected into (`None`
-    /// injects every structure) — as one grid on the pool, returning one
-    /// result per group in group order. A campaign is the one-group
-    /// case; Fig. 5 runs its 24 configurations as one grid, so the pool
-    /// stays busy across configurations and a scratch keeps one clean
-    /// prefix for every group that decodes to the same weights.
+    /// injects every structure) — as one grid, returning one result per
+    /// group in group order. A campaign is the one-group case; Fig. 5
+    /// runs its 24 configurations as one grid, so the threads stay busy
+    /// across configurations and a scratch keeps one clean prefix for
+    /// every group that decodes to the same weights.
     ///
     /// A `cache` shares one clean decode between groups whose schemes
     /// differ only in bits-per-cell or protection. It keys on layer
@@ -758,16 +727,14 @@ impl EvalContext {
             .iter()
             .flat_map(|(s, _)| s.iter().enumerate())
             .collect();
-        let mut flat = self
-            .pool
-            .scope_map(layers.len(), |j| {
-                let (i, layer) = layers[j];
-                match cache {
-                    Some(cache) => PreparedLayer::new(layer, cache.clean_decode(i, layer)),
-                    None => PreparedLayer::prepare(layer),
-                }
-            })
-            .into_iter();
+        let mut flat = map_indexed(self.threads, layers.len(), |j| {
+            let (i, layer) = layers[j];
+            match cache {
+                Some(cache) => PreparedLayer::new(layer, cache.clean_decode(i, layer)),
+                None => PreparedLayer::prepare(layer),
+            }
+        })
+        .into_iter();
         let prepared: Vec<Vec<PreparedLayer>> = groups
             .iter()
             .map(|(s, _)| flat.by_ref().take(s.len()).collect())
@@ -850,7 +817,7 @@ impl EvalContext {
         };
         let scratch = ScratchPool::default();
         let driven = drive_trials(
-            &self.pool,
+            self.threads,
             prepared.len(),
             trials,
             seed,
@@ -918,9 +885,9 @@ impl EvalContext {
             .iter()
             .map(|l| l.expected_faults_in(None, &fault_for))
             .sum();
-        let prepared: Vec<PreparedLayer> = self
-            .pool
-            .scope_map(stored.len(), |i| PreparedLayer::prepare(&stored[i]));
+        let prepared: Vec<PreparedLayer> = map_indexed(self.threads, stored.len(), |i| {
+            PreparedLayer::prepare(&stored[i])
+        });
         let fingerprint = self.run_fingerprint(
             "chips",
             trials,
@@ -949,8 +916,8 @@ impl EvalContext {
     /// scheme of the context's technology is stored (raw encodes and
     /// clean decodes shared through an [`EncodeCache`]) and evaluated
     /// with a Monte-Carlo campaign over [`PreparedLayer`]s. The work is
-    /// flattened to (scheme, trial) granularity so the pool
-    /// load-balances across the whole sweep rather than one scheme at a
+    /// flattened to (scheme, trial) granularity so the threads
+    /// load-balance across the whole sweep rather than one scheme at a
     /// time.
     ///
     /// `control` adds per-trial panic isolation, cooperative
@@ -985,7 +952,7 @@ impl EvalContext {
         }
         let schemes = candidate_schemes(self.tech);
         let cache = EncodeCache::new();
-        let stored: Vec<(Vec<StoredLayer>, u64)> = self.pool.scope_map(schemes.len(), |s| {
+        let stored: Vec<(Vec<StoredLayer>, u64)> = map_indexed(self.threads, schemes.len(), |s| {
             let layers: Vec<StoredLayer> = layers
                 .iter()
                 .enumerate()
@@ -1001,7 +968,7 @@ impl EvalContext {
         // Clean decodes depend only on the raw encoded streams, so the
         // cache shares one CleanLayerDecode across every scheme that
         // differs only in bits-per-cell or protection.
-        let prepared: Vec<Vec<PreparedLayer>> = self.pool.scope_map(schemes.len(), |s| {
+        let prepared: Vec<Vec<PreparedLayer>> = map_indexed(self.threads, schemes.len(), |s| {
             stored[s]
                 .0
                 .iter()
@@ -1174,8 +1141,10 @@ mod tests {
     }
 
     #[test]
-    fn default_workers_is_positive() {
-        assert!(default_workers() >= 1);
+    fn new_runs_on_at_least_one_thread() {
+        let sa = SenseAmp::paper_default();
+        let ctx = EvalContext::new(CellTechnology::MlcCtt, &sa, 1.0).unwrap();
+        assert!(ctx.workers() >= 1);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! counts: a fault-injection campaign over a conv network whose second
 //! convolution spans many register tiles must produce byte-identical error
 //! vectors whether the kernels run on the scalar tier or the host's best
-//! SIMD tier, and at 1, 2, or 4 pool workers — the acceptance lock for
-//! the runtime-dispatched microkernel work. The same campaign also
-//! bounds the scratches a run holds: one per trial in flight, and at
-//! most one trial per pool thread.
+//! SIMD tier, and at 1, 2, or 4 compute threads — the acceptance lock
+//! for the runtime-dispatched microkernel work. The same campaign also
+//! bounds the threads and scratches a run uses: one scratch per trial in
+//! flight, at most one trial per compute thread, and at most as many
+//! threads as the context was given.
 //!
 //! Tier pinning is process-global dispatch state, so only the first test
 //! pins tiers; the second's errors are tier-invariant by what the first
@@ -22,7 +23,10 @@ use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
 use maxnvm_faultsim::engine::{EvalContext, RunControl};
 use maxnvm_faultsim::evaluate::{AccuracyEval, EvalScratch, NetworkEval, SparseModel};
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::thread::{self, ThreadId};
 
 /// A conv net whose second convolution (32×216 weights, 24×24 output
 /// map) is a 32×216×576 GEMM: many register tiles on every tier.
@@ -121,12 +125,14 @@ fn campaign_is_byte_identical_across_tiers_and_workers() {
 }
 
 /// Forwards to a [`NetworkEval`], counting `eval_deltas_sparse` calls in
-/// flight. Each call is one trial on one pooled scratch, so the peak is
-/// how many clean prefixes the run holds at once.
+/// flight and recording the threads they run on. Each call is one trial
+/// on one pooled scratch, so the peak is how many clean prefixes the run
+/// holds at once.
 struct InFlight<'a> {
     inner: &'a NetworkEval,
     active: AtomicUsize,
     peak: AtomicUsize,
+    threads: Mutex<Vec<ThreadId>>,
 }
 
 impl AccuracyEval for InFlight<'_> {
@@ -147,6 +153,7 @@ impl AccuracyEval for InFlight<'_> {
     ) -> f64 {
         let now = self.active.fetch_add(1, Ordering::SeqCst) + 1;
         self.peak.fetch_max(now, Ordering::SeqCst);
+        self.threads.lock().unwrap().push(thread::current().id());
         let error = self.inner.eval_deltas_sparse(key, clean, deltas, scratch);
         self.active.fetch_sub(1, Ordering::SeqCst);
         error
@@ -154,17 +161,17 @@ impl AccuracyEval for InFlight<'_> {
 }
 
 #[test]
-fn trials_in_flight_never_exceed_workers_plus_one() {
+fn trials_in_flight_never_exceed_threads() {
     // Each trial in flight checks out a scratch, and a scratch's first
     // evaluation builds a clean prefix of its own. Trials run one per
-    // pool thread (each worker and the waiting caller), so a run holds
-    // at most `workers + 1` scratches and prefixes, whatever its trial
-    // count.
+    // compute thread, the caller included, so a run on `threads`
+    // threads holds at most `threads` scratches and prefixes, whatever
+    // its trial count, and one thread means the caller's alone.
     let (eval, stored) = fixture();
     let sa = SenseAmp::paper_default();
     let (trials, seed, scale) = (16usize, 7u64, 2000.0);
-    let run = |eval: &(dyn AccuracyEval + Sync), workers: usize| {
-        EvalContext::with_workers(CellTechnology::MlcCtt, &sa, scale, workers)
+    let run = |eval: &(dyn AccuracyEval + Sync), threads: usize| {
+        EvalContext::with_workers(CellTechnology::MlcCtt, &sa, scale, threads)
             .unwrap()
             .run_campaign(trials, seed, &stored, eval, &RunControl::default())
             .unwrap()
@@ -172,19 +179,29 @@ fn trials_in_flight_never_exceed_workers_plus_one() {
     };
     let reference = run(&eval, 1);
     assert_eq!(reference.len(), trials);
-    for workers in [1, 2, 4] {
+    for threads in [1, 2, 4] {
         let counted = InFlight {
             inner: &eval,
             active: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
+            threads: Mutex::new(Vec::new()),
         };
-        let errors = run(&counted, workers);
+        let errors = run(&counted, threads);
         let bits = |e: &[f64]| e.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&errors), bits(&reference), "workers={workers}");
+        assert_eq!(bits(&errors), bits(&reference), "threads={threads}");
         let peak = counted.peak.load(Ordering::SeqCst);
         assert!(
-            peak <= workers + 1,
-            "{peak} trials in flight on {workers} workers"
+            peak <= threads,
+            "{peak} trials in flight on {threads} threads"
         );
+        let used: HashSet<ThreadId> = counted.threads.into_inner().unwrap().into_iter().collect();
+        assert!(
+            used.len() <= threads,
+            "trials ran on {} threads with {threads} allowed",
+            used.len()
+        );
+        if threads == 1 {
+            assert!(used.contains(&thread::current().id()), "threads=1");
+        }
     }
 }

@@ -40,7 +40,7 @@ fn campaign() -> Campaign {
     }
 }
 
-/// Runs the fixture campaign under `control` on the process-wide pool.
+/// Runs the fixture campaign under `control` on the default thread count.
 fn run(control: &RunControl) -> Result<CampaignResult, EngineError> {
     let (stored, eval) = fixture();
     let c = campaign();

@@ -32,7 +32,7 @@
 //!
 //! Scope: `src/` of every workspace crate plus the root package, minus
 //! `src/bin/`, `tests/`, `benches/`, `examples/`, `#[cfg(test)]` /
-//! `#[test]` / `#[cfg(loom)]` items, and this xtask itself.
+//! `#[test]` items, and this xtask itself.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

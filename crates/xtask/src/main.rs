@@ -5,12 +5,9 @@
 //!   (DESIGN.md §11, §16). Exits non-zero on any non-allow-listed
 //!   violation. `--json` additionally writes a machine-readable report
 //!   (default `maxnvm-lint-report.json` at the workspace root).
-//! - `miri [--strict]` — run the sanctioned Miri suite (`bits`, `ecc`,
-//!   `envm` unit tests plus the pool transmute test). Skips with a
-//!   warning when the Miri component is not installed, unless
-//!   `--strict`.
-//! - `loom` — build and run the `--cfg loom` model checks of the
-//!   WorkerPool and `CancelToken` handoff.
+//! - `miri [--strict]` — run the sanctioned Miri suite (`bits`, `ecc`
+//!   and the `envm` Gray-code unit tests). Skips with a warning when the
+//!   Miri component is not installed, unless `--strict`.
 //! - `deny [--strict]` — run `cargo deny check` if cargo-deny is
 //!   installed; otherwise skip with a warning, unless `--strict`.
 
@@ -22,21 +19,22 @@ use std::env;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
+const USAGE: &str = "usage: cargo xtask <lint [--json [PATH]] | miri [--strict] | deny [--strict]>";
+
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let root = workspace_root();
     match args.first().map(String::as_str) {
         Some("lint") => cmd_lint(&root, &args[1..]),
         Some("miri") => cmd_miri(&root, args.iter().any(|a| a == "--strict")),
-        Some("loom") => cmd_loom(&root),
         Some("deny") => cmd_deny(&root, args.iter().any(|a| a == "--strict")),
         Some(other) => {
             eprintln!("unknown xtask command {other:?}");
-            eprintln!("usage: cargo xtask <lint [--json [PATH]] | miri [--strict] | loom | deny [--strict]>");
+            eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("usage: cargo xtask <lint [--json [PATH]] | miri [--strict] | loom | deny [--strict]>");
+            eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
     }
@@ -92,54 +90,16 @@ fn cmd_miri(root: &Path, strict: bool) -> ExitCode {
         eprintln!("warning: SKIPPED miri suite — {msg}");
         return ExitCode::SUCCESS;
     }
-    // The sanctioned suite: pure bit-level crates end to end, plus the
-    // pool's lifetime-erasing transmute exercised under the borrow
-    // tracker. Kept small: Miri runs ~100x slower than native.
+    // The sanctioned suite: pure bit-level crates end to end. Kept
+    // small: Miri runs ~100x slower than native.
     run_all(
         root,
         &[
             &["miri", "test", "-p", "maxnvm-bits"],
             &["miri", "test", "-p", "maxnvm-ecc"],
             &["miri", "test", "-p", "maxnvm-envm", "--lib", "gray"],
-            &[
-                "miri",
-                "test",
-                "-p",
-                "maxnvm-faultsim",
-                "--lib",
-                "engine::pool::tests::transmute_",
-            ],
         ],
     )
-}
-
-fn cmd_loom(root: &Path) -> ExitCode {
-    // The vendored loom polyfill is a regular dependency, so the model
-    // checks build offline; `--cfg loom` swaps the pool's primitives to
-    // the schedule-perturbing versions and enables the model tests.
-    let mut rustflags = env::var("RUSTFLAGS").unwrap_or_default();
-    if !rustflags.contains("--cfg loom") {
-        if !rustflags.is_empty() {
-            rustflags.push(' ');
-        }
-        rustflags.push_str("--cfg loom");
-    }
-    let status = Command::new("cargo")
-        .args([
-            "test",
-            "--release",
-            "-p",
-            "maxnvm-faultsim",
-            "--test",
-            "loom_pool",
-        ])
-        .env("RUSTFLAGS", rustflags)
-        // Keep the loom artifacts apart from the main cache: RUSTFLAGS
-        // changes would otherwise thrash the shared target dir.
-        .env("CARGO_TARGET_DIR", root.join("target/loom"))
-        .current_dir(root)
-        .status();
-    exit_of(status)
 }
 
 fn cmd_deny(root: &Path, strict: bool) -> ExitCode {

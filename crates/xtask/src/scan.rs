@@ -3,7 +3,7 @@
 //! The build environment is offline, so the lint cannot depend on `syn`;
 //! instead this module lexes a source file just far enough to separate
 //! *code* from *comments and string contents*, and to mark lines that
-//! belong to test-only items (`#[cfg(test)]` / `#[cfg(loom)]` / `#[test]`).
+//! belong to test-only items (`#[cfg(test)]` / `#[test]`).
 //! That is all the rule matchers need: they operate on identifier
 //! occurrences in the code channel, never on comment or literal text.
 
@@ -16,7 +16,7 @@ pub struct FileScan {
     /// Comment text per line (line, doc, and block comments), used for
     /// `// SAFETY:` and `maxnvm-lint: allow(...)` detection.
     pub comments: Vec<String>,
-    /// Lines inside `#[cfg(test)]`, `#[cfg(loom)]`, or `#[test]` items.
+    /// Lines inside `#[cfg(test)]` or `#[test]` items.
     pub excluded: Vec<bool>,
 }
 
@@ -247,7 +247,7 @@ pub fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Marks lines inside `#[cfg(test)]` / `#[cfg(loom)]` / `#[test]` items.
+/// Marks lines inside `#[cfg(test)]` / `#[test]` items.
 ///
 /// Tracks brace depth through the code channel; when a test attribute is
 /// seen, the next braced body at the same depth is excluded. A `;` at
@@ -322,11 +322,11 @@ fn mark_excluded(code: &[String]) -> Vec<bool> {
     excluded
 }
 
-/// Is this attribute body a test/loom gate?
+/// Is this attribute body a test gate?
 ///
-/// Matches `test`, `cfg(test)`, `cfg(loom)`, and `cfg(all/any(...))`
-/// combinations containing the `test` or `loom` words — but not
-/// `cfg(not(...))` gates, which guard *production* code.
+/// Matches `test`, `cfg(test)`, and `cfg(all/any(...))` combinations
+/// containing the `test` word — but not `cfg(not(...))` gates, which
+/// guard *production* code.
 fn is_test_attr(attr: &str) -> bool {
     let t = attr.trim();
     if t == "test" {
@@ -335,7 +335,7 @@ fn is_test_attr(attr: &str) -> bool {
     if !has_word(t, "cfg") || has_word(t, "not") {
         return false;
     }
-    has_word(t, "test") || has_word(t, "loom")
+    has_word(t, "test")
 }
 
 /// Whole-identifier containment check.
@@ -410,7 +410,7 @@ mod tests {
 
     #[test]
     fn gated_use_does_not_eat_the_next_block() {
-        let src = "#[cfg(loom)]\nuse loom::sync::Mutex;\nfn prod() { body(); }\n";
+        let src = "#[cfg(test)]\nuse std::sync::Mutex;\nfn prod() { body(); }\n";
         let s = scan(src);
         assert!(!s.excluded[2]);
     }

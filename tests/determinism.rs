@@ -53,8 +53,8 @@ fn clustering_and_storage_are_deterministic() {
 #[test]
 fn campaigns_are_deterministic_across_thread_schedules() {
     // Trials are seeded per trial id and assembled in trial order, so
-    // every campaign entry point must return the identical result on a
-    // pool of 1, 2 or every core.
+    // every campaign entry point must return the identical result on 1,
+    // 2 or every core's worth of threads.
     let spec = zoo::vgg12();
     let m = spec.layers[5].sample_matrix(spec.paper.sparsity, 11, 64, 256);
     let c = ClusteredLayer::from_matrix(&m, 4, 5);
@@ -154,11 +154,12 @@ fn engine_dse_is_identical_at_any_worker_count() {
 
 #[test]
 fn engine_dse_agrees_with_the_reference_sweep() {
-    // The reference is a serial oracle with no pool, no encode cache and
-    // no delta path: every candidate scheme stores the layers afresh, and
-    // trial `t` decodes them with the fault sampler seeded `seed + t` and
-    // evaluates the materialized matrices. The engine must reproduce it
-    // exactly: cell counts, and every point's mean error to the bit.
+    // The reference is a serial oracle with no helper threads, no encode
+    // cache and no delta path: every candidate scheme stores the layers
+    // afresh, and trial `t` decodes them with the fault sampler seeded
+    // `seed + t` and evaluates the materialized matrices. The engine must
+    // reproduce it exactly: cell counts, and every point's mean error to
+    // the bit.
     use maxnvm_encoding::storage::PreparedLayer;
     use maxnvm_faultsim::campaign::fault_maps;
     use maxnvm_faultsim::dse::candidate_schemes;

@@ -50,8 +50,8 @@ fn sa() -> SenseAmp {
     SenseAmp::paper_default()
 }
 
-/// Runs campaign `c` over `stored` under `control` on the process-wide
-/// pool.
+/// Runs campaign `c` over `stored` under `control` on the default
+/// thread count.
 fn run(
     c: &Campaign,
     stored: &StoredLayer,
@@ -253,10 +253,9 @@ fn mid_run_cancellation_yields_clean_partial_result() {
     let c = campaign();
     let token = CancelToken::new();
     let cancelling = InstrumentedEval::cancelling(&eval, 5, token.clone());
-    // The token fires during the fifth evaluation, so at least five
-    // trials complete; the scope caller helps the single pool worker run
-    // jobs, so one more trial may already be in flight when the token
-    // lands — the completed set is a contiguous trial prefix either way.
+    // The token fires during the fifth evaluation. One thread runs the
+    // trials in order and checks the token before each, so exactly the
+    // first five complete.
     let ctx = EvalContext::with_workers(TECH, &sa(), RATE_SCALE, 1).expect("ctx");
     let result = ctx
         .run_campaign(
@@ -268,12 +267,7 @@ fn mid_run_cancellation_yields_clean_partial_result() {
         )
         .expect("cancelled run returns partial result");
     assert!(result.cancelled);
-    assert!(
-        result.completed_trials >= 5 && result.completed_trials < c.trials,
-        "cut landed at {} of {}",
-        result.completed_trials,
-        c.trials
-    );
+    assert_eq!(result.completed_trials, 5, "cut landed elsewhere");
     assert_eq!(result.requested_trials, c.trials);
     // The completed prefix keeps its per-trial streams: it matches the
     // uninterrupted run's leading trials exactly.

@@ -13,10 +13,11 @@ use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
 use maxnvm_faultsim::evaluate::{EvalScratch, SparseModel};
 use maxnvm_faultsim::{
-    AccuracyEval, Campaign, CampaignResult, CheckpointConfig, DseConfig, EarlyStop, EngineError,
-    EvalContext, ProxyEval, RunControl, ShardSpec,
+    AccuracyEval, Campaign, CampaignResult, CheckpointConfig, CheckpointStore, DseConfig,
+    EarlyStop, EngineError, EvalContext, FsStore, ProxyEval, RunControl, ShardSpec,
 };
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const TECH: CellTechnology = CellTechnology::MlcCtt;
@@ -50,8 +51,8 @@ fn sa() -> SenseAmp {
     SenseAmp::paper_default()
 }
 
-/// Runs campaign `c` over `stored` under `control` on the process-wide
-/// pool.
+/// Runs campaign `c` over `stored` under `control` on the default
+/// thread count.
 fn run(
     c: &Campaign,
     stored: &StoredLayer,
@@ -329,7 +330,49 @@ fn a_corrupt_or_missing_merge_source_is_a_typed_error_naming_that_file() {
         err.to_string().contains("shard-1-never-written.ckpt"),
         "{err}"
     );
+    // With a checkpoint configured, sources load through its store and
+    // retry policy; a missing one still fails on its first read.
+    let store = Arc::new(CountingStore::default());
+    let checkpointed = RunControl {
+        checkpoint: Some(CheckpointConfig::new(dir.join("merge.ckpt")).with_store(store.clone())),
+        ..RunControl::default()
+    };
+    let err = merge_shards(&c, &sources, &stored, &eval, &checkpointed)
+        .expect_err("a missing source must be rejected");
+    match &err {
+        EngineError::CheckpointIo { path, .. } => {
+            assert_eq!(*path, missing.display().to_string())
+        }
+        other => panic!("expected an I/O error, got {other:?}"),
+    }
+    let reads = store.reads.lock().unwrap().clone();
+    assert_eq!(reads.iter().filter(|p| **p == missing).count(), 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The filesystem store, recording the path of every read.
+#[derive(Debug, Default)]
+struct CountingStore {
+    reads: Mutex<Vec<PathBuf>>,
+}
+
+impl CheckpointStore for CountingStore {
+    fn write_atomic(&self, path: &Path, text: &str) -> Result<(), EngineError> {
+        FsStore.write_atomic(path, text)
+    }
+
+    fn read(&self, path: &Path) -> Result<String, EngineError> {
+        self.reads.lock().unwrap().push(path.to_path_buf());
+        FsStore.read(path)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        FsStore.exists(path)
+    }
+
+    fn remove(&self, path: &Path) -> Result<(), EngineError> {
+        FsStore.remove(path)
+    }
 }
 
 // ---------------------------------------------------------------------
