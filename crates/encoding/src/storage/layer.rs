@@ -174,7 +174,9 @@ impl StoredLayer {
     /// read value is drawn once from its level distribution (§4.1's
     /// "unique generated fault maps"), so the returned
     /// [`ProgrammedLayer`] decodes **deterministically** — the faults are
-    /// permanent programming outcomes, not per-read noise.
+    /// permanent programming outcomes, not per-read noise. It applies the
+    /// flips of [`Self::sample_chip_flips`] to a copy of each
+    /// structure's cells, so the two consume the RNG identically.
     pub fn program_chip<R: Rng + ?Sized>(
         &self,
         cell_for: &dyn Fn(MlcConfig) -> CellModel,
@@ -183,12 +185,13 @@ impl StoredLayer {
         let read_cells = self
             .structures
             .iter()
-            .map(|s| {
-                let cell = cell_for(s.bpc);
-                s.cells
-                    .iter()
-                    .map(|&lvl| cell.sample_read(lvl as usize, rng) as u8)
-                    .collect()
+            .zip(self.sample_chip_flips(cell_for, rng))
+            .map(|(s, flips)| {
+                let mut cells = s.cells.clone();
+                for (i, read) in flips {
+                    cells[i as usize] = read;
+                }
+                cells
             })
             .collect();
         ProgrammedLayer::new(self.clone(), read_cells)
@@ -196,13 +199,15 @@ impl StoredLayer {
 
     /// Samples one chip instance as a sparse flip list instead of a full
     /// [`ProgrammedLayer`]: per structure (in storage order), every
-    /// cell's analog read is drawn exactly as [`Self::program_chip`]
-    /// draws it — the RNG stream is identical — but only the cells whose
+    /// cell's analog read is drawn once with [`CellModel::sample_read`]
+    /// (two uniforms per cell; the transcendentals run only for the few
+    /// draws that could leave their level), and only the cells whose
     /// read level differs from the programmed level are recorded, as
     /// `(cell index, read level)` pairs per structure. Feeding these to
     /// `PreparedLayer::deltas_flips` decodes the same faulty matrix as
-    /// programming and fully decoding the chip, in O(faults) instead of
-    /// O(cells).
+    /// programming and fully decoding the chip
+    /// ([`Self::program_chip`], which applies these flips), without
+    /// materializing or decoding the cells.
     pub fn sample_chip_flips<R: Rng + ?Sized>(
         &self,
         cell_for: &dyn Fn(MlcConfig) -> CellModel,

@@ -252,8 +252,7 @@ impl<'a> PreparedLayer<'a> {
                 if target.is_some_and(|t| t != s.kind) {
                     return Vec::new();
                 }
-                let sampler = SparseFaultSampler::new((*fault_for(s.bpc)).clone());
-                sampler.sample_faults(&self.partitions[i], rng)
+                SparseFaultSampler::new(&fault_for(s.bpc)).sample_faults(&self.partitions[i], rng)
             })
             .collect()
     }

@@ -511,10 +511,12 @@ fn prepared_sampled_decode_is_deterministic_and_calibrated() {
 
 #[test]
 fn sampled_chip_flips_reproduce_programmed_chip() {
-    // `sample_chip_flips` must consume the RNG exactly as `program_chip`
-    // does: same seed → the flip list is precisely the cells where the
-    // programmed chip disagrees with the stored levels, so decoding the
-    // flips reproduces the chip's decode bit for bit.
+    // Same seed → the flip list is precisely the cells where the
+    // programmed chip disagrees with the stored levels (`program_chip`
+    // applies `sample_chip_flips`; the sampler itself is locked against
+    // the verbatim Box–Muller read in `maxnvm_envm::level`'s tests), so
+    // decoding the flips, or their deltas, reproduces the chip's full
+    // decode bit for bit.
     let c = clustered(16, 256, 0.5, 21);
     for scheme in [
         StorageScheme::uniform(EncodingKind::BitMask, MlcConfig::MLC3).with_idx_sync(),

@@ -7,7 +7,7 @@
 //! measured CTT current histograms (Fig. 2b) and published RRAM data.
 
 use crate::fault::FaultMap;
-use crate::math::{normal_cdf, q_function, sample_normal};
+use crate::math::{box_muller, box_muller_uniforms, normal_cdf, q_function};
 use crate::sense::SenseAmp;
 use rand::Rng;
 use std::fmt;
@@ -110,6 +110,9 @@ impl LevelDistribution {
 pub struct CellModel {
     levels: Vec<LevelDistribution>,
     thresholds: Vec<f64>,
+    /// Per level, the bound above which a Box–Muller `u1` cannot carry
+    /// the read out of the level's window ([`Self::sample_read`]).
+    no_flip: Vec<f64>,
 }
 
 impl CellModel {
@@ -142,7 +145,7 @@ impl CellModel {
                 (p[0].mean * p[1].sigma + p[1].mean * p[0].sigma) / (p[0].sigma + p[1].sigma)
             })
             .collect();
-        Self { levels, thresholds }
+        Self::from_parts(levels, thresholds)
     }
 
     /// Builds a cell with explicit thresholds.
@@ -160,7 +163,38 @@ impl CellModel {
                 "threshold {i} = {t} does not separate levels"
             );
         }
-        Self { levels, thresholds }
+        Self::from_parts(levels, thresholds)
+    }
+
+    /// Assembles a cell from validated parts and computes each level's
+    /// no-flip bound `B`, as [`Self::sample_read`] defines it.
+    fn from_parts(levels: Vec<LevelDistribution>, thresholds: Vec<f64>) -> Self {
+        // Level i sits between thresholds i-1 and i; the end levels have
+        // one neighbour, so the missing side is infinitely far.
+        let below = std::iter::once(f64::NEG_INFINITY).chain(thresholds.iter().copied());
+        let above = thresholds
+            .iter()
+            .copied()
+            .chain(std::iter::once(f64::INFINITY));
+        let no_flip = levels
+            .iter()
+            .zip(below.zip(above))
+            .map(|(l, (lo, hi))| {
+                let d = (l.mean - lo).min(hi - l.mean);
+                // Under ~2e-9 of its magnitude, rounding `mean + σz`
+                // alone could cross a threshold: always run the formula.
+                if 1e-7 * d <= f64::EPSILON * (l.mean.abs() + d) {
+                    return f64::INFINITY;
+                }
+                let r = d / l.sigma * (1.0 - 1e-6);
+                (-0.5 * r * r).exp() * (1.0 + 1e-6)
+            })
+            .collect();
+        Self {
+            levels,
+            thresholds,
+            no_flip,
+        }
     }
 
     /// Number of programmable levels.
@@ -193,10 +227,7 @@ impl CellModel {
             .iter()
             .map(|l| LevelDistribution::new(l.mean, (l.sigma * l.sigma + off * off).sqrt()))
             .collect();
-        CellModel {
-            levels,
-            thresholds: self.thresholds.clone(),
-        }
+        Self::from_parts(levels, self.thresholds.clone())
     }
 
     /// Probability that a cell programmed to `stored` is read back as
@@ -253,18 +284,40 @@ impl CellModel {
     }
 
     /// Samples the level read back for a cell programmed to `stored`, by
-    /// the paper's §4.1 procedure verbatim: draw the analog read signal
-    /// from the stored level's Gaussian and locate it among the sense
-    /// thresholds. Unlike [`FaultMap::sample`](crate::FaultMap::sample),
-    /// this path also produces the (astronomically rare) non-adjacent
-    /// misreads.
+    /// the paper's §4.1 procedure: draw the analog read signal from the
+    /// stored level's Gaussian and locate it among the sense thresholds.
+    /// Unlike [`FaultMap::sample`](crate::FaultMap::sample), this path
+    /// also produces the (astronomically rare) non-adjacent misreads.
+    ///
+    /// The result, and the RNG state after it, equal those of
+    /// [`math::sample_normal`](crate::math::sample_normal) followed by
+    /// `thresholds().partition_point(|&t| t < x)`, but the
+    /// transcendentals run only for draws that could leave the level.
+    /// Both uniforms are drawn as Box–Muller draws them; then, with `d`
+    /// the distance from the level's mean to its nearest threshold,
+    /// `r = (d/σ)·(1 − 1e-6)` and `B = exp(−r²/2)·(1 + 1e-6)` (fixed per
+    /// level at construction), any `u1 > B` gives
+    /// `|σ·sqrt(−2 ln u1)·cos(2π u2)| < σr < d` for every `u2`, so the
+    /// read stays strictly inside the level's window and is `stored`.
+    /// The 1e-6 margins exceed every rounding in the formula (a few
+    /// `f64` epsilons) by about nine orders of magnitude, so the skip
+    /// is exact, not approximate. (A level whose window is under ~2e-9
+    /// of its magnitude, where that no longer holds, has `B = ∞`: its
+    /// draws always run the formula.) Behind the paper's sense amplifier,
+    /// the MLC3 levels of the three MLC technologies send 4e-5 to 1.8e-4
+    /// of their draws down the verbatim path, and MLC2 and SLC levels
+    /// fewer than 1e-9.
     ///
     /// # Panics
     ///
     /// Panics if `stored` is out of range.
     pub fn sample_read<R: Rng + ?Sized>(&self, stored: usize, rng: &mut R) -> usize {
+        let (u1, u2) = box_muller_uniforms(rng);
+        if u1 > self.no_flip[stored] {
+            return stored;
+        }
         let l = self.levels[stored];
-        let x = sample_normal(rng, l.mean, l.sigma);
+        let x = l.mean + l.sigma * box_muller(u1, u2);
         // Thresholds are sorted; the read level is the bin x falls in.
         self.thresholds.partition_point(|&t| t < x)
     }
@@ -414,6 +467,124 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The §4.1 read verbatim: a Box–Muller normal, binned by the sense
+    /// thresholds.
+    fn verbatim_read<R: Rng + ?Sized>(c: &CellModel, stored: usize, rng: &mut R) -> usize {
+        let l = c.levels()[stored];
+        let x = crate::math::sample_normal(rng, l.mean, l.sigma);
+        c.thresholds().partition_point(|&t| t < x)
+    }
+
+    /// Every technology × bits-per-cell, bare and behind the paper's
+    /// sense amplifier; evenly spaced cells with σ up to the full window,
+    /// where flips and the verbatim path are common; and a two-level
+    /// cell whose window is a few ulps wide at 1e9, where the rounding
+    /// of `mean + σz` alone can cross a threshold.
+    fn sampler_models() -> Vec<CellModel> {
+        let sa = SenseAmp::paper_default();
+        let mut models = Vec::new();
+        for tech in crate::CellTechnology::ALL {
+            for cfg in tech.available_configs() {
+                let c = tech.cell_model(cfg);
+                models.push(c.with_sense_amp(&sa));
+                models.push(c);
+            }
+        }
+        for sigma in [0.01, 0.03, 0.1, 0.3, 1.0] {
+            for n in [2, 4, 8] {
+                models.push(evenly_spaced(n, sigma));
+            }
+        }
+        let ulp = 1e9f64.next_up() - 1e9;
+        models.push(CellModel::new(vec![
+            LevelDistribution::new(1e9, 1.5 * ulp),
+            LevelDistribution::new(1e9 + 8.0 * ulp, 1.5 * ulp),
+        ]));
+        models
+    }
+
+    #[test]
+    fn sample_read_matches_the_verbatim_formula_draw_by_draw() {
+        use rand::SeedableRng;
+        let (mut flips, mut verbatim_path) = (0usize, 0usize);
+        for (m, c) in sampler_models().iter().enumerate() {
+            let mut fast = rand::rngs::StdRng::seed_from_u64(40 + m as u64);
+            let mut reference = fast.clone();
+            for stored in 0..c.num_levels() {
+                for draw in 0..20_000 {
+                    let u1 = 1.0 - fast.clone().gen::<f64>();
+                    verbatim_path += usize::from(u1 <= c.no_flip[stored]);
+                    let got = c.sample_read(stored, &mut fast);
+                    let want = verbatim_read(c, stored, &mut reference);
+                    assert_eq!(got, want, "model {m}, level {stored}, draw {draw}");
+                    assert_eq!(fast, reference, "model {m}: RNG streams diverged");
+                    flips += usize::from(got != stored);
+                }
+            }
+        }
+        // Both paths and both outcomes must be exercised for the lock to
+        // mean anything.
+        assert!(flips > 100_000, "{flips} flips");
+        assert!(verbatim_path > 200_000, "{verbatim_path} verbatim draws");
+    }
+
+    /// Replays scripted 64-bit outputs.
+    struct Script(Vec<u64>);
+
+    impl rand::RngCore for Script {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            assert!(!self.0.is_empty(), "script exhausted");
+            self.0.remove(0)
+        }
+    }
+
+    #[test]
+    fn sample_read_agrees_one_ulp_either_side_of_each_bound() {
+        // `gen::<f64>()` is `(x >> 11)·2^-53`, so `u1 = 1 - gen()` takes
+        // exactly the values `j·2^-53` for `j` in `1..=2^53`. Put `u1` on
+        // the nearest such values either side of each level's bound, and
+        // `u2` at 0 and 0.5, where `cos(2π u2) = ±1` pushes the read
+        // straight at the upper or lower threshold.
+        const ONE: u64 = 1 << 53;
+        let (mut above, mut at_or_below) = (0usize, 0usize);
+        for (m, c) in sampler_models().iter().enumerate() {
+            for (stored, &bound) in c.no_flip.iter().enumerate() {
+                // Smallest j with j·2^-53 > bound (both products exact).
+                let j_above = if bound < 1.0 {
+                    (bound * ONE as f64).floor() as u64 + 1
+                } else {
+                    ONE + 1
+                };
+                for j in [j_above - 1, j_above] {
+                    if j == 0 || j > ONE {
+                        continue;
+                    }
+                    let u1 = j as f64 / ONE as f64;
+                    assert_eq!(u1 > bound, j == j_above, "model {m}, level {stored}");
+                    for u2_bits in [0u64, 1 << 63] {
+                        let script = || Script(vec![(ONE - j) << 11, u2_bits, 7]);
+                        let (mut a, mut b) = (script(), script());
+                        let got = c.sample_read(stored, &mut a);
+                        let want = verbatim_read(c, stored, &mut b);
+                        assert_eq!(got, want, "model {m}, level {stored}, u1 {u1:e}");
+                        assert_eq!(a.0, b.0, "model {m}: draws consumed differ");
+                        assert_eq!(a.0.len(), 1, "model {m}: a read draws two uniforms");
+                    }
+                    if u1 > bound {
+                        above += 1;
+                    } else {
+                        at_or_below += 1;
+                    }
+                }
+            }
+        }
+        assert!(above > 100 && at_or_below > 100, "{above} / {at_or_below}");
     }
 
     #[test]

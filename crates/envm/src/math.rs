@@ -49,9 +49,21 @@ pub fn normal_cdf(z: f64) -> f64 {
 /// Implemented locally so the crate only depends on `rand` (not
 /// `rand_distr`).
 pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    // Rejection-free polar-less form; u1 in (0,1] avoids ln(0).
+    let (u1, u2) = box_muller_uniforms(rng);
+    box_muller(u1, u2)
+}
+
+/// The two uniforms one Box–Muller sample consumes, in draw order:
+/// `u1` in `(0, 1]` (which avoids `ln(0)`), then `u2` in `[0, 1)`.
+pub(crate) fn box_muller_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
+    (u1, u2)
+}
+
+/// The rejection-free (non-polar) Box–Muller transform of
+/// [`box_muller_uniforms`]' draws: `sqrt(-2 ln u1) · cos(2π u2)`.
+pub(crate) fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 

@@ -73,20 +73,23 @@ impl LevelPartition {
 }
 
 /// Draws fault positions by geometric skips over a [`LevelPartition`].
-#[derive(Debug, Clone)]
-pub struct SparseFaultSampler {
-    map: FaultMap,
+///
+/// It borrows its fault map, so a trial wraps a shared map without
+/// copying it.
+#[derive(Debug, Clone, Copy)]
+pub struct SparseFaultSampler<'a> {
+    map: &'a FaultMap,
 }
 
-impl SparseFaultSampler {
-    /// Creates a sampler from a fault map.
-    pub fn new(map: FaultMap) -> Self {
+impl<'a> SparseFaultSampler<'a> {
+    /// Creates a sampler over a fault map.
+    pub fn new(map: &'a FaultMap) -> Self {
         Self { map }
     }
 
     /// The underlying fault map.
-    pub fn map(&self) -> &FaultMap {
-        &self.map
+    pub fn map(&self) -> &'a FaultMap {
+        self.map
     }
 
     /// Samples one trial's faults: `(cell position, misread level)` pairs,
@@ -200,7 +203,8 @@ mod tests {
 
     #[test]
     fn perfect_map_samples_no_faults() {
-        let sampler = SparseFaultSampler::new(FaultMap::perfect(8));
+        let fmap = FaultMap::perfect(8);
+        let sampler = SparseFaultSampler::new(&fmap);
         let part = LevelPartition::new(&test_cells(1000, 8), 8);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         assert!(sampler.sample_faults(&part, &mut rng).is_empty());
@@ -210,7 +214,8 @@ mod tests {
     fn sub_epsilon_rates_sample_no_spurious_faults() {
         // Real SLC rates sit far below f64 epsilon; a naive `(1-p).ln()`
         // rounds to zero there and every skip collapses to 0.
-        let sampler = SparseFaultSampler::new(map(2, 1e-100, 1e-100));
+        let fmap = map(2, 1e-100, 1e-100);
+        let sampler = SparseFaultSampler::new(&fmap);
         let part = LevelPartition::new(&test_cells(4096, 2), 2);
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         for _ in 0..20 {
@@ -220,7 +225,8 @@ mod tests {
 
     #[test]
     fn faults_are_adjacent_sorted_and_unique() {
-        let sampler = SparseFaultSampler::new(map(4, 0.05, 0.03));
+        let fmap = map(4, 0.05, 0.03);
+        let sampler = SparseFaultSampler::new(&fmap);
         let cells = test_cells(5000, 4);
         let part = LevelPartition::new(&cells, 4);
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
@@ -236,7 +242,8 @@ mod tests {
 
     #[test]
     fn saturated_rate_faults_every_cell() {
-        let sampler = SparseFaultSampler::new(map(2, 1.0, 1.0));
+        let fmap = map(2, 1.0, 1.0);
+        let sampler = SparseFaultSampler::new(&fmap);
         let part = LevelPartition::new(&test_cells(64, 2), 2);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         assert_eq!(sampler.sample_faults(&part, &mut rng).len(), 64);
@@ -244,7 +251,8 @@ mod tests {
 
     #[test]
     fn sampler_output_is_pinned_per_seed() {
-        let sampler = SparseFaultSampler::new(map(4, 0.02, 0.01));
+        let fmap = map(4, 0.02, 0.01);
+        let sampler = SparseFaultSampler::new(&fmap);
         let part = LevelPartition::new(&test_cells(2000, 4), 4);
         let draw = |seed: u64| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -272,7 +280,7 @@ mod tests {
         let mut sparse_counts = vec![0u64; 2 * levels];
         let mut ref_counts = vec![0u64; 2 * levels];
 
-        let sampler = SparseFaultSampler::new(fmap.clone());
+        let sampler = SparseFaultSampler::new(&fmap);
         let mut rng = rand::rngs::StdRng::seed_from_u64(101);
         for _ in 0..TRIALS {
             for (pos, new) in sampler.sample_faults(&part, &mut rng) {
@@ -280,7 +288,7 @@ mod tests {
             }
         }
 
-        let injector = FaultInjector::new(fmap);
+        let injector = FaultInjector::new(fmap.clone());
         let mut rng = rand::rngs::StdRng::seed_from_u64(202);
         let mut scratch = cells.clone();
         for _ in 0..TRIALS {

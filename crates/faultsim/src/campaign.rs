@@ -368,11 +368,13 @@ mod tests {
 
     #[test]
     fn chip_campaign_is_bit_exact_with_materialized_reference() {
-        // The engine's chip path no longer materializes anything: it
+        // The engine's chip path does not materialize anything: it
         // samples only the mis-programmed cells and evaluates sparse
-        // deltas through the delta trial path. It must reproduce
-        // the old materializing semantics — program every cell, decode
-        // the chip, evaluate the matrices — bit for bit, trial by trial.
+        // deltas through the delta trial path. It must reproduce the
+        // materializing semantics — program every cell, decode the
+        // chip, evaluate the matrices — bit for bit, trial by trial.
+        // (Both sides share `sample_chip_flips`; the per-cell read is
+        // locked against the verbatim formula in `maxnvm_envm::level`.)
         let (c, stored) = stored_layer(1.0, MlcConfig::MLC3);
         let eval = ProxyEval::new(vec![c.reconstruct()], 0.05, 0.9);
         let (trials, seed) = (48usize, 13u64);

@@ -33,11 +33,14 @@
 //! both bit-identical to materializing the faulty matrices. The clean
 //! model travels as a [`SparseModel`]: the dense decode the evaluators
 //! compute on, plus its nonzeros for the density counters on results.
-//! Chip campaigns ([`EvalContext::run_chips`]) are O(nnz + faults) per
-//! trial too: each trial samples only the cells a chip instance
-//! mis-programs (`StoredLayer::sample_chip_flips`, RNG-identical to
-//! programming the full chip) and reduces them to the same sparse
-//! deltas.
+//! Chip campaigns ([`EvalContext::run_chips`]) are the exception: §4.1
+//! draws every cell's analog read, so each trial still draws two
+//! uniforms per cell (`StoredLayer::sample_chip_flips`, RNG-identical to
+//! programming the full chip). Only the transcendental work, and
+//! everything after it, is proportional to the cells that could flip:
+//! `CellModel::sample_read` runs Box–Muller's `ln`/`sqrt`/`cos` only
+//! for draws near a threshold, and the few mis-programmed cells reduce
+//! to the same sparse deltas.
 //!
 //! On top of that sits the **resilience layer**, configured by the
 //! [`RunControl`] the entry points take (`RunControl::default()` is the
@@ -867,6 +870,10 @@ impl EvalContext {
     /// exactly as programming the full chip would), reduced to sparse
     /// [`WeightDelta`]s, and evaluated through the delta trial path —
     /// bit-identical to programming, decoding, and evaluating every cell.
+    /// A trial costs two uniform draws per stored cell plus the
+    /// transcendentals of the few draws that could cross a threshold
+    /// (`CellModel::sample_read`); the decode and evaluation that follow
+    /// scale with the flips.
     // maxnvm-lint: allow(R1/index-arith): cell_models is built over MlcConfig::ALL in bits order, so (bits()-1) indexes the matching slot and bits() >= 1 by construction.
     pub fn run_chips(
         &self,

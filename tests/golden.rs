@@ -6,8 +6,8 @@
 //!
 //! - `trial/…` — trial values: a full-injection campaign per encoding ×
 //!   bits-per-cell on a small pruned, clustered conv net, a chip
-//!   campaign, an early-stopping DSE, and a reduced Fig. 5 study on the
-//!   `fig5` stand-in;
+//!   campaign at CTT's and one at RRAM's rates, an early-stopping DSE,
+//!   and a reduced Fig. 5 study on the `fig5` stand-in;
 //! - `train/…` — trained weights and `TrainReport`s: the `fig5`
 //!   stand-in's two training passes, and a brief run of a small net with
 //!   the conv geometries the stand-in lacks (pad 1, stride 2);
@@ -74,6 +74,7 @@ const GOLDEN: Golden = Golden {
         ("trial/campaign/BitMask/MLC2", 0x57962f13b5b6df12),
         ("trial/campaign/BitMask/MLC3", 0x35dad1e1ab03ce42),
         ("trial/chips", 0x03558418a86fd87d),
+        ("trial/chips/rram", 0xacd16a5efd0f707b),
         ("trial/dse", 0xc22f73e70e142762),
         ("trial/fig5", 0xf3418201f1bd1852),
         ("train/fig5", 0x0dfcef48e5e2a0cf),
@@ -190,12 +191,23 @@ fn trial_outputs(fig5: &(NetworkEval, Vec<ClusteredLayer>), out: &mut Vec<(Strin
         }
     }
 
-    // Chip programming outcomes are only defined at physical rates.
+    // Chip programming outcomes are only defined at physical rates. At
+    // CTT's these 8 trials land no fault, so the RRAM row, at ~0.07
+    // expected faults per trial, is the one that sees the sampler flip.
     let chips = EvalContext::new(TECH, &sa, 1.0)
         .expect("context")
         .run_chips(8, 23, &store(&layers, &chip_scheme()), &eval)
         .expect("chips");
     out.push(("trial/chips".into(), campaign_digest(&chips)));
+    let chips = EvalContext::new(CellTechnology::MlcRram, &sa, 1.0)
+        .expect("context")
+        .run_chips(128, 29, &store(&layers, &chip_scheme()), &eval)
+        .expect("chips");
+    assert!(
+        chips.mean_cell_faults > 0.0,
+        "no chip faults: the trial/chips/rram lock is vacuous"
+    );
+    out.push(("trial/chips/rram".into(), campaign_digest(&chips)));
 
     let cfg = DseConfig {
         campaign: Campaign {
