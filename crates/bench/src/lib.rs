@@ -4,6 +4,22 @@
 //! all print through, and the Fig. 5 stand-in recipe, which `fig5`
 //! prints and `tests/golden.rs` at the workspace root locks by digest.
 
+// Lint rules D2 (no panics in library code) and D3 (unsafe hygiene,
+// reasoned exceptions): DESIGN.md §11.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 use maxnvm_dnn::data::SyntheticDigits;
 use maxnvm_dnn::train::{sgd_train, TrainConfig, TrainError};
 use maxnvm_dnn::zoo::{lenet_mini, prune_to_sparsity};

@@ -20,6 +20,22 @@
 //! assert_eq!(rd.read_bits(1), None);
 //! ```
 
+// Lint rules D2 (no panics in library code) and D3 (unsafe hygiene,
+// reasoned exceptions): DESIGN.md §11.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 /// An append-only, LSB-first bit vector.
 ///
 /// Bits are stored in 64-bit words; bit `i` of the logical stream lives at

@@ -31,6 +31,22 @@
 //! assert!(design.scheme_label.contains("BitM") || design.scheme_label.contains("CSR"));
 //! ```
 
+// Lint rules D2 (no panics in library code) and D3 (unsafe hygiene,
+// reasoned exceptions): DESIGN.md §11.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
 pub use maxnvm_faultsim::engine::EngineError;
 pub use maxnvm_nvdla::{NvdlaConfig, SystemReport, WeightSource};

@@ -117,7 +117,8 @@ const GLYPHS: [[u8; 35]; 10] = [
 ];
 
 /// Renders one digit image with the given jitter.
-// maxnvm-lint: allow(R1/index-arith): glyph placement is gen_range-bounded to DIGIT_SIZE-14/-10 and offsets max out at 13/9, so y*DIGIT_SIZE+x stays inside the DIGIT_SIZE^2 canvas.
+// Glyph placement is gen_range-bounded to DIGIT_SIZE-14/-10 and offsets max
+// out at 13/9, so y*DIGIT_SIZE+x stays inside the DIGIT_SIZE^2 canvas.
 fn render_digit<R: Rng>(class: usize, rng: &mut R) -> Tensor {
     let mut img = vec![0.0f32; DIGIT_SIZE * DIGIT_SIZE];
     let glyph = &GLYPHS[class];
@@ -166,7 +167,8 @@ impl SyntheticDigits {
 
 /// Texture-patch classification — the CiFar10 stand-in: 3×16×16 patches of
 /// class-dependent oriented sinusoidal gratings plus noise.
-// maxnvm-lint: allow(R1/index-arith): img is allocated 3*side*side just above; c < 3, y < side, x < side by the loop bounds, so (c*side+y)*side+x is in range.
+// img is allocated 3*side*side just above; c < 3, y < side, x < side by the
+// loop bounds, so (c*side+y)*side+x is in range.
 pub fn synthetic_textures(n: usize, classes: usize, seed: u64) -> Samples {
     assert!(classes >= 2 && n > 0, "degenerate dataset");
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);

@@ -142,7 +142,8 @@ pub fn gemm_into(
 /// # Panics
 ///
 /// Asserts that the slice lengths match the given dimensions.
-// maxnvm-lint: allow(R1/index-arith): entry asserts pin row/b/out to k, k*n, n, so the kk*n..(kk+1)*n panel is in range for every kk < k.
+// Entry asserts pin row/b/out to k, k*n, n, so the kk*n..(kk+1)*n panel is
+// in range for every kk < k.
 pub fn gemm_row_into(out: &mut [f32], row: &[f32], b: &[f32], k: usize, n: usize) {
     assert_eq!(row.len(), k, "row length vs k={k}");
     assert_eq!(b.len(), k * n, "rhs length vs {k}x{n}");
@@ -193,8 +194,9 @@ fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
 /// Packs `a[ic.., pc..]` (`mc`×`kc`) into `mr`-tall strips:
 /// `packed[(strip·kc + kk)·mr + i] = a[ic + strip·mr + i, pc + kk]`,
 /// zero-padded past `mc` so the micro-kernel never branches on edges.
-#[allow(clippy::too_many_arguments)]
-// maxnvm-lint: allow(R1/index-arith): packed is resized to exactly strips*kc*MR before the copy loops; every index is a (strip, row, lane) triple inside those extents.
+#[expect(clippy::too_many_arguments, reason = "one scalar per block coordinate")]
+// packed is resized to exactly strips*kc*MR before the copy loops; every
+// index is a (strip, row, lane) triple inside those extents.
 fn pack_a(
     packed: &mut Vec<f32>,
     a: &[f32],
@@ -226,8 +228,9 @@ fn pack_a(
 /// Packs `b[pc.., jc..]` (`kc`×`nc`) into `nr`-wide strips:
 /// `packed[(strip·kc + kk)·nr + j] = b[pc + kk, jc + strip·nr + j]`,
 /// zero-padded past `nc`.
-#[allow(clippy::too_many_arguments)]
-// maxnvm-lint: allow(R1/index-arith): packed is resized to exactly strips*kc*NR before the copy loops; every index is a (strip, row, lane) triple inside those extents.
+#[expect(clippy::too_many_arguments, reason = "one scalar per block coordinate")]
+// packed is resized to exactly strips*kc*NR before the copy loops; every
+// index is a (strip, row, lane) triple inside those extents.
 fn pack_b(
     packed: &mut Vec<f32>,
     b: &[f32],
@@ -258,8 +261,10 @@ fn pack_b(
 /// in place; edge tiles bounce through a zero-padded staging tile —
 /// the live lanes' chains are identical either way, and padded lanes
 /// multiply packed zeros (a bitwise no-op never stored back).
-#[allow(clippy::too_many_arguments)]
-// maxnvm-lint: allow(R1/index-arith): indexes the packed panels with the same strip/kc/lane extents pack_a/pack_b allocated, and `c` at tile rows and columns inside the ic..ic+mc × jc..jc+nc block; every range is bounds-checked slicing.
+#[expect(clippy::too_many_arguments, reason = "one scalar per block coordinate")]
+// Indexes the packed panels with the same strip/kc/lane extents
+// pack_a/pack_b allocated, and `c` at tile rows and columns inside the
+// ic..ic+mc × jc..jc+nc block; every range is bounds-checked slicing.
 fn macro_kernel(
     tier: SimdTier,
     c: &mut [f32],

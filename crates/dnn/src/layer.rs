@@ -150,7 +150,9 @@ impl Layer {
     /// # Panics
     ///
     /// Panics if the input shape is incompatible with the layer.
-    // maxnvm-lint: allow(R1/index-arith): the channel spans ci*h*w..(ci+1)*h*w use the dims destructured from the [c,h,w] input shape, and ci < c, so they stay within data().len().
+    // The channel spans ci*h*w..(ci+1)*h*w use the dims destructured from
+    // the [c,h,w] input shape, and ci < c, so they stay within
+    // data().len().
     pub fn forward(&self, x: &Tensor) -> Tensor {
         match self {
             Layer::AvgPoolGlobal => {
@@ -227,7 +229,9 @@ impl Layer {
     /// # Panics
     ///
     /// Panics if the input shape is incompatible with the layer.
-    // maxnvm-lint: allow(R1/index-arith): the pool's flattening (ci*h+y)*w+x uses the dims destructured from the shape asserted [c,h,w] with even h and w, so every tap lies inside x.
+    // The pool's flattening (ci*h+y)*w+x uses the dims destructured from
+    // the shape asserted [c,h,w] with even h and w, so every tap lies
+    // inside x.
     pub(crate) fn forward_into(
         &self,
         x: &[f32],
@@ -406,7 +410,8 @@ impl Layer {
     ///
     /// Panics if the samples disagree in shape or are incompatible with
     /// the layer.
-    // maxnvm-lint: allow(R1/index-arith): rhs is resized to k*n in this fn before the k*n+s writes; the row index is asserted < inp and s < n by the sample loop.
+    // rhs is resized to k*n in this fn before the k*n+s writes; the row
+    // index is asserted < inp and s < n by the sample loop.
     pub fn weight_rhs_into(&self, xs: &[Tensor], rhs: &mut Vec<f32>) -> Option<RhsMeta> {
         let n = xs.len();
         match self {
@@ -479,7 +484,8 @@ impl Layer {
     /// splits the result into per-sample tensors. `out` is staging for
     /// the GEMM result. Returns empty for layers without weights and for
     /// an empty batch.
-    // maxnvm-lint: allow(R1/index-arith): out is sized rows*total from meta here, so o*total+s*p+p <= out.len() for every row o and sample s < n.
+    // out is sized rows*total from meta here, so o*total+s*p+p <= out.len()
+    // for every row o and sample s < n.
     pub fn forward_from_rhs(
         &self,
         rhs: &[f32],

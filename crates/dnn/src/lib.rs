@@ -32,6 +32,26 @@
 //! assert!(report.train_error < 0.5, "train error {}", report.train_error);
 //! ```
 
+// Lint rules D2 (no panics in library code) and D3 (unsafe hygiene,
+// reasoned exceptions): DESIGN.md §11. The SIMD kernels are the
+// workspace's only `unsafe` code.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::missing_safety_doc,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod data;
 pub mod gemm;
 pub mod layer;

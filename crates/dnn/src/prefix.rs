@@ -111,7 +111,8 @@ impl PrefixCache {
     }
 
     /// The cached clean logits (output of the final layer).
-    // maxnvm-lint: allow(R1/index-arith): the constructor always records at least the input activation, so acts.len()-1 cannot wrap.
+    // The constructor always records at least the input activation, so
+    // acts.len()-1 cannot wrap.
     pub fn clean_logits(&self) -> &[Tensor] {
         &self.acts[self.acts.len() - 1]
     }
@@ -138,7 +139,8 @@ impl PrefixCache {
     ///
     /// Panics if `weight` does not match the site's geometry or a row is
     /// out of range.
-    // maxnvm-lint: allow(R1/index-arith): row_buf is resized to n*p here and dirty rows are < rows per the weight-shape assert above, so o*p and sx*p slices are in range.
+    // row_buf is resized to n*p here and dirty rows are < rows per the
+    // weight-shape assert above, so o*p and sx*p slices are in range.
     pub fn patched_outputs(
         &self,
         site: usize,

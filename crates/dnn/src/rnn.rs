@@ -77,7 +77,8 @@ impl ElmanRnn {
     /// The input contribution `Wx·x_t` for *all* timesteps is computed as
     /// one blocked GEMM (frames stacked as the columns of `[input, T]`);
     /// only the sequential `Wh·h_{t-1}` part remains per-step.
-    // maxnvm-lint: allow(R1/index-arith): x/wxx are allocated input*t_len and hidden*t_len in this fn; k, i and t come from enumerates over those same extents.
+    // x/wxx are allocated input*t_len and hidden*t_len in this fn; k, i and
+    // t come from enumerates over those same extents.
     fn run(&self, seq: &[Vec<f32>]) -> Vec<Vec<f32>> {
         let t_len = seq.len();
         if t_len == 0 {
@@ -169,7 +170,8 @@ impl ElmanRnn {
     }
 
     /// One BPTT step on a single sequence; returns the loss.
-    // maxnvm-lint: allow(R1/index-arith): every row slice is i*hidden or c*input with the index drawn from an enumerate over a vector of exactly the matching dimension.
+    // Every row slice is i*hidden or c*input with the index drawn from an
+    // enumerate over a vector of exactly the matching dimension.
     fn step(&mut self, seq: &[Vec<f32>], label: usize, lr: f32) -> f32 {
         let states = self.run(seq);
         let t_len = seq.len();

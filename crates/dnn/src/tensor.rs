@@ -137,7 +137,7 @@ struct PatchRow {
 /// Visits the `c*kh*kw` rows of the im2col unfolding in order. im2col
 /// copies image→patch along their runs; col2im (its adjoint) adds
 /// patch→image along the same runs, in the same order.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one per convolution dimension")]
 fn for_each_patch_row(
     c: usize,
     h: usize,
@@ -200,8 +200,10 @@ fn for_each_patch_row(
 ///
 /// Panics if `data` does not match `[c, h, w]` or the destination region
 /// `col_offset .. col_offset + out_h*out_w` overflows `dst_cols`.
-#[allow(clippy::too_many_arguments)]
-// maxnvm-lint: allow(R1/index-arith): the entry asserts pin data to c*h*w and dst to rows*dst_cols with col_offset+out_h*out_w <= dst_cols; each run stays inside its output row and, by for_each_patch_row's ranges, inside the image.
+#[expect(clippy::too_many_arguments, reason = "one per convolution dimension")]
+// The entry asserts pin data to c*h*w and dst to rows*dst_cols with
+// col_offset+out_h*out_w <= dst_cols; each run stays inside its output row
+// and, by for_each_patch_row's ranges, inside the image.
 pub fn im2col_into(
     data: &[f32],
     c: usize,
@@ -250,8 +252,10 @@ pub fn im2col_into(
 /// # Panics
 ///
 /// Panics if `cols` or `out` is inconsistent with the geometry.
-#[allow(clippy::too_many_arguments)]
-// maxnvm-lint: allow(R1/index-arith): the entry asserts pin cols to rows*out_h*out_w and out to c*h*w; each run stays inside its output row and, by for_each_patch_row's ranges, inside the image.
+#[expect(clippy::too_many_arguments, reason = "one per convolution dimension")]
+// The entry asserts pin cols to rows*out_h*out_w and out to c*h*w; each run
+// stays inside its output row and, by for_each_patch_row's ranges, inside
+// the image.
 pub fn col2im_into(
     cols: &[f32],
     c: usize,
@@ -296,7 +300,7 @@ mod tests {
     /// The per-element reference walk: every in-bounds (patch row, patch
     /// column, image index) triple in patch-row, then output-position
     /// order. The run-copy unfold must reproduce it bit for bit.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one per convolution dimension")]
     fn for_each_patch_index(
         c: usize,
         h: usize,

@@ -330,7 +330,9 @@ fn softmax_ce(logits: &[f32], label: usize, grad: &mut Vec<f32>) -> f32 {
 
 /// Routes each output gradient of a 2×2 max-pool to the first maximum of
 /// its window.
-// maxnvm-lint: allow(R1/index-arith): indices are the pool's own (ci*h+y)*w+x flattening over dims destructured from the [c,h,w] input shape the forward pass validated, and dx is sized c*h*w first.
+// Indices are the pool's own (ci*h+y)*w+x flattening over dims destructured
+// from the [c,h,w] input shape the forward pass validated, and dx is sized
+// c*h*w first.
 fn maxpool_backward(input: &[f32], shape: &[usize], grad: &[f32], dx: &mut Vec<f32>) {
     let (c, h, w) = (shape[0], shape[1], shape[2]);
     let (oh, ow) = (h / 2, w / 2);

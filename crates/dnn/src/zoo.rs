@@ -107,7 +107,8 @@ impl LayerSpec {
 /// Magnitude-prunes `data` in place so that (approximately) `sparsity` of
 /// the entries become exactly zero — the paper's §3.1.2 pruning, without
 /// the retraining loop.
-// maxnvm-lint: allow(R1/index-arith): the k == 0 and empty-data early returns above guarantee k >= 1 and mags non-empty, so (k-1).min(mags.len()-1) is in range.
+// The k == 0 and empty-data early returns above guarantee k >= 1 and mags
+// non-empty, so (k-1).min(mags.len()-1) is in range.
 pub fn prune_to_sparsity(data: &mut [f32], sparsity: f64) {
     assert!((0.0..1.0).contains(&sparsity), "sparsity out of range");
     if data.is_empty() {
@@ -185,7 +186,7 @@ impl ModelSpec {
 }
 
 /// Helper: build a conv `LayerSpec` given spatial geometry.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one per conv geometry field")]
 fn conv(
     name: &str,
     out_ch: usize,

@@ -119,7 +119,7 @@ impl BitMaskLayer {
 
     /// Rebuilds from (possibly fault-corrupted) streams. `nonzeros` is the
     /// true stored value count (fixed by array sizing).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one per stream and sizing field")]
     pub fn from_streams(
         rows: usize,
         cols: usize,
@@ -169,7 +169,7 @@ impl BitMaskLayer {
         match &self.counters {
             None => {
                 let mut ptr = 0usize;
-                #[allow(clippy::needless_range_loop)]
+                #[expect(clippy::needless_range_loop, reason = "`i` also indexes the mask")]
                 for i in 0..total {
                     if self.mask.get(i) == Some(true) {
                         out[i] = self.values.get(ptr).copied().unwrap_or(0);
@@ -186,7 +186,7 @@ impl BitMaskLayer {
                     let start = b * self.block_bits;
                     let end = (start + self.block_bits).min(total);
                     let mut ptr = base;
-                    #[allow(clippy::needless_range_loop)]
+                    #[expect(clippy::needless_range_loop, reason = "`i` also indexes the mask")]
                     for i in start..end {
                         if self.mask.get(i) == Some(true) {
                             out[i] = self.values.get(ptr).copied().unwrap_or(0);

@@ -78,7 +78,8 @@ impl CsrLayer {
     /// Encodes with absolute column indexes (§4.2's alternative
     /// mitigation): no padding entries, single-weight fault blast radius,
     /// `ceil(log2(cols))` bits per entry.
-    // maxnvm-lint: allow(R1/index-arith): ClusteredLayer guarantees indices.len() == rows*cols, so the r*cols..(r+1)*cols row slice is in range for every r < rows.
+    // ClusteredLayer guarantees indices.len() == rows*cols, so the
+    // r*cols..(r+1)*cols row slice is in range for every r < rows.
     pub fn encode_absolute(layer: &ClusteredLayer) -> Self {
         let col_idx_bits = bit_width(layer.cols.saturating_sub(1) as u64);
         let counter_bits = bit_width(layer.cols as u64);
@@ -116,7 +117,8 @@ impl CsrLayer {
     /// # Panics
     ///
     /// Panics if `col_idx_bits` is 0 or > 16.
-    // maxnvm-lint: allow(R1/index-arith): ClusteredLayer guarantees indices.len() == rows*cols, so the r*cols..(r+1)*cols row slice is in range for every r < rows.
+    // ClusteredLayer guarantees indices.len() == rows*cols, so the
+    // r*cols..(r+1)*cols row slice is in range for every r < rows.
     pub fn encode_with_width(layer: &ClusteredLayer, col_idx_bits: u8) -> Self {
         assert!((1..=16).contains(&col_idx_bits), "col index width");
         let max_gap = (1u32 << col_idx_bits) - 1;
@@ -193,7 +195,7 @@ impl CsrLayer {
     ///
     /// `entries` is the true entry count (a property of the array sizing,
     /// not of the stored bits, so faults cannot change it).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one per stream and sizing field")]
     pub fn from_streams(
         rows: usize,
         cols: usize,
@@ -243,7 +245,9 @@ impl CsrLayer {
     /// running sum of row counters, so a corrupted counter misaligns every
     /// later row; positions pushed past the row end by corrupted gaps are
     /// dropped.
-    // maxnvm-lint: allow(R1/index-arith): out is allocated rows*cols and both arms check pos/field < cols before writing r*cols+pos, so corrupted streams clip instead of wrapping.
+    // out is allocated rows*cols and both arms check pos/field < cols
+    // before writing r*cols+pos, so corrupted streams clip instead of
+    // wrapping.
     pub fn reconstruct_indices(&self) -> Vec<u16> {
         let mut out = vec![0u16; self.rows * self.cols];
         let mut ptr = 0usize; // running index into values/gaps

@@ -154,7 +154,8 @@ impl CellModel {
     ///
     /// Panics if `thresholds.len() != levels.len() - 1`, or if the
     /// thresholds do not interleave the level means.
-    // maxnvm-lint: allow(R1/index-arith): thresholds.len() is asserted == levels.len()-1, so levels[i+1] exists for every threshold index i.
+    // thresholds.len() is asserted == levels.len()-1, so levels[i+1] exists
+    // for every threshold index i.
     pub fn with_thresholds(levels: Vec<LevelDistribution>, thresholds: Vec<f64>) -> Self {
         assert_eq!(thresholds.len(), levels.len() - 1, "threshold count");
         for (i, &t) in thresholds.iter().enumerate() {
@@ -237,7 +238,8 @@ impl CellModel {
     /// # Panics
     ///
     /// Panics if either index is out of range.
-    // maxnvm-lint: allow(R1/index-arith): stored/read are asserted < num_levels and thresholds has n-1 entries, so thresholds[read-1] exists whenever read > 0.
+    // stored/read are asserted < num_levels and thresholds has n-1 entries,
+    // so thresholds[read-1] exists whenever read > 0.
     pub fn misread_probability(&self, stored: usize, read: usize) -> f64 {
         let n = self.num_levels();
         assert!(stored < n && read < n, "level index out of range");
@@ -266,7 +268,8 @@ impl CellModel {
 
     /// Adjacent-level fault map: for each level, the probability of being
     /// misread one level up and one level down.
-    // maxnvm-lint: allow(R1/index-arith): the i+1 < n guard precedes every thresholds[i]/levels[i+1] access, and i-1 is only read when i > 0.
+    // The i+1 < n guard precedes every thresholds[i]/levels[i+1] access,
+    // and i-1 is only read when i > 0.
     pub fn fault_map(&self) -> FaultMap {
         let n = self.num_levels();
         let mut p_up = vec![0.0; n];

@@ -35,6 +35,22 @@
 //! assert!(worst > 1e-6 && worst < 1e-2, "worst = {worst}");
 //! ```
 
+// Lint rules D2 (no panics in library code) and D3 (unsafe hygiene,
+// reasoned exceptions): DESIGN.md §11.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod fault;
 pub mod gray;
 pub mod level;

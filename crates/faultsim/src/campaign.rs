@@ -208,7 +208,8 @@ impl CampaignResult {
 /// Builds the per-bits-per-cell fault maps for a technology (including the
 /// sense-amp offset, §2.3). The maps are built once and handed out by
 /// `Arc`, so a hot per-cell lookup loop never copies probability tables.
-// maxnvm-lint: allow(R1/index-arith): maps is built over MlcConfig::ALL in bits order, so (bits()-1) indexes the matching slot and bits() >= 1 by construction.
+// maps is built over MlcConfig::ALL in bits order, so (bits()-1) indexes
+// the matching slot and bits() >= 1 by construction.
 pub fn fault_maps(tech: CellTechnology, sa: &SenseAmp) -> impl Fn(MlcConfig) -> Arc<FaultMap> + '_ {
     let maps: Vec<Arc<FaultMap>> = MlcConfig::ALL
         .iter()

@@ -12,6 +12,12 @@
 //!
 //! [`CampaignResult`]: crate::campaign::CampaignResult
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "deadlines must read the wall clock; cancellation timing decides \
+              which trials run, never a completed trial's value"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,9 +56,13 @@ impl CancelToken {
     }
 
     /// A token that auto-cancels `budget` from now — a wall-clock budget
-    /// for the whole run.
+    /// for the whole run. A budget past the clock's range arms no
+    /// deadline: the token then never fires on its own.
     pub fn with_timeout(budget: Duration) -> Self {
-        Self::with_deadline(Instant::now() + budget)
+        match Instant::now().checked_add(budget) {
+            Some(deadline) => Self::with_deadline(deadline),
+            None => Self::new(),
+        }
     }
 
     /// Requests cancellation. Idempotent; visible to every clone.
@@ -103,6 +113,15 @@ mod tests {
         let t = CancelToken::with_timeout(Duration::from_secs(3600));
         assert!(!t.is_cancelled());
         assert!(t.deadline().is_some());
+    }
+
+    #[test]
+    fn budget_past_the_clock_arms_no_deadline() {
+        for budget in [Duration::MAX, Duration::from_secs(u64::MAX / 2)] {
+            let t = CancelToken::with_timeout(budget);
+            assert!(t.deadline().is_none());
+            assert!(!t.is_cancelled());
+        }
     }
 
     #[test]

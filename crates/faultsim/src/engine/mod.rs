@@ -294,7 +294,7 @@ struct DrivenTrials {
 /// `fingerprint` is the shard-independent base digest of the run
 /// configuration: trial assignment hashes against it, and the
 /// checkpoint fingerprint is it with `control.shard` folded on top.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "independent run inputs")]
 fn drive_trials(
     threads: usize,
     groups: usize,
@@ -359,11 +359,15 @@ fn drive_trials(
             None => group_trials,
         },
     };
+    #[expect(
+        clippy::panic,
+        reason = "RunControl::panic_trials is a test hook for per-trial panic isolation; \
+                  the catch_unwind around it catches the panic"
+    )]
     let outcome_fn = |group: usize, trial: usize| -> TrialOutcome {
         let panic_hook = control.panic_trials.contains(&trial);
         match panic::catch_unwind(AssertUnwindSafe(|| {
             if panic_hook {
-                // maxnvm-lint: allow(D2/panic): deliberate test hook — RunControl::panic_trials exists to exercise per-trial panic isolation, and this panic is caught by the catch_unwind just above.
                 panic!("injected panic (RunControl::panic_trials test hook) in trial {trial}");
             }
             trial_fn(group, trial)
@@ -525,7 +529,7 @@ fn drive_trials(
         .collect())
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one per snapshot header field")]
 fn save_checkpoint(
     cp: &CheckpointConfig,
     fingerprint: u64,
@@ -621,7 +625,8 @@ impl EvalContext {
     }
 
     /// The per-bits-per-cell fault-map provider (already rate-scaled).
-    // maxnvm-lint: allow(R1/index-arith): fault_maps is built over MlcConfig::ALL in bits order, so (bits()-1) indexes the matching slot and bits() >= 1 by construction.
+    // fault_maps is built over MlcConfig::ALL in bits order, so (bits()-1)
+    // indexes the matching slot and bits() >= 1 by construction.
     pub fn fault_for(&self) -> impl Fn(MlcConfig) -> Arc<FaultMap> + '_ {
         move |cfg: MlcConfig| Arc::clone(&self.fault_maps[(cfg.bits() - 1) as usize])
     }
@@ -634,7 +639,6 @@ impl EvalContext {
     /// the early-stop parameters and the panic-injection test hook. The
     /// trial-semantics version is folded in by [`Fingerprint::new`]. A
     /// one-group run hashes exactly what a single campaign always did.
-    #[allow(clippy::too_many_arguments)]
     fn run_fingerprint(
         &self,
         kind: &str,
@@ -780,7 +784,7 @@ impl EvalContext {
     /// under the group's clean-decode key ([`clean_keys`]). Results carry
     /// how the run ended and the clean model's density; callers attach
     /// expected faults.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "independent run inputs")]
     fn drive_groups(
         &self,
         prepared: &[Vec<PreparedLayer<'_>>],
@@ -874,7 +878,8 @@ impl EvalContext {
     /// transcendentals of the few draws that could cross a threshold
     /// (`CellModel::sample_read`); the decode and evaluation that follow
     /// scale with the flips.
-    // maxnvm-lint: allow(R1/index-arith): cell_models is built over MlcConfig::ALL in bits order, so (bits()-1) indexes the matching slot and bits() >= 1 by construction.
+    // cell_models is built over MlcConfig::ALL in bits order, so (bits()-1)
+    // indexes the matching slot and bits() >= 1 by construction.
     pub fn run_chips(
         &self,
         trials: usize,

@@ -20,6 +20,22 @@
 //! maps and structure geometry — used for the big four models, validated
 //! against the Monte-Carlo path on small layers.
 
+// Lint rules D2 (no panics in library code) and D3 (unsafe hygiene,
+// reasoned exceptions): DESIGN.md §11.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod analytic;
 pub mod campaign;
 pub mod cancel;

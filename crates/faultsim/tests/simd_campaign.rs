@@ -23,7 +23,6 @@ use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
 use maxnvm_faultsim::engine::{EvalContext, RunControl};
 use maxnvm_faultsim::evaluate::{AccuracyEval, EvalScratch, NetworkEval, SparseModel};
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread::{self, ThreadId};
@@ -125,7 +124,8 @@ fn campaign_is_byte_identical_across_tiers_and_workers() {
 }
 
 /// Forwards to a [`NetworkEval`], counting `eval_deltas_sparse` calls in
-/// flight and recording the threads they run on. Each call is one trial
+/// flight and recording the distinct threads they run on (`ThreadId` has
+/// no `Ord`, and D1 bans hash sets here). Each call is one trial
 /// on one pooled scratch, so the peak is how many clean prefixes the run
 /// holds at once.
 struct InFlight<'a> {
@@ -153,7 +153,12 @@ impl AccuracyEval for InFlight<'_> {
     ) -> f64 {
         let now = self.active.fetch_add(1, Ordering::SeqCst) + 1;
         self.peak.fetch_max(now, Ordering::SeqCst);
-        self.threads.lock().unwrap().push(thread::current().id());
+        let id = thread::current().id();
+        let mut threads = self.threads.lock().unwrap();
+        if !threads.contains(&id) {
+            threads.push(id);
+        }
+        drop(threads);
         let error = self.inner.eval_deltas_sparse(key, clean, deltas, scratch);
         self.active.fetch_sub(1, Ordering::SeqCst);
         error
@@ -194,7 +199,7 @@ fn trials_in_flight_never_exceed_threads() {
             peak <= threads,
             "{peak} trials in flight on {threads} threads"
         );
-        let used: HashSet<ThreadId> = counted.threads.into_inner().unwrap().into_iter().collect();
+        let used = counted.threads.into_inner().unwrap();
         assert!(
             used.len() <= threads,
             "trials ran on {} threads with {threads} allowed",

@@ -14,6 +14,22 @@
 //!   wake-up per inference vs eNVM);
 //! - [`hybrid`]: the §6 fixed-area SRAM/eNVM partition sweep.
 
+// Lint rules D2 (no panics in library code) and D3 (unsafe hygiene,
+// reasoned exceptions): DESIGN.md §11.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod config;
 pub mod hybrid;
 pub mod nonvolatility;

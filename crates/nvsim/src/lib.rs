@@ -32,6 +32,22 @@
 //! assert!(design.area_mm2 > 0.5 && design.area_mm2 < 8.0);
 //! ```
 
+// Lint rules D2 (no panics in library code) and D3 (unsafe hygiene,
+// reasoned exceptions): DESIGN.md §11.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod extrapolate;
 pub mod sram;
 

@@ -1,31 +1,22 @@
 //! Workspace automation entry point (`cargo xtask <command>`).
 //!
-//! Commands:
-//! - `lint [--json [PATH]]` — run the `maxnvm-lint` static analysis pass
-//!   (DESIGN.md §11, §16). Exits non-zero on any non-allow-listed
-//!   violation. `--json` additionally writes a machine-readable report
-//!   (default `maxnvm-lint-report.json` at the workspace root).
+//! Commands (the lint rules are clippy's; see DESIGN.md §11):
 //! - `miri [--strict]` — run the sanctioned Miri suite (`bits`, `ecc`
 //!   and the `envm` Gray-code unit tests). Skips with a warning when the
 //!   Miri component is not installed, unless `--strict`.
 //! - `deny [--strict]` — run `cargo deny check` if cargo-deny is
 //!   installed; otherwise skip with a warning, unless `--strict`.
 
-mod graph;
-mod lint;
-mod scan;
-
 use std::env;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
-const USAGE: &str = "usage: cargo xtask <lint [--json [PATH]] | miri [--strict] | deny [--strict]>";
+const USAGE: &str = "usage: cargo xtask <miri [--strict] | deny [--strict]>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let root = workspace_root();
     match args.first().map(String::as_str) {
-        Some("lint") => cmd_lint(&root, &args[1..]),
         Some("miri") => cmd_miri(&root, args.iter().any(|a| a == "--strict")),
         Some("deny") => cmd_deny(&root, args.iter().any(|a| a == "--strict")),
         Some(other) => {
@@ -48,30 +39,6 @@ fn workspace_root() -> PathBuf {
         .and_then(Path::parent)
         .map(Path::to_path_buf)
         .unwrap_or(manifest)
-}
-
-fn cmd_lint(root: &Path, args: &[String]) -> ExitCode {
-    let report = lint::run(root);
-    print!("{}", report.render_text());
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        let path = args
-            .get(pos + 1)
-            .filter(|a| !a.starts_with("--"))
-            .map(PathBuf::from)
-            .unwrap_or_else(|| root.join("maxnvm-lint-report.json"));
-        match std::fs::write(&path, report.render_json()) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }
 
 fn cmd_miri(root: &Path, strict: bool) -> ExitCode {

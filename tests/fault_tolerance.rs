@@ -275,3 +275,14 @@ fn full_storage_round_trip_is_lossless_without_faults() {
         assert_eq!(err, clustered_err, "{encoding} round trip changed weights");
     }
 }
+
+/// Lint rule R1: integer overflow panics in every build profile,
+/// `--release` included (`[profile.release] overflow-checks = true`).
+/// A wrapped index would read a plausible wrong weight — a silent error
+/// indistinguishable from the storage faults these tests inject.
+#[test]
+fn integer_overflow_panics_in_every_profile() {
+    let sum =
+        std::panic::catch_unwind(|| std::hint::black_box(usize::MAX) + std::hint::black_box(1));
+    assert!(sum.is_err(), "usize::MAX + 1 wrapped to {sum:?}");
+}
