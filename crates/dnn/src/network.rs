@@ -68,12 +68,16 @@ impl LayerMatrix {
     }
 }
 
-/// Most samples [`Network::error_rate`] runs as one batch. A batch's
-/// im2col matrices and activations grow with its size (a single batch of
-/// 1500 LeNet images holds about 40 MB at once), so larger sets run in
-/// chunks; per-sample logits do not depend on the batch they run in
-/// (the summation-order contract of [`crate::gemm`]).
-const ERROR_RATE_BATCH: usize = 256;
+/// Most samples one batched evaluation runs at once:
+/// [`Network::error_rate`], [`Network::predict_batch`] and each chunk of
+/// a clean-prefix cache ([`crate::prefix`]) take a set in batches of this
+/// size. A batch's im2col matrices and activations grow with its size (a
+/// single batch of 1500 LeNet images holds about 40 MB at once), and a
+/// 64-sample batch's mostly stay in cache, so larger sets run faster in
+/// such batches than in one (DESIGN.md §9). Per-sample logits do not
+/// depend on the batch they run in (the summation-order contract of
+/// [`crate::gemm`]), so the size changes no result.
+pub const EVAL_BATCH: usize = 64;
 
 /// An ordered stack of layers forming a classifier.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,14 +159,18 @@ impl Network {
         argmax(&self.forward(x))
     }
 
-    /// Predicted classes for a batch (batched forward, same tie-breaking
-    /// as [`Network::predict`]).
+    /// Predicted classes for a set of samples (batched forward in batches
+    /// of [`EVAL_BATCH`], same tie-breaking as [`Network::predict`]).
     pub fn predict_batch(&self, xs: &[Tensor]) -> Vec<usize> {
-        self.forward_batch(xs).iter().map(argmax).collect()
+        let mut scratch = ForwardScratch::default();
+        xs.chunks(EVAL_BATCH)
+            .flat_map(|batch| self.forward_batch_scratch(batch, &mut scratch))
+            .map(|logits| argmax(&logits))
+            .collect()
     }
 
     /// Classification error rate (fraction wrong) on labelled samples.
-    /// Runs the set in batches of at most 256 samples — one matmul per
+    /// Runs the set in batches of [`EVAL_BATCH`] samples — one matmul per
     /// weight layer per batch — so its working memory stays bounded
     /// however large the set.
     pub fn error_rate(&self, samples: &[(Tensor, usize)]) -> f64 {
@@ -171,14 +179,9 @@ impl Network {
         }
         let mut scratch = ForwardScratch::default();
         let mut wrong = 0;
-        for chunk in samples.chunks(ERROR_RATE_BATCH) {
-            let xs = chunk.iter().map(|(x, _)| x.clone()).collect();
-            wrong += self
-                .forward_suffix(0, xs, &mut scratch)
-                .iter()
-                .zip(chunk)
-                .filter(|(logits, (_, y))| argmax(logits) != *y)
-                .count();
+        for batch in samples.chunks(EVAL_BATCH) {
+            let xs = batch.iter().map(|(x, _)| x.clone()).collect();
+            wrong += misclassified(&self.forward_suffix(0, xs, &mut scratch), batch);
         }
         wrong as f64 / samples.len() as f64
     }
@@ -319,6 +322,16 @@ impl Network {
             }
         });
     }
+}
+
+/// How many of `samples` the per-sample `logits` misclassify (argmax
+/// against the label) — the count behind [`Network::error_rate`].
+pub fn misclassified(logits: &[Tensor], samples: &[(Tensor, usize)]) -> usize {
+    logits
+        .iter()
+        .zip(samples)
+        .filter(|(l, (_, y))| argmax(l) != *y)
+        .count()
 }
 
 /// Argmax over logits; on ties the *last* maximum wins, matching the
@@ -466,9 +479,9 @@ mod tests {
         for (x, p) in xs.iter().zip(&preds) {
             assert_eq!(net.predict(x), *p);
         }
-        // A set spanning several error-rate chunks counts the same
-        // mistakes as per-sample prediction.
-        let samples: Vec<(Tensor, usize)> = (0..2 * ERROR_RATE_BATCH + 3)
+        // A set spanning several batches counts the same mistakes, and
+        // predicts the same classes, as per-sample prediction.
+        let samples: Vec<(Tensor, usize)> = (0..2 * EVAL_BATCH + 3)
             .map(|i| (xs[i % xs.len()].clone(), i % 3))
             .collect();
         let wrong = samples.iter().filter(|(x, y)| net.predict(x) != *y).count();
@@ -477,6 +490,9 @@ mod tests {
             net.error_rate(&samples),
             wrong as f64 / samples.len() as f64
         );
+        let inputs: Vec<Tensor> = samples.iter().map(|(x, _)| x.clone()).collect();
+        let per_sample: Vec<usize> = inputs.iter().map(|x| net.predict(x)).collect();
+        assert_eq!(net.predict_batch(&inputs), per_sample);
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! for the network's predictions. Layers *before* the earliest perturbed
 //! layer see exactly the clean inputs, so their activations can be
 //! computed once and reused by every trial. This cache stores, for one
-//! fixed evaluation batch:
+//! fixed evaluation batch, what a trial reads back:
 //!
-//! - the clean batch activations entering every layer (and the final
-//!   logits), and
 //! - for each weight layer, the packed `[k, n·p]` right-hand matrix its
-//!   GEMM consumes (a pure function of the clean activations).
+//!   GEMM consumes (a pure function of the clean activations) and its
+//!   clean batch output;
+//! - the input batch and the final logits.
+//!
+//! The outputs of the layers without weights (ReLU, pooling, Flatten)
+//! are computed while building but not kept: a trial resumes right
+//! after a weight layer, never after one of those.
 //!
 //! A trial then only (1) recomputes the *dirty rows* of the first
 //! perturbed layer's output — one [`gemm_row_into`] per touched weight
@@ -24,6 +28,9 @@
 //! the same tier table as the blocked GEMM, and all tiers compute the
 //! identical fused-multiply-add chains (DESIGN.md §14), so a cache built
 //! while one tier is active replays bit-identically under any other.
+//! A sample's logits do not depend on the other samples of its batch,
+//! so a large set can be cached as several batches (chunks of
+//! [`crate::network::EVAL_BATCH`] samples) with the same result.
 //!
 //! Only "flat" networks (no [`Layer::Residual`]) are supported —
 //! [`PrefixCache::build`] returns `None` otherwise and callers fall back
@@ -34,9 +41,9 @@ use crate::layer::{ForwardScratch, Layer, RhsMeta};
 use crate::network::Network;
 use crate::tensor::Tensor;
 
-/// One weight layer's cached geometry: where it sits in the network and
-/// the packed right-hand matrix its GEMM consumes.
-#[derive(Debug, Clone)]
+/// One weight layer's cached state: where it sits in the network, the
+/// packed right-hand matrix its GEMM consumes, and its clean output.
+#[derive(Debug)]
 struct Site {
     /// Index of the weight layer in `Network::layers`.
     layer_pos: usize,
@@ -45,41 +52,49 @@ struct Site {
     rhs: Vec<f32>,
     /// Geometry of `rhs` and the layer's output.
     meta: RhsMeta,
+    /// The layer's clean batch output.
+    out: Vec<Tensor>,
 }
 
 /// Cached clean forward pass of one fixed batch — see the module docs.
 /// Sites are indexed like [`Network::weight_matrices`] (valid because
 /// residual networks are rejected at build time, so every weight layer is
 /// top-level and in execution order).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PrefixCache {
-    /// `acts[i]` = batch activations entering layer `i`; `acts[layers]` =
-    /// final logits.
-    acts: Vec<Vec<Tensor>>,
+    /// The batch the cache was built from.
+    inputs: Vec<Tensor>,
     sites: Vec<Site>,
+    /// The final layer's batch output.
+    logits: Vec<Tensor>,
 }
 
 impl PrefixCache {
-    /// Runs one clean batched forward pass, recording every intermediate
-    /// activation and each weight layer's packed right-hand matrix (which
-    /// that layer's multiply then reads, so the batch is packed once).
+    /// Runs one clean batched forward pass, recording each weight layer's
+    /// packed right-hand matrix (which that layer's multiply then reads,
+    /// so the batch is packed once) and clean output, and the logits.
     /// Returns `None` for networks containing residual blocks (their
     /// weight layers are nested, which the row-patching path does not
     /// model) — callers fall back to full forward passes.
     pub fn build(net: &Network, inputs: &[Tensor], scratch: &mut ForwardScratch) -> Option<Self> {
-        let layers = net.layers();
-        let mut acts: Vec<Vec<Tensor>> = Vec::with_capacity(layers.len() + 1);
-        acts.push(inputs.to_vec());
         let mut sites: Vec<Site> = Vec::new();
-        for (pos, l) in layers.iter().enumerate() {
+        // The output of the last layer without weights, when that layer
+        // ran after the last site; otherwise the activations entering the
+        // next layer are the last site's output (or the inputs).
+        let mut loose: Option<Vec<Tensor>> = None;
+        for (pos, l) in net.layers().iter().enumerate() {
             if matches!(l, Layer::Residual { .. }) {
                 return None;
             }
-            let cur = &acts[pos];
+            let cur = match (&loose, sites.last()) {
+                (Some(acts), _) => acts.as_slice(),
+                (None, Some(site)) => site.out.as_slice(),
+                (None, None) => inputs,
+            };
             let mut rhs = Vec::new();
-            let next = match l.weight_rhs_into(cur, &mut rhs) {
+            match l.weight_rhs_into(cur, &mut rhs) {
                 Some(meta) => {
-                    let next = l.forward_from_rhs(
+                    let out = l.forward_from_rhs(
                         &rhs,
                         &meta,
                         cur.len(),
@@ -90,14 +105,23 @@ impl PrefixCache {
                         layer_pos: pos,
                         rhs,
                         meta,
+                        out,
                     });
-                    next
+                    loose = None;
                 }
-                None => l.forward_batch_scratch(cur, scratch),
-            };
-            acts.push(next);
+                None => loose = Some(l.forward_batch_scratch(cur, scratch)),
+            }
         }
-        Some(Self { acts, sites })
+        let logits = match (loose, sites.last()) {
+            (Some(acts), _) => acts,
+            (None, Some(site)) => site.out.clone(),
+            (None, None) => inputs.to_vec(),
+        };
+        Some(Self {
+            inputs: inputs.to_vec(),
+            sites,
+            logits,
+        })
     }
 
     /// Number of weight layers (== the network's weight-matrix count).
@@ -111,20 +135,18 @@ impl PrefixCache {
     }
 
     /// The cached clean logits (output of the final layer).
-    // The constructor always records at least the input activation, so
-    // acts.len()-1 cannot wrap.
     pub fn clean_logits(&self) -> &[Tensor] {
-        &self.acts[self.acts.len() - 1]
+        &self.logits
     }
 
     /// The input batch the cache was built from.
     pub fn input_batch(&self) -> &[Tensor] {
-        &self.acts[0]
+        &self.inputs
     }
 
     /// Batch size the cache was built for.
     pub fn batch_len(&self) -> usize {
-        self.acts[0].len()
+        self.inputs.len()
     }
 
     /// Recomputes weight layer `site`'s batch outputs under a faulty
@@ -155,7 +177,7 @@ impl PrefixCache {
             &[s.meta.rows, s.meta.k],
             "weight shape vs site geometry"
         );
-        let mut outs = self.acts[s.layer_pos + 1].clone();
+        let mut outs = s.out.clone();
         let n = outs.len();
         let p = s.meta.per_cols;
         let total = n * p;
@@ -319,15 +341,21 @@ mod tests {
 
     #[test]
     fn clean_logits_match_forward_batch() {
-        let net = lenet_mini(9);
-        let xs = batch(5, 4);
-        let mut scratch = ForwardScratch::default();
-        let cache = PrefixCache::build(&net, &xs, &mut scratch).expect("flat network");
-        let direct = net.forward_batch(&xs);
-        for (a, b) in cache.clean_logits().iter().zip(&direct) {
-            assert_eq!(a.data(), b.data());
+        // lenet_mini ends in a weight layer; the second net ends in one
+        // without weights, whose output the cache keeps as the logits.
+        let mut layers = lenet_mini(9).layers().to_vec();
+        layers.push(Layer::ReLU);
+        for net in [lenet_mini(9), Network::new("relu-last", layers)] {
+            let xs = batch(5, 4);
+            let mut scratch = ForwardScratch::default();
+            let cache = PrefixCache::build(&net, &xs, &mut scratch).expect("flat network");
+            let direct = net.forward_batch(&xs);
+            assert_eq!(cache.clean_logits().len(), direct.len());
+            for (a, b) in cache.clean_logits().iter().zip(&direct) {
+                assert_eq!(a.data(), b.data());
+            }
+            assert_eq!(cache.batch_len(), 4);
         }
-        assert_eq!(cache.batch_len(), 4);
     }
 
     #[test]

@@ -28,8 +28,10 @@
 //! evaluators consume those deltas through their one trial entry point,
 //! [`AccuracyEval::eval_deltas_sparse`], on per-thread [`EvalScratch`]
 //! state — [`crate::evaluate::NetworkEval`] patches only the dirty rows
-//! of the first fault-touched layer atop a cached clean-prefix forward
-//! pass, [`crate::evaluate::ProxyEval`] adjusts a cached MSE numerator —
+//! of the first fault-touched layer atop a clean-prefix forward pass
+//! that the run builds once per clean decode, in parallel chunks, and
+//! every scratch of the run then reads;
+//! [`crate::evaluate::ProxyEval`] adjusts a cached MSE numerator —
 //! both bit-identical to materializing the faulty matrices. The clean
 //! model travels as a [`SparseModel`]: the dense decode the evaluators
 //! compute on, plus its nonzeros for the density counters on results.
@@ -88,7 +90,7 @@ use crate::campaign::{wilson_interval, CampaignResult, TrialOutcome};
 use crate::cancel::CancelToken;
 use crate::checkpoint::{CampaignCheckpoint, CheckpointConfig, Fingerprint, RetryPolicy};
 use crate::dse::{candidate_schemes, DseConfig, DsePoint};
-use crate::evaluate::{AccuracyEval, EvalScratch, SparseModel};
+use crate::evaluate::{AccuracyEval, EvalScratch, PrefixRegistry, SparseModel};
 use maxnvm_dnn::network::{LayerMatrix, WeightDelta};
 use maxnvm_dnn::sparse::SparseMatrix;
 use maxnvm_encoding::cluster::ClusteredLayer;
@@ -105,23 +107,28 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use threads::{map_indexed, run_indexed};
 
-/// A checkout pool of reusable [`EvalScratch`] values: each in-flight
-/// evaluation pops one (or starts fresh) and pushes it back. A trial runs
-/// start to finish on one compute thread, so at most `threads` trials are
-/// in flight and as many scratch networks exist per run, independent of
-/// the trial count.
+/// A checkout pool of reusable [`EvalScratch`] values for one run: each
+/// in-flight evaluation pops one (or starts a fresh one on the run's
+/// prefix registry) and pushes it back. A trial runs start to finish on
+/// one compute thread, so at most `threads` trials are in flight and as
+/// many scratch networks exist per run, independent of the trial count.
+/// The clean prefixes are not per scratch: every scratch of the pool
+/// shares one registry, so a key's prefix is built once per run, its
+/// chunks spread over the threads that first need it, and at most one
+/// prefix per scratch is alive at a time.
 #[derive(Default)]
 struct ScratchPool {
+    prefixes: Arc<PrefixRegistry>,
     scratches: Mutex<Vec<EvalScratch>>,
 }
 
 impl ScratchPool {
     /// [`AccuracyEval::eval_deltas_sparse`] on a pooled scratch: one
-    /// trial. `key` identifies which clean decode the deltas
-    /// are against ([`clean_keys`]), so a scratch checked out by a trial
-    /// of a differently-decoding group rebuilds its caches
-    /// deterministically instead of mixing state, and one of an equally
-    /// decoding group reuses them.
+    /// trial. `key` identifies which clean decode the deltas are against
+    /// ([`clean_keys`]), so a scratch checked out by a trial of a
+    /// differently-decoding group switches to that key's shared prefix
+    /// (building it if no scratch holds it) instead of mixing state, and
+    /// one of an equally decoding group reuses the one it holds.
     fn eval_deltas_sparse(
         &self,
         eval: &(dyn AccuracyEval + Sync),
@@ -129,7 +136,8 @@ impl ScratchPool {
         clean: &SparseModel,
         deltas: &[Vec<WeightDelta>],
     ) -> f64 {
-        let mut scratch = self.scratches.lock().pop().unwrap_or_default();
+        let popped = self.scratches.lock().pop();
+        let mut scratch = popped.unwrap_or_else(|| EvalScratch::sharing(&self.prefixes));
         let error = eval.eval_deltas_sparse(key, clean, deltas, &mut scratch);
         self.scratches.lock().push(scratch);
         error
@@ -711,8 +719,9 @@ impl EvalContext {
     /// injects every structure) — as one grid, returning one result per
     /// group in group order. A campaign is the one-group case; Fig. 5
     /// runs its 24 configurations as one grid, so the threads stay busy
-    /// across configurations and a scratch keeps one clean prefix for
-    /// every group that decodes to the same weights.
+    /// across configurations and the run builds one clean prefix, which
+    /// every scratch shares, for all groups that decode to the same
+    /// weights.
     ///
     /// A `cache` shares one clean decode between groups whose schemes
     /// differ only in bits-per-cell or protection. It keys on layer
@@ -1084,10 +1093,11 @@ fn single(results: Vec<CampaignResult>) -> Result<CampaignResult, EngineError> {
 /// first group whose clean matrices are bitwise equal to its own
 /// (compared with `f32::to_bits`, so `+0.0` and `-0.0` differ, as they do
 /// for the evaluators' caches). It is the group's
-/// [`AccuracyEval::eval_deltas_sparse`] key, so a pooled scratch keeps
-/// one clean prefix across every configuration that decodes to the same
-/// weights — every protection and bits-per-cell variant of an encoding,
-/// and in practice every encoding of the same clustered layers.
+/// [`AccuracyEval::eval_deltas_sparse`] key, so a run builds one clean
+/// prefix, shared by all its scratches, for every configuration that
+/// decodes to the same weights — every protection and bits-per-cell
+/// variant of an encoding, and in practice every encoding of the same
+/// clustered layers.
 fn clean_keys(groups: &[Vec<&LayerMatrix>]) -> Vec<usize> {
     let same_matrix = |a: &LayerMatrix, b: &LayerMatrix| {
         std::ptr::eq(a, b)

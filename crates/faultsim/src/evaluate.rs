@@ -11,11 +11,12 @@
 //! reduce to the same deltas via `StoredLayer::sample_chip_flips`), and
 //! the implementations here never materialize the faulty matrices:
 //!
-//! - [`NetworkEval`] keeps a [`PrefixCache`] of the clean batch forward
-//!   pass (keyed per configuration) and per trial only patches the dirty
-//!   rows of the first fault-touched layer and re-runs the suffix —
-//!   bit-identical to materializing the faults and running
-//!   [`Network::error_rate`] (see [`maxnvm_dnn::prefix`]).
+//! - [`NetworkEval`] reads a clean-prefix cache of the clean batch
+//!   forward pass (one per configuration key per run, shared by every
+//!   scratch of the run) and per trial only patches the dirty rows of the
+//!   first fault-touched layer and re-runs the suffix — bit-identical to
+//!   materializing the faults and running [`Network::error_rate`] (see
+//!   [`maxnvm_dnn::prefix`]).
 //! - [`ProxyEval`] caches the clean relative-MSE denominator and adjusts
 //!   the numerator per delta in O(deltas) — bit-identical to the full
 //!   scan whenever the clean decode equals the proxy reference bitwise
@@ -27,11 +28,13 @@
 //! evaluator.
 
 use maxnvm_dnn::layer::ForwardScratch;
-use maxnvm_dnn::network::{argmax, LayerMatrix, Network, WeightDelta};
+use maxnvm_dnn::network::{misclassified, LayerMatrix, Network, WeightDelta, EVAL_BATCH};
 use maxnvm_dnn::prefix::PrefixCache;
 use maxnvm_dnn::sparse::SparseMatrix;
 use maxnvm_dnn::tensor::Tensor;
-use std::sync::Arc;
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// The clean model handed to [`AccuracyEval::eval_deltas_sparse`]: the
 /// decoded weight matrices, and their nonzeros. Evaluators compute on
@@ -72,43 +75,153 @@ impl SparseModel<'_> {
 /// [44, 57, 58].
 pub const PROXY_M0: f64 = 0.05;
 
-/// A [`NetworkEval`]'s cached clean-prefix state for one configuration
-/// key: a network holding the clean decoded weights (deltas are applied
-/// and reverted in place per trial) and the [`PrefixCache`] of the clean
-/// forward pass over the test batch.
-#[derive(Debug, Clone)]
-struct PrefixState {
-    net: Network,
+/// One chunk of a key's clean prefix: the [`PrefixCache`] of the clean
+/// forward pass over [`EVAL_BATCH`] consecutive test samples, and how
+/// many of those samples the clean model misclassifies.
+#[derive(Debug)]
+struct PrefixChunk {
     cache: PrefixCache,
-    clean_error: f64,
+    wrong: usize,
 }
 
-/// Reusable per-worker evaluation state: the network clone a
-/// [`NetworkEval`] writes materialized weights into, the keyed
-/// clean-prefix / clean-MSE caches behind
-/// [`AccuracyEval::eval_deltas_sparse`], and assorted staging buffers —
-/// so a Monte-Carlo campaign pays each allocation once per worker
-/// instead of once per trial.
+/// One configuration key's clean prefix over a [`NetworkEval`]'s whole
+/// test set, in chunks of [`EVAL_BATCH`] samples. Each chunk is built at
+/// most once and only read afterwards; a chunk holds `None` when the
+/// network has no prefix cache (residual blocks).
+#[derive(Debug)]
+struct SharedPrefix {
+    /// The next chunk nobody has claimed to build yet.
+    next: AtomicUsize,
+    chunks: Vec<OnceLock<Option<PrefixChunk>>>,
+}
+
+impl SharedPrefix {
+    fn new(chunks: usize) -> Self {
+        Self {
+            next: AtomicUsize::new(0),
+            chunks: (0..chunks).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Makes sure every chunk is built, with `build(i)` building chunk
+    /// `i`: claims unbuilt chunks from `next` and builds them, then waits
+    /// for the chunks other threads claimed (or builds one whose builder
+    /// panicked). So every thread that needs the prefix at once helps to
+    /// build it, and none builds a chunk another has built. `build` must
+    /// be a pure function of `i`. Returns whether every chunk has a cache.
+    fn build(&self, mut build: impl FnMut(usize) -> Option<PrefixChunk>) -> bool {
+        loop {
+            // The counter only hands out indices: the chunks themselves
+            // are published through their `OnceLock`s.
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(chunk) = self.chunks.get(i) else {
+                break;
+            };
+            if chunk.get_or_init(|| build(i)).is_none() {
+                return false;
+            }
+        }
+        self.chunks
+            .iter()
+            .enumerate()
+            .all(|(i, chunk)| chunk.get_or_init(|| build(i)).is_some())
+    }
+
+    /// The built chunks, in test-set order: all of them once
+    /// [`Self::build`] has returned `true`.
+    fn chunks(&self) -> impl Iterator<Item = &PrefixChunk> {
+        self.chunks.iter().filter_map(|c| c.get()?.as_ref())
+    }
+}
+
+/// The clean prefixes of one run, shared read-only by every scratch the
+/// run creates: at most one [`SharedPrefix`] per key. The scratches that
+/// use a prefix hold it by `Arc` and the registry by `Weak`, so a prefix
+/// no scratch holds is freed, and a run never holds more prefixes than
+/// it has scratches — one per compute thread — however many keys its
+/// groups decode to.
+#[derive(Default)]
+pub(crate) struct PrefixRegistry {
+    prefixes: Mutex<Vec<(u64, Weak<SharedPrefix>)>>,
+}
+
+impl std::fmt::Debug for PrefixRegistry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The vendored parking_lot Mutex has no Debug impl.
+        f.debug_struct("PrefixRegistry").finish_non_exhaustive()
+    }
+}
+
+impl PrefixRegistry {
+    /// `key`'s prefix if a scratch holds it, else a new, unbuilt one of
+    /// `chunks` chunks. The lock covers this lookup only: chunks are
+    /// built outside it.
+    fn prefix(&self, key: u64, chunks: usize) -> Arc<SharedPrefix> {
+        let mut prefixes = self.prefixes.lock();
+        prefixes.retain(|(_, p)| p.strong_count() > 0);
+        let live = prefixes
+            .iter()
+            .find(|(k, _)| *k == key)
+            .and_then(|(_, p)| p.upgrade());
+        live.unwrap_or_else(|| {
+            let prefix = Arc::new(SharedPrefix::new(chunks));
+            prefixes.push((key, Arc::downgrade(&prefix)));
+            prefix
+        })
+    }
+}
+
+/// A scratch's hold on one key's shared prefix, with the network copy a
+/// trial applies its deltas to: it holds the key's clean weights between
+/// trials (deltas are applied and reverted in place).
+#[derive(Debug, Clone)]
+struct HeldPrefix {
+    key: u64,
+    shared: Arc<SharedPrefix>,
+    net: Network,
+}
+
+/// Reusable per-thread evaluation state: what one trial changes (the
+/// network copy with the current key's clean weights, staging buffers),
+/// a hold on the current key's clean prefix, and the clean-MSE and
+/// materializing-fallback caches behind
+/// [`AccuracyEval::eval_deltas_sparse`] — so a Monte-Carlo campaign pays
+/// each allocation once per thread instead of once per trial.
 ///
-/// The keyed caches hold exactly one configuration each. The engine keys
-/// by clean decode, so every configuration of a run that decodes to the
-/// same weights shares them; a key switch rebuilds — a pure function of
-/// the key's clean matrices, so results are identical at any worker
-/// count and scratch-reuse pattern.
+/// The clean prefixes themselves live in a registry shared by every
+/// scratch of an engine run: one prefix per key, built once (its chunks
+/// spread over the threads that need it first) and then only read. A
+/// scratch holds one key at a time, and a key switch takes the new
+/// key's prefix from the registry or builds it — a pure function of the
+/// key's clean matrices, so results are identical at any worker count
+/// and scratch-reuse pattern. `EvalScratch::default()` starts a registry
+/// of its own.
 ///
 /// A scratch value is tied to the first evaluator that uses it (the lazily
 /// built caches keep that evaluator's architecture); do not share one
-/// scratch across different evaluators.
+/// scratch, or one registry, across different evaluators.
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
+    prefixes: Arc<PrefixRegistry>,
+    prefix: Option<HeldPrefix>,
     net: Option<Network>,
     forward: ForwardScratch,
     row_buf: Vec<f32>,
     dirty_rows: Vec<usize>,
     undo: Vec<(usize, u32, f32)>,
     materialized: Option<(u64, Vec<LayerMatrix>)>,
-    prefix: Option<(u64, Option<PrefixState>)>,
     proxy: Option<(u64, Option<f64>)>,
+}
+
+impl EvalScratch {
+    /// A fresh scratch that shares `prefixes` with the other scratches
+    /// of its run.
+    pub(crate) fn sharing(prefixes: &Arc<PrefixRegistry>) -> Self {
+        Self {
+            prefixes: Arc::clone(prefixes),
+            ..Self::default()
+        }
+    }
 }
 
 /// Maps decoded weight matrices to a classification error estimate.
@@ -123,8 +236,10 @@ pub trait AccuracyEval {
     /// slots of matrix `i` in slot-ascending order, deduped (missing
     /// trailing entries mean "no faults"). `key` identifies the
     /// configuration `clean` belongs to — calls with the same key
-    /// **must** pass bitwise-identical clean matrices, which lets
-    /// implementations cache per-key state in the scratch.
+    /// **must** pass bitwise-identical clean matrices, on this scratch
+    /// and on every scratch sharing its prefix registry, which lets
+    /// implementations cache per-key state in the scratch and share it
+    /// across the scratches of a run.
     ///
     /// Must return [`AccuracyEval::eval`] of the materialized faulty
     /// matrices bit for bit. Every engine entry point evaluates trials
@@ -208,6 +323,22 @@ impl NetworkEval {
         net.set_weight_matrices(mats);
         net.error_rate(&self.test)
     }
+
+    /// The clean prefix of test chunk `i` (samples `i·EVAL_BATCH..`) on
+    /// `net`, which holds the key's clean weights: `None` past the last
+    /// chunk and for residual networks.
+    fn clean_chunk(
+        &self,
+        net: &Network,
+        i: usize,
+        forward: &mut ForwardScratch,
+    ) -> Option<PrefixChunk> {
+        let samples = self.test.chunks(EVAL_BATCH).nth(i)?;
+        let xs: Vec<Tensor> = samples.iter().map(|(x, _)| x.clone()).collect();
+        let cache = PrefixCache::build(net, &xs, forward)?;
+        let wrong = misclassified(cache.clean_logits(), samples);
+        Some(PrefixChunk { cache, wrong })
+    }
 }
 
 impl AccuracyEval for NetworkEval {
@@ -219,11 +350,14 @@ impl AccuracyEval for NetworkEval {
         self.error_with(&mut self.net.clone(), mats)
     }
 
-    /// Clean-prefix trial path: the clean batch forward pass is cached
-    /// once per key; a trial recomputes only the dirty rows of the first
-    /// fault-touched layer and the layer suffix behind it — bit-identical
-    /// to materializing the faults (see [`maxnvm_dnn::prefix`]). Residual
-    /// networks materialize into the scratch network instead.
+    /// Clean-prefix trial path: the clean batch forward pass is built
+    /// once per key per run, in chunks of [`EVAL_BATCH`] test samples,
+    /// and shared by every scratch of the run; a trial recomputes, chunk
+    /// by chunk, only the dirty rows of the first fault-touched layer and
+    /// the layer suffix behind it, and adds up the misclassifications —
+    /// bit-identical to materializing the faults (see
+    /// [`maxnvm_dnn::prefix`]). Residual networks materialize into the
+    /// scratch network instead.
     fn eval_deltas_sparse(
         &self,
         key: u64,
@@ -235,33 +369,33 @@ impl AccuracyEval for NetworkEval {
         if self.test.is_empty() {
             return 0.0; // matches `Network::error_rate` on an empty set
         }
-        if !matches!(&scratch.prefix, Some((k, _)) if *k == key) {
-            let mut net = self.net.clone();
+        if !matches!(&scratch.prefix, Some(held) if held.key == key) {
+            // Let go of the previous key's prefix before taking this one,
+            // so the registry frees it once no scratch holds it.
+            let mut net = match scratch.prefix.take() {
+                Some(held) => held.net,
+                None => self.net.clone(),
+            };
             net.set_weight_matrices(clean);
-            let xs: Vec<Tensor> = self.test.iter().map(|(x, _)| x.clone()).collect();
-            let state = PrefixCache::build(&net, &xs, &mut scratch.forward).map(|cache| {
-                let clean_error = error_over(cache.clean_logits(), &self.test);
-                PrefixState {
-                    net,
-                    cache,
-                    clean_error,
-                }
-            });
-            scratch.prefix = Some((key, state));
+            let chunks = self.test.len().div_ceil(EVAL_BATCH);
+            let shared = scratch.prefixes.prefix(key, chunks);
+            scratch.prefix = Some(HeldPrefix { key, shared, net });
         }
-        // Destructure so the prefix state and the staging buffers can be
+        // Destructure so the prefix and the staging buffers can be
         // borrowed simultaneously; anything else materializes.
-        match scratch {
-            EvalScratch {
-                prefix: Some((k, Some(state))),
-                forward,
-                row_buf,
-                dirty_rows,
-                undo,
-                ..
-            } if *k == key => {
+        if let EvalScratch {
+            prefix: Some(HeldPrefix { shared, net, .. }),
+            forward,
+            row_buf,
+            dirty_rows,
+            undo,
+            ..
+        } = scratch
+        {
+            if shared.build(|i| self.clean_chunk(net, i, forward)) {
                 let Some(first) = deltas.iter().position(|d| !d.is_empty()) else {
-                    return state.clean_error;
+                    let wrong: usize = shared.chunks().map(|c| c.wrong).sum();
+                    return wrong as f64 / self.test.len() as f64;
                 };
                 dirty_rows.clear();
                 dirty_rows.extend(
@@ -271,45 +405,31 @@ impl AccuracyEval for NetworkEval {
                 );
                 dirty_rows.sort_unstable();
                 dirty_rows.dedup();
-                state.net.apply_weight_deltas(deltas, undo);
-                let pos = state.cache.site_layer(first);
-                let logits = match state.net.layers()[pos].weight_bias() {
-                    Some((w, b)) => {
-                        let patched = state
-                            .cache
-                            .patched_outputs(first, w, b, dirty_rows, row_buf);
-                        state.net.forward_suffix(pos + 1, patched, forward)
-                    }
-                    // Sites address weight layers by construction; stay
-                    // total with a (still exact) full faulty forward.
-                    None => state
-                        .net
-                        .forward_batch_scratch(state.cache.input_batch(), forward),
-                };
-                let error = error_over(&logits, &self.test);
-                state.net.revert_weight_deltas(undo);
-                error
+                net.apply_weight_deltas(deltas, undo);
+                let mut wrong = 0;
+                for (chunk, samples) in shared.chunks().zip(self.test.chunks(EVAL_BATCH)) {
+                    let pos = chunk.cache.site_layer(first);
+                    let logits = match net.layers()[pos].weight_bias() {
+                        Some((w, b)) => {
+                            let patched = chunk
+                                .cache
+                                .patched_outputs(first, w, b, dirty_rows, row_buf);
+                            net.forward_suffix(pos + 1, patched, forward)
+                        }
+                        // Sites address weight layers by construction; stay
+                        // total with a (still exact) full faulty forward.
+                        None => net.forward_batch_scratch(chunk.cache.input_batch(), forward),
+                    };
+                    wrong += misclassified(&logits, samples);
+                }
+                net.revert_weight_deltas(undo);
+                return wrong as f64 / self.test.len() as f64;
             }
-            _ => eval_deltas_materialized(key, clean, deltas, scratch, |mats, scratch| {
-                self.error_with(scratch.net.get_or_insert_with(|| self.net.clone()), mats)
-            }),
         }
+        eval_deltas_materialized(key, clean, deltas, scratch, |mats, scratch| {
+            self.error_with(scratch.net.get_or_insert_with(|| self.net.clone()), mats)
+        })
     }
-}
-
-/// Classification error of per-sample logits against labelled samples —
-/// the same argmax and counting [`Network::error_rate`] uses, applied to
-/// already-computed logits.
-fn error_over(logits: &[Tensor], test: &[(Tensor, usize)]) -> f64 {
-    if test.is_empty() {
-        return 0.0;
-    }
-    let wrong = logits
-        .iter()
-        .zip(test)
-        .filter(|(l, (_, y))| argmax(l) != *y)
-        .count();
-    wrong as f64 / test.len() as f64
 }
 
 /// Sensitivity-proxy evaluator for models too large to train in this
@@ -625,6 +745,93 @@ mod tests {
             trial(&eval, 7, &clean, &[Vec::new(), Vec::new()], &mut scratch),
             eval.baseline_error()
         );
+    }
+
+    /// `lenet_mini` over `n` random 1×16×16 images with cycling labels.
+    fn lenet_eval(n: usize) -> NetworkEval {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let test = (0..n)
+            .map(|i| {
+                let pixels = (0..256).map(|_| rng.gen::<f32>()).collect();
+                (Tensor::from_vec(&[1, 16, 16], pixels), i % 10)
+            })
+            .collect();
+        NetworkEval::new(maxnvm_dnn::zoo::lenet_mini(5), test)
+    }
+
+    /// A trial must equal the materialized evaluation bit for bit when
+    /// the test set ends inside, at or just past a prefix chunk — for
+    /// faults in the first, a middle, the last and several layers — on a
+    /// fresh scratch, on a reused one, and on a second scratch of the
+    /// same registry, which reads the prefix the first one built.
+    #[test]
+    fn network_eval_trials_are_bit_exact_across_chunk_boundaries() {
+        let d = |slot: u32, value: f32| WeightDelta { slot, value };
+        let none = Vec::new;
+        let cases = [
+            vec![none(), none(), none(), none()],
+            vec![vec![d(3, 2.5), d(190, -4.0)], none(), none(), none()],
+            vec![none(), vec![d(11, -1.75), d(95, 6.0)], none(), none()],
+            vec![none(), none(), none(), vec![d(1, 9.0)]],
+            vec![
+                none(),
+                vec![d(40, -3.0)],
+                vec![d(7, 5.25)],
+                vec![d(0, -0.5)],
+            ],
+        ];
+        let mut moved = false;
+        for n in [1, 63, 64, 65, 131] {
+            let eval = lenet_eval(n);
+            let clean = eval.network().weight_matrices();
+            let mut reused = EvalScratch::default();
+            let mut second = EvalScratch::sharing(&reused.prefixes);
+            for deltas in &cases {
+                let want = eval.eval(&materialize(&clean, deltas)).to_bits();
+                moved |= want != eval.baseline_error().to_bits();
+                let fresh = trial(&eval, 1, &clean, deltas, &mut EvalScratch::default());
+                assert_eq!(fresh.to_bits(), want, "fresh scratch, {n} samples");
+                let got = trial(&eval, 1, &clean, deltas, &mut reused);
+                assert_eq!(got.to_bits(), want, "reused scratch, {n} samples");
+                let got = trial(&eval, 1, &clean, deltas, &mut second);
+                assert_eq!(got.to_bits(), want, "second scratch, {n} samples");
+            }
+        }
+        assert!(moved, "no fault changed a prediction: the test is vacuous");
+    }
+
+    /// Two scratches of one registry read one prefix per key, and a
+    /// prefix is freed once no scratch holds it.
+    #[test]
+    fn scratches_of_one_registry_share_a_prefix_and_free_it() {
+        let eval = lenet_eval(65);
+        let clean = eval.network().weight_matrices();
+        let mut other = clean.clone();
+        for v in &mut other[0].data {
+            *v = -*v;
+        }
+        let none = vec![Vec::new(); clean.len()];
+        let mut a = EvalScratch::default();
+        let mut b = EvalScratch::sharing(&a.prefixes);
+        let held = |s: &EvalScratch| Arc::clone(&s.prefix.as_ref().unwrap().shared);
+        trial(&eval, 1, &clean, &none, &mut a);
+        trial(&eval, 1, &clean, &none, &mut b);
+        assert!(Arc::ptr_eq(&held(&a), &held(&b)), "one prefix per key");
+        let old = Arc::downgrade(&held(&a));
+        assert_eq!(
+            trial(&eval, 2, &other, &none, &mut a),
+            eval.eval(&other),
+            "a key switch reads the new key's weights"
+        );
+        assert!(old.upgrade().is_some(), "b still holds key 1");
+        trial(&eval, 2, &other, &none, &mut b);
+        assert!(
+            old.upgrade().is_none(),
+            "key 1 is freed once no scratch holds it"
+        );
+        assert!(Arc::ptr_eq(&held(&a), &held(&b)));
+        assert_eq!(a.prefixes.prefixes.lock().len(), 1, "only key 2 is alive");
     }
 
     /// Magnitude-prunes every matrix to roughly the given sparsity (the

@@ -126,8 +126,8 @@ fn campaign_is_byte_identical_across_tiers_and_workers() {
 /// Forwards to a [`NetworkEval`], counting `eval_deltas_sparse` calls in
 /// flight and recording the distinct threads they run on (`ThreadId` has
 /// no `Ord`, and D1 bans hash sets here). Each call is one trial
-/// on one pooled scratch, so the peak is how many clean prefixes the run
-/// holds at once.
+/// on one pooled scratch, so the peak is how many scratches the run
+/// needs, and bounds how many clean prefixes it holds at once.
 struct InFlight<'a> {
     inner: &'a NetworkEval,
     active: AtomicUsize,
@@ -167,11 +167,12 @@ impl AccuracyEval for InFlight<'_> {
 
 #[test]
 fn trials_in_flight_never_exceed_threads() {
-    // Each trial in flight checks out a scratch, and a scratch's first
-    // evaluation builds a clean prefix of its own. Trials run one per
-    // compute thread, the caller included, so a run on `threads`
-    // threads holds at most `threads` scratches and prefixes, whatever
-    // its trial count, and one thread means the caller's alone.
+    // Each trial in flight checks out a scratch, and a scratch holds at
+    // most one clean prefix (shared with the run's other scratches).
+    // Trials run one per compute thread, the caller included, so a run
+    // on `threads` threads holds at most `threads` scratches and
+    // prefixes, whatever its trial count, and one thread means the
+    // caller's alone.
     let (eval, stored) = fixture();
     let sa = SenseAmp::paper_default();
     let (trials, seed, scale) = (16usize, 7u64, 2000.0);

@@ -13,7 +13,7 @@ use maxnvm_encoding::{EncodingKind, StructureKind};
 use maxnvm_envm::{MlcConfig, SenseAmp};
 use maxnvm_faultsim::campaign::Campaign;
 use maxnvm_faultsim::engine::{EvalContext, RunControl};
-use maxnvm_faultsim::evaluate::ProxyEval;
+use maxnvm_faultsim::evaluate::{NetworkEval, ProxyEval};
 
 #[test]
 fn training_is_deterministic() {
@@ -98,6 +98,68 @@ fn campaigns_are_deterministic_across_thread_schedules() {
     }
     for workers in [2, max] {
         assert_eq!(run(workers), one, "{workers} workers");
+    }
+}
+
+#[test]
+fn network_campaigns_are_identical_at_any_thread_count() {
+    // 135 self-labelled images: three 64-sample clean-prefix chunks, the
+    // last one partial. The threads of a run build one shared prefix
+    // between them, chunk by chunk, and every trial adds up its
+    // misclassifications chunk by chunk, so neither may depend on how
+    // many threads ran.
+    let mut net = lenet_mini(3);
+    let mut mats = net.weight_matrices();
+    for m in &mut mats {
+        zoo::prune_to_sparsity(&mut m.data, 0.6);
+    }
+    let layers: Vec<ClusteredLayer> = mats
+        .iter()
+        .map(|m| ClusteredLayer::from_matrix(m, 4, 5))
+        .collect();
+    net.set_weight_matrices(
+        &layers
+            .iter()
+            .map(ClusteredLayer::reconstruct)
+            .collect::<Vec<_>>(),
+    );
+    let images: Vec<_> = SyntheticDigits::generate(540, 8)
+        .test
+        .into_iter()
+        .map(|(x, _)| x)
+        .collect();
+    assert!(images.len() >= 130, "{} images", images.len());
+    let labels = net.predict_batch(&images);
+    let eval = NetworkEval::new(net, images.into_iter().zip(labels).collect());
+    let scheme = StorageScheme::uniform(EncodingKind::BitMask, MlcConfig::MLC3).with_idx_sync();
+    let stored: Vec<StoredLayer> = layers
+        .iter()
+        .map(|l| StoredLayer::store(l, &scheme))
+        .collect();
+    let sa = SenseAmp::paper_default();
+    let run = |workers| {
+        let campaign = EvalContext::with_workers(CellTechnology::MlcCtt, &sa, 150.0, workers)
+            .expect("context")
+            .run_campaign(24, 5, &stored, &eval, &RunControl::default())
+            .expect("campaign");
+        // Chip programming outcomes are only defined at physical rates;
+        // MLC RRAM's are high enough for faults to land.
+        let chips = EvalContext::with_workers(CellTechnology::MlcRram, &sa, 1.0, workers)
+            .expect("context")
+            .run_chips(128, 29, &stored, &eval)
+            .expect("chips");
+        (campaign, chips)
+    };
+    let one = run(1);
+    for (name, r) in [("campaign", &one.0), ("chips", &one.1)] {
+        assert!(r.mean_cell_faults > 0.0, "{name}: no faults landed");
+    }
+    assert!(
+        one.0.errors.iter().any(|&e| e > 0.0),
+        "no campaign trial misclassified anything: the comparison is vacuous"
+    );
+    for workers in [2, 3] {
+        assert_eq!(run(workers), one, "{workers} threads");
     }
 }
 
