@@ -5,8 +5,10 @@
 //! matrix from memory for every output row; at LeNet5 batch sizes the
 //! trial loop spends most of its time there. This kernel uses the
 //! classic three-level blocking (GotoBLAS / BLIS structure): the right
-//! operand is packed into `nr`-wide column panels, the left operand
-//! into `mr`-tall row panels, and an `mr`×`nr` register-tile
+//! operand is packed into `nr`-wide column panels (copied from a
+//! row-major matrix by [`gemm_into`], or gathered straight from an
+//! activation batch for a batched convolution, so no im2col matrix is
+//! built), the left operand into `mr`-tall row panels, and an `mr`×`nr` register-tile
 //! micro-kernel runs over [`KC`]-deep slices. The tile shape is chosen
 //! per instruction set by [`active_tier`] — a 4×8 portable tile
 //! ([`SimdTier::Scalar`]), a 6×16 AVX2/FMA tile, an 8×32 AVX-512 tile,
@@ -36,21 +38,39 @@
 //! `network`/`prefix`), and what makes campaign results byte-identical
 //! between scalar-forced and SIMD runs.
 //!
-//! [`gemm_into`] does not branch on zero-valued `a` entries —
-//! data-dependent branches defeat vectorization — but skipping a term
-//! whose `a` entry is exactly `±0.0` *is* a bitwise no-op under fused
-//! arithmetic too: `fma(±0.0, b, acc)` rounds `±0.0·b + acc = acc`
-//! exactly for any finite `b`, and an accumulator that starts at `+0.0`
-//! can never become `-0.0` (under round-to-nearest `+0.0 + ±0.0 = +0.0`
-//! and exact cancellation of nonzero terms yields `+0.0`; a fused term
-//! behaves the same because its product's sign only matters when the
-//! sum is exactly zero). So [`gemm_row_into`], which recomputes the
-//! magnitude-pruned weight rows a fault touched, skips those terms and
-//! pays only for a row's nonzeros while still reproducing the blocked
-//! kernel's row bit for bit. The one caveat is non-finite activations
-//! (`0.0 · inf = NaN` on the blocked path only), which cannot arise
-//! from the finite inputs this crate feeds the kernels (see
-//! `DESIGN.md` §13).
+//! # Skipping zero terms
+//!
+//! The blocked kernel does not branch on zero operands (data-dependent
+//! branches defeat vectorization), but the row kernels skip terms:
+//! [`gemm_row_into`] skips weights that are exactly `±0.0`, and the
+//! batched convolution's row kernel (`tensor::conv_row_into`) also skips
+//! padding taps, which the blocked path multiplies as packed `0.0`s.
+//! For finite operands, skipping a term whose product is `±0.0` is a
+//! bitwise no-op unless the running sum has underflowed to `-0.0`:
+//! `fma(a, b, acc)` with `a·b = ±0.0` returns `acc` for every nonzero
+//! `acc` and for `acc = +0.0` (round-to-nearest gives `+0.0 + -0.0 =
+//! +0.0`), but `-0.0 + +0.0 = +0.0`. A sum that starts at `+0.0` *can*
+//! become `-0.0`: a fused step rounds to `-0.0` when its exact result is
+//! negative and at most 2^-150 in magnitude, as `fma(a, b, +0.0)` does
+//! for a negative `a·b` that small.
+//!
+//! The kernels' operands never get there. Every float is an integer
+//! multiple of 2^-149, and so is the exact product of two floats of
+//! magnitude at least 2^-51 (their significands are integers scaled by
+//! 2^(e-23), and the exponents sum to at least -102). While every nonzero
+//! operand is that large, each exact partial sum is a multiple of 2^-149:
+//! either exactly zero, which rounds to `+0.0` (exact cancellation is
+//! `+0.0` under round-to-nearest), or at least 2^-149 in magnitude, which
+//! does not round to zero. The workloads sit far above the bound: over
+//! the seed-1 test sets of the trained, pruned and clustered LeNet
+//! stand-in and of the VGG12-topology net, the smallest nonzero weight
+//! is 2^-4.7 in magnitude and the smallest nonzero activation entering a
+//! weight layer 2^-21.6, and no activation is `-0.0`. So a row kernel
+//! pays only for a pruned row's nonzeros and in-bounds taps and still
+//! reproduces the blocked kernel's row bit for bit. The other caveat is
+//! non-finite activations (`0.0 · inf = NaN` on the blocked path only),
+//! which cannot arise from the finite inputs this crate feeds the kernels
+//! (see `DESIGN.md` §13).
 //!
 mod dispatch;
 #[cfg(target_arch = "aarch64")]
@@ -83,6 +103,43 @@ pub struct GemmScratch {
     packed_b: Vec<f32>,
 }
 
+/// The right-hand operand of a blocked product as the packing step sees
+/// it: a `k`×`n` matrix that writes any block of itself into the
+/// micro-kernel's `nr`-wide strips. [`gemm_into`] packs a row-major
+/// matrix; the batched convolution gathers its strips straight from the
+/// activation batch (`crate::tensor`), so no im2col matrix is built.
+pub(crate) trait PackRhs {
+    /// Writes rows `pc..pc + kc` and columns `jc..jc + nc` into `packed`,
+    /// which holds exactly `nc.div_ceil(nr)·kc·nr` stale floats, as
+    /// `packed[(strip·kc + kk)·nr + j] = b[pc + kk, jc + strip·nr + j]`,
+    /// with zeros past column `jc + nc` so the micro-kernel never
+    /// branches on edges.
+    fn pack(&self, packed: &mut [f32], pc: usize, kc: usize, jc: usize, nc: usize, nr: usize);
+}
+
+/// A row-major `k`×`n` right-hand matrix.
+struct RowMajor<'a> {
+    b: &'a [f32],
+    n: usize,
+}
+
+impl PackRhs for RowMajor<'_> {
+    // packed holds strips*kc*nr floats (the trait contract), so each strip
+    // row kk*nr..(kk+1)*nr is in range; the source run stays inside row
+    // pc + kk of the k*n matrix.
+    fn pack(&self, packed: &mut [f32], pc: usize, kc: usize, jc: usize, nc: usize, nr: usize) {
+        for (s, strip) in packed.chunks_exact_mut(kc * nr).enumerate() {
+            let col = jc + s * nr;
+            let width = nr.min(nc - s * nr);
+            for (kk, dst) in strip.chunks_exact_mut(nr).enumerate() {
+                let row = (pc + kk) * self.n + col;
+                dst[..width].copy_from_slice(&self.b[row..row + width]);
+                dst[width..].fill(0.0);
+            }
+        }
+    }
+}
+
 /// `c = a · b` for row-major `a` (`m`×`k`), `b` (`k`×`n`), `c` (`m`×`n`).
 ///
 /// `c` is overwritten (zeroed first). The classic jc/pc/ic loop nest runs
@@ -101,8 +158,27 @@ pub fn gemm_into(
     n: usize,
     scratch: &mut GemmScratch,
 ) {
-    assert_eq!(a.len(), m * k, "lhs length vs {m}x{k}");
     assert_eq!(b.len(), k * n, "rhs length vs {k}x{n}");
+    gemm_packed(c, a, &RowMajor { b, n }, m, k, n, scratch);
+}
+
+/// [`gemm_into`] with the right-hand operand given by its packing step:
+/// the same loop nest, micro-kernels and per-element chains, whatever
+/// `b` packs from.
+///
+/// # Panics
+///
+/// Asserts that the slice lengths match the given dimensions.
+pub(crate) fn gemm_packed(
+    c: &mut [f32],
+    a: &[f32],
+    b: &impl PackRhs,
+    m: usize,
+    k: usize,
+    n: usize,
+    scratch: &mut GemmScratch,
+) {
+    assert_eq!(a.len(), m * k, "lhs length vs {m}x{k}");
     assert_eq!(c.len(), m * n, "out length vs {m}x{n}");
     c.fill(0.0);
     if m == 0 || k == 0 || n == 0 {
@@ -117,7 +193,11 @@ pub fn gemm_into(
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
-            pack_b(packed_b, b, n, pc, kc, jc, nc, nr);
+            let len = nc.div_ceil(nr) * kc * nr;
+            if packed_b.len() < len {
+                packed_b.resize(len, 0.0);
+            }
+            b.pack(&mut packed_b[..len], pc, kc, jc, nc, nr);
             let mut ic = 0;
             while ic < m {
                 let mc = mc_blk.min(m - ic);
@@ -135,9 +215,10 @@ pub fn gemm_into(
 /// b[k-1,j], … fma(row[0], b[0,j], 0.0))` in ascending-k order —
 /// bit-identical to the same row of [`gemm_into`] on every tier (see
 /// the module docs). Terms whose `row` entry is exactly `±0.0` are
-/// skipped, a bitwise no-op by the same argument, so a pruned row costs
-/// its nonzeros only. Used by the clean-prefix fault path to recompute
-/// only the weight rows a fault touched.
+/// skipped, a bitwise no-op for the operands this crate multiplies (see
+/// "Skipping zero terms" in the module docs), so a pruned row costs its
+/// nonzeros only. Used by the clean-prefix fault path to recompute only
+/// the linear-layer rows a fault touched.
 ///
 /// # Panics
 ///
@@ -221,37 +302,6 @@ fn pack_a(
             for (kk, &v) in src.iter().enumerate() {
                 packed[base + kk * mr + i] = v;
             }
-        }
-    }
-}
-
-/// Packs `b[pc.., jc..]` (`kc`×`nc`) into `nr`-wide strips:
-/// `packed[(strip·kc + kk)·nr + j] = b[pc + kk, jc + strip·nr + j]`,
-/// zero-padded past `nc`.
-#[expect(clippy::too_many_arguments, reason = "one scalar per block coordinate")]
-// packed is resized to exactly strips*kc*NR before the copy loops; every
-// index is a (strip, row, lane) triple inside those extents.
-fn pack_b(
-    packed: &mut Vec<f32>,
-    b: &[f32],
-    n: usize,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    nr: usize,
-) {
-    let strips = nc.div_ceil(nr);
-    packed.clear();
-    packed.resize(strips * kc * nr, 0.0);
-    for s in 0..strips {
-        let base = s * kc * nr;
-        let col = jc + s * nr;
-        let width = nr.min(nc - s * nr);
-        for kk in 0..kc {
-            let src = &b[(pc + kk) * n + col..(pc + kk) * n + col + width];
-            let dst = &mut packed[base + kk * nr..base + kk * nr + width];
-            dst.copy_from_slice(src);
         }
     }
 }
@@ -440,9 +490,9 @@ unsafe fn micro_tile_mul_add<const TMR: usize, const TNR: usize>(
 }
 
 /// `dst[j] = fma(a, src[j], dst[j])` on the active tier — the building
-/// block of the row kernel. One fused rounding per element on every
+/// block of the row kernels. One fused rounding per element on every
 /// tier, so all routes are bit-identical.
-fn axpy(tier: SimdTier, dst: &mut [f32], src: &[f32], a: f32) {
+pub(crate) fn axpy(tier: SimdTier, dst: &mut [f32], src: &[f32], a: f32) {
     debug_assert_eq!(dst.len(), src.len());
     match tier {
         SimdTier::Scalar => {

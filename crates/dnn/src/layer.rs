@@ -1,26 +1,38 @@
-//! Network layers with single-sample forward inference.
+//! Network layers: a single-sample forward (training, per-sample
+//! inference) and a batched forward.
 //!
 //! Weights are kept in the 2-D layout the paper's sparse encodings consume
 //! (§3.2.1): convolution kernels `[out_ch, in_ch*kh*kw]` (the NVDLA-
 //! compatible 2-D mapping of the 3-D filters) and linear weights
 //! `[out, in]`.
+//!
+//! The batched forward ([`Layer::forward_batch_in_place`]) runs on one
+//! [`Batch`] buffer per layer, laid out `[c][h][w][n]`, sample innermost.
+//! Conv2d multiplies through the blocked GEMM, whose packing step gathers
+//! each strip straight from the buffer ([`crate::tensor`]); Linear
+//! multiplies the buffer as it stands; Flatten only relabels it; ReLU
+//! runs in place; MaxPool2 takes maxima over contiguous runs of samples.
+//! No layer builds an im2col matrix or a per-sample tensor. Every output
+//! element is the same ascending-k fused chain as on the single-sample
+//! path, which keeps im2col for training's weight gradient, so the two
+//! paths give the same bits (DESIGN.md §9).
 
-use crate::gemm::{fused_dot, gemm_into, GemmScratch};
-use crate::tensor::{conv_out_dims, im2col_into, Tensor};
+use crate::gemm::{fused_dot, gemm_into, gemm_packed, gemm_row_into, GemmScratch};
+use crate::tensor::{
+    conv_out_dims, conv_row_into, im2col_into, Batch, BatchPatches, ConvGeometry, Tensor,
+};
 
-/// Reusable buffers for [`Layer::forward_batch_scratch`]. One instance per
-/// worker keeps the whole batched forward pass allocation-free after
-/// warm-up: the staging vectors grow to the largest layer once and are
-/// reused by every subsequent layer and trial.
+/// Reusable buffers for the batched forward
+/// ([`Layer::forward_batch_in_place`]). One instance per worker keeps the
+/// whole pass allocation-free after warm-up: the buffers grow to the
+/// largest layer once and are reused by every later layer and trial.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardScratch {
     /// GEMM packing buffers (see [`GemmScratch`]).
-    pub gemm: GemmScratch,
-    /// Right-hand-side staging: the `[k, n·p]` im2col / column-stacked
-    /// input matrix of the current weight layer.
-    pub cols: Vec<f32>,
-    /// GEMM output staging (`[rows, n·p]`).
-    pub out: Vec<f32>,
+    pub(crate) gemm: GemmScratch,
+    /// The other activation buffer: a layer that cannot run in place
+    /// writes its output here, then swaps it with its input.
+    spare: Batch,
 }
 
 /// One layer's output on one sample, in buffers reused from sample to
@@ -34,22 +46,6 @@ pub(crate) struct Activation {
     /// Conv2d only: the `[in_ch·kh·kw, out_h·out_w]` im2col of the
     /// layer's input, the matrix the convolution multiplied.
     pub(crate) cols: Vec<f32>,
-}
-
-/// Geometry of the packed right-hand matrix built by
-/// [`Layer::weight_rhs_into`]: the weight layer computes
-/// `weight (rows×k) · rhs (k × n·per_cols)` and sample `s` owns output
-/// columns `s·per_cols .. (s+1)·per_cols`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RhsMeta {
-    /// Inner dimension (weight fan-in).
-    pub k: usize,
-    /// Output columns per sample (`out_h·out_w` for conv, 1 for linear).
-    pub per_cols: usize,
-    /// Output rows (out channels / neurons) — the weight matrix's rows.
-    pub rows: usize,
-    /// Shape of one sample's output tensor.
-    pub out_sample_shape: Vec<usize>,
 }
 
 /// One layer of a [`Network`](crate::Network).
@@ -200,16 +196,7 @@ impl Layer {
                     .collect();
                 Tensor::from_vec(main.shape(), data)
             }
-            // The batched forward maps these two over every sample, and
-            // the buffer-reusing `forward_into` adds ~30 ns per call.
-            Layer::ReLU => {
-                Tensor::from_vec(x.shape(), x.data().iter().map(|&v| v.max(0.0)).collect())
-            }
-            Layer::Flatten => {
-                let n = x.len();
-                x.clone().reshape(&[n])
-            }
-            // Conv2d, Linear and MaxPool2.
+            // Conv2d, Linear, ReLU, MaxPool2 and Flatten.
             _ => {
                 let mut out = Activation::default();
                 self.forward_into(x.data(), x.shape(), &mut out, &mut GemmScratch::default());
@@ -220,11 +207,10 @@ impl Layer {
 
     /// Runs a Conv2d, Linear, ReLU, MaxPool2 or Flatten layer on one
     /// sample `x` of shape `shape`, into `out`'s reused buffers; a Conv2d
-    /// layer also leaves its input's im2col in `out.cols`. This is the
-    /// single-sample forward of [`Self::forward`] (which runs ReLU and
-    /// Flatten itself, with the same one operation per element), so
-    /// both give the same bits. Returns `false`, with `out` untouched,
-    /// for the other layer kinds.
+    /// layer also leaves its input's im2col in `out.cols`, which training
+    /// multiplies again for the weight gradient. This is the
+    /// single-sample forward of [`Self::forward`]. Returns `false`, with
+    /// `out` untouched, for the other layer kinds.
     ///
     /// # Panics
     ///
@@ -329,63 +315,213 @@ impl Layer {
         true
     }
 
-    /// Runs the layer on a batch of same-shaped samples, allocating a
-    /// fresh scratch. See [`Self::forward_batch_scratch`].
-    pub fn forward_batch(&self, xs: &[Tensor]) -> Vec<Tensor> {
-        self.forward_batch_scratch(xs, &mut ForwardScratch::default())
-    }
-
-    /// Runs the layer on a batch of same-shaped samples, reusing the
-    /// caller's staging buffers.
-    ///
-    /// Conv2d and Linear batch into a single matrix multiply (one GEMM
-    /// per layer per trial instead of one per sample); other layers map
-    /// [`Self::forward`] over the batch. Per-sample results are identical
-    /// to [`Self::forward`]: each output element accumulates the same
-    /// weight terms in the same ascending-k order, independent of the
-    /// other columns (see [`crate::gemm`]).
+    /// Runs the layer on a batch of same-shaped samples through
+    /// [`Self::forward_batch_in_place`], converting to and from the
+    /// sample-innermost layout at the boundary. Per-sample results equal
+    /// [`Self::forward`].
     ///
     /// # Panics
     ///
     /// Panics if the samples disagree in shape or any is incompatible
     /// with the layer.
-    pub fn forward_batch_scratch(
-        &self,
-        xs: &[Tensor],
-        scratch: &mut ForwardScratch,
-    ) -> Vec<Tensor> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        if let Some(meta) = self.weight_rhs_into(xs, &mut scratch.cols) {
-            return self.forward_from_rhs(
-                &scratch.cols,
-                &meta,
-                xs.len(),
-                &mut scratch.out,
-                &mut scratch.gemm,
-            );
+    pub fn forward_batch(&self, xs: &[Tensor]) -> Vec<Tensor> {
+        let mut x = Batch::from_samples(xs);
+        self.forward_batch_in_place(&mut x, &mut ForwardScratch::default());
+        x.to_samples()
+    }
+
+    /// Runs the layer on the batch `x`, leaving its output in `x`.
+    ///
+    /// Conv2d and Linear are one GEMM over the whole batch, with the
+    /// bias added after it; the other layers map their single-sample
+    /// operation over every element or sample. Each sample's outputs are
+    /// bit-identical to [`Self::forward`]: every output element
+    /// accumulates the same weight terms in the same ascending-k order,
+    /// independent of the other columns (see [`crate::gemm`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch is incompatible with the layer.
+    pub fn forward_batch_in_place(&self, x: &mut Batch, scratch: &mut ForwardScratch) {
+        if x.is_empty() {
+            return;
         }
         match self {
-            Layer::Residual { body, shortcut } => {
-                let mut main = xs.to_vec();
-                for l in body {
-                    main = l.forward_batch_scratch(&main, scratch);
+            Layer::ReLU => {
+                for v in x.data_mut() {
+                    *v = v.max(0.0);
                 }
-                let mut sc = xs.to_vec();
-                for l in shortcut {
-                    sc = l.forward_batch_scratch(&sc, scratch);
-                }
-                main.iter()
-                    .zip(&sc)
-                    .map(|(a, b)| {
-                        assert_eq!(a.shape(), b.shape(), "residual shape mismatch");
-                        let data = a.data().iter().zip(b.data()).map(|(x, y)| x + y).collect();
-                        Tensor::from_vec(a.shape(), data)
-                    })
-                    .collect()
             }
-            _ => xs.iter().map(|x| self.forward(x)).collect(),
+            Layer::Flatten => {
+                let len = x.sample_shape().iter().product::<usize>();
+                x.set_shape(&[len]);
+            }
+            Layer::BatchNorm2d {
+                gamma,
+                beta,
+                mean,
+                var,
+            } => {
+                let (c, h, w) = chw(x.sample_shape(), "batchnorm");
+                assert_eq!(c, gamma.len(), "batchnorm channels");
+                let run = h * w * x.len();
+                for (ci, chunk) in x.data_mut().chunks_exact_mut(run).enumerate() {
+                    let inv = 1.0 / (var[ci] + 1e-5).sqrt();
+                    for v in chunk {
+                        *v = gamma[ci] * (*v - mean[ci]) * inv + beta[ci];
+                    }
+                }
+            }
+            Layer::Residual { body, shortcut } => {
+                let mut sc = x.clone();
+                for l in body {
+                    l.forward_batch_in_place(x, scratch);
+                }
+                for l in shortcut {
+                    l.forward_batch_in_place(&mut sc, scratch);
+                }
+                assert_eq!(
+                    x.sample_shape(),
+                    sc.sample_shape(),
+                    "residual shape mismatch"
+                );
+                for (a, b) in x.data_mut().iter_mut().zip(sc.data()) {
+                    *a += b;
+                }
+            }
+            Layer::Conv2d { .. }
+            | Layer::Linear { .. }
+            | Layer::MaxPool2
+            | Layer::AvgPoolGlobal => {
+                self.forward_batch_into(x, &mut scratch.spare, &mut scratch.gemm);
+                std::mem::swap(x, &mut scratch.spare);
+            }
+        }
+    }
+
+    /// The Conv2d, Linear, MaxPool2 and AvgPoolGlobal arms of
+    /// [`Self::forward_batch_in_place`], which cannot run in place: writes
+    /// the output of the non-empty batch `x` into `out`. Other layer
+    /// kinds leave `out` untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch is incompatible with the layer.
+    // Every index stays inside the [c][h][w][n] input and the output that
+    // `reset` sized from the same dims: the pool reads the 2x2 window of
+    // an output pixel, rows of n samples apiece.
+    pub(crate) fn forward_batch_into(&self, x: &Batch, out: &mut Batch, gs: &mut GemmScratch) {
+        let n = x.len();
+        match self {
+            Layer::Conv2d {
+                weight,
+                bias,
+                in_ch,
+                kh,
+                kw,
+                stride,
+                pad,
+                ..
+            } => {
+                let g = conv_geometry(x.sample_shape(), *in_ch, *kh, *kw, *stride, *pad);
+                let (oh, ow) = g.out_dims();
+                assert!(oh > 0 && ow > 0, "empty convolution output");
+                let (out_ch, k) = (weight.shape()[0], weight.shape()[1]);
+                let dst = out.reset(&[out_ch, oh, ow], n);
+                let patches = BatchPatches { x: x.data(), g, n };
+                gemm_packed(dst, weight.data(), &patches, out_ch, k, oh * ow * n, gs);
+                add_bias(dst, bias);
+            }
+            Layer::Linear { weight, bias, .. } => {
+                let (out_dim, inp) = (weight.shape()[0], weight.shape()[1]);
+                assert_eq!(x.sample_shape().len(), 1, "linear input must be flat");
+                assert_eq!(x.sample_shape()[0], inp, "linear input size");
+                let dst = out.reset(&[out_dim], n);
+                gemm_into(dst, weight.data(), x.data(), out_dim, inp, n, gs);
+                add_bias(dst, bias);
+            }
+            Layer::MaxPool2 => {
+                let (c, h, w) = chw(x.sample_shape(), "pool");
+                assert!(
+                    h % 2 == 0 && w % 2 == 0,
+                    "pool needs even dims, got {h}x{w}"
+                );
+                let (oh, ow) = (h / 2, w / 2);
+                let src = x.data();
+                let mut runs = out.reset(&[c, oh, ow], n).chunks_exact_mut(n);
+                for ci in 0..c {
+                    for oy in 0..oh {
+                        for (ox, run) in (0..ow).zip(&mut runs) {
+                            let top = ((ci * h + 2 * oy) * w + 2 * ox) * n;
+                            let bottom = top + w * n;
+                            let [tl, tr, bl, br] =
+                                [top, top + n, bottom, bottom + n].map(|t| &src[t..t + n]);
+                            // The single-sample pool's order: row by row,
+                            // left to right, from -inf.
+                            let taps = tl.iter().zip(tr).zip(bl).zip(br);
+                            for (m, (((&tl, &tr), &bl), &br)) in run.iter_mut().zip(taps) {
+                                *m = f32::NEG_INFINITY.max(tl).max(tr).max(bl).max(br);
+                            }
+                        }
+                    }
+                }
+            }
+            Layer::AvgPoolGlobal => {
+                let (c, h, w) = chw(x.sample_shape(), "pool");
+                let (hw, src) = (h * w, x.data());
+                let dst = out.reset(&[c], n);
+                for (i, v) in dst.iter_mut().enumerate() {
+                    let (ci, s) = (i / n, i % n);
+                    let sum = (0..hw).map(|p| src[(ci * hw + p) * n + s]).sum::<f32>();
+                    *v = sum / hw as f32;
+                }
+            }
+            Layer::ReLU | Layer::Flatten | Layer::BatchNorm2d { .. } | Layer::Residual { .. } => {}
+        }
+    }
+
+    /// Recomputes output row `o` of this weight layer — out channel `o` of
+    /// a Conv2d, output `o` of a Linear — over the batch `x` entering the
+    /// layer, into `out` (that row's `out_h·out_w·n` or `n` values in
+    /// the batched output), bit-identical to the same row of
+    /// [`Self::forward_batch_in_place`]: one sequential fused chain per
+    /// element that skips `±0` weights (and padding taps), so a pruned row
+    /// costs its nonzeros only, then the bias. A layer without weights
+    /// leaves `out` untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `o` is out of range or the shapes disagree.
+    pub(crate) fn output_row_into(&self, o: usize, x: &Batch, out: &mut [f32]) {
+        match self {
+            Layer::Conv2d {
+                weight,
+                bias,
+                in_ch,
+                kh,
+                kw,
+                stride,
+                pad,
+                ..
+            } => {
+                let g = conv_geometry(x.sample_shape(), *in_ch, *kh, *kw, *stride, *pad);
+                let k = weight.shape()[1];
+                conv_row_into(
+                    out,
+                    &weight.data()[o * k..(o + 1) * k],
+                    x.data(),
+                    &g,
+                    x.len(),
+                );
+                add_bias(out, &bias[o..=o]);
+            }
+            Layer::Linear { weight, bias, .. } => {
+                let k = weight.shape()[1];
+                let row = &weight.data()[o * k..(o + 1) * k];
+                gemm_row_into(out, row, x.data(), k, x.len());
+                add_bias(out, &bias[o..=o]);
+            }
+            _ => {}
         }
     }
 
@@ -398,127 +534,6 @@ impl Layer {
             }
             _ => None,
         }
-    }
-
-    /// Packs a batch of inputs into the `[k, n·per_cols]` right-hand
-    /// matrix this weight layer multiplies (im2col patches unfolded side
-    /// by side for Conv2d, column-stacked vectors for Linear), reusing
-    /// the caller's buffer. Returns `None` (leaving `rhs` untouched) for
-    /// layers without weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the samples disagree in shape or are incompatible with
-    /// the layer.
-    // rhs is resized to k*n in this fn before the k*n+s writes; the row
-    // index is asserted < inp and s < n by the sample loop.
-    pub fn weight_rhs_into(&self, xs: &[Tensor], rhs: &mut Vec<f32>) -> Option<RhsMeta> {
-        let n = xs.len();
-        match self {
-            Layer::Conv2d {
-                weight,
-                in_ch,
-                kh,
-                kw,
-                stride,
-                pad,
-                ..
-            } => {
-                let shape = xs[0].shape().to_vec();
-                assert_eq!(shape.len(), 3, "conv input must be [c,h,w]");
-                assert_eq!(shape[0], *in_ch, "conv input channels");
-                let (c, h, w) = (shape[0], shape[1], shape[2]);
-                let (oh, ow) = conv_out_dims(h, w, *kh, *kw, *stride, *pad);
-                assert!(oh > 0 && ow > 0, "empty convolution output");
-                let p = oh * ow;
-                let k = c * kh * kw;
-                rhs.clear();
-                rhs.resize(k * n * p, 0.0);
-                for (s, x) in xs.iter().enumerate() {
-                    assert_eq!(x.shape(), &shape[..], "batch shapes must agree");
-                    im2col_into(
-                        x.data(),
-                        c,
-                        h,
-                        w,
-                        *kh,
-                        *kw,
-                        *stride,
-                        *pad,
-                        rhs,
-                        n * p,
-                        s * p,
-                    );
-                }
-                Some(RhsMeta {
-                    k,
-                    per_cols: p,
-                    rows: weight.shape()[0],
-                    out_sample_shape: vec![weight.shape()[0], oh, ow],
-                })
-            }
-            Layer::Linear { weight, .. } => {
-                let (out_dim, inp) = (weight.shape()[0], weight.shape()[1]);
-                rhs.clear();
-                rhs.resize(inp * n, 0.0);
-                for (s, x) in xs.iter().enumerate() {
-                    assert_eq!(x.shape().len(), 1, "linear input must be flat");
-                    assert_eq!(x.len(), inp, "linear input size");
-                    for (k, &v) in x.data().iter().enumerate() {
-                        rhs[k * n + s] = v;
-                    }
-                }
-                Some(RhsMeta {
-                    k: inp,
-                    per_cols: 1,
-                    rows: out_dim,
-                    out_sample_shape: vec![out_dim],
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// Multiplies this weight layer against a packed right-hand matrix
-    /// (from [`Self::weight_rhs_into`]) of `n` samples, adds the bias, and
-    /// splits the result into per-sample tensors. `out` is staging for
-    /// the GEMM result. Returns empty for layers without weights and for
-    /// an empty batch.
-    // out is sized rows*total from meta here, so o*total+s*p+p <= out.len()
-    // for every row o and sample s < n.
-    pub fn forward_from_rhs(
-        &self,
-        rhs: &[f32],
-        meta: &RhsMeta,
-        n: usize,
-        out: &mut Vec<f32>,
-        gs: &mut GemmScratch,
-    ) -> Vec<Tensor> {
-        let Some((weight, bias)) = self.weight_bias() else {
-            return Vec::new();
-        };
-        if n == 0 {
-            return Vec::new();
-        }
-        let total = n * meta.per_cols;
-        out.clear();
-        out.resize(meta.rows * total, 0.0);
-        gemm_into(out, weight.data(), rhs, meta.rows, meta.k, total, gs);
-        for (o, row) in out.chunks_mut(total).enumerate() {
-            for v in row.iter_mut() {
-                *v += bias[o];
-            }
-        }
-        let p = meta.per_cols;
-        (0..n)
-            .map(|s| {
-                let mut data = vec![0.0f32; meta.rows * p];
-                for (o, chunk) in data.chunks_mut(p).enumerate() {
-                    chunk.copy_from_slice(&out[o * total + s * p..o * total + s * p + p]);
-                }
-                Tensor::from_vec(&meta.out_sample_shape, data)
-            })
-            .collect()
     }
 
     /// Number of stored weights (excluding biases and batch-norm
@@ -556,6 +571,53 @@ impl Layer {
             self,
             Layer::Residual { .. } | Layer::BatchNorm2d { .. } | Layer::AvgPoolGlobal
         )
+    }
+}
+
+/// The `(c, h, w)` of a `[c, h, w]` sample shape.
+///
+/// # Panics
+///
+/// Panics if the shape has another rank.
+fn chw(shape: &[usize], what: &str) -> (usize, usize, usize) {
+    assert_eq!(shape.len(), 3, "{what} input must be [c,h,w]");
+    (shape[0], shape[1], shape[2])
+}
+
+/// A conv layer's geometry on samples of `shape`.
+///
+/// # Panics
+///
+/// Panics if `shape` is not `[in_ch, h, w]`.
+fn conv_geometry(
+    shape: &[usize],
+    in_ch: usize,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    pad: usize,
+) -> ConvGeometry {
+    let (c, h, w) = chw(shape, "conv");
+    assert_eq!(c, in_ch, "conv input channels");
+    ConvGeometry {
+        c,
+        h,
+        w,
+        kh,
+        kw,
+        stride,
+        pad,
+    }
+}
+
+/// Adds `bias[o]` to every element of output row `o` of `out` (rows of
+/// equal length, one per bias): `v + b`, after the GEMM's chain.
+fn add_bias(out: &mut [f32], bias: &[f32]) {
+    let len = out.len() / bias.len().max(1);
+    for (row, b) in out.chunks_exact_mut(len.max(1)).zip(bias) {
+        for v in row {
+            *v += b;
+        }
     }
 }
 

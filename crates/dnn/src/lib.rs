@@ -71,5 +71,5 @@ pub use layer::{ForwardScratch, Layer};
 pub use network::{Network, WeightDelta};
 pub use prefix::PrefixCache;
 pub use sparse::SparseMatrix;
-pub use tensor::Tensor;
+pub use tensor::{Batch, Tensor};
 pub use zoo::{LayerSpec, ModelSpec};

@@ -10,7 +10,7 @@
 //! `MAXNVM_FORCE_SCALAR`.
 
 use crate::layer::{ForwardScratch, Layer};
-use crate::tensor::Tensor;
+use crate::tensor::{Batch, Tensor};
 
 /// One faulty weight cell relative to the clean decode: `slot` indexes the
 /// flattened row-major weight matrix, `value` is the decoded faulty value.
@@ -71,9 +71,8 @@ impl LayerMatrix {
 /// Most samples one batched evaluation runs at once:
 /// [`Network::error_rate`], [`Network::predict_batch`] and each chunk of
 /// a clean-prefix cache ([`crate::prefix`]) take a set in batches of this
-/// size. A batch's im2col matrices and activations grow with its size (a
-/// single batch of 1500 LeNet images holds about 40 MB at once), and a
-/// 64-sample batch's mostly stay in cache, so larger sets run faster in
+/// size. A batch's activations and GEMM operands grow with its size, and
+/// a 64-sample batch's mostly stay in cache, so larger sets run faster in
 /// such batches than in one (DESIGN.md §9). Per-sample logits do not
 /// depend on the batch they run in (the summation-order contract of
 /// [`crate::gemm`]), so the size changes no result.
@@ -115,43 +114,29 @@ impl Network {
         cur
     }
 
-    /// Runs a batch of same-shaped samples through the network, batching
-    /// each weight layer into a single matrix multiply (see
-    /// [`Layer::forward_batch`]). Per-sample results equal
+    /// Runs a batch of same-shaped samples through the network, each
+    /// weight layer one matrix multiply over the batch (see
+    /// [`Layer::forward_batch_in_place`]). Per-sample results equal
     /// [`Network::forward`].
     pub fn forward_batch(&self, xs: &[Tensor]) -> Vec<Tensor> {
-        self.forward_batch_scratch(xs, &mut ForwardScratch::default())
+        let mut x = Batch::from_samples(xs);
+        self.forward_suffix(0, &mut x, &mut ForwardScratch::default());
+        x.to_samples()
     }
 
-    /// [`Network::forward_batch`] with caller-owned staging buffers — the
-    /// allocation-free path the fault-simulation trial loop uses.
-    pub fn forward_batch_scratch(
-        &self,
-        xs: &[Tensor],
-        scratch: &mut ForwardScratch,
-    ) -> Vec<Tensor> {
-        self.forward_suffix(0, xs.to_vec(), scratch)
-    }
-
-    /// Runs only layers `start..` on already-computed activations `xs`
-    /// (the batch entering layer `start`). The clean-prefix fault path
-    /// resumes here after patching the first fault-touched layer's cached
-    /// outputs.
+    /// Runs only layers `start..` on `x`, the batch entering layer
+    /// `start`, leaving the output in `x`; `scratch` holds the staging
+    /// buffers, so the fault-simulation trial loop does not allocate. The
+    /// clean-prefix fault path resumes here after patching the first
+    /// fault-touched layer's cached outputs.
     ///
     /// # Panics
     ///
     /// Panics if `start` exceeds the layer count.
-    pub fn forward_suffix(
-        &self,
-        start: usize,
-        xs: Vec<Tensor>,
-        scratch: &mut ForwardScratch,
-    ) -> Vec<Tensor> {
-        let mut cur = xs;
+    pub fn forward_suffix(&self, start: usize, x: &mut Batch, scratch: &mut ForwardScratch) {
         for l in &self.layers[start..] {
-            cur = l.forward_batch_scratch(&cur, scratch);
+            l.forward_batch_in_place(x, scratch);
         }
-        cur
     }
 
     /// Predicted class (argmax of logits).
@@ -163,10 +148,13 @@ impl Network {
     /// of [`EVAL_BATCH`], same tie-breaking as [`Network::predict`]).
     pub fn predict_batch(&self, xs: &[Tensor]) -> Vec<usize> {
         let mut scratch = ForwardScratch::default();
-        xs.chunks(EVAL_BATCH)
-            .flat_map(|batch| self.forward_batch_scratch(batch, &mut scratch))
-            .map(|logits| argmax(&logits))
-            .collect()
+        let mut classes = Vec::with_capacity(xs.len());
+        for batch in xs.chunks(EVAL_BATCH) {
+            let mut x = Batch::from_samples(batch);
+            self.forward_suffix(0, &mut x, &mut scratch);
+            classes.extend((0..x.len()).map(|s| argmax_of(x.values(s))));
+        }
+        classes
     }
 
     /// Classification error rate (fraction wrong) on labelled samples.
@@ -180,8 +168,9 @@ impl Network {
         let mut scratch = ForwardScratch::default();
         let mut wrong = 0;
         for batch in samples.chunks(EVAL_BATCH) {
-            let xs = batch.iter().map(|(x, _)| x.clone()).collect();
-            wrong += misclassified(&self.forward_suffix(0, xs, &mut scratch), batch);
+            let mut x = Batch::from_samples(batch.iter().map(|(x, _)| x));
+            self.forward_suffix(0, &mut x, &mut scratch);
+            wrong += misclassified(&x, batch);
         }
         wrong as f64 / samples.len() as f64
     }
@@ -324,13 +313,14 @@ impl Network {
     }
 }
 
-/// How many of `samples` the per-sample `logits` misclassify (argmax
-/// against the label) — the count behind [`Network::error_rate`].
-pub fn misclassified(logits: &[Tensor], samples: &[(Tensor, usize)]) -> usize {
-    logits
+/// How many of `samples` the batch of their `logits` misclassifies
+/// (argmax against the label) — the count behind
+/// [`Network::error_rate`].
+pub fn misclassified(logits: &Batch, samples: &[(Tensor, usize)]) -> usize {
+    samples
         .iter()
-        .zip(samples)
-        .filter(|(l, (_, y))| argmax(l) != *y)
+        .enumerate()
+        .filter(|(s, (_, y))| argmax_of(logits.values(*s)) != *y)
         .count()
 }
 
@@ -338,11 +328,14 @@ pub fn misclassified(logits: &[Tensor], samples: &[(Tensor, usize)]) -> usize {
 /// historical `Iterator::max_by` behaviour every accuracy result was
 /// produced with.
 pub fn argmax(logits: &Tensor) -> usize {
+    argmax_of(logits.data().iter().copied())
+}
+
+/// [`argmax`] over one sample's logits, in order.
+fn argmax_of(logits: impl Iterator<Item = f32>) -> usize {
     logits
-        .data()
-        .iter()
         .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
         .map_or(0, |(i, _)| i)
 }
 

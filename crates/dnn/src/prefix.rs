@@ -4,56 +4,48 @@
 //! for the network's predictions. Layers *before* the earliest perturbed
 //! layer see exactly the clean inputs, so their activations can be
 //! computed once and reused by every trial. This cache stores, for one
-//! fixed evaluation batch, what a trial reads back:
-//!
-//! - for each weight layer, the packed `[k, n·p]` right-hand matrix its
-//!   GEMM consumes (a pure function of the clean activations) and its
-//!   clean batch output;
-//! - the input batch and the final logits.
-//!
-//! The outputs of the layers without weights (ReLU, pooling, Flatten)
-//! are computed while building but not kept: a trial resumes right
-//! after a weight layer, never after one of those.
+//! fixed evaluation batch, what a trial reads back: each weight layer's
+//! clean input and output batches, and the final logits. The outputs of
+//! the layers without weights (ReLU, pooling, Flatten) are computed while
+//! building but not kept: a trial resumes right after a weight layer,
+//! never after one of those.
 //!
 //! A trial then only (1) recomputes the *dirty rows* of the first
-//! perturbed layer's output — one [`gemm_row_into`] per touched weight
-//! row, O(row nonzeros·batch) instead of a full GEMM, since the row
-//! kernel skips pruned zero weights — starting from a clone of that
-//! layer's cached clean output, and (2) runs the remaining suffix layers
-//! normally. The result is bit-identical to a full faulty forward
-//! pass: [`gemm_row_into`] reproduces any row of the blocked kernel bit
-//! for bit (see [`crate::gemm`]), untouched rows are byte-copies of the
-//! clean output, and the suffix runs the very same code either way.
-//! This holds on every SIMD dispatch tier: the row kernels route through
-//! the same tier table as the blocked GEMM, and all tiers compute the
-//! identical fused-multiply-add chains (DESIGN.md §14), so a cache built
-//! while one tier is active replays bit-identically under any other.
-//! A sample's logits do not depend on the other samples of its batch,
-//! so a large set can be cached as several batches (chunks of
+//! perturbed layer's output — each faulted output channel straight from
+//! the cached input batch ([`Layer::forward_batch_in_place`]'s chain for
+//! that row: ascending k, `±0` weights and padding taps skipped, so a
+//! pruned row costs its nonzeros only) — in a copy of that layer's
+//! cached clean output, and (2) runs the remaining suffix layers
+//! normally. The result is bit-identical to a full faulty forward pass:
+//! the row chain reproduces any row of the blocked kernel bit for bit
+//! (see [`crate::gemm`]), untouched rows are byte-copies of the clean
+//! output, and the suffix runs the very same code either way. This holds
+//! on every SIMD dispatch tier: the row kernels route through the same
+//! tier table as the blocked GEMM, and all tiers compute the identical
+//! fused-multiply-add chains (DESIGN.md §14), so a cache built while one
+//! tier is active replays bit-identically under any other. A sample's
+//! logits do not depend on the other samples of its batch, so a large
+//! set can be cached as several batches (chunks of
 //! [`crate::network::EVAL_BATCH`] samples) with the same result.
 //!
 //! Only "flat" networks (no [`Layer::Residual`]) are supported —
 //! [`PrefixCache::build`] returns `None` otherwise and callers fall back
 //! to a full forward pass.
 
-use crate::gemm::gemm_row_into;
-use crate::layer::{ForwardScratch, Layer, RhsMeta};
+use crate::layer::{ForwardScratch, Layer};
 use crate::network::Network;
-use crate::tensor::Tensor;
+use crate::tensor::Batch;
 
-/// One weight layer's cached state: where it sits in the network, the
-/// packed right-hand matrix its GEMM consumes, and its clean output.
+/// One weight layer's cached state: where it sits in the network, and
+/// its clean input and output batches.
 #[derive(Debug)]
 struct Site {
     /// Index of the weight layer in `Network::layers`.
     layer_pos: usize,
-    /// Packed `[k, n·per_cols]` input matrix (im2col patches / stacked
-    /// vectors) built from the clean activations entering the layer.
-    rhs: Vec<f32>,
-    /// Geometry of `rhs` and the layer's output.
-    meta: RhsMeta,
+    /// The clean batch entering the layer.
+    input: Batch,
     /// The layer's clean batch output.
-    out: Vec<Tensor>,
+    out: Batch,
 }
 
 /// Cached clean forward pass of one fixed batch — see the module docs.
@@ -62,66 +54,38 @@ struct Site {
 /// top-level and in execution order).
 #[derive(Debug)]
 pub struct PrefixCache {
-    /// The batch the cache was built from.
-    inputs: Vec<Tensor>,
     sites: Vec<Site>,
     /// The final layer's batch output.
-    logits: Vec<Tensor>,
+    logits: Batch,
 }
 
 impl PrefixCache {
-    /// Runs one clean batched forward pass, recording each weight layer's
-    /// packed right-hand matrix (which that layer's multiply then reads,
-    /// so the batch is packed once) and clean output, and the logits.
-    /// Returns `None` for networks containing residual blocks (their
-    /// weight layers are nested, which the row-patching path does not
-    /// model) — callers fall back to full forward passes.
-    pub fn build(net: &Network, inputs: &[Tensor], scratch: &mut ForwardScratch) -> Option<Self> {
-        let mut sites: Vec<Site> = Vec::new();
-        // The output of the last layer without weights, when that layer
-        // ran after the last site; otherwise the activations entering the
-        // next layer are the last site's output (or the inputs).
-        let mut loose: Option<Vec<Tensor>> = None;
+    /// Runs one clean batched forward pass over `inputs`, recording each
+    /// weight layer's input and output and the logits. Returns `None` for
+    /// networks containing residual blocks (their weight layers are
+    /// nested, which the row-patching path does not model) — callers fall
+    /// back to full forward passes.
+    pub fn build(net: &Network, inputs: Batch, scratch: &mut ForwardScratch) -> Option<Self> {
+        let mut sites = Vec::new();
+        let mut cur = inputs;
         for (pos, l) in net.layers().iter().enumerate() {
-            if matches!(l, Layer::Residual { .. }) {
-                return None;
-            }
-            let cur = match (&loose, sites.last()) {
-                (Some(acts), _) => acts.as_slice(),
-                (None, Some(site)) => site.out.as_slice(),
-                (None, None) => inputs,
-            };
-            let mut rhs = Vec::new();
-            match l.weight_rhs_into(cur, &mut rhs) {
-                Some(meta) => {
-                    let out = l.forward_from_rhs(
-                        &rhs,
-                        &meta,
-                        cur.len(),
-                        &mut scratch.out,
-                        &mut scratch.gemm,
-                    );
+            match l {
+                Layer::Residual { .. } => return None,
+                Layer::Conv2d { .. } | Layer::Linear { .. } => {
+                    let mut out = Batch::default();
+                    l.forward_batch_into(&cur, &mut out, &mut scratch.gemm);
+                    // The layers after this one run in place on a copy.
+                    let input = std::mem::replace(&mut cur, out.clone());
                     sites.push(Site {
                         layer_pos: pos,
-                        rhs,
-                        meta,
+                        input,
                         out,
                     });
-                    loose = None;
                 }
-                None => loose = Some(l.forward_batch_scratch(cur, scratch)),
+                _ => l.forward_batch_in_place(&mut cur, scratch),
             }
         }
-        let logits = match (loose, sites.last()) {
-            (Some(acts), _) => acts,
-            (None, Some(site)) => site.out.clone(),
-            (None, None) => inputs.to_vec(),
-        };
-        Some(Self {
-            inputs: inputs.to_vec(),
-            sites,
-            logits,
-        })
+        Some(Self { sites, logits: cur })
     }
 
     /// Number of weight layers (== the network's weight-matrix count).
@@ -135,70 +99,40 @@ impl PrefixCache {
     }
 
     /// The cached clean logits (output of the final layer).
-    pub fn clean_logits(&self) -> &[Tensor] {
+    pub fn clean_logits(&self) -> &Batch {
         &self.logits
-    }
-
-    /// The input batch the cache was built from.
-    pub fn input_batch(&self) -> &[Tensor] {
-        &self.inputs
     }
 
     /// Batch size the cache was built for.
     pub fn batch_len(&self) -> usize {
-        self.inputs.len()
+        self.logits.len()
     }
 
-    /// Recomputes weight layer `site`'s batch outputs under a faulty
-    /// `weight`/`bias` for the given `dirty_rows` (ascending, deduped),
-    /// starting from a clone of the cached clean outputs. Each dirty row
-    /// is one sequential dot against the cached right-hand matrix over
-    /// the row's nonzero weights — bit-identical to the same row of a
-    /// full batched forward. `row_buf` is reusable staging for one output
-    /// row across the batch.
+    /// Writes into `out` weight layer `site`'s batch output under the
+    /// faulty `layer` (the site's layer with its faulty weights and bias):
+    /// a copy of the cached clean output whose `dirty_rows` (ascending,
+    /// deduped) are recomputed from the cached input batch, each
+    /// bit-identical to the same row of a full batched forward.
     ///
     /// # Panics
     ///
-    /// Panics if `weight` does not match the site's geometry or a row is
+    /// Panics if `layer` does not match the site's geometry or a row is
     /// out of range.
-    // row_buf is resized to n*p here and dirty rows are < rows per the
-    // weight-shape assert above, so o*p and sx*p slices are in range.
-    pub fn patched_outputs(
+    pub fn patched_output(
         &self,
         site: usize,
-        weight: &Tensor,
-        bias: &[f32],
+        layer: &Layer,
         dirty_rows: &[usize],
-        row_buf: &mut Vec<f32>,
-    ) -> Vec<Tensor> {
+        out: &mut Batch,
+    ) {
         let s = &self.sites[site];
-        assert_eq!(
-            weight.shape(),
-            &[s.meta.rows, s.meta.k],
-            "weight shape vs site geometry"
-        );
-        let mut outs = s.out.clone();
-        let n = outs.len();
-        let p = s.meta.per_cols;
-        let total = n * p;
-        row_buf.clear();
-        row_buf.resize(total, 0.0);
+        out.clone_from(&s.out);
+        let rows = layer.weight_bias().map_or(0, |(w, _)| w.shape()[0]);
+        let len = s.out.sample_shape().iter().product::<usize>() / rows.max(1) * s.out.len();
+        assert_eq!(rows * len, out.data().len(), "layer vs site geometry");
         for &o in dirty_rows {
-            gemm_row_into(
-                row_buf,
-                &weight.data()[o * s.meta.k..(o + 1) * s.meta.k],
-                &s.rhs,
-                s.meta.k,
-                total,
-            );
-            for v in row_buf.iter_mut() {
-                *v += bias[o];
-            }
-            for (sx, t) in outs.iter_mut().enumerate() {
-                t.data_mut()[o * p..(o + 1) * p].copy_from_slice(&row_buf[sx * p..(sx + 1) * p]);
-            }
+            layer.output_row_into(o, &s.input, &mut out.data_mut()[o * len..(o + 1) * len]);
         }
-        outs
     }
 }
 
@@ -206,6 +140,8 @@ impl PrefixCache {
 mod tests {
     use super::*;
     use crate::network::WeightDelta;
+    use crate::tensor::Tensor;
+    use crate::train::he_init;
     use crate::zoo::lenet_mini;
     use rand::{Rng, SeedableRng};
 
@@ -216,114 +152,119 @@ mod tests {
             .collect()
     }
 
+    /// A pad-1 stride-2 conv, a pad-1 conv, a pool and two linears on the
+    /// same 1×16×16 inputs as `lenet_mini`, whose convs have no padding.
+    fn strided_net(seed: u64) -> Network {
+        let mut net = Network::new(
+            "strided",
+            vec![
+                Layer::conv2d("conv1", 6, 1, 3, 2, 1), // 16 -> 8
+                Layer::ReLU,
+                Layer::conv2d("conv2", 9, 6, 3, 1, 1), // 8 -> 8
+                Layer::ReLU,
+                Layer::MaxPool2, // -> 4
+                Layer::Flatten,
+                Layer::linear("fc1", 12, 9 * 4 * 4),
+                Layer::ReLU,
+                Layer::linear("fc2", 10, 12),
+            ],
+        );
+        he_init(&mut net, seed);
+        net
+    }
+
     /// Full faulty forward vs the prefix-patched path must agree bit for
     /// bit, for faults in the first, middle, last, and multiple layers —
-    /// on a dense network and on a pruned one, whose zero weights (of
-    /// both signs) the row kernel skips.
+    /// on dense networks and on pruned ones, whose zero weights (of both
+    /// signs) the row kernels skip; on unpadded stride-1 convs and on
+    /// padded stride-2 ones, whose padding taps the conv row kernel skips;
+    /// and on a batch of 55, no multiple of any tier's `nr`.
     #[test]
     fn patched_forward_is_bit_exact_with_full_faulty_forward() {
-        for net in [lenet_mini(7), pruned_net(7, 0.7)] {
-            let xs = batch(3, 6);
-            let mut scratch = ForwardScratch::default();
-            let cache = PrefixCache::build(&net, &xs, &mut scratch).expect("flat network");
-            assert_eq!(cache.num_sites(), net.weight_matrices().len());
-
+        let nets = [
+            lenet_mini(7),
+            pruned(lenet_mini(7), 0.7),
+            strided_net(7),
+            pruned(strided_net(7), 0.7),
+        ];
+        let bits = |ts: &[Tensor]| {
+            ts.iter()
+                .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for net in nets {
             let mats = net.weight_matrices();
             // Delta sets keyed by weight-matrix index: first conv, middle
             // conv, last fc, and a multi-layer combination.
+            let d = |slot: u32, value: f32| WeightDelta { slot, value };
             let cases: Vec<Vec<(usize, Vec<WeightDelta>)>> = vec![
-                vec![(
-                    0,
-                    vec![WeightDelta {
-                        slot: 3,
-                        value: 2.5,
-                    }],
-                )],
-                vec![(
-                    1,
-                    vec![
-                        WeightDelta {
-                            slot: 11,
-                            value: -1.75,
-                        },
-                        WeightDelta {
-                            slot: 95,
-                            value: 0.5,
-                        },
-                    ],
-                )],
-                vec![(
-                    mats.len() - 1,
-                    vec![WeightDelta {
-                        slot: 1,
-                        value: 9.0,
-                    }],
-                )],
+                vec![(0, vec![d(3, 2.5)])],
+                vec![(1, vec![d(11, -1.75), d(95, 0.5)])],
+                vec![(mats.len() - 1, vec![d(1, 9.0)])],
                 vec![
-                    (
-                        1,
-                        vec![WeightDelta {
-                            slot: 40,
-                            value: -3.0,
-                        }],
-                    ),
-                    (
-                        2,
-                        vec![WeightDelta {
-                            slot: 7,
-                            value: 1.25,
-                        }],
-                    ),
-                    (
-                        mats.len() - 1,
-                        vec![WeightDelta {
-                            slot: 0,
-                            value: -0.5,
-                        }],
-                    ),
+                    (1, vec![d(40, -3.0)]),
+                    (2, vec![d(7, 1.25)]),
+                    (mats.len() - 1, vec![d(0, -0.5)]),
                 ],
             ];
-            let mut row_buf = Vec::new();
-            for case in &cases {
-                let mut deltas: Vec<Vec<WeightDelta>> = vec![Vec::new(); mats.len()];
-                for (i, ds) in case {
-                    deltas[*i] = ds.clone();
+            for n in [6, 55] {
+                let xs = batch(3, n);
+                let mut scratch = ForwardScratch::default();
+                let cache = PrefixCache::build(&net, Batch::from_samples(&xs), &mut scratch)
+                    .expect("flat network");
+                assert_eq!(cache.num_sites(), mats.len());
+                let clean = bits(&net.forward_batch(&xs));
+                let mut moved = false;
+                let mut act = Batch::default();
+                for case in &cases {
+                    let mut deltas: Vec<Vec<WeightDelta>> = vec![Vec::new(); mats.len()];
+                    for (i, ds) in case {
+                        deltas[*i] = ds.clone();
+                    }
+                    let mut faulty = net.clone();
+                    let mut undo = Vec::new();
+                    faulty.apply_weight_deltas(&deltas, &mut undo);
+
+                    let full = bits(&faulty.forward_batch(&xs));
+                    moved |= full != clean;
+
+                    let first = deltas
+                        .iter()
+                        .position(|d| !d.is_empty())
+                        .expect("has deltas");
+                    let pos = cache.site_layer(first);
+                    let mut rows: Vec<usize> = deltas[first]
+                        .iter()
+                        .map(|d| d.slot as usize / mats[first].cols)
+                        .collect();
+                    rows.sort_unstable();
+                    rows.dedup();
+                    cache.patched_output(first, &faulty.layers()[pos], &rows, &mut act);
+                    // The patched layer output itself, which a later ReLU
+                    // could hide from the logits.
+                    let mut site = Batch::from_samples(&xs);
+                    for l in &faulty.layers()[..=pos] {
+                        l.forward_batch_in_place(&mut site, &mut scratch);
+                    }
+                    let ctx = format!("{}, {n} samples, site {first}", net.name);
+                    same_bits(&bits(&act.to_samples()), &bits(&site.to_samples()), &ctx);
+                    faulty.forward_suffix(pos + 1, &mut act, &mut scratch);
+                    same_bits(&bits(&act.to_samples()), &full, &format!("{ctx}: logits"));
                 }
-                let mut faulty = net.clone();
-                let mut undo = Vec::new();
-                faulty.apply_weight_deltas(&deltas, &mut undo);
-
-                let full: Vec<Tensor> = faulty.forward_batch_scratch(&xs, &mut scratch);
-
-                let first = deltas
-                    .iter()
-                    .position(|d| !d.is_empty())
-                    .expect("has deltas");
-                let pos = cache.site_layer(first);
-                let (w, b) = faulty.layers()[pos].weight_bias().expect("weight layer");
-                let mut rows: Vec<usize> = deltas[first]
-                    .iter()
-                    .map(|d| d.slot as usize / mats[first].cols)
-                    .collect();
-                rows.sort_unstable();
-                rows.dedup();
-                let patched = cache.patched_outputs(first, w, b, &rows, &mut row_buf);
-                let logits = faulty.forward_suffix(pos + 1, patched, &mut scratch);
-
-                assert_eq!(full.len(), logits.len());
-                for (a, b) in full.iter().zip(&logits) {
-                    let bits =
-                        |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(a), bits(b), "prefix path must be bit-exact");
-                }
+                assert!(moved, "{}: no fault changes a logit", net.name);
             }
         }
     }
 
+    fn same_bits(got: &[u32], want: &[u32], ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}: length");
+        let first = got.iter().zip(want).position(|(g, w)| g != w);
+        assert!(first.is_none(), "{ctx}: first differing element {first:?}");
+    }
+
     /// Prunes ~the given fraction of each weight matrix to exact zero
     /// (smallest magnitudes first), alternating `+0.0` and `-0.0`.
-    fn pruned_net(seed: u64, sparsity: f64) -> Network {
-        let mut net = lenet_mini(seed);
+    fn pruned(mut net: Network, sparsity: f64) -> Network {
         let mut mats = net.weight_matrices();
         for m in &mut mats {
             let mut mags: Vec<f32> = m.data.iter().map(|v| v.abs()).collect();
@@ -348,12 +289,9 @@ mod tests {
         for net in [lenet_mini(9), Network::new("relu-last", layers)] {
             let xs = batch(5, 4);
             let mut scratch = ForwardScratch::default();
-            let cache = PrefixCache::build(&net, &xs, &mut scratch).expect("flat network");
-            let direct = net.forward_batch(&xs);
-            assert_eq!(cache.clean_logits().len(), direct.len());
-            for (a, b) in cache.clean_logits().iter().zip(&direct) {
-                assert_eq!(a.data(), b.data());
-            }
+            let cache = PrefixCache::build(&net, Batch::from_samples(&xs), &mut scratch)
+                .expect("flat network");
+            assert_eq!(cache.clean_logits().to_samples(), net.forward_batch(&xs));
             assert_eq!(cache.batch_len(), 4);
         }
     }
@@ -367,8 +305,13 @@ mod tests {
                 shortcut: vec![],
             }],
         );
-        let xs = vec![Tensor::from_vec(&[3], vec![1.0, -2.0, 3.0])];
-        assert!(PrefixCache::build(&net, &xs, &mut ForwardScratch::default()).is_none());
+        let xs = [Tensor::from_vec(&[3], vec![1.0, -2.0, 3.0])];
+        let cache = PrefixCache::build(
+            &net,
+            Batch::from_samples(&xs),
+            &mut ForwardScratch::default(),
+        );
+        assert!(cache.is_none());
     }
 
     #[test]

@@ -1,7 +1,11 @@
-//! A minimal row-major `f32` tensor, plus the im2col/col2im unfolding
-//! that turns a convolution into a matrix product (computed by
-//! [`crate::gemm`], which fixes the per-element summation order).
+//! A minimal row-major `f32` tensor, a sample-innermost [`Batch`] of
+//! them, and the unfolding that turns a convolution into a matrix
+//! product (computed by [`crate::gemm`], which fixes the per-element
+//! summation order): im2col/col2im for a single sample in training, and
+//! for a batch a packing step that gathers the product's operand straight
+//! from the activations.
 
+use crate::gemm::{active_tier, axpy, PackRhs};
 use std::fmt;
 use std::ops::Range;
 
@@ -128,63 +132,71 @@ pub fn conv_out_dims(
 /// positions are padded taps; both ranges are empty when the row has no
 /// tap inside the image.
 struct PatchRow {
-    row: usize,
     oy: Range<usize>,
     ox: Range<usize>,
     img: usize,
 }
 
-/// Visits the `c*kh*kw` rows of the im2col unfolding in order. im2col
-/// copies image→patch along their runs; col2im (its adjoint) adds
-/// patch→image along the same runs, in the same order.
-#[expect(clippy::too_many_arguments, reason = "one per convolution dimension")]
-fn for_each_patch_row(
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    mut f: impl FnMut(PatchRow),
-) {
-    let (out_h, out_w) = conv_out_dims(h, w, kh, kw, stride, pad);
-    // The outputs `o < out` whose tap `o·stride + k − pad` lies in `0..len`
-    // (no division on the common stride-1 path).
-    let taps = |k: usize, len: usize, out: usize| {
-        let (lo, hi) = (pad.saturating_sub(k), (len + pad).saturating_sub(k));
-        if stride == 1 {
-            lo.min(out)..hi.min(out)
-        } else {
-            lo.div_ceil(stride).min(out)..hi.div_ceil(stride).min(out)
-        }
-    };
-    for ci in 0..c {
-        for ki in 0..kh {
-            let oy = taps(ki, h, out_h);
-            for kj in 0..kw {
-                let ox = taps(kj, w, out_w);
-                let row = (ci * kh + ki) * kw + kj;
-                f(if oy.is_empty() || ox.is_empty() {
-                    PatchRow {
-                        row,
-                        oy: 0..0,
-                        ox: 0..0,
-                        img: 0,
-                    }
-                } else {
-                    // `oy.start·stride + ki ≥ pad` and likewise for `ox`,
-                    // by the bounds of `taps`.
-                    PatchRow {
-                        row,
-                        oy: oy.clone(),
-                        ox: ox.clone(),
-                        img: (ci * h + oy.start * stride + ki - pad) * w + ox.start * stride + kj
-                            - pad,
-                    }
-                });
+/// One convolution's geometry: a `[c, h, w]` input, a `kh`×`kw` kernel,
+/// the stride and the zero padding on every side.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ConvGeometry {
+    pub(crate) c: usize,
+    pub(crate) h: usize,
+    pub(crate) w: usize,
+    pub(crate) kh: usize,
+    pub(crate) kw: usize,
+    pub(crate) stride: usize,
+    pub(crate) pad: usize,
+}
+
+impl ConvGeometry {
+    /// Output spatial dimensions (see [`conv_out_dims`]).
+    pub(crate) fn out_dims(&self) -> (usize, usize) {
+        conv_out_dims(self.h, self.w, self.kh, self.kw, self.stride, self.pad)
+    }
+
+    /// Rows of the patch matrix: one per kernel tap, `c·kh·kw`.
+    pub(crate) fn rows(&self) -> usize {
+        self.c * self.kh * self.kw
+    }
+
+    /// Patch-matrix row `row`, that is tap `(ci, ki, kj)` with
+    /// `row = (ci·kh + ki)·kw + kj`, as its runs of in-bounds taps.
+    fn patch_row(&self, row: usize) -> PatchRow {
+        let Self {
+            h,
+            w,
+            kh,
+            kw,
+            stride,
+            pad,
+            ..
+        } = *self;
+        let (ci, ki, kj) = (row / (kh * kw), row / kw % kh, row % kw);
+        let (out_h, out_w) = self.out_dims();
+        // The outputs `o < out` whose tap `o·stride + k − pad` lies in `0..len`
+        // (no division on the common stride-1 path).
+        let taps = |k: usize, len: usize, out: usize| {
+            let (lo, hi) = (pad.saturating_sub(k), (len + pad).saturating_sub(k));
+            if stride == 1 {
+                lo.min(out)..hi.min(out)
+            } else {
+                lo.div_ceil(stride).min(out)..hi.div_ceil(stride).min(out)
             }
+        };
+        let (oy, ox) = (taps(ki, h, out_h), taps(kj, w, out_w));
+        if oy.is_empty() || ox.is_empty() {
+            return PatchRow {
+                oy: 0..0,
+                ox: 0..0,
+                img: 0,
+            };
         }
+        // `oy.start·stride + ki ≥ pad` and likewise for `ox`, by the bounds
+        // of `taps`.
+        let img = (ci * h + oy.start * stride + ki - pad) * w + ox.start * stride + kj - pad;
+        PatchRow { oy, ox, img }
     }
 }
 
@@ -194,7 +206,9 @@ fn for_each_patch_row(
 /// images can be unfolded side by side into one wide matrix (`dst_cols` =
 /// patch columns × batch). Only in-bounds taps are written, a whole run
 /// at a time — the caller must pre-zero `dst` so padded taps read as
-/// zero.
+/// zero. Training's single-sample forward keeps this matrix for the
+/// weight gradient; batched inference never builds one (see
+/// [`Batch`]).
 ///
 /// # Panics
 ///
@@ -203,7 +217,7 @@ fn for_each_patch_row(
 #[expect(clippy::too_many_arguments, reason = "one per convolution dimension")]
 // The entry asserts pin data to c*h*w and dst to rows*dst_cols with
 // col_offset+out_h*out_w <= dst_cols; each run stays inside its output row
-// and, by for_each_patch_row's ranges, inside the image.
+// and, by patch_row's ranges, inside the image.
 pub fn im2col_into(
     data: &[f32],
     c: usize,
@@ -217,17 +231,27 @@ pub fn im2col_into(
     dst_cols: usize,
     col_offset: usize,
 ) {
+    let g = ConvGeometry {
+        c,
+        h,
+        w,
+        kh,
+        kw,
+        stride,
+        pad,
+    };
     assert_eq!(data.len(), c * h * w, "image length vs [{c},{h},{w}]");
-    let (out_h, out_w) = conv_out_dims(h, w, kh, kw, stride, pad);
+    let (out_h, out_w) = g.out_dims();
     let p = out_h * out_w;
     assert!(p > 0, "empty convolution output");
     assert!(
         col_offset + p <= dst_cols,
         "im2col destination columns overflow"
     );
-    assert_eq!(dst.len(), c * kh * kw * dst_cols, "im2col destination size");
-    for_each_patch_row(c, h, w, kh, kw, stride, pad, |r| {
-        let band = &mut dst[r.row * dst_cols + col_offset..][..p];
+    assert_eq!(dst.len(), g.rows() * dst_cols, "im2col destination size");
+    for row in 0..g.rows() {
+        let r = g.patch_row(row);
+        let band = &mut dst[row * dst_cols + col_offset..][..p];
         let len = r.ox.len();
         for (i, oy) in r.oy.enumerate() {
             let src = &data[r.img + i * stride * w..];
@@ -240,7 +264,7 @@ pub fn im2col_into(
                 }
             }
         }
-    });
+    }
 }
 
 /// Folds an im2col-shaped gradient `cols` (`[c*kh*kw, out_h*out_w]`, row
@@ -254,8 +278,8 @@ pub fn im2col_into(
 /// Panics if `cols` or `out` is inconsistent with the geometry.
 #[expect(clippy::too_many_arguments, reason = "one per convolution dimension")]
 // The entry asserts pin cols to rows*out_h*out_w and out to c*h*w; each run
-// stays inside its output row and, by for_each_patch_row's ranges, inside
-// the image.
+// stays inside its output row and, by patch_row's ranges, inside the
+// image.
 pub fn col2im_into(
     cols: &[f32],
     c: usize,
@@ -267,13 +291,23 @@ pub fn col2im_into(
     pad: usize,
     out: &mut [f32],
 ) {
-    let (out_h, out_w) = conv_out_dims(h, w, kh, kw, stride, pad);
+    let g = ConvGeometry {
+        c,
+        h,
+        w,
+        kh,
+        kw,
+        stride,
+        pad,
+    };
+    let (out_h, out_w) = g.out_dims();
     let p = out_h * out_w;
-    assert_eq!(cols.len(), c * kh * kw * p, "col2im source size");
+    assert_eq!(cols.len(), g.rows() * p, "col2im source size");
     assert_eq!(out.len(), c * h * w, "col2im image length vs [{c},{h},{w}]");
     out.fill(0.0);
-    for_each_patch_row(c, h, w, kh, kw, stride, pad, |r| {
-        let band = &cols[r.row * p..][..p];
+    for row in 0..g.rows() {
+        let r = g.patch_row(row);
+        let band = &cols[row * p..][..p];
         let len = r.ox.len();
         for (i, oy) in r.oy.enumerate() {
             let run = &band[oy * out_w + r.ox.start..][..len];
@@ -288,7 +322,243 @@ pub fn col2im_into(
                 }
             }
         }
-    });
+    }
+}
+
+/// A batch of same-shaped samples in one buffer, sample innermost:
+/// element `i` of sample `s` sits at `data[i·n + s]`. A conv layer's
+/// `[c][h][w][n]` output is then its GEMM's output as it stands (columns
+/// run pixel-major, the `n` samples of a pixel side by side), Flatten only
+/// relabels it, and a linear layer multiplies it as its `[k, n]`
+/// right-hand matrix — the layout batched inference runs on
+/// ([`crate::layer`]).
+#[derive(Default, PartialEq)]
+pub struct Batch {
+    /// Shape of one sample.
+    shape: Vec<usize>,
+    /// Number of samples.
+    n: usize,
+    data: Vec<f32>,
+}
+
+impl fmt::Debug for Batch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Batch(shape={:?}, n={})", self.shape, self.n)
+    }
+}
+
+impl Clone for Batch {
+    fn clone(&self) -> Self {
+        Self {
+            shape: self.shape.clone(),
+            n: self.n,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffers: a trial copies a cached clean batch into
+    /// the same staging batch every time.
+    fn clone_from(&mut self, source: &Self) {
+        self.shape.clone_from(&source.shape);
+        self.n = source.n;
+        self.data.clone_from(&source.data);
+    }
+}
+
+impl Batch {
+    /// Lays same-shaped samples out sample-innermost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the samples disagree in shape.
+    // data is sized len*n from the first sample, and every sample is
+    // asserted to have its shape, so i*n+s < len*n.
+    pub fn from_samples<'a, I>(xs: I) -> Self
+    where
+        I: IntoIterator<Item = &'a Tensor>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let xs = xs.into_iter();
+        let mut batch = Self {
+            n: xs.len(),
+            ..Self::default()
+        };
+        for (s, x) in xs.enumerate() {
+            if s == 0 {
+                batch.shape = x.shape().to_vec();
+                batch.data = vec![0.0; x.len() * batch.n];
+            }
+            assert_eq!(x.shape(), &batch.shape[..], "batch shapes must agree");
+            for (i, &v) in x.data().iter().enumerate() {
+                batch.data[i * batch.n + s] = v;
+            }
+        }
+        batch
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Whether the batch holds no sample.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// Shape of one sample.
+    pub(crate) fn sample_shape(&self) -> &[usize] {
+        &self.shape
+    }
+
+    /// The buffer, `[shape..][n]`.
+    pub(crate) fn data(&self) -> &[f32] {
+        &self.data
+    }
+
+    /// Sample `s`'s values, in its row-major order.
+    pub(crate) fn values(&self, s: usize) -> impl Iterator<Item = f32> + '_ {
+        self.data.iter().skip(s).step_by(self.n.max(1)).copied()
+    }
+
+    /// The samples as tensors, in order.
+    pub fn to_samples(&self) -> Vec<Tensor> {
+        (0..self.n)
+            .map(|s| Tensor::from_parts(self.shape.clone(), self.values(s).collect()))
+            .collect()
+    }
+
+    /// Mutable view of the buffer.
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
+    /// Reshapes to `n` samples of `shape` and returns the buffer, whose
+    /// contents the caller overwrites.
+    pub(crate) fn reset(&mut self, shape: &[usize], n: usize) -> &mut [f32] {
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        self.n = n;
+        self.data.resize(shape.iter().product::<usize>() * n, 0.0);
+        &mut self.data
+    }
+
+    /// Relabels every sample with `shape`, of equal element count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the element counts differ.
+    pub(crate) fn set_shape(&mut self, shape: &[usize]) {
+        assert_eq!(
+            shape.iter().product::<usize>() * self.n,
+            self.data.len(),
+            "reshape to {shape:?}"
+        );
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+    }
+}
+
+/// The im2col matrix of a `[c][h][w][n]` batch, `[c·kh·kw, out_h·out_w·n]`
+/// with columns pixel-major, as the right-hand operand of the blocked
+/// GEMM — never built: the packing step gathers each strip straight from
+/// the batch, where the `n` samples of one tap at one output pixel are
+/// contiguous, and packs zeros for padding taps.
+pub(crate) struct BatchPatches<'a> {
+    /// The batch, `[c][h][w][n]`.
+    pub(crate) x: &'a [f32],
+    pub(crate) g: ConvGeometry,
+    /// Samples in the batch.
+    pub(crate) n: usize,
+}
+
+impl PackRhs for BatchPatches<'_> {
+    // The walk covers columns jc..jc+nc (inside the out_h*out_w*n columns
+    // by the GEMM's blocking) in pieces inside one pixel's samples and one
+    // strip, so each destination lies in its strip row and each source run
+    // of `len` samples at an in-bounds tap inside the c*h*w*n batch.
+    fn pack(&self, packed: &mut [f32], pc: usize, kc: usize, jc: usize, nc: usize, nr: usize) {
+        let (n, (_, out_w)) = (self.n, self.g.out_dims());
+        let step = self.g.stride;
+        for kk in 0..kc {
+            let r = self.g.patch_row(pc + kk);
+            let (pixel, mut s0) = (jc / n, jc % n);
+            let (mut oy, mut ox) = (pixel / out_w, pixel % out_w);
+            let (mut strip, mut lane, mut left) = (0, 0, nc);
+            while left > 0 {
+                let len = (n - s0).min(nr - lane).min(left);
+                let dst = &mut packed[(strip * kc + kk) * nr + lane..][..len];
+                if r.oy.contains(&oy) && r.ox.contains(&ox) {
+                    let tap =
+                        r.img + (oy - r.oy.start) * step * self.g.w + (ox - r.ox.start) * step;
+                    dst.copy_from_slice(&self.x[tap * n + s0..][..len]);
+                } else {
+                    dst.fill(0.0);
+                }
+                (s0, lane, left) = (s0 + len, lane + len, left - len);
+                if s0 == n {
+                    s0 = 0;
+                    ox += 1;
+                    if ox == out_w {
+                        (oy, ox) = (oy + 1, 0);
+                    }
+                }
+                if lane == nr {
+                    (strip, lane) = (strip + 1, 0);
+                }
+            }
+            if lane > 0 {
+                packed[(strip * kc + kk) * nr + lane..(strip * kc + kk + 1) * nr].fill(0.0);
+            }
+        }
+    }
+}
+
+/// One output channel of a convolution over a `[c][h][w][n]` batch `x`,
+/// straight from the batch: `out[p·n + s]` is output pixel `p` of sample
+/// `s` under the kernel row `row`, without the bias. Each element is the
+/// blocked product's chain over [`BatchPatches`] (ascending k, one fused
+/// rounding per term, starting at `0.0`) with the `±0` weights and the
+/// padding taps left out, which is bit-identical (see [`crate::gemm`]),
+/// on the tier axpy [`crate::gemm::gemm_row_into`] uses. So a pruned row
+/// costs its nonzeros only.
+///
+/// # Panics
+///
+/// Asserts that the slice lengths match the geometry.
+// The asserts pin row, x and out to the geometry; every run lies inside
+// its output row and, by patch_row's ranges, inside the image.
+pub(crate) fn conv_row_into(out: &mut [f32], row: &[f32], x: &[f32], g: &ConvGeometry, n: usize) {
+    let (out_h, out_w) = g.out_dims();
+    assert_eq!(row.len(), g.rows(), "kernel row length");
+    assert_eq!(x.len(), g.c * g.h * g.w * n, "batch length vs geometry");
+    assert_eq!(out.len(), out_h * out_w * n, "output channel length");
+    out.fill(0.0);
+    let tier = active_tier();
+    for (kk, &a) in row.iter().enumerate() {
+        if a == 0.0 {
+            continue;
+        }
+        let r = g.patch_row(kk);
+        let len = r.ox.len();
+        for (i, oy) in r.oy.enumerate() {
+            let src = r.img + i * g.stride * g.w;
+            let dst = oy * out_w + r.ox.start;
+            if g.stride == 1 {
+                axpy(
+                    tier,
+                    &mut out[dst * n..(dst + len) * n],
+                    &x[src * n..(src + len) * n],
+                    a,
+                );
+            } else {
+                for j in 0..len {
+                    let tap = (src + j * g.stride) * n;
+                    axpy(tier, &mut out[(dst + j) * n..][..n], &x[tap..tap + n], a);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

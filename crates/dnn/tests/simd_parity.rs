@@ -1,12 +1,12 @@
 //! Cross-tier differential tests: every SIMD tier this host supports
 //! must produce bit-identical results to the scalar tier on the blocked
-//! and row kernels — the uniform fused-multiply-add semantics
-//! the `gemm` module documents. Tier pinning mutates process-global
+//! and row kernels and on batched conv inference — the uniform
+//! fused-multiply-add semantics the `gemm` module documents. Tier pinning mutates process-global
 //! dispatch state, so every test serializes on [`tier_lock`] and
 //! restores detection before releasing it.
 
 use maxnvm_dnn::gemm::{self, force_tier_for_tests, supported_tiers, SimdTier};
-use maxnvm_dnn::{gemm_into, gemm_row_into, GemmScratch};
+use maxnvm_dnn::{gemm_into, gemm_row_into, GemmScratch, Layer, Network, Tensor};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -155,6 +155,110 @@ proptest! {
             let dense = gemm_on_tier(tier, &a, &b, m, k, n);
             for (g, w) in dense.iter().zip(&reference) {
                 prop_assert_eq!(g.to_bits(), w.to_bits());
+            }
+        }
+    }
+}
+
+/// A conv net on `[2, 11, 7]` inputs (non-square) from `(out channels,
+/// kernel, pad, stride)` convs, each followed by a ReLU, a pool after the
+/// conv at `pool_after` and two linears; about a third of every weight
+/// matrix is `+0.0` or `-0.0`, alternately, and every bias is nonzero.
+fn conv_net(convs: &[(usize, usize, usize, usize)], pool_after: Option<usize>) -> Network {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(convs.len() as u64);
+    let (mut c, mut h, mut w) = (2, 11, 7);
+    let mut layers = Vec::new();
+    for (i, &(out, k, pad, stride)) in convs.iter().enumerate() {
+        layers.push(Layer::conv2d(&format!("conv{i}"), out, c, k, stride, pad));
+        layers.push(Layer::ReLU);
+        (c, h, w) = (
+            out,
+            (h + 2 * pad - k) / stride + 1,
+            (w + 2 * pad - k) / stride + 1,
+        );
+        if pool_after == Some(i) {
+            layers.push(Layer::MaxPool2);
+            (h, w) = (h / 2, w / 2);
+        }
+    }
+    layers.extend([
+        Layer::Flatten,
+        Layer::linear("fc1", 9, c * h * w),
+        Layer::ReLU,
+        Layer::linear("fc2", 5, 9),
+    ]);
+    let mut net = Network::new("parity", layers);
+    let mut zeros = 0usize;
+    for l in net.layers_mut() {
+        if let Layer::Conv2d { weight, bias, .. } | Layer::Linear { weight, bias, .. } = l {
+            for v in weight.data_mut() {
+                *v = if rng.gen::<f64>() < 0.3 {
+                    zeros += 1;
+                    if zeros.is_multiple_of(2) {
+                        0.0
+                    } else {
+                        -0.0
+                    }
+                } else {
+                    rng.gen::<f32>() - 0.5
+                };
+            }
+            for b in bias {
+                *b = rng.gen::<f32>() * 0.2 - 0.1;
+            }
+        }
+    }
+    net
+}
+
+/// On every tier, the batched forward (strips gathered straight from the
+/// sample-innermost batch, padding packed as zeros) gives each sample the
+/// same logits bit for bit as the single-sample im2col forward on the
+/// scalar tier: kernels 1/3/5, pads 0/1/2 and strides 1/2 on a
+/// non-square input, out-channel counts (5, 9) that are no multiple of
+/// any tier's `mr`, signed-zero weights, and batches around every tier's
+/// `nr` and the 64-sample chunk.
+#[test]
+fn batched_conv_forward_is_bit_identical_to_per_sample_across_tiers() {
+    let _guard = TierGuard::new();
+    let nets = [
+        conv_net(&[(5, 5, 2, 1), (9, 3, 1, 2), (5, 1, 0, 1)], Some(1)),
+        conv_net(&[(9, 3, 0, 2), (5, 1, 2, 1), (9, 5, 1, 2)], None),
+    ];
+    let mut sizes = vec![1, 7, 55, 64, 65];
+    for t in supported_tiers() {
+        sizes.extend([t.nr() - 1, t.nr() + 1]);
+    }
+    let most = sizes.iter().copied().max().unwrap_or(1);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let xs: Vec<Tensor> = (0..most)
+        .map(|_| {
+            Tensor::from_vec(
+                &[2, 11, 7],
+                (0..154).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect(),
+            )
+        })
+        .collect();
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for net in &nets {
+        force_tier_for_tests(Some(SimdTier::Scalar));
+        let reference: Vec<Vec<u32>> = xs.iter().map(|x| bits(&net.forward(x))).collect();
+        for tier in supported_tiers() {
+            force_tier_for_tests(Some(tier));
+            for (x, want) in xs.iter().zip(&reference) {
+                assert_eq!(
+                    &bits(&net.forward(x)),
+                    want,
+                    "per-sample on {}",
+                    tier.name()
+                );
+            }
+            for &n in &sizes {
+                let batched = net.forward_batch(&xs[..n]);
+                assert_eq!(batched.len(), n);
+                for (s, (got, want)) in batched.iter().zip(&reference).enumerate() {
+                    assert_eq!(&bits(got), want, "sample {s} of {n} on {}", tier.name());
+                }
             }
         }
     }

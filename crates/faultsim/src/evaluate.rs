@@ -31,7 +31,7 @@ use maxnvm_dnn::layer::ForwardScratch;
 use maxnvm_dnn::network::{misclassified, LayerMatrix, Network, WeightDelta, EVAL_BATCH};
 use maxnvm_dnn::prefix::PrefixCache;
 use maxnvm_dnn::sparse::SparseMatrix;
-use maxnvm_dnn::tensor::Tensor;
+use maxnvm_dnn::tensor::{Batch, Tensor};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -182,7 +182,8 @@ struct HeldPrefix {
 }
 
 /// Reusable per-thread evaluation state: what one trial changes (the
-/// network copy with the current key's clean weights, staging buffers),
+/// network copy with the current key's clean weights, the activation
+/// batch and staging buffers),
 /// a hold on the current key's clean prefix, and the clean-MSE and
 /// materializing-fallback caches behind
 /// [`AccuracyEval::eval_deltas_sparse`] — so a Monte-Carlo campaign pays
@@ -206,7 +207,7 @@ pub struct EvalScratch {
     prefix: Option<HeldPrefix>,
     net: Option<Network>,
     forward: ForwardScratch,
-    row_buf: Vec<f32>,
+    act: Batch,
     dirty_rows: Vec<usize>,
     undo: Vec<(usize, u32, f32)>,
     materialized: Option<(u64, Vec<LayerMatrix>)>,
@@ -334,8 +335,8 @@ impl NetworkEval {
         forward: &mut ForwardScratch,
     ) -> Option<PrefixChunk> {
         let samples = self.test.chunks(EVAL_BATCH).nth(i)?;
-        let xs: Vec<Tensor> = samples.iter().map(|(x, _)| x.clone()).collect();
-        let cache = PrefixCache::build(net, &xs, forward)?;
+        let xs = Batch::from_samples(samples.iter().map(|(x, _)| x));
+        let cache = PrefixCache::build(net, xs, forward)?;
         let wrong = misclassified(cache.clean_logits(), samples);
         Some(PrefixChunk { cache, wrong })
     }
@@ -353,8 +354,9 @@ impl AccuracyEval for NetworkEval {
     /// Clean-prefix trial path: the clean batch forward pass is built
     /// once per key per run, in chunks of [`EVAL_BATCH`] test samples,
     /// and shared by every scratch of the run; a trial recomputes, chunk
-    /// by chunk, only the dirty rows of the first fault-touched layer and
-    /// the layer suffix behind it, and adds up the misclassifications —
+    /// by chunk, only the dirty rows of the first fault-touched layer
+    /// (from that layer's cached input) and the layer suffix behind it,
+    /// and adds up the misclassifications —
     /// bit-identical to materializing the faults (see
     /// [`maxnvm_dnn::prefix`]). Residual networks materialize into the
     /// scratch network instead.
@@ -386,7 +388,7 @@ impl AccuracyEval for NetworkEval {
         if let EvalScratch {
             prefix: Some(HeldPrefix { shared, net, .. }),
             forward,
-            row_buf,
+            act,
             dirty_rows,
             undo,
             ..
@@ -409,18 +411,10 @@ impl AccuracyEval for NetworkEval {
                 let mut wrong = 0;
                 for (chunk, samples) in shared.chunks().zip(self.test.chunks(EVAL_BATCH)) {
                     let pos = chunk.cache.site_layer(first);
-                    let logits = match net.layers()[pos].weight_bias() {
-                        Some((w, b)) => {
-                            let patched = chunk
-                                .cache
-                                .patched_outputs(first, w, b, dirty_rows, row_buf);
-                            net.forward_suffix(pos + 1, patched, forward)
-                        }
-                        // Sites address weight layers by construction; stay
-                        // total with a (still exact) full faulty forward.
-                        None => net.forward_batch_scratch(chunk.cache.input_batch(), forward),
-                    };
-                    wrong += misclassified(&logits, samples);
+                    let layer = &net.layers()[pos];
+                    chunk.cache.patched_output(first, layer, dirty_rows, act);
+                    net.forward_suffix(pos + 1, act, forward);
+                    wrong += misclassified(act, samples);
                 }
                 net.revert_weight_deltas(undo);
                 return wrong as f64 / self.test.len() as f64;
