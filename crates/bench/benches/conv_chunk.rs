@@ -1,7 +1,7 @@
 //! Criterion benchmark of batched conv inference on every SIMD tier this
-//! host supports, for `lenet_mini`, the small conv net of the golden
+//! host supports, for `lenet_mini` and the small conv net of the golden
 //! `train/conv-geometry` row (a pad-1 conv, a pad-1 stride-2 conv, a
-//! pool and two linears) and perfbench's VGG12-topology width-8 net:
+//! pool and two linears):
 //!
 //! - `forward`: one `EVAL_BATCH`-sample chunk through the whole network
 //!   (`Network::forward_suffix` from layer 0), the work of one chunk of a
@@ -44,41 +44,6 @@ fn golden_conv_net() -> Network {
     net
 }
 
-/// perfbench's `chips_vgg12` topology: ten 3×3 pad-1 convs of widths
-/// 8…64 with pools after conv2, conv4, conv7 and conv10, then two
-/// linears, on 3×16×16.
-fn vgg12_w8() -> Network {
-    let mut layers = Vec::new();
-    let mut in_ch = 3;
-    for (i, out) in [8, 8, 16, 16, 32, 32, 32, 64, 64, 64]
-        .into_iter()
-        .enumerate()
-    {
-        layers.push(Layer::conv2d(
-            &format!("conv{}", i + 1),
-            out,
-            in_ch,
-            3,
-            1,
-            1,
-        ));
-        layers.push(Layer::ReLU);
-        if matches!(i + 1, 2 | 4 | 7 | 10) {
-            layers.push(Layer::MaxPool2);
-        }
-        in_ch = out;
-    }
-    layers.extend([
-        Layer::Flatten,
-        Layer::linear("fc1", 128, in_ch),
-        Layer::ReLU,
-        Layer::linear("fc2", 10, 128),
-    ]);
-    let mut net = Network::new("vgg12-w8", layers);
-    he_init(&mut net, 3);
-    net
-}
-
 fn chunk(shape: &[usize], seed: u64) -> Batch {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let len: usize = shape.iter().product();
@@ -92,7 +57,6 @@ fn bench_conv_chunk(c: &mut Criterion) {
     let nets = [
         (zoo::lenet_mini(7), [1, 16, 16]),
         (golden_conv_net(), [3, 16, 16]),
-        (vgg12_w8(), [3, 16, 16]),
     ];
     let mut group = c.benchmark_group("conv_chunk");
     for (net, shape) in &nets {

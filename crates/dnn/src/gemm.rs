@@ -312,8 +312,8 @@ fn pack_a(
 /// the live lanes' chains are identical either way, and padded lanes
 /// multiply packed zeros (a bitwise no-op never stored back).
 #[expect(clippy::too_many_arguments, reason = "one scalar per block coordinate")]
-// Indexes the packed panels with the same strip/kc/lane extents
-// pack_a/pack_b allocated, and `c` at tile rows and columns inside the
+// Indexes the packed panels with the same strip/kc/lane extents that
+// pack_a and gemm_packed sized, and `c` at tile rows and columns inside the
 // ic..ic+mc × jc..jc+nc block; every range is bounds-checked slicing.
 fn macro_kernel(
     tier: SimdTier,

@@ -12,15 +12,14 @@
 //! each strip straight from the buffer ([`crate::tensor`]); Linear
 //! multiplies the buffer as it stands; Flatten only relabels it; ReLU
 //! runs in place; MaxPool2 takes maxima over contiguous runs of samples.
-//! No layer builds an im2col matrix or a per-sample tensor. Every output
-//! element is the same ascending-k fused chain as on the single-sample
-//! path, which keeps im2col for training's weight gradient, so the two
-//! paths give the same bits (DESIGN.md §9).
+//! None of these builds an im2col matrix or a per-sample tensor; only the
+//! forward-only BatchNorm2d and AvgPoolGlobal run [`Layer::forward`] on
+//! each sample. Every output element is the same ascending-k fused chain
+//! as on the single-sample path, which keeps im2col for training's weight
+//! gradient, so the two paths give the same bits (DESIGN.md §9).
 
 use crate::gemm::{fused_dot, gemm_into, gemm_packed, gemm_row_into, GemmScratch};
-use crate::tensor::{
-    conv_out_dims, conv_row_into, im2col_into, Batch, BatchPatches, ConvGeometry, Tensor,
-};
+use crate::tensor::{conv_row_into, im2col_into, Batch, BatchPatches, ConvGeometry, Tensor};
 
 /// Reusable buffers for the batched forward
 /// ([`Layer::forward_batch_in_place`]). One instance per worker keeps the
@@ -240,14 +239,12 @@ impl Layer {
                 pad,
                 ..
             } => {
-                assert_eq!(shape.len(), 3, "conv input must be [c,h,w]");
-                assert_eq!(shape[0], *in_ch, "conv input channels");
-                let (c, h, w) = (shape[0], shape[1], shape[2]);
-                let (oh, ow) = conv_out_dims(h, w, *kh, *kw, *stride, *pad);
+                let g = conv_geometry(shape, *in_ch, *kh, *kw, *stride, *pad);
+                let (oh, ow) = g.out_dims();
                 let (out_ch, k, p) = (weight.shape()[0], weight.shape()[1], oh * ow);
                 out.cols.clear();
                 out.cols.resize(k * p, 0.0);
-                im2col_into(x, c, h, w, *kh, *kw, *stride, *pad, &mut out.cols, p, 0);
+                im2col_into(x, &g, &mut out.cols);
                 out.data.resize(out_ch * p, 0.0);
                 gemm_into(&mut out.data, weight.data(), &out.cols, out_ch, k, p, gs);
                 for (row, b) in out.data.chunks_mut(p).zip(bias) {
@@ -333,8 +330,9 @@ impl Layer {
     /// Runs the layer on the batch `x`, leaving its output in `x`.
     ///
     /// Conv2d and Linear are one GEMM over the whole batch, with the
-    /// bias added after it; the other layers map their single-sample
-    /// operation over every element or sample. Each sample's outputs are
+    /// bias added after it; ReLU, MaxPool2 and Flatten work on the buffer
+    /// as it stands; BatchNorm2d and AvgPoolGlobal run [`Self::forward`]
+    /// on each sample. Each sample's outputs are
     /// bit-identical to [`Self::forward`]: every output element
     /// accumulates the same weight terms in the same ascending-k order,
     /// independent of the other columns (see [`crate::gemm`]).
@@ -356,21 +354,12 @@ impl Layer {
                 let len = x.sample_shape().iter().product::<usize>();
                 x.set_shape(&[len]);
             }
-            Layer::BatchNorm2d {
-                gamma,
-                beta,
-                mean,
-                var,
-            } => {
-                let (c, h, w) = chw(x.sample_shape(), "batchnorm");
-                assert_eq!(c, gamma.len(), "batchnorm channels");
-                let run = h * w * x.len();
-                for (ci, chunk) in x.data_mut().chunks_exact_mut(run).enumerate() {
-                    let inv = 1.0 / (var[ci] + 1e-5).sqrt();
-                    for v in chunk {
-                        *v = gamma[ci] * (*v - mean[ci]) * inv + beta[ci];
-                    }
-                }
+            // One implementation per layer kind: these forward-only
+            // layers, in no network a fault study runs, map the
+            // single-sample code over the samples.
+            Layer::BatchNorm2d { .. } | Layer::AvgPoolGlobal => {
+                let ys: Vec<Tensor> = x.to_samples().iter().map(|t| self.forward(t)).collect();
+                *x = Batch::from_samples(&ys);
             }
             Layer::Residual { body, shortcut } => {
                 let mut sc = x.clone();
@@ -389,17 +378,14 @@ impl Layer {
                     *a += b;
                 }
             }
-            Layer::Conv2d { .. }
-            | Layer::Linear { .. }
-            | Layer::MaxPool2
-            | Layer::AvgPoolGlobal => {
+            Layer::Conv2d { .. } | Layer::Linear { .. } | Layer::MaxPool2 => {
                 self.forward_batch_into(x, &mut scratch.spare, &mut scratch.gemm);
                 std::mem::swap(x, &mut scratch.spare);
             }
         }
     }
 
-    /// The Conv2d, Linear, MaxPool2 and AvgPoolGlobal arms of
+    /// The Conv2d, Linear and MaxPool2 arms of
     /// [`Self::forward_batch_in_place`], which cannot run in place: writes
     /// the output of the non-empty batch `x` into `out`. Other layer
     /// kinds leave `out` untouched.
@@ -466,17 +452,11 @@ impl Layer {
                     }
                 }
             }
-            Layer::AvgPoolGlobal => {
-                let (c, h, w) = chw(x.sample_shape(), "pool");
-                let (hw, src) = (h * w, x.data());
-                let dst = out.reset(&[c], n);
-                for (i, v) in dst.iter_mut().enumerate() {
-                    let (ci, s) = (i / n, i % n);
-                    let sum = (0..hw).map(|p| src[(ci * hw + p) * n + s]).sum::<f32>();
-                    *v = sum / hw as f32;
-                }
-            }
-            Layer::ReLU | Layer::Flatten | Layer::BatchNorm2d { .. } | Layer::Residual { .. } => {}
+            Layer::ReLU
+            | Layer::Flatten
+            | Layer::AvgPoolGlobal
+            | Layer::BatchNorm2d { .. }
+            | Layer::Residual { .. } => {}
         }
     }
 
@@ -589,7 +569,7 @@ fn chw(shape: &[usize], what: &str) -> (usize, usize, usize) {
 /// # Panics
 ///
 /// Panics if `shape` is not `[in_ch, h, w]`.
-fn conv_geometry(
+pub(crate) fn conv_geometry(
     shape: &[usize],
     in_ch: usize,
     kh: usize,
@@ -689,6 +669,26 @@ mod tests {
         let y = l.forward(&x);
         assert!((y.data()[0] - 1.0).abs() < 1e-4); // (3-3)/2*2+1
         assert!((y.data()[1] - 5.0).abs() < 1e-3); // (7-3)/2*2+1
+    }
+
+    #[test]
+    fn batched_forward_only_layers_match_single_sample() {
+        let bn = Layer::BatchNorm2d {
+            gamma: vec![2.0, 0.5],
+            beta: vec![1.0, -1.0],
+            mean: vec![3.0, 0.0],
+            var: vec![4.0, 1.0],
+        };
+        let xs: Vec<Tensor> = (0..3)
+            .map(|s| {
+                let data = (0..12).map(|i| (i * 7 + s * 5) as f32 * 0.37 - 2.0);
+                Tensor::from_vec(&[2, 2, 3], data.collect())
+            })
+            .collect();
+        for l in [bn, Layer::AvgPoolGlobal] {
+            let want: Vec<Tensor> = xs.iter().map(|x| l.forward(x)).collect();
+            assert_eq!(l.forward_batch(&xs), want, "{l:?}");
+        }
     }
 
     #[test]

@@ -75,7 +75,10 @@ impl PrefixCache {
                     let mut out = Batch::default();
                     l.forward_batch_into(&cur, &mut out, &mut scratch.gemm);
                     // The layers after this one run in place on a copy.
-                    let input = std::mem::replace(&mut cur, out.clone());
+                    let mut input = std::mem::replace(&mut cur, out.clone());
+                    // After a pool, `cur` is the scratch's spare buffer,
+                    // sized for an earlier and larger layer.
+                    input.shrink_to_fit();
                     sites.push(Site {
                         layer_pos: pos,
                         input,
@@ -293,6 +296,26 @@ mod tests {
                 .expect("flat network");
             assert_eq!(cache.clean_logits().to_samples(), net.forward_batch(&xs));
             assert_eq!(cache.batch_len(), 4);
+        }
+    }
+
+    /// A site keeps no more memory than its batches hold, also when the
+    /// build ran on a scratch a larger network's pass had grown: in
+    /// `lenet_mini`, fc1's input comes out of a pool, into the spare
+    /// buffer conv1's output had sized.
+    #[test]
+    fn site_batches_hold_no_spare_capacity() {
+        let mut scratch = ForwardScratch::default();
+        for net in [lenet_mini(9), strided_net(9)] {
+            let xs = batch(5, 8);
+            let cache = PrefixCache::build(&net, Batch::from_samples(&xs), &mut scratch)
+                .expect("flat network");
+            for s in &cache.sites {
+                for b in [&s.input, &s.out] {
+                    let ctx = format!("{}, layer {}", net.name, s.layer_pos);
+                    assert_eq!(b.capacity(), b.data().len(), "{ctx}");
+                }
+            }
         }
     }
 

@@ -200,66 +200,35 @@ impl ConvGeometry {
     }
 }
 
-/// Unfolds one `[c, h, w]` image (given as a flat slice) into a caller-owned
-/// im2col destination. The patch matrix has `c*kh*kw` rows; row `r` of the
-/// patch is written to `dst[r * dst_cols + col_offset ..]`, so a batch of
-/// images can be unfolded side by side into one wide matrix (`dst_cols` =
-/// patch columns × batch). Only in-bounds taps are written, a whole run
-/// at a time — the caller must pre-zero `dst` so padded taps read as
-/// zero. Training's single-sample forward keeps this matrix for the
-/// weight gradient; batched inference never builds one (see
-/// [`Batch`]).
+/// Unfolds one `[c, h, w]` image (given as a flat slice) into its
+/// `[c·kh·kw, out_h·out_w]` im2col matrix `dst`. Only in-bounds taps are
+/// written, a whole run at a time — the caller must pre-zero `dst` so
+/// padded taps read as zero. Training's single-sample forward keeps this
+/// matrix for the weight gradient; batched inference never builds one
+/// (see [`Batch`]).
 ///
 /// # Panics
 ///
-/// Panics if `data` does not match `[c, h, w]` or the destination region
-/// `col_offset .. col_offset + out_h*out_w` overflows `dst_cols`.
-#[expect(clippy::too_many_arguments, reason = "one per convolution dimension")]
-// The entry asserts pin data to c*h*w and dst to rows*dst_cols with
-// col_offset+out_h*out_w <= dst_cols; each run stays inside its output row
-// and, by patch_row's ranges, inside the image.
-pub fn im2col_into(
-    data: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    dst: &mut [f32],
-    dst_cols: usize,
-    col_offset: usize,
-) {
-    let g = ConvGeometry {
-        c,
-        h,
-        w,
-        kh,
-        kw,
-        stride,
-        pad,
-    };
-    assert_eq!(data.len(), c * h * w, "image length vs [{c},{h},{w}]");
+/// Panics if `data` or `dst` does not match the geometry.
+// The entry asserts pin data to c*h*w and dst to rows*out_h*out_w; each
+// run stays inside its output row and, by patch_row's ranges, inside the
+// image.
+pub(crate) fn im2col_into(data: &[f32], g: &ConvGeometry, dst: &mut [f32]) {
     let (out_h, out_w) = g.out_dims();
     let p = out_h * out_w;
     assert!(p > 0, "empty convolution output");
-    assert!(
-        col_offset + p <= dst_cols,
-        "im2col destination columns overflow"
-    );
-    assert_eq!(dst.len(), g.rows() * dst_cols, "im2col destination size");
-    for row in 0..g.rows() {
+    assert_eq!(data.len(), g.c * g.h * g.w, "im2col image length");
+    assert_eq!(dst.len(), g.rows() * p, "im2col destination size");
+    for (row, band) in dst.chunks_exact_mut(p).enumerate() {
         let r = g.patch_row(row);
-        let band = &mut dst[row * dst_cols + col_offset..][..p];
         let len = r.ox.len();
         for (i, oy) in r.oy.enumerate() {
-            let src = &data[r.img + i * stride * w..];
+            let src = &data[r.img + i * g.stride * g.w..];
             let run = &mut band[oy * out_w + r.ox.start..][..len];
-            if stride == 1 {
+            if g.stride == 1 {
                 run.copy_from_slice(&src[..len]);
             } else {
-                for (o, &v) in run.iter_mut().zip(src.iter().step_by(stride)) {
+                for (o, &v) in run.iter_mut().zip(src.iter().step_by(g.stride)) {
                     *o = v;
                 }
             }
@@ -267,7 +236,7 @@ pub fn im2col_into(
     }
 }
 
-/// Folds an im2col-shaped gradient `cols` (`[c*kh*kw, out_h*out_w]`, row
+/// Folds an im2col-shaped gradient `cols` (`[c·kh·kw, out_h·out_w]`, row
 /// major) back onto a `[c, h, w]` image — the adjoint of
 /// [`im2col_into`], used by convolution backprop. `out` is overwritten.
 /// Each image element sums its taps in patch-row, then output-position
@@ -276,48 +245,27 @@ pub fn im2col_into(
 /// # Panics
 ///
 /// Panics if `cols` or `out` is inconsistent with the geometry.
-#[expect(clippy::too_many_arguments, reason = "one per convolution dimension")]
 // The entry asserts pin cols to rows*out_h*out_w and out to c*h*w; each run
 // stays inside its output row and, by patch_row's ranges, inside the
 // image.
-pub fn col2im_into(
-    cols: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    out: &mut [f32],
-) {
-    let g = ConvGeometry {
-        c,
-        h,
-        w,
-        kh,
-        kw,
-        stride,
-        pad,
-    };
+pub(crate) fn col2im_into(cols: &[f32], g: &ConvGeometry, out: &mut [f32]) {
     let (out_h, out_w) = g.out_dims();
     let p = out_h * out_w;
     assert_eq!(cols.len(), g.rows() * p, "col2im source size");
-    assert_eq!(out.len(), c * h * w, "col2im image length vs [{c},{h},{w}]");
+    assert_eq!(out.len(), g.c * g.h * g.w, "col2im image length");
     out.fill(0.0);
-    for row in 0..g.rows() {
+    for (row, band) in cols.chunks_exact(p).enumerate() {
         let r = g.patch_row(row);
-        let band = &cols[row * p..][..p];
         let len = r.ox.len();
         for (i, oy) in r.oy.enumerate() {
             let run = &band[oy * out_w + r.ox.start..][..len];
-            let dst = &mut out[r.img + i * stride * w..];
-            if stride == 1 {
+            let dst = &mut out[r.img + i * g.stride * g.w..];
+            if g.stride == 1 {
                 for (o, &v) in dst[..len].iter_mut().zip(run) {
                     *o += v;
                 }
             } else {
-                for (o, &v) in dst.iter_mut().step_by(stride).zip(run) {
+                for (o, &v) in dst.iter_mut().step_by(g.stride).zip(run) {
                     *o += v;
                 }
             }
@@ -441,6 +389,18 @@ impl Batch {
         self.n = n;
         self.data.resize(shape.iter().product::<usize>() * n, 0.0);
         &mut self.data
+    }
+
+    /// Frees the buffer's spare capacity: a batch that has been reused
+    /// for a larger layer keeps that layer's allocation otherwise.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.data.shrink_to_fit();
+    }
+
+    /// The buffer's allocated length, in elements.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
     }
 
     /// Relabels every sample with `shape`, of equal element count.
@@ -567,21 +527,33 @@ mod tests {
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
+    /// The geometry `[c, h, w, kh, kw, stride, pad]`.
+    fn geometry([c, h, w, kh, kw, stride, pad]: [usize; 7]) -> ConvGeometry {
+        ConvGeometry {
+            c,
+            h,
+            w,
+            kh,
+            kw,
+            stride,
+            pad,
+        }
+    }
+
     /// The per-element reference walk: every in-bounds (patch row, patch
     /// column, image index) triple in patch-row, then output-position
     /// order. The run-copy unfold must reproduce it bit for bit.
-    #[expect(clippy::too_many_arguments, reason = "one per convolution dimension")]
-    fn for_each_patch_index(
-        c: usize,
-        h: usize,
-        w: usize,
-        kh: usize,
-        kw: usize,
-        stride: usize,
-        pad: usize,
-        mut f: impl FnMut(usize, usize, usize),
-    ) {
-        let (out_h, out_w) = conv_out_dims(h, w, kh, kw, stride, pad);
+    fn for_each_patch_index(g: &ConvGeometry, mut f: impl FnMut(usize, usize, usize)) {
+        let ConvGeometry {
+            c,
+            h,
+            w,
+            kh,
+            kw,
+            stride,
+            pad,
+        } = *g;
+        let (out_h, out_w) = g.out_dims();
         for ci in 0..c {
             for ki in 0..kh {
                 for kj in 0..kw {
@@ -609,12 +581,10 @@ mod tests {
     }
 
     /// One image's `[c*kh*kw, out_h*out_w]` patch matrix.
-    fn im2col(data: &[f32], geom: [usize; 7]) -> Vec<f32> {
-        let [c, h, w, kh, kw, stride, pad] = geom;
-        let (out_h, out_w) = conv_out_dims(h, w, kh, kw, stride, pad);
-        let p = out_h * out_w;
-        let mut cols = vec![0.0; c * kh * kw * p];
-        im2col_into(data, c, h, w, kh, kw, stride, pad, &mut cols, p, 0);
+    fn im2col(data: &[f32], g: &ConvGeometry) -> Vec<f32> {
+        let (out_h, out_w) = g.out_dims();
+        let mut cols = vec![0.0; g.rows() * out_h * out_w];
+        im2col_into(data, g, &mut cols);
         cols
     }
 
@@ -641,7 +611,7 @@ mod tests {
     fn im2col_identity_kernel() {
         // 1x1 kernel, stride 1, no pad: im2col is just a reshape.
         let input = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(im2col(&input, [1, 2, 2, 1, 1, 1, 0]), input);
+        assert_eq!(im2col(&input, &geometry([1, 2, 2, 1, 1, 1, 0])), input);
     }
 
     #[test]
@@ -650,7 +620,7 @@ mod tests {
         // and direct summation.
         let input = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
         let kernel = [1.0, 0.5, -1.0, 2.0];
-        let cols = im2col(&input, [1, 3, 3, 2, 2, 1, 0]);
+        let cols = im2col(&input, &geometry([1, 3, 3, 2, 2, 1, 0]));
         let out: Vec<f32> = (0..4)
             .map(|j| (0..4).map(|r| kernel[r] * cols[r * 4 + j]).sum())
             .collect();
@@ -661,45 +631,17 @@ mod tests {
     }
 
     #[test]
-    fn im2col_into_batch_offset_matches_single() {
-        // Two images unfolded side by side into one wide matrix must
-        // reproduce each image's standalone im2col in its column band.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let geom = [2, 5, 4, 3, 2, 1, 1];
-        let [c, h, w, kh, kw, stride, pad] = geom;
-        let imgs: Vec<Vec<f32>> = (0..2).map(|_| random(c * h * w, &mut rng)).collect();
-        let (out_h, out_w) = conv_out_dims(h, w, kh, kw, stride, pad);
-        let p = out_h * out_w;
-        let rows = c * kh * kw;
-        let mut wide = vec![0.0; rows * 2 * p];
-        for (s, img) in imgs.iter().enumerate() {
-            im2col_into(img, c, h, w, kh, kw, stride, pad, &mut wide, 2 * p, s * p);
-        }
-        for (s, img) in imgs.iter().enumerate() {
-            let cols = im2col(img, geom);
-            for r in 0..rows {
-                assert_eq!(
-                    &wide[r * 2 * p + s * p..r * 2 * p + (s + 1) * p],
-                    &cols[r * p..(r + 1) * p],
-                    "sample {s} row {r}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn col2im_is_adjoint_of_im2col() {
         // <im2col(x), y> == <x, col2im(y)> for random x, y — the defining
         // property of the adjoint, which is exactly what backprop needs.
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let geom = [2, 5, 5, 3, 3, 2, 1];
-        let [c, h, w, kh, kw, stride, pad] = geom;
-        let x = random(c * h * w, &mut rng);
-        let cols = im2col(&x, geom);
+        let g = geometry([2, 5, 5, 3, 3, 2, 1]);
+        let x = random(g.c * g.h * g.w, &mut rng);
+        let cols = im2col(&x, &g);
         let y = random(cols.len(), &mut rng);
         let lhs: f32 = cols.iter().zip(&y).map(|(a, b)| a * b).sum();
         let mut xt = vec![f32::NAN; x.len()];
-        col2im_into(&y, c, h, w, kh, kw, stride, pad, &mut xt);
+        col2im_into(&y, &g, &mut xt);
         let rhs: f32 = x.iter().zip(&xt).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "adjoint mismatch {lhs} vs {rhs}");
     }
@@ -719,14 +661,15 @@ mod tests {
             // The kernel fits the padded image.
             let (kh, kw) = (kh.min(h + 2 * pad), kw.min(w + 2 * pad));
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let (out_h, out_w) = conv_out_dims(h, w, kh, kw, stride, pad);
+            let geom = geometry([c, h, w, kh, kw, stride, pad]);
+            let (out_h, out_w) = geom.out_dims();
             let p = out_h * out_w;
             let x = random(c * h * w, &mut rng);
-            let mut want = vec![0.0f32; c * kh * kw * p];
-            for_each_patch_index(c, h, w, kh, kw, stride, pad, |row, col, img| {
+            let mut want = vec![0.0f32; geom.rows() * p];
+            for_each_patch_index(&geom, |row, col, img| {
                 want[row * p + col] = x[img];
             });
-            let got = im2col(&x, [c, h, w, kh, kw, stride, pad]);
+            let got = im2col(&x, &geom);
             prop_assert_eq!(
                 got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -734,11 +677,11 @@ mod tests {
 
             let g = random(want.len(), &mut rng);
             let mut want = vec![0.0f32; x.len()];
-            for_each_patch_index(c, h, w, kh, kw, stride, pad, |row, col, img| {
+            for_each_patch_index(&geom, |row, col, img| {
                 want[img] += g[row * p + col];
             });
             let mut got = vec![f32::NAN; x.len()];
-            col2im_into(&g, c, h, w, kh, kw, stride, pad, &mut got);
+            col2im_into(&g, &geom, &mut got);
             prop_assert_eq!(
                 got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

@@ -8,7 +8,7 @@
 //! trainable models.
 
 use crate::gemm::{gemm_into, GemmScratch};
-use crate::layer::{Activation, Layer};
+use crate::layer::{conv_geometry, Activation, Layer};
 use crate::network::Network;
 use crate::tensor::{col2im_into, Tensor};
 use rand::seq::SliceRandom;
@@ -242,6 +242,7 @@ impl TrainStep {
                 }
                 Layer::Conv2d {
                     weight,
+                    in_ch,
                     kh,
                     kw,
                     stride,
@@ -261,19 +262,9 @@ impl TrainStep {
                         // folded onto the input image.
                         let (w_t, g) = ((weight.data(), true), (&self.grad[..], false));
                         self.mm.multiply(&mut self.dcols, w_t, g, [k, out_ch, p]);
-                        let (c, h, w) = (shape[0], shape[1], shape[2]);
-                        self.grad_in.resize(c * h * w, 0.0);
-                        col2im_into(
-                            &self.dcols,
-                            c,
-                            h,
-                            w,
-                            *kh,
-                            *kw,
-                            *stride,
-                            *pad,
-                            &mut self.grad_in,
-                        );
+                        let g = conv_geometry(shape, *in_ch, *kh, *kw, *stride, *pad);
+                        self.grad_in.resize(g.c * g.h * g.w, 0.0);
+                        col2im_into(&self.dcols, &g, &mut self.grad_in);
                     }
                 }
                 Layer::ReLU => {
