@@ -81,7 +81,7 @@ fn bench_conv_chunk(c: &mut Criterion) {
                     net.forward_suffix(0, black_box(&mut act), &mut scratch);
                 })
             });
-            let cache = PrefixCache::build(net, input.clone(), &mut scratch).expect("flat net");
+            let cache = PrefixCache::build(net, input.clone(), &mut scratch);
             let pos = cache.site_layer(0);
             group.bench_function(id("fault_trial"), |bench| {
                 bench.iter(|| {

@@ -12,11 +12,10 @@
 //! each strip straight from the buffer ([`crate::tensor`]); Linear
 //! multiplies the buffer as it stands; Flatten only relabels it; ReLU
 //! runs in place; MaxPool2 takes maxima over contiguous runs of samples.
-//! None of these builds an im2col matrix or a per-sample tensor; only the
-//! forward-only BatchNorm2d and AvgPoolGlobal run [`Layer::forward`] on
-//! each sample. Every output element is the same ascending-k fused chain
-//! as on the single-sample path, which keeps im2col for training's weight
-//! gradient, so the two paths give the same bits (DESIGN.md §9).
+//! None of these builds an im2col matrix or a per-sample tensor. Every
+//! output element is the same ascending-k fused chain as on the
+//! single-sample path, which keeps im2col for training's weight gradient,
+//! so the two paths give the same bits (DESIGN.md §9).
 
 use crate::gemm::{fused_dot, gemm_into, gemm_packed, gemm_row_into, GemmScratch};
 use crate::tensor::{conv_row_into, im2col_into, Batch, BatchPatches, ConvGeometry, Tensor};
@@ -82,29 +81,8 @@ pub enum Layer {
     ReLU,
     /// 2×2 max pooling with stride 2. Requires even spatial dimensions.
     MaxPool2,
-    /// Global average pooling, `[c,h,w] -> [c]`.
-    AvgPoolGlobal,
     /// Flattens `[c,h,w] -> [c*h*w]`.
     Flatten,
-    /// Batch normalization (inference form, per-channel affine).
-    BatchNorm2d {
-        /// Scale per channel.
-        gamma: Vec<f32>,
-        /// Shift per channel.
-        beta: Vec<f32>,
-        /// Running mean per channel.
-        mean: Vec<f32>,
-        /// Running variance per channel.
-        var: Vec<f32>,
-    },
-    /// Residual block: `out = body(x) + shortcut(x)` (empty shortcut =
-    /// identity). Forward-only.
-    Residual {
-        /// Main path.
-        body: Vec<Layer>,
-        /// Shortcut path (empty = identity).
-        shortcut: Vec<Layer>,
-    },
 }
 
 impl Layer {
@@ -145,71 +123,16 @@ impl Layer {
     /// # Panics
     ///
     /// Panics if the input shape is incompatible with the layer.
-    // The channel spans ci*h*w..(ci+1)*h*w use the dims destructured from
-    // the [c,h,w] input shape, and ci < c, so they stay within
-    // data().len().
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        match self {
-            Layer::AvgPoolGlobal => {
-                assert_eq!(x.shape().len(), 3, "pool input must be [c,h,w]");
-                let (c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-                let hw = (h * w) as f32;
-                let out = (0..c)
-                    .map(|ci| x.data()[ci * h * w..(ci + 1) * h * w].iter().sum::<f32>() / hw)
-                    .collect();
-                Tensor::from_vec(&[c], out)
-            }
-            Layer::BatchNorm2d {
-                gamma,
-                beta,
-                mean,
-                var,
-            } => {
-                assert_eq!(x.shape().len(), 3, "batchnorm input must be [c,h,w]");
-                let (c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-                assert_eq!(c, gamma.len(), "batchnorm channels");
-                let mut out = x.data().to_vec();
-                for ci in 0..c {
-                    let inv = 1.0 / (var[ci] + 1e-5).sqrt();
-                    for v in &mut out[ci * h * w..(ci + 1) * h * w] {
-                        *v = gamma[ci] * (*v - mean[ci]) * inv + beta[ci];
-                    }
-                }
-                Tensor::from_vec(x.shape(), out)
-            }
-            Layer::Residual { body, shortcut } => {
-                let mut main = x.clone();
-                for l in body {
-                    main = l.forward(&main);
-                }
-                let mut sc = x.clone();
-                for l in shortcut {
-                    sc = l.forward(&sc);
-                }
-                assert_eq!(main.shape(), sc.shape(), "residual shape mismatch");
-                let data = main
-                    .data()
-                    .iter()
-                    .zip(sc.data())
-                    .map(|(a, b)| a + b)
-                    .collect();
-                Tensor::from_vec(main.shape(), data)
-            }
-            // Conv2d, Linear, ReLU, MaxPool2 and Flatten.
-            _ => {
-                let mut out = Activation::default();
-                self.forward_into(x.data(), x.shape(), &mut out, &mut GemmScratch::default());
-                Tensor::from_parts(out.shape, out.data)
-            }
-        }
+        let mut out = Activation::default();
+        self.forward_into(x.data(), x.shape(), &mut out, &mut GemmScratch::default());
+        Tensor::from_parts(out.shape, out.data)
     }
 
-    /// Runs a Conv2d, Linear, ReLU, MaxPool2 or Flatten layer on one
-    /// sample `x` of shape `shape`, into `out`'s reused buffers; a Conv2d
-    /// layer also leaves its input's im2col in `out.cols`, which training
-    /// multiplies again for the weight gradient. This is the
-    /// single-sample forward of [`Self::forward`]. Returns `false`, with
-    /// `out` untouched, for the other layer kinds.
+    /// Runs the layer on one sample `x` of shape `shape`, into `out`'s
+    /// reused buffers; a Conv2d layer also leaves its input's im2col in
+    /// `out.cols`, which training multiplies again for the weight
+    /// gradient. This is the single-sample forward of [`Self::forward`].
     ///
     /// # Panics
     ///
@@ -223,7 +146,7 @@ impl Layer {
         shape: &[usize],
         out: &mut Activation,
         gs: &mut GemmScratch,
-    ) -> bool {
+    ) {
         let mut set_shape = |dims: &[usize]| {
             out.shape.clear();
             out.shape.extend_from_slice(dims);
@@ -305,11 +228,7 @@ impl Layer {
                 out.data.extend_from_slice(x);
                 set_shape(&[x.len()]);
             }
-            Layer::AvgPoolGlobal | Layer::BatchNorm2d { .. } | Layer::Residual { .. } => {
-                return false;
-            }
         }
-        true
     }
 
     /// Runs the layer on a batch of same-shaped samples through
@@ -331,11 +250,10 @@ impl Layer {
     ///
     /// Conv2d and Linear are one GEMM over the whole batch, with the
     /// bias added after it; ReLU, MaxPool2 and Flatten work on the buffer
-    /// as it stands; BatchNorm2d and AvgPoolGlobal run [`Self::forward`]
-    /// on each sample. Each sample's outputs are
-    /// bit-identical to [`Self::forward`]: every output element
-    /// accumulates the same weight terms in the same ascending-k order,
-    /// independent of the other columns (see [`crate::gemm`]).
+    /// as it stands. Each sample's outputs are bit-identical to
+    /// [`Self::forward`]: every output element accumulates the same
+    /// weight terms in the same ascending-k order, independent of the
+    /// other columns (see [`crate::gemm`]).
     ///
     /// # Panics
     ///
@@ -353,30 +271,6 @@ impl Layer {
             Layer::Flatten => {
                 let len = x.sample_shape().iter().product::<usize>();
                 x.set_shape(&[len]);
-            }
-            // One implementation per layer kind: these forward-only
-            // layers, in no network a fault study runs, map the
-            // single-sample code over the samples.
-            Layer::BatchNorm2d { .. } | Layer::AvgPoolGlobal => {
-                let ys: Vec<Tensor> = x.to_samples().iter().map(|t| self.forward(t)).collect();
-                *x = Batch::from_samples(&ys);
-            }
-            Layer::Residual { body, shortcut } => {
-                let mut sc = x.clone();
-                for l in body {
-                    l.forward_batch_in_place(x, scratch);
-                }
-                for l in shortcut {
-                    l.forward_batch_in_place(&mut sc, scratch);
-                }
-                assert_eq!(
-                    x.sample_shape(),
-                    sc.sample_shape(),
-                    "residual shape mismatch"
-                );
-                for (a, b) in x.data_mut().iter_mut().zip(sc.data()) {
-                    *a += b;
-                }
             }
             Layer::Conv2d { .. } | Layer::Linear { .. } | Layer::MaxPool2 => {
                 self.forward_batch_into(x, &mut scratch.spare, &mut scratch.gemm);
@@ -452,11 +346,7 @@ impl Layer {
                     }
                 }
             }
-            Layer::ReLU
-            | Layer::Flatten
-            | Layer::AvgPoolGlobal
-            | Layer::BatchNorm2d { .. }
-            | Layer::Residual { .. } => {}
+            Layer::ReLU | Layer::Flatten => {}
         }
     }
 
@@ -516,41 +406,10 @@ impl Layer {
         }
     }
 
-    /// Number of stored weights (excluding biases and batch-norm
-    /// parameters) — what the paper counts as DNN "parameters" for storage.
+    /// Number of stored weights (excluding biases) — what the paper
+    /// counts as DNN "parameters" for storage.
     pub fn weight_count(&self) -> usize {
-        match self {
-            Layer::Conv2d { weight, .. } | Layer::Linear { weight, .. } => weight.len(),
-            Layer::Residual { body, shortcut } => {
-                body.iter().chain(shortcut).map(Layer::weight_count).sum()
-            }
-            _ => 0,
-        }
-    }
-
-    /// Number of weight matrices this layer contributes to
-    /// [`crate::Network::weight_matrices`] (recursing into residual
-    /// blocks) — used to keep per-matrix side tables aligned with layer
-    /// positions.
-    pub fn weight_matrix_count(&self) -> usize {
-        match self {
-            Layer::Conv2d { .. } | Layer::Linear { .. } => 1,
-            Layer::Residual { body, shortcut } => body
-                .iter()
-                .chain(shortcut)
-                .map(Layer::weight_matrix_count)
-                .sum(),
-            _ => 0,
-        }
-    }
-
-    /// Whether this layer participates in backprop training (residual and
-    /// batch-norm layers are forward-only in this substrate).
-    pub fn supports_backprop(&self) -> bool {
-        !matches!(
-            self,
-            Layer::Residual { .. } | Layer::BatchNorm2d { .. } | Layer::AvgPoolGlobal
-        )
+        self.weight_bias().map_or(0, |(w, _)| w.len())
     }
 }
 
@@ -645,70 +504,9 @@ mod tests {
     }
 
     #[test]
-    fn global_avg_pool() {
-        let x = Tensor::from_vec(&[2, 1, 2], vec![1.0, 3.0, 10.0, 20.0]);
-        let y = Layer::AvgPoolGlobal.forward(&x);
-        assert_eq!(y.data(), &[2.0, 15.0]);
-    }
-
-    #[test]
     fn flatten_reshapes() {
         let x = Tensor::zeros(&[2, 3, 4]);
         assert_eq!(Layer::Flatten.forward(&x).shape(), &[24]);
-    }
-
-    #[test]
-    fn batchnorm_normalizes_channel() {
-        let l = Layer::BatchNorm2d {
-            gamma: vec![2.0],
-            beta: vec![1.0],
-            mean: vec![3.0],
-            var: vec![4.0],
-        };
-        let x = Tensor::from_vec(&[1, 1, 2], vec![3.0, 7.0]);
-        let y = l.forward(&x);
-        assert!((y.data()[0] - 1.0).abs() < 1e-4); // (3-3)/2*2+1
-        assert!((y.data()[1] - 5.0).abs() < 1e-3); // (7-3)/2*2+1
-    }
-
-    #[test]
-    fn batched_forward_only_layers_match_single_sample() {
-        let bn = Layer::BatchNorm2d {
-            gamma: vec![2.0, 0.5],
-            beta: vec![1.0, -1.0],
-            mean: vec![3.0, 0.0],
-            var: vec![4.0, 1.0],
-        };
-        let xs: Vec<Tensor> = (0..3)
-            .map(|s| {
-                let data = (0..12).map(|i| (i * 7 + s * 5) as f32 * 0.37 - 2.0);
-                Tensor::from_vec(&[2, 2, 3], data.collect())
-            })
-            .collect();
-        for l in [bn, Layer::AvgPoolGlobal] {
-            let want: Vec<Tensor> = xs.iter().map(|x| l.forward(x)).collect();
-            assert_eq!(l.forward_batch(&xs), want, "{l:?}");
-        }
-    }
-
-    #[test]
-    fn residual_identity_shortcut_adds_input() {
-        let block = Layer::Residual {
-            body: vec![Layer::ReLU],
-            shortcut: vec![],
-        };
-        let x = Tensor::from_vec(&[3], vec![-2.0, 0.0, 3.0]);
-        let y = block.forward(&x);
-        assert_eq!(y.data(), &[-2.0, 0.0, 6.0]);
-    }
-
-    #[test]
-    fn weight_count_recurses_residual() {
-        let block = Layer::Residual {
-            body: vec![Layer::conv2d("a", 4, 4, 3, 1, 1), Layer::ReLU],
-            shortcut: vec![Layer::conv2d("b", 4, 4, 1, 1, 0)],
-        };
-        assert_eq!(block.weight_count(), 4 * 4 * 9 + 4 * 4);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! side, built from scratch:
 //!
 //! - [`tensor`]: a minimal row-major f32 tensor and the im2col unfolding;
-//! - [`layer`] / [`network`]: runnable networks (conv, linear, pooling,
-//!   batch-norm, residual blocks) with forward inference and — for the
-//!   architectures used in fault-injection experiments — SGD backprop;
+//! - [`layer`] / [`network`]: runnable networks (conv, linear, ReLU,
+//!   max-pool, flatten) with forward inference and SGD backprop — the
+//!   layer kinds of every network a fault-injection experiment runs (the
+//!   ImageNet-scale models are [`zoo`] topology specs, not networks);
 //! - [`train`]: SGD with momentum and softmax cross-entropy;
 //! - [`data`]: procedurally generated datasets standing in for
 //!   MNIST/CiFar10/ImageNet (see `DESIGN.md` for the substitution

@@ -181,36 +181,22 @@ impl Network {
         self.layers.iter().map(Layer::weight_count).sum()
     }
 
-    /// Whether every layer supports the substrate's backprop (true for the
-    /// small trainable models, false e.g. for residual networks).
-    pub fn supports_backprop(&self) -> bool {
-        self.layers.iter().all(Layer::supports_backprop)
-    }
-
     /// Extracts every weight-bearing layer as a 2-D matrix, in order.
     pub fn weight_matrices(&self) -> Vec<LayerMatrix> {
-        fn collect(layers: &[Layer], out: &mut Vec<LayerMatrix>) {
-            for l in layers {
-                match l {
-                    Layer::Conv2d { name, weight, .. } | Layer::Linear { name, weight, .. } => {
-                        out.push(LayerMatrix::new(
-                            name,
-                            weight.shape()[0],
-                            weight.shape()[1],
-                            weight.data().to_vec(),
-                        ));
-                    }
-                    Layer::Residual { body, shortcut } => {
-                        collect(body, out);
-                        collect(shortcut, out);
-                    }
-                    _ => {}
+        self.layers
+            .iter()
+            .filter_map(|l| match l {
+                Layer::Conv2d { name, weight, .. } | Layer::Linear { name, weight, .. } => {
+                    Some(LayerMatrix::new(
+                        name,
+                        weight.shape()[0],
+                        weight.shape()[1],
+                        weight.data().to_vec(),
+                    ))
                 }
-            }
-        }
-        let mut out = Vec::new();
-        collect(&self.layers, &mut out);
-        out
+                _ => None,
+            })
+            .collect()
     }
 
     /// Writes weight matrices back into the network (e.g. after an
@@ -221,55 +207,31 @@ impl Network {
     /// Panics if the count or shapes do not match
     /// [`Network::weight_matrices`].
     pub fn set_weight_matrices(&mut self, mats: &[LayerMatrix]) {
-        fn apply(layers: &mut [Layer], mats: &[LayerMatrix], idx: &mut usize) {
-            for l in layers {
-                match l {
-                    Layer::Conv2d { weight, .. } | Layer::Linear { weight, .. } => {
-                        assert!(*idx < mats.len(), "matrix count mismatch");
-                        let m = &mats[*idx];
-                        assert_eq!(
-                            weight.shape(),
-                            &[m.rows, m.cols],
-                            "matrix shape mismatch at index {}",
-                            *idx
-                        );
-                        weight.data_mut().copy_from_slice(&m.data);
-                        *idx += 1;
-                    }
-                    Layer::Residual { body, shortcut } => {
-                        apply(body, mats, idx);
-                        apply(shortcut, mats, idx);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let mut idx = 0;
-        apply(&mut self.layers, mats, &mut idx);
-        assert_eq!(idx, mats.len(), "matrix count mismatch");
+        let mut count = 0;
+        self.for_each_weight_tensor_mut(|idx, weight| {
+            assert!(idx < mats.len(), "matrix count mismatch");
+            let m = &mats[idx];
+            assert_eq!(
+                weight.shape(),
+                &[m.rows, m.cols],
+                "matrix shape mismatch at index {idx}"
+            );
+            weight.data_mut().copy_from_slice(&m.data);
+            count += 1;
+        });
+        assert_eq!(count, mats.len(), "matrix count mismatch");
     }
 
     /// Visits every weight-bearing layer's tensor mutably, in
-    /// [`Network::weight_matrices`] order (residual bodies before
-    /// shortcuts).
+    /// [`Network::weight_matrices`] order.
     pub fn for_each_weight_tensor_mut(&mut self, mut f: impl FnMut(usize, &mut Tensor)) {
-        fn walk<F: FnMut(usize, &mut Tensor)>(layers: &mut [Layer], idx: &mut usize, f: &mut F) {
-            for l in layers {
-                match l {
-                    Layer::Conv2d { weight, .. } | Layer::Linear { weight, .. } => {
-                        f(*idx, weight);
-                        *idx += 1;
-                    }
-                    Layer::Residual { body, shortcut } => {
-                        walk(body, idx, f);
-                        walk(shortcut, idx, f);
-                    }
-                    _ => {}
-                }
-            }
+        let weights = self.layers.iter_mut().filter_map(|l| match l {
+            Layer::Conv2d { weight, .. } | Layer::Linear { weight, .. } => Some(weight),
+            _ => None,
+        });
+        for (idx, weight) in weights.enumerate() {
+            f(idx, weight);
         }
-        let mut idx = 0;
-        walk(&mut self.layers, &mut idx, &mut f);
     }
 
     /// Overwrites the listed weight slots with their faulty values,
@@ -399,22 +361,6 @@ mod tests {
     fn weight_count_sums_layers() {
         let net = tiny_net();
         assert_eq!(net.weight_count(), 4 * 3 + 2 * 4);
-    }
-
-    #[test]
-    fn residual_matrices_are_collected() {
-        let net = Network::new(
-            "res",
-            vec![Layer::Residual {
-                body: vec![Layer::conv2d("c", 2, 2, 3, 1, 1)],
-                shortcut: vec![Layer::conv2d("s", 2, 2, 1, 1, 0)],
-            }],
-        );
-        let mats = net.weight_matrices();
-        assert_eq!(mats.len(), 2);
-        assert_eq!(mats[0].name, "c");
-        assert_eq!(mats[1].name, "s");
-        assert!(!net.supports_backprop());
     }
 
     #[test]

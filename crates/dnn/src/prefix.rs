@@ -27,10 +27,6 @@
 //! logits do not depend on the other samples of its batch, so a large
 //! set can be cached as several batches (chunks of
 //! [`crate::network::EVAL_BATCH`] samples) with the same result.
-//!
-//! Only "flat" networks (no [`Layer::Residual`]) are supported —
-//! [`PrefixCache::build`] returns `None` otherwise and callers fall back
-//! to a full forward pass.
 
 use crate::layer::{ForwardScratch, Layer};
 use crate::network::Network;
@@ -49,9 +45,8 @@ struct Site {
 }
 
 /// Cached clean forward pass of one fixed batch — see the module docs.
-/// Sites are indexed like [`Network::weight_matrices`] (valid because
-/// residual networks are rejected at build time, so every weight layer is
-/// top-level and in execution order).
+/// Sites are indexed like [`Network::weight_matrices`]: one per weight
+/// layer, in execution order.
 #[derive(Debug)]
 pub struct PrefixCache {
     sites: Vec<Site>,
@@ -61,16 +56,12 @@ pub struct PrefixCache {
 
 impl PrefixCache {
     /// Runs one clean batched forward pass over `inputs`, recording each
-    /// weight layer's input and output and the logits. Returns `None` for
-    /// networks containing residual blocks (their weight layers are
-    /// nested, which the row-patching path does not model) — callers fall
-    /// back to full forward passes.
-    pub fn build(net: &Network, inputs: Batch, scratch: &mut ForwardScratch) -> Option<Self> {
+    /// weight layer's input and output and the logits.
+    pub fn build(net: &Network, inputs: Batch, scratch: &mut ForwardScratch) -> Self {
         let mut sites = Vec::new();
         let mut cur = inputs;
         for (pos, l) in net.layers().iter().enumerate() {
             match l {
-                Layer::Residual { .. } => return None,
                 Layer::Conv2d { .. } | Layer::Linear { .. } => {
                     let mut out = Batch::default();
                     l.forward_batch_into(&cur, &mut out, &mut scratch.gemm);
@@ -88,12 +79,7 @@ impl PrefixCache {
                 _ => l.forward_batch_in_place(&mut cur, scratch),
             }
         }
-        Some(Self { sites, logits: cur })
-    }
-
-    /// Number of weight layers (== the network's weight-matrix count).
-    pub fn num_sites(&self) -> usize {
-        self.sites.len()
+        Self { sites, logits: cur }
     }
 
     /// The network-layer index of weight layer `site`.
@@ -104,11 +90,6 @@ impl PrefixCache {
     /// The cached clean logits (output of the final layer).
     pub fn clean_logits(&self) -> &Batch {
         &self.logits
-    }
-
-    /// Batch size the cache was built for.
-    pub fn batch_len(&self) -> usize {
-        self.logits.len()
     }
 
     /// Writes into `out` weight layer `site`'s batch output under the
@@ -213,9 +194,8 @@ mod tests {
             for n in [6, 55] {
                 let xs = batch(3, n);
                 let mut scratch = ForwardScratch::default();
-                let cache = PrefixCache::build(&net, Batch::from_samples(&xs), &mut scratch)
-                    .expect("flat network");
-                assert_eq!(cache.num_sites(), mats.len());
+                let cache = PrefixCache::build(&net, Batch::from_samples(&xs), &mut scratch);
+                assert_eq!(cache.sites.len(), mats.len());
                 let clean = bits(&net.forward_batch(&xs));
                 let mut moved = false;
                 let mut act = Batch::default();
@@ -292,10 +272,9 @@ mod tests {
         for net in [lenet_mini(9), Network::new("relu-last", layers)] {
             let xs = batch(5, 4);
             let mut scratch = ForwardScratch::default();
-            let cache = PrefixCache::build(&net, Batch::from_samples(&xs), &mut scratch)
-                .expect("flat network");
+            let cache = PrefixCache::build(&net, Batch::from_samples(&xs), &mut scratch);
             assert_eq!(cache.clean_logits().to_samples(), net.forward_batch(&xs));
-            assert_eq!(cache.batch_len(), 4);
+            assert_eq!(cache.logits.len(), 4);
         }
     }
 
@@ -308,8 +287,7 @@ mod tests {
         let mut scratch = ForwardScratch::default();
         for net in [lenet_mini(9), strided_net(9)] {
             let xs = batch(5, 8);
-            let cache = PrefixCache::build(&net, Batch::from_samples(&xs), &mut scratch)
-                .expect("flat network");
+            let cache = PrefixCache::build(&net, Batch::from_samples(&xs), &mut scratch);
             for s in &cache.sites {
                 for b in [&s.input, &s.out] {
                     let ctx = format!("{}, layer {}", net.name, s.layer_pos);
@@ -317,24 +295,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn residual_networks_are_rejected() {
-        let net = Network::new(
-            "res",
-            vec![Layer::Residual {
-                body: vec![Layer::ReLU],
-                shortcut: vec![],
-            }],
-        );
-        let xs = [Tensor::from_vec(&[3], vec![1.0, -2.0, 3.0])];
-        let cache = PrefixCache::build(
-            &net,
-            Batch::from_samples(&xs),
-            &mut ForwardScratch::default(),
-        );
-        assert!(cache.is_none());
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the underlying data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reinterprets the tensor with a new shape of equal element count.
     ///
     /// # Panics

@@ -1,5 +1,6 @@
-//! SGD training with softmax cross-entropy for the substrate's trainable
-//! architectures (stacks of conv / linear / ReLU / max-pool / flatten).
+//! SGD training with softmax cross-entropy for the substrate's networks
+//! (stacks of conv / linear / ReLU / max-pool / flatten, every one of which
+//! has a backward pass).
 //!
 //! The paper's iso-training-noise (ITN) bound (§3.1.1) comes from training
 //! the same topology repeatedly with identical hyper-parameters and using
@@ -51,8 +52,6 @@ pub struct TrainReport {
 /// Why a training run produced no usable network.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TrainError {
-    /// The network contains layers without backprop support.
-    UnsupportedBackprop(String),
     /// SGD diverged: the final epoch's loss is not finite, or the trained
     /// network classifies its own training set no better than chance
     /// (`1 - 1/classes`).
@@ -67,10 +66,6 @@ pub enum TrainError {
 impl fmt::Display for TrainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::UnsupportedBackprop(name) => write!(
-                f,
-                "network '{name}' contains layers without backprop support"
-            ),
             Self::Diverged {
                 final_loss,
                 train_error,
@@ -86,32 +81,20 @@ impl fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// Initializes conv/linear weights with He-style scaled Gaussians.
+/// Initializes conv/linear weights with He-style scaled Gaussians, layer
+/// by layer in order.
 pub fn he_init(net: &mut Network, seed: u64) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    fn init_layers<R: Rng>(layers: &mut [Layer], rng: &mut R) {
-        for l in layers {
-            match l {
-                Layer::Conv2d { weight, .. } | Layer::Linear { weight, .. } => {
-                    let fan_in = weight.shape()[1] as f32;
-                    let std = (2.0 / fan_in).sqrt();
-                    for v in weight.data_mut() {
-                        // Box–Muller on f32.
-                        let u1: f32 = 1.0 - rng.gen::<f32>();
-                        let u2: f32 = rng.gen();
-                        *v =
-                            std * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
-                    }
-                }
-                Layer::Residual { body, shortcut } => {
-                    init_layers(body, rng);
-                    init_layers(shortcut, rng);
-                }
-                _ => {}
-            }
+    net.for_each_weight_tensor_mut(|_, weight| {
+        let fan_in = weight.shape()[1] as f32;
+        let std = (2.0 / fan_in).sqrt();
+        for v in weight.data_mut() {
+            // Box–Muller on f32.
+            let u1: f32 = 1.0 - rng.gen::<f32>();
+            let u2: f32 = rng.gen();
+            *v = std * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
         }
-    }
-    init_layers(net.layers_mut(), &mut rng);
+    });
 }
 
 /// One layer's buffers in a [`TrainStep`].
@@ -171,31 +154,19 @@ impl TrainStep {
     }
 
     /// Forward + backward for one sample: returns the loss and leaves each
-    /// weight-bearing layer's gradients in its `dw`/`db`, or returns
-    /// [`TrainError::UnsupportedBackprop`] when a layer has no backward
-    /// pass.
-    fn forward_backward(
-        &mut self,
-        net: &Network,
-        x: &Tensor,
-        label: usize,
-    ) -> Result<f32, TrainError> {
+    /// weight-bearing layer's gradients in its `dw`/`db`.
+    fn forward_backward(&mut self, net: &Network, x: &Tensor, label: usize) -> f32 {
         for (li, l) in net.layers().iter().enumerate() {
             let (below, rest) = self.layers.split_at_mut(li);
             let (input, shape) = below.last().map_or((x.data(), x.shape()), |b| {
                 (&b.act.data[..], &b.act.shape[..])
             });
-            if !l.forward_into(input, shape, &mut rest[0].act, &mut self.mm.gemm) {
-                return Err(TrainError::UnsupportedBackprop(format!(
-                    "{} (layer {l:?})",
-                    net.name
-                )));
-            }
+            l.forward_into(input, shape, &mut rest[0].act, &mut self.mm.gemm);
         }
         let logits = self.layers.last().map_or(x.data(), |b| &b.act.data[..]);
         let loss = softmax_ce(logits, label, &mut self.grad);
         self.backward(net, x);
-        Ok(loss)
+        loss
     }
 
     /// Backpropagates `self.grad` (w.r.t. the logits) down to the first
@@ -277,8 +248,6 @@ impl TrainStep {
                 Layer::MaxPool2 => maxpool_backward(input, shape, &self.grad, &mut self.grad_in),
                 // Same values, new shape.
                 Layer::Flatten => continue,
-                // The forward pass rejected every other kind.
-                _ => return,
             }
             std::mem::swap(&mut self.grad, &mut self.grad_in);
         }
@@ -425,11 +394,9 @@ fn transpose_into<'a>(src: &[f32], rows: usize, cols: usize, dst: &'a mut Vec<f3
 ///
 /// # Errors
 ///
-/// Returns [`TrainError::UnsupportedBackprop`] if the network contains
-/// layers without backprop support (residual blocks, batch norm, global
-/// average pooling), and [`TrainError::Diverged`] if at least one epoch
-/// ran and the final loss is not finite or the training-set error is no
-/// better than chance. A collapsed run's loss stays finite (near
+/// Returns [`TrainError::Diverged`] if at least one epoch ran and the
+/// final loss is not finite or the training-set error is no better than
+/// chance. A collapsed run's loss stays finite (near
 /// `ln(classes)`, or at the per-sample cap `-ln(1e-12)`), so the error
 /// check is the one that catches it.
 pub fn sgd_train(
@@ -437,9 +404,6 @@ pub fn sgd_train(
     samples: &[(Tensor, usize)],
     cfg: &TrainConfig,
 ) -> Result<TrainReport, TrainError> {
-    if !net.supports_backprop() {
-        return Err(TrainError::UnsupportedBackprop(net.name.clone()));
-    }
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
     let mut order: Vec<usize> = (0..samples.len()).collect();
     let mut step = TrainStep::new(net);
@@ -449,7 +413,7 @@ pub fn sgd_train(
         let mut epoch_loss = 0.0f32;
         for &si in &order {
             let (x, y) = &samples[si];
-            epoch_loss += step.forward_backward(net, x, *y)?;
+            epoch_loss += step.forward_backward(net, x, *y);
             step.update(net, cfg);
         }
         final_loss = epoch_loss / samples.len().max(1) as f32;
@@ -485,8 +449,7 @@ pub fn sgd_train(
 ///
 /// # Errors
 ///
-/// Returns the [`TrainError`] of the first run that cannot be trained or
-/// diverges.
+/// Returns the [`TrainError`] of the first run that diverges.
 pub fn itn_bound<F>(
     make_net: F,
     train: &[(Tensor, usize)],
@@ -614,8 +577,7 @@ mod tests {
         he_init(&mut net, 8);
         let x = Tensor::from_vec(&[2, 16, 16], (0..512).map(|_| rng.gen::<f32>()).collect());
         let mut step = TrainStep::new(&net);
-        step.forward_backward(&net, &x, 1)
-            .expect("backprop-capable net");
+        step.forward_backward(&net, &x, 1);
         for li in [1, 3, 5] {
             let analytic = step.layers[li].dw.clone();
             for wi in [0usize, 5, 7] {
@@ -627,9 +589,7 @@ mod tests {
                     {
                         weight.data_mut()[wi] = v;
                     }
-                    TrainStep::new(&net)
-                        .forward_backward(&net, &x, 1)
-                        .expect("backprop-capable net")
+                    TrainStep::new(&net).forward_backward(&net, &x, 1)
                 };
                 let orig = net.layers()[li]
                     .weight_bias()
@@ -644,20 +604,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn training_rejects_residual_networks() {
-        let mut net = Network::new(
-            "res",
-            vec![Layer::Residual {
-                body: vec![Layer::ReLU],
-                shortcut: vec![],
-            }],
-        );
-        let err = sgd_train(&mut net, &[], &TrainConfig::default());
-        assert!(err.is_err());
-        assert!(err.unwrap_err().to_string().contains("res"));
     }
 
     #[test]
@@ -697,17 +643,12 @@ mod tests {
             momentum: 0.9,
             seed: 0,
         };
-        let err = sgd_train(&mut net, &data, &cfg).expect_err("chance-level run");
-        match err {
-            TrainError::Diverged {
-                final_loss,
-                train_error,
-            } => {
-                assert!(final_loss.is_finite(), "{final_loss}");
-                assert_eq!(train_error, 1.0);
-            }
-            other => panic!("expected Diverged, got {other:?}"),
-        }
+        let TrainError::Diverged {
+            final_loss,
+            train_error,
+        } = sgd_train(&mut net, &data, &cfg).expect_err("chance-level run");
+        assert!(final_loss.is_finite(), "{final_loss}");
+        assert_eq!(train_error, 1.0);
         // Zero epochs train nothing, so nothing can have diverged.
         let cfg = TrainConfig { epochs: 0, ..cfg };
         sgd_train(&mut net, &data, &cfg).expect("no epochs, no divergence");

@@ -49,15 +49,6 @@ impl SizeBreakdown {
     pub fn total_bits(&self) -> u64 {
         self.per_structure.iter().map(|(_, b)| b).sum()
     }
-
-    /// Bits for one structure (0 if absent).
-    pub fn bits_for(&self, kind: StructureKind) -> u64 {
-        self.per_structure
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, b)| *b)
-            .unwrap_or(0)
-    }
 }
 
 /// Raw encoded bits for a layer under an encoding strategy (§3.2),
@@ -161,18 +152,6 @@ pub fn model_bits(spec: &ModelSpec, encoding: EncodingKind, idx_sync: bool) -> u
             let geom =
                 LayerGeometry::from_sparsity(l.rows as u64, l.cols as u64, spec.paper.sparsity);
             encoded_bits(geom, spec.paper.cluster_index_bits, encoding, idx_sync).total_bits()
-        })
-        .sum()
-}
-
-/// Total memory cells for a whole model under one scheme.
-pub fn model_cells(spec: &ModelSpec, scheme: &StorageScheme) -> u64 {
-    spec.layers
-        .iter()
-        .map(|l| {
-            let geom =
-                LayerGeometry::from_sparsity(l.rows as u64, l.cols as u64, spec.paper.sparsity);
-            estimate_cells(geom, spec.paper.cluster_index_bits, scheme)
         })
         .sum()
 }

@@ -102,8 +102,8 @@ impl EncodeCache {
     ///
     /// Keyed like the raw encodes: bits-per-cell and ECC round-trip
     /// losslessly when no faults are injected, so a clean decode depends
-    /// only on the raw encoded streams and every scheme sharing a
-    /// [`StreamKey`] shares the decode.
+    /// only on the raw encoded streams and every scheme that shares a raw
+    /// encode in [`Self::streams`] shares the decode.
     pub fn clean_decode(&self, layer_idx: usize, stored: &StoredLayer) -> Arc<CleanLayerDecode> {
         let key = StreamKey::for_scheme(layer_idx, &stored.scheme);
         if let Some(hit) = self.decoded.lock().get(&key) {

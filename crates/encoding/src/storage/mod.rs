@@ -19,7 +19,6 @@
 //!   decode core on the way out.
 //! - [`chip`]: [`ProgrammedLayer`] — a layer as one manufactured chip
 //!   instance sees it (permanent programming faults).
-//! - [`model`]: [`ModelStorage`] — whole-model aggregation.
 //! - [`cache`]: [`EncodeCache`] — reuses raw encoded streams and clean
 //!   decodes across candidate schemes that differ only in bits-per-cell
 //!   or protection.
@@ -31,7 +30,6 @@ pub mod cache;
 pub mod chip;
 pub mod codec;
 pub mod layer;
-pub mod model;
 pub mod prepared;
 pub mod scheme;
 pub mod structure;
@@ -40,7 +38,6 @@ pub use cache::EncodeCache;
 pub use chip::ProgrammedLayer;
 pub use codec::{CleanCodec, FaultInjectionCodec, FixedReadCodec, StructureCodec};
 pub use layer::{EncodedStreams, StoredLayer};
-pub use model::ModelStorage;
 pub use prepared::{CleanLayerDecode, PreparedLayer};
 pub use scheme::{EccScope, StorageScheme, StructureBpc};
 pub use structure::{DecodeStats, StoredStructure};

@@ -47,8 +47,9 @@ pub struct CleanLayerDecode {
     /// Output slot each stored value entry writes under clean metadata
     /// (`u32::MAX` when an entry lands outside the matrix).
     pub value_slots: Vec<u32>,
-    /// The nonzeros of `matrix` (`SparseMatrix::from_dense`), which the
-    /// per-layer nonzero and density counters on results read.
+    /// The shape and nonzero count of `matrix`
+    /// (`SparseMatrix::from_dense`), which the per-layer nonzero and
+    /// density counters on results read.
     pub sparse: SparseMatrix,
 }
 

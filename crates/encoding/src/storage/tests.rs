@@ -143,23 +143,6 @@ fn isolated_injection_touches_only_target() {
 }
 
 #[test]
-fn model_storage_aggregates_layers() {
-    let a = clustered(8, 32, 0.5, 30);
-    let b = clustered(4, 64, 0.7, 31);
-    let scheme = StorageScheme::uniform(EncodingKind::BitMask, MlcConfig::MLC2);
-    let stored = ModelStorage::store(&[a.clone(), b.clone()], &scheme);
-    assert_eq!(stored.layers().len(), 2);
-    assert_eq!(
-        stored.total_cells(),
-        stored.layers()[0].total_cells() + stored.layers()[1].total_cells()
-    );
-    let (mats, stats) = stored.decode_clean();
-    assert_eq!(mats[0].data, a.reconstruct().data);
-    assert_eq!(mats[1].data, b.reconstruct().data);
-    assert_eq!(stats.cell_faults, 0);
-}
-
-#[test]
 fn programmed_chip_decodes_deterministically() {
     let c = clustered(16, 256, 0.5, 21);
     let scheme = StorageScheme::uniform(EncodingKind::BitMask, MlcConfig::MLC3);

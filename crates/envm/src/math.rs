@@ -29,11 +29,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Error function, `erf(x) = 1 - erfc(x)`.
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
-
 /// Standard normal upper-tail probability `Q(z) = P(X > z)` for `X ~ N(0,1)`.
 pub fn q_function(z: f64) -> f64 {
     0.5 * erfc(z / std::f64::consts::SQRT_2)

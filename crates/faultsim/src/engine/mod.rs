@@ -814,7 +814,7 @@ impl EvalContext {
         // Trials never materialize faulty matrices: each samples sparse
         // deltas against the shared clean decodes and evaluates them
         // through the evaluator's O(deltas) path. One clean model copy
-        // (with its nonzeros, for the density counters) per key.
+        // (with its nonzero counts, for the density counters) per key.
         let models: Vec<(Vec<LayerMatrix>, Vec<Arc<SparseMatrix>>)> = prepared
             .iter()
             .enumerate()

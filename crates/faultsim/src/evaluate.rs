@@ -9,7 +9,7 @@
 //! [`SparseModel`]) plus a per-layer sparse list of [`WeightDelta`]s,
 //! which is what the sparse fault sampler produces (chip instances
 //! reduce to the same deltas via `StoredLayer::sample_chip_flips`), and
-//! the implementations here never materialize the faulty matrices:
+//! the implementations here avoid materializing the faulty matrices:
 //!
 //! - [`NetworkEval`] reads a clean-prefix cache of the clean batch
 //!   forward pass (one per configuration key per run, shared by every
@@ -20,12 +20,9 @@
 //! - [`ProxyEval`] caches the clean relative-MSE denominator and adjusts
 //!   the numerator per delta in O(deltas) — bit-identical to the full
 //!   scan whenever the clean decode equals the proxy reference bitwise
-//!   (the only configuration the shortcut is enabled for).
-//!
-//! Both fall back to materializing (a clean copy in the scratch, delta
-//! overwrite, evaluate, revert) when their preconditions fail (residual
-//! networks; a lossy clean decode), so a trial is total for every
-//! evaluator.
+//!   (the only configuration the shortcut is enabled for). When a lossy
+//!   clean decode differs from the reference, it materializes instead (a
+//!   clean copy in the scratch, delta overwrite, evaluate, revert).
 
 use maxnvm_dnn::layer::ForwardScratch;
 use maxnvm_dnn::network::{misclassified, LayerMatrix, Network, WeightDelta, EVAL_BATCH};
@@ -37,14 +34,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 /// The clean model handed to [`AccuracyEval::eval_deltas_sparse`]: the
-/// decoded weight matrices, and their nonzeros. Evaluators compute on
+/// decoded weight matrices, and their nonzero counts. Evaluators compute on
 /// `dense`; `sparse[i]` is `SparseMatrix::from_dense` of `dense[i]` and
 /// feeds the per-layer nonzero and density counters results carry.
 #[derive(Debug, Clone, Copy)]
 pub struct SparseModel<'a> {
     /// Clean decoded weight matrices, materialized.
     pub dense: &'a [LayerMatrix],
-    /// The nonzeros of each matrix.
+    /// The shape and nonzero count of each matrix.
     pub sparse: &'a [Arc<SparseMatrix>],
 }
 
@@ -86,13 +83,12 @@ struct PrefixChunk {
 
 /// One configuration key's clean prefix over a [`NetworkEval`]'s whole
 /// test set, in chunks of [`EVAL_BATCH`] samples. Each chunk is built at
-/// most once and only read afterwards; a chunk holds `None` when the
-/// network has no prefix cache (residual blocks).
+/// most once and only read afterwards.
 #[derive(Debug)]
 struct SharedPrefix {
     /// The next chunk nobody has claimed to build yet.
     next: AtomicUsize,
-    chunks: Vec<OnceLock<Option<PrefixChunk>>>,
+    chunks: Vec<OnceLock<PrefixChunk>>,
 }
 
 impl SharedPrefix {
@@ -108,8 +104,8 @@ impl SharedPrefix {
     /// for the chunks other threads claimed (or builds one whose builder
     /// panicked). So every thread that needs the prefix at once helps to
     /// build it, and none builds a chunk another has built. `build` must
-    /// be a pure function of `i`. Returns whether every chunk has a cache.
-    fn build(&self, mut build: impl FnMut(usize) -> Option<PrefixChunk>) -> bool {
+    /// be a pure function of `i`.
+    fn build(&self, mut build: impl FnMut(usize) -> PrefixChunk) {
         loop {
             // The counter only hands out indices: the chunks themselves
             // are published through their `OnceLock`s.
@@ -117,20 +113,17 @@ impl SharedPrefix {
             let Some(chunk) = self.chunks.get(i) else {
                 break;
             };
-            if chunk.get_or_init(|| build(i)).is_none() {
-                return false;
-            }
+            chunk.get_or_init(|| build(i));
         }
-        self.chunks
-            .iter()
-            .enumerate()
-            .all(|(i, chunk)| chunk.get_or_init(|| build(i)).is_some())
+        for (i, chunk) in self.chunks.iter().enumerate() {
+            chunk.get_or_init(|| build(i));
+        }
     }
 
     /// The built chunks, in test-set order: all of them once
-    /// [`Self::build`] has returned `true`.
+    /// [`Self::build`] has returned.
     fn chunks(&self) -> impl Iterator<Item = &PrefixChunk> {
-        self.chunks.iter().filter_map(|c| c.get()?.as_ref())
+        self.chunks.iter().filter_map(OnceLock::get)
     }
 }
 
@@ -181,13 +174,12 @@ struct HeldPrefix {
     net: Network,
 }
 
-/// Reusable per-thread evaluation state: what one trial changes (the
-/// network copy with the current key's clean weights, the activation
-/// batch and staging buffers),
-/// a hold on the current key's clean prefix, and the clean-MSE and
-/// materializing-fallback caches behind
-/// [`AccuracyEval::eval_deltas_sparse`] — so a Monte-Carlo campaign pays
-/// each allocation once per thread instead of once per trial.
+/// Reusable per-thread evaluation state: what one [`NetworkEval`] trial
+/// changes (the network copy with the current key's clean weights, the
+/// activation batch and staging buffers), a hold on the current key's
+/// clean prefix, and [`ProxyEval`]'s clean-MSE and materialized-copy
+/// caches — so a Monte-Carlo campaign pays each allocation once per
+/// thread instead of once per trial.
 ///
 /// The clean prefixes themselves live in a registry shared by every
 /// scratch of an engine run: one prefix per key, built once (its chunks
@@ -205,7 +197,6 @@ struct HeldPrefix {
 pub struct EvalScratch {
     prefixes: Arc<PrefixRegistry>,
     prefix: Option<HeldPrefix>,
-    net: Option<Network>,
     forward: ForwardScratch,
     act: Batch,
     dirty_rows: Vec<usize>,
@@ -255,40 +246,34 @@ pub trait AccuracyEval {
     ) -> f64;
 }
 
-/// The materializing trial path, which the fast evaluators fall back to:
-/// copy the clean matrices once per key into the scratch, overwrite the
-/// delta slots, evaluate them with `eval` (which may reuse the rest of
-/// the scratch, e.g. its network), and restore.
+/// The materializing trial path, which [`ProxyEval`] takes when the clean
+/// decode differs from its reference: copy the clean matrices once per
+/// key into the scratch, overwrite the delta slots, evaluate them with
+/// `eval`, and restore.
 fn eval_deltas_materialized(
     key: u64,
     clean: &[LayerMatrix],
     deltas: &[Vec<WeightDelta>],
     scratch: &mut EvalScratch,
-    eval: impl FnOnce(&[LayerMatrix], &mut EvalScratch) -> f64,
+    eval: impl FnOnce(&[LayerMatrix]) -> f64,
 ) -> f64 {
-    // Take the cached copy out of the scratch so `eval` below can borrow
-    // the scratch mutably; reverting the deltas (rather than re-cloning
-    // `clean`) keeps steady-state trials allocation-free.
-    let cached = scratch
-        .materialized
-        .take()
-        .filter(|(k, m)| *k == key && m.len() == clean.len());
-    let mut mats = match cached {
-        Some((_, m)) => m,
-        None => clean.to_vec(),
+    // Reverting the deltas (rather than re-cloning `clean`) keeps
+    // steady-state trials allocation-free.
+    let mats = match &mut scratch.materialized {
+        Some((k, m)) if *k == key && m.len() == clean.len() => m,
+        slot => &mut slot.insert((key, clean.to_vec())).1,
     };
     for (i, ds) in deltas.iter().enumerate() {
         for d in ds {
             mats[i].data[d.slot as usize] = d.value;
         }
     }
-    let error = eval(&mats, scratch);
+    let error = eval(mats);
     for (i, ds) in deltas.iter().enumerate() {
         for d in ds {
             mats[i].data[d.slot as usize] = clean[i].data[d.slot as usize];
         }
     }
-    scratch.materialized = Some((key, mats));
     error
 }
 
@@ -317,28 +302,20 @@ impl NetworkEval {
         &self.net
     }
 
-    /// Error with `mats` written into `net`, a copy of the wrapped
-    /// network (every weight is overwritten, so a reused copy cannot
-    /// leak a previous trial's state).
-    fn error_with(&self, net: &mut Network, mats: &[LayerMatrix]) -> f64 {
-        net.set_weight_matrices(mats);
-        net.error_rate(&self.test)
-    }
-
-    /// The clean prefix of test chunk `i` (samples `i·EVAL_BATCH..`) on
-    /// `net`, which holds the key's clean weights: `None` past the last
-    /// chunk and for residual networks.
-    fn clean_chunk(
-        &self,
-        net: &Network,
-        i: usize,
-        forward: &mut ForwardScratch,
-    ) -> Option<PrefixChunk> {
-        let samples = self.test.chunks(EVAL_BATCH).nth(i)?;
+    /// The clean prefix of test chunk `i` (the up to [`EVAL_BATCH`]
+    /// samples from `i·EVAL_BATCH`) on `net`, which holds the key's clean
+    /// weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chunk starts past the test set.
+    fn clean_chunk(&self, net: &Network, i: usize, forward: &mut ForwardScratch) -> PrefixChunk {
+        let start = i * EVAL_BATCH;
+        let samples = &self.test[start..self.test.len().min(start + EVAL_BATCH)];
         let xs = Batch::from_samples(samples.iter().map(|(x, _)| x));
-        let cache = PrefixCache::build(net, xs, forward)?;
+        let cache = PrefixCache::build(net, xs, forward);
         let wrong = misclassified(cache.clean_logits(), samples);
-        Some(PrefixChunk { cache, wrong })
+        PrefixChunk { cache, wrong }
     }
 }
 
@@ -348,7 +325,9 @@ impl AccuracyEval for NetworkEval {
     }
 
     fn eval(&self, mats: &[LayerMatrix]) -> f64 {
-        self.error_with(&mut self.net.clone(), mats)
+        let mut net = self.net.clone();
+        net.set_weight_matrices(mats);
+        net.error_rate(&self.test)
     }
 
     /// Clean-prefix trial path: the clean batch forward pass is built
@@ -358,8 +337,7 @@ impl AccuracyEval for NetworkEval {
     /// (from that layer's cached input) and the layer suffix behind it,
     /// and adds up the misclassifications —
     /// bit-identical to materializing the faults (see
-    /// [`maxnvm_dnn::prefix`]). Residual networks materialize into the
-    /// scratch network instead.
+    /// [`maxnvm_dnn::prefix`]).
     fn eval_deltas_sparse(
         &self,
         key: u64,
@@ -371,58 +349,54 @@ impl AccuracyEval for NetworkEval {
         if self.test.is_empty() {
             return 0.0; // matches `Network::error_rate` on an empty set
         }
-        if !matches!(&scratch.prefix, Some(held) if held.key == key) {
-            // Let go of the previous key's prefix before taking this one,
-            // so the registry frees it once no scratch holds it.
-            let mut net = match scratch.prefix.take() {
-                Some(held) => held.net,
-                None => self.net.clone(),
-            };
-            net.set_weight_matrices(clean);
-            let chunks = self.test.len().div_ceil(EVAL_BATCH);
-            let shared = scratch.prefixes.prefix(key, chunks);
-            scratch.prefix = Some(HeldPrefix { key, shared, net });
-        }
-        // Destructure so the prefix and the staging buffers can be
-        // borrowed simultaneously; anything else materializes.
-        if let EvalScratch {
-            prefix: Some(HeldPrefix { shared, net, .. }),
+        let EvalScratch {
+            prefixes,
+            prefix,
             forward,
             act,
             dirty_rows,
             undo,
             ..
-        } = scratch
-        {
-            if shared.build(|i| self.clean_chunk(net, i, forward)) {
-                let Some(first) = deltas.iter().position(|d| !d.is_empty()) else {
-                    let wrong: usize = shared.chunks().map(|c| c.wrong).sum();
-                    return wrong as f64 / self.test.len() as f64;
+        } = scratch;
+        let HeldPrefix { shared, net, .. } = match prefix {
+            Some(held) if held.key == key => held,
+            slot => {
+                // Let go of the previous key's prefix before taking this
+                // one, so the registry frees it once no scratch holds it.
+                let mut net = match slot.take() {
+                    Some(held) => held.net,
+                    None => self.net.clone(),
                 };
-                dirty_rows.clear();
-                dirty_rows.extend(
-                    deltas[first]
-                        .iter()
-                        .map(|d| d.slot as usize / clean[first].cols),
-                );
-                dirty_rows.sort_unstable();
-                dirty_rows.dedup();
-                net.apply_weight_deltas(deltas, undo);
-                let mut wrong = 0;
-                for (chunk, samples) in shared.chunks().zip(self.test.chunks(EVAL_BATCH)) {
-                    let pos = chunk.cache.site_layer(first);
-                    let layer = &net.layers()[pos];
-                    chunk.cache.patched_output(first, layer, dirty_rows, act);
-                    net.forward_suffix(pos + 1, act, forward);
-                    wrong += misclassified(act, samples);
-                }
-                net.revert_weight_deltas(undo);
-                return wrong as f64 / self.test.len() as f64;
+                net.set_weight_matrices(clean);
+                let chunks = self.test.len().div_ceil(EVAL_BATCH);
+                let shared = prefixes.prefix(key, chunks);
+                slot.insert(HeldPrefix { key, shared, net })
             }
+        };
+        shared.build(|i| self.clean_chunk(net, i, forward));
+        let Some(first) = deltas.iter().position(|d| !d.is_empty()) else {
+            let wrong: usize = shared.chunks().map(|c| c.wrong).sum();
+            return wrong as f64 / self.test.len() as f64;
+        };
+        dirty_rows.clear();
+        dirty_rows.extend(
+            deltas[first]
+                .iter()
+                .map(|d| d.slot as usize / clean[first].cols),
+        );
+        dirty_rows.sort_unstable();
+        dirty_rows.dedup();
+        net.apply_weight_deltas(deltas, undo);
+        let mut wrong = 0;
+        for (chunk, samples) in shared.chunks().zip(self.test.chunks(EVAL_BATCH)) {
+            let pos = chunk.cache.site_layer(first);
+            let layer = &net.layers()[pos];
+            chunk.cache.patched_output(first, layer, dirty_rows, act);
+            net.forward_suffix(pos + 1, act, forward);
+            wrong += misclassified(act, samples);
         }
-        eval_deltas_materialized(key, clean, deltas, scratch, |mats, scratch| {
-            self.error_with(scratch.net.get_or_insert_with(|| self.net.clone()), mats)
-        })
+        net.revert_weight_deltas(undo);
+        wrong as f64 / self.test.len() as f64
     }
 }
 
@@ -530,11 +504,11 @@ impl AccuracyEval for ProxyEval {
         self.error_from_mse(self.relative_mse(mats))
     }
 
-    /// Incremental fast path: with the denominator cached (see
-    /// [`ProxyEval::incremental_den`]) the numerator is just the
-    /// slot-ordered sum of `(value − ref)²` over the deltas — O(deltas)
-    /// and bit-identical to the full scan. Materializes when the clean
-    /// decode differs from the reference.
+    /// Incremental fast path: when the clean decode equals the reference
+    /// bitwise, the denominator `Σ ref²` is cached per key and the
+    /// numerator is just the slot-ordered sum of `(value − ref)²` over the
+    /// deltas — O(deltas) and bit-identical to the full scan. Materializes
+    /// when the clean decode differs from the reference.
     fn eval_deltas_sparse(
         &self,
         key: u64,
@@ -561,7 +535,7 @@ impl AccuracyEval for ProxyEval {
                 let m_rel = if den == 0.0 { 0.0 } else { num / den };
                 self.error_from_mse(m_rel)
             }
-            _ => eval_deltas_materialized(key, clean, deltas, scratch, |mats, _| self.eval(mats)),
+            _ => eval_deltas_materialized(key, clean, deltas, scratch, |mats| self.eval(mats)),
         }
     }
 }
@@ -884,41 +858,6 @@ mod tests {
                 "sparsity {sparsity}: reused vs fresh scratch drifted"
             );
         }
-    }
-
-    /// Residual networks have no prefix cache; a trial must fall back to
-    /// the materializing path and still agree exactly.
-    #[test]
-    fn network_eval_deltas_falls_back_on_residual_networks() {
-        use maxnvm_dnn::layer::Layer;
-        let net = maxnvm_dnn::network::Network::new(
-            "res",
-            vec![Layer::Residual {
-                body: vec![Layer::linear("b", 4, 4)],
-                shortcut: vec![],
-            }],
-        );
-        let test: Vec<(Tensor, usize)> = (0..6)
-            .map(|i| {
-                let data = (0..4).map(|j| ((i * 3 + j) % 5) as f32 - 2.0).collect();
-                (Tensor::from_vec(&[4], data), i % 4)
-            })
-            .collect();
-        let eval = NetworkEval::new(net, test);
-        let clean = eval.network().weight_matrices();
-        let deltas = vec![vec![WeightDelta {
-            slot: 2,
-            value: 30.0,
-        }]];
-        let mut scratch = EvalScratch::default();
-        assert_eq!(
-            trial(&eval, 0, &clean, &deltas, &mut scratch),
-            eval.eval(&materialize(&clean, &deltas))
-        );
-        assert_eq!(
-            trial(&eval, 0, &clean, &[Vec::new()], &mut scratch),
-            eval.baseline_error()
-        );
     }
 
     /// With the reference equal to the clean decode (the DSE
